@@ -3,7 +3,8 @@ checks, and machine-readable reports.
 
 Subcommands: solve | verify | curvature | ortho | report.  All JSON output
 carries "schema": "charp-qkz/1" and is byte-stable for a fixed configuration
-and seed.  ``verify`` exits 0 exactly when every executed check passes.
+and seed.  ``verify`` exits 0 when every executed check passes, 1 when
+one fails, and 2 on a bad invocation or when no check ran.
 """
 
 from __future__ import annotations
@@ -86,15 +87,11 @@ def _mix(*parts) -> int:
     return zlib.crc32(repr(parts).encode()) & 0x7FFFFFFF
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
+def _usage_error(message: str):
+    """Report a bad invocation on stderr and exit 2 (exit 1 means a failed
+    check)."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def parse_kappa(ctx: FieldCtx, text: str) -> FieldElement:
@@ -128,24 +125,32 @@ def _kappa_values(cfg: RunConfig, p: int) -> list[int]:
         if "g" in s:
             continue
         v = int(s) % p
-        if v:
+        if v and v not in out:
             out.append(v)
     return out
 
 
 def _ext_kappas(cfg: RunConfig, p: int, count: int = 3) -> list[FieldElement]:
-    """Extension-field kappa values: explicit filter entries, else a seeded
-    sample of elements of F_{p^2} outside F_p."""
+    """Extension-field kappa values, each once in first-seen order: explicit
+    filter entries, else a seeded sample of elements of F_{p^2} outside F_p
+    drawn without replacement (a repeated draw is rejected and redrawn)."""
     ctx = make_field(p, 2)
+    out = []
     if cfg.kappa_filter is not None:
-        return [parse_kappa(ctx, s) for s in cfg.kappa_filter if "g" in s]
+        for s in cfg.kappa_filter:
+            if "g" in s:
+                kap = parse_kappa(ctx, s)
+                if kap not in out:
+                    out.append(kap)
+        return out
     import random
 
     rng = random.Random(_mix(cfg.seed, p, "ext"))
-    out = []
     while len(out) < count:
         a, b = rng.randrange(p), rng.randrange(1, p)
-        out.append(ctx.element(a, b))
+        kap = ctx.element(a, b)
+        if kap not in out:
+            out.append(kap)
     return out
 
 
@@ -188,11 +193,18 @@ class SuiteRunner:
         self.cfg = cfg
         self.results: dict = {}
         self.all_passed = True
+        self.checks_run = 0
         self._params_cache: dict = {}
 
     def record(self, suite: str, key: str, entry: dict):
-        self.results.setdefault(suite, {})[key] = entry
-        if not entry.get("passed", True) and not entry.get("skipped"):
+        block = self.results.setdefault(suite, {})
+        if key in block:
+            raise ValueError(f"duplicate report key {key!r} in suite {suite!r}")
+        block[key] = entry
+        if entry.get("skipped"):
+            return
+        self.checks_run += 1
+        if not entry.get("passed", True):
             self.all_passed = False
 
     def params_for(self, p: int, n: int, kv: int) -> QkzParams:
@@ -354,7 +366,10 @@ class SuiteRunner:
             for kap in _ext_kappas(self.cfg, p):
                 params = make_params(ctx, n, kap)
                 rep = verify_ext_kappa(
-                    params, npoints=self.cfg.point_count, seed=self.cfg.seed
+                    params,
+                    npoints=self.cfg.point_count,
+                    seed=self.cfg.seed,
+                    full_space_control=self.cfg.sabotage,
                 )
                 self.record("ext_kappa", f"p={p},n={n},kappa={kap}", _report_entry(rep))
 
@@ -445,11 +460,8 @@ def render_text(payload: dict) -> str:
 
 
 def cmd_solve(args) -> int:
-    if not is_prime(args.p):
-        print(f"error: p={args.p} is not prime", file=sys.stderr)
-        return 2
-    ctx = make_field(args.p)
     try:
+        ctx = make_field(args.p)
         kappa = parse_kappa(ctx, args.kappa)
         if not kappa.in_prime_field:
             print("error: solve requires kappa in F_p (construction is prime-field)", file=sys.stderr)
@@ -494,17 +506,40 @@ def _config_from_args(args) -> RunConfig:
     if getattr(args, "suites", None):
         bad = [s for s in args.suites if s not in ALL_SUITES]
         if bad:
-            raise SystemExit(f"unknown suite(s): {', '.join(bad)}")
+            _usage_error(f"unknown suite(s): {', '.join(bad)}")
         cfg.suites = list(args.suites)
     cfg.seed = args.seed
     cfg.point_count = args.points
     cfg.format = args.format
     cfg.out_path = args.out
     cfg.sabotage = bool(getattr(args, "sabotage", False))
+    if cfg.point_count < 1:
+        _usage_error(f"--points must be positive, got {cfg.point_count}")
+    if min(cfg.n_range) < 2:
+        _usage_error(f"need n >= 2, got n={min(cfg.n_range)}")
     for p in cfg.primes:
-        if not is_prime(p):
-            raise SystemExit(f"error: p={p} is not prime")
+        try:
+            ctx = make_field(p)
+            for s in cfg.kappa_filter or ():
+                if parse_kappa(ctx, s).in_prime_field and "g" in s:
+                    raise ValueError(f"kappa {s!r} lies in F_{p}; give it as 'c'")
+        except ValueError as exc:
+            _usage_error(str(exc))
     return cfg
+
+
+def _finish(runner: SuiteRunner, payload: dict, cfg: RunConfig) -> int:
+    """Emit the report and return the exit code: 0 when every executed check
+    passed, 1 when one failed, 2 (without a report) when no check ran."""
+    if not runner.checks_run:
+        print(
+            "error: no check ran for this configuration "
+            "(every entry was skipped or filtered out)",
+            file=sys.stderr,
+        )
+        return 2
+    emit(payload, cfg.format, cfg.out_path)
+    return 0 if runner.all_passed else 1
 
 
 def cmd_verify(args) -> int:
@@ -526,13 +561,10 @@ def cmd_verify(args) -> int:
         "passed": runner.all_passed,
         **results,
     }
-    if cfg.format == "json":
-        # determinism: drop wall-clock info from machine-readable output
-        emit(payload, "json", cfg.out_path)
-    else:
+    # determinism: wall-clock info only in the text report
+    if cfg.format == "text":
         payload["elapsed_seconds"] = round(time.time() - start, 2)
-        emit(payload, "text", cfg.out_path)
-    return 0 if runner.all_passed else 1
+    return _finish(runner, payload, cfg)
 
 
 def cmd_curvature(args) -> int:
@@ -541,8 +573,7 @@ def cmd_curvature(args) -> int:
     runner = SuiteRunner(cfg)
     results = runner.run()
     payload = {"schema": SCHEMA, "passed": runner.all_passed, **results}
-    emit(payload, cfg.format, cfg.out_path)
-    return 0 if runner.all_passed else 1
+    return _finish(runner, payload, cfg)
 
 
 def cmd_ortho(args) -> int:
@@ -551,8 +582,7 @@ def cmd_ortho(args) -> int:
     runner = SuiteRunner(cfg)
     results = runner.run()
     payload = {"schema": SCHEMA, "passed": runner.all_passed, **results}
-    emit(payload, cfg.format, cfg.out_path)
-    return 0 if runner.all_passed else 1
+    return _finish(runner, payload, cfg)
 
 
 def cmd_report(args) -> int:

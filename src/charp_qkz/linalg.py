@@ -12,10 +12,10 @@ __all__ = [
     "rank",
     "det",
     "solve",
-    "kernel_basis",
+    "ext_mul",
     "ext_matmul",
     "ext_inv",
-    "ext_rank_batch",
+    "ext_det_batch",
 ]
 
 
@@ -88,25 +88,15 @@ def solve(mat, rhs, ctx: FieldCtx) -> list[FieldElement]:
     return [FieldElement(ctx, aug[i][-1]) for i in range(n)]
 
 
-def kernel_basis(mat, ctx: FieldCtx) -> list[list[FieldElement]]:
-    """Basis of the right kernel of the matrix."""
-    rows = _to_rows(mat, ctx)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rows, pivots = _eliminate(rows, ctx)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = ctx.neg(rows[r][fc])
-        basis.append([FieldElement(ctx, v) for v in vec])
-    return basis
-
-
 # -- batched F_{p^2} kernels ------------------------------------------------
+
+
+def ext_mul(x: np.ndarray, y: np.ndarray, p: int, delta: int) -> np.ndarray:
+    """Elementwise product of F_{p^2} arrays shaped (..., 2), broadcasting
+    over the leading axes."""
+    c0 = (x[..., 0] * y[..., 0] + delta * x[..., 1] * y[..., 1]) % p
+    c1 = (x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0]) % p
+    return np.stack([c0, c1], axis=-1)
 
 
 def ext_matmul(A: np.ndarray, B: np.ndarray, p: int, delta: int) -> np.ndarray:
@@ -131,13 +121,33 @@ def ext_inv(x: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     return np.stack([(a0 * ninv) % p, (-a1 * ninv) % p], axis=-1)
 
 
-def ext_rank_batch(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Ranks of a stack of F_{p^2} matrices shaped (npts, r, c, 2)."""
-    out = np.empty(M.shape[0], dtype=np.int64)
-    for i in range(M.shape[0]):
-        rows = [
-            [FieldElement(ctx, int(M[i, r, c, 0]) + int(M[i, r, c, 1]) * ctx.p) for c in range(M.shape[2])]
-            for r in range(M.shape[1])
-        ]
-        out[i] = rank(rows, ctx)
-    return out
+def ext_det_batch(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Determinants of stacked square F_{p^2} matrices (npts, k, k, 2) -> (npts, 2).
+
+    Gaussian elimination on every point at once: each point swaps in its own
+    pivot row (the first nonzero entry at or below the diagonal) and flips
+    its own sign. A point with no pivot in a column multiplies its
+    determinant by that zero entry, and its column below the diagonal is
+    already zero, so its elimination step changes nothing.
+    """
+    p, delta = ctx.p, ctx.nonresidue
+    A = M % p
+    npts, k = A.shape[0], A.shape[1]
+    pts = np.arange(npts)
+    det = np.zeros((npts, 2), dtype=np.int64)
+    det[:, 0] = 1
+    one = np.array([1, 0], dtype=np.int64)
+    for c in range(k):
+        nonzero = np.any(A[:, c:, c] != 0, axis=-1)  # (npts, k - c)
+        pr = c + np.argmax(nonzero, axis=1)  # c where the column is zero
+        row_c = A[pts, c].copy()
+        A[pts, c] = A[pts, pr]
+        A[pts, pr] = row_c
+        swapped = pr != c
+        det[swapped] = (-det[swapped]) % p
+        piv = A[:, c, c]
+        det = ext_mul(det, piv, p, delta)
+        inv = ext_inv(np.where(np.any(piv != 0, axis=-1, keepdims=True), piv, one), ctx)
+        f = ext_mul(A[:, c + 1 :, c], inv[:, None], p, delta)  # (npts, k - c - 1, 2)
+        A[:, c + 1 :] = (A[:, c + 1 :] - ext_mul(f[:, :, None], A[:, None, c], p, delta)) % p
+    return det

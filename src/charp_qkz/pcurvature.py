@@ -20,9 +20,8 @@ import numpy as np
 from . import dense, linalg
 from .ffield import FieldCtx, FieldElement, sample_point
 from .hypergeo import extract_solutions
-from .linalg import ext_matmul
-from .mpoly import LinearForm, MPoly
-from .pochhammer import poch_factor
+from .linalg import ext_det_batch, ext_matmul, ext_mul
+from .mpoly import MPoly
 from .qkz_core import (
     CheckReport,
     QkzParams,
@@ -98,16 +97,29 @@ def reduced_curvature_at(params: QkzParams, a: int, z) -> list[list[FieldElement
     return C
 
 
+def _kappa_pair(params: QkzParams, p: int) -> np.ndarray:
+    return np.array([params.kappa.val % p, params.kappa.val // p], dtype=np.int64)
+
+
 def curvature_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
-    """C_a over a batch of points (npts, n, 2) -> (npts, n, n, 2)."""
+    """C_a over a batch of points (npts, n, 2) -> (npts, n, n, 2).
+
+    One ``k_matrix_batch`` call evaluates K_a at all p shifted copies
+    z - m kappa e_a (m = 0..p-1) of the batch; the ordered product
+    K_{p-1} ... K_0 is then taken as a pairwise tree, exact by
+    associativity. Raises :class:`SingularPointError` if any shifted point
+    is singular.
+    """
     p = pctx.p
-    kap = np.array([params.kappa.val % p, params.kappa.val // p], dtype=np.int64)
-    C = k_matrix_batch(params, a, Z, pctx)
-    Zm = Z.copy()
-    for _ in range(1, params.p):
-        Zm[:, a - 1] = (Zm[:, a - 1] - kap) % p
-        C = ext_matmul(k_matrix_batch(params, a, Zm, pctx), C, p, pctx.nonresidue)
-    return C
+    shifts = np.arange(params.p)[:, None] * _kappa_pair(params, p)  # (p, 2)
+    Zs = np.broadcast_to(Z, (params.p,) + Z.shape).copy()
+    Zs[:, :, a - 1] = (Zs[:, :, a - 1] - shifts[:, None]) % p
+    K = k_matrix_batch(params, a, Zs.reshape((-1,) + Z.shape[1:]), pctx)
+    K = K.reshape((params.p,) + Z.shape[:1] + K.shape[1:])  # K[m] = K_a(z - m kappa e_a)
+    while K.shape[0] > 1:
+        top = K[-1:] if K.shape[0] % 2 else K[:0]
+        K = np.concatenate([ext_matmul(K[1::2], K[0:-1:2], p, pctx.nonresidue), top])
+    return K[0]
 
 
 def _reduce_batch(C: np.ndarray, p: int) -> np.ndarray:
@@ -362,8 +374,8 @@ def verify_duality(params: QkzParams, npoints: int = 20, seed: int = 0, flip_con
         # normalized variant: D_a-scaled with sign (-1)^n
         da_m = _d_a_batch(pm, a, Z, pctx)  # D_a(z; -kappa)
         da_p = _d_a_batch(params, a, Zneg, pctx)  # D_a(-z; kappa)
-        Tm = _scale_batch(Hm, da_m, p, delta)
-        Tp = _scale_batch(Hp, da_p, p, delta)
+        Tm = ext_mul(da_m[:, None, None], Hm, p, delta)
+        Tp = ext_mul(da_p[:, None, None], Hp, p, delta)
         sign_n = 1 if n % 2 == 0 else p - 1
         M2 = (np.swapaxes(Tm, 1, 2) - sgn * sign_n * Tp) % p
         res2 = _restrict_bilinear(M2, p)
@@ -387,7 +399,7 @@ def _restrict_bilinear(M: np.ndarray, p: int) -> np.ndarray:
 def _d_a_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
     """D_a evaluated on the batch -> (npts, 2)."""
     p, delta = pctx.p, pctx.nonresidue
-    kap = np.array([params.kappa.val % p, params.kappa.val // p], dtype=np.int64)
+    kap = _kappa_pair(params, p)
     out = np.zeros((Z.shape[0], 2), dtype=np.int64)
     out[:, 0] = 1
     for j in range(1, params.n + 1):
@@ -399,71 +411,92 @@ def _d_a_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.n
         for m in range(params.p):
             if m:
                 f = (f - kap) % p
-            c0 = (out[:, 0] * f[:, 0] + delta * out[:, 1] * f[:, 1]) % p
-            c1 = (out[:, 0] * f[:, 1] + out[:, 1] * f[:, 0]) % p
-            out = np.stack([c0, c1], axis=-1)
+            out = ext_mul(out, f, p, delta)
     return out
 
 
-def _scale_batch(M: np.ndarray, s: np.ndarray, p: int, delta: int) -> np.ndarray:
-    s0 = s[:, 0][:, None, None]
-    s1 = s[:, 1][:, None, None]
-    c0 = (s0 * M[..., 0] + delta * s1 * M[..., 1]) % p
-    c1 = (s0 * M[..., 1] + s1 * M[..., 0]) % p
-    return np.stack([c0, c1], axis=-1)
+def _restrict_to_v(M: np.ndarray, p: int) -> np.ndarray:
+    """Matrices (npts, n, n, 2) of operators that map into the zero-sum
+    space V, restricted to V in the basis e_i = v^(i) - v^(i+1):
+    (npts, n-1, n-1, 2). Column i is the image of e_i, in coordinates read
+    off as partial sums of its first n-1 entries."""
+    W = M[:, :, :-1] - M[:, :, 1:]  # images of the e_i
+    return np.cumsum(W[:, :-1], axis=1) % p
 
 
-def _restrict_to_v(M, pctx: FieldCtx) -> list[list[FieldElement]]:
-    """Matrix of an operator that maps into the zero-sum space V, restricted
-    to V in the basis e_i = v^(i) - v^(i+1); coordinates via partial sums."""
-    n = len(M)
-    cols = []
-    for i in range(n - 1):
-        w = [M[r][i] - M[r][i + 1] for r in range(n)]  # image of e_i
-        acc = pctx.zero()
-        col = []
-        for r in range(n - 1):
-            acc = acc + w[r]
-            col.append(acc)
-        cols.append(col)
-    return [[cols[i][r] for i in range(n - 1)] for r in range(n - 1)]
+def _singular_mask(params: QkzParams, Z: np.ndarray, p: int) -> np.ndarray:
+    """Points (npts, n, 2) at which some C_a is undefined: for some a, some
+    shift m in 0..p-1 and some R-factor j of K_a, the factor's
+    u = z_a - m kappa - z_j (- kappa if j < a) equals 1 (a pole) or -1 (a
+    degeneracy)."""
+    kap = _kappa_pair(params, p)
+    shifts = np.arange(params.p)[:, None] * kap  # (p, 2)
+    mask = np.zeros(Z.shape[0], dtype=bool)
+    for a in range(1, params.n + 1):
+        for j in range(1, params.n + 1):
+            if j == a:
+                continue
+            u = Z[:, a - 1] - Z[:, j - 1] - (kap if j < a else 0)
+            us = (u[:, None] - shifts) % p  # (npts, p, 2)
+            hit = (us[..., 1] == 0) & ((us[..., 0] == 1) | (us[..., 0] == p - 1))
+            mask |= hit.any(axis=1)
+    return mask
 
 
-def verify_ext_kappa(params: QkzParams, npoints: int = 50, seed: int = 0) -> CheckReport:
+def _nonsingular_points(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx):
+    """The first ``npoints`` nonsingular points among the attempts
+    ``sample_point(pctx, n, seed * 65537 + t)``, t < 40 * npoints, drawn in
+    chunks no larger than the number still missing."""
+    pts = []
+    attempt, budget = 0, npoints * 40
+    while len(pts) < npoints and attempt < budget:
+        chunk = min(npoints - len(pts), budget - attempt)
+        draws = [sample_point(pctx, params.n, seed * 65537 + attempt + t) for t in range(chunk)]
+        attempt += chunk
+        singular = _singular_mask(params, points_to_array(draws, pctx), pctx.p)
+        pts.extend(z for z, bad in zip(draws, singular) if not bad)
+    return pts
+
+
+def verify_ext_kappa(
+    params: QkzParams, npoints: int = 50, seed: int = 0, full_space_control: bool = False
+) -> CheckReport:
     """Nondegeneracy for kappa outside F_p: hat-C_a restricted to the
     zero-sum space has nonzero determinant at sampled points for every a
     (on all of K^n the reduced curvature annihilates coordinate sums, so the
-    restriction is the meaningful determinant)."""
+    restriction is the meaningful determinant).
+
+    ``full_space_control`` takes the determinant on all of K^n instead,
+    which always vanishes (negative control).
+    """
     if params.kappa.in_prime_field:
         raise ValueError("this check requires kappa outside F_p")
     n = params.n
     pctx = params.ctx
     if pctx.ext_degree != 2:
         raise ValueError("extension-field context required")
+    p = pctx.p
+    pts = _nonsingular_points(params, npoints, seed, pctx)
+    good = len(pts)
     failures = []
-    dets = {a: [] for a in range(1, n + 1)}
-    good = 0
-    attempt = 0
-    while good < npoints and attempt < npoints * 40:
-        z = sample_point(pctx, n, seed * 65537 + attempt)
-        attempt += 1
-        try:
-            mats = {a: reduced_curvature_at(params, a, z) for a in range(1, n + 1)}
-        except SingularPointError:
-            continue
-        good += 1
+    sample_dets = {}
+    if pts:
+        Z = points_to_array(pts, pctx)
+        zero = np.zeros((good, n), dtype=bool)  # zero[i, a-1]: det of hat-C_a vanishes at point i
         for a in range(1, n + 1):
-            dv = linalg.det(_restrict_to_v(mats[a], pctx), pctx)
-            dets[a].append(dv)
-            if not dv:
-                failures.append(("degenerate hatC", a, [str(x) for x in z]))
+            H = _reduce_batch(curvature_batch(params, a, Z, pctx), p)
+            dets = ext_det_batch(H if full_space_control else _restrict_to_v(H, p), pctx)
+            zero[:, a - 1] = np.all(dets == 0, axis=-1)
+            sample_dets[a] = str(FieldElement(pctx, int(dets[0, 0]) + int(dets[0, 1]) * p))
+        for i, a in zip(*np.nonzero(zero)):
+            failures.append(("degenerate hatC", int(a) + 1, [str(x) for x in pts[i]]))
     if good < npoints:
         failures.append(("insufficient nonsingular points", good))
     return CheckReport(
         name=f"ext-kappa nondegeneracy p={params.p} n={n} kappa={params.kappa}",
         passed=not failures,
         failures=failures,
-        details={"points": good, "sample_dets": {a: str(dets[a][0]) for a in dets if dets[a]}},
+        details={"points": good, "sample_dets": sample_dets},
     )
 
 

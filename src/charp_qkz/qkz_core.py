@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ffield import FieldCtx, FieldElement
-from .linalg import ext_inv
+from .linalg import ext_inv, ext_mul
 from .mpoly import LinearForm, MPoly
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "pairing_polynomial",
     "is_quasi_constant",
     "points_to_array",
-    "array_to_points",
     "shift_point",
 ]
 
@@ -360,33 +359,11 @@ def points_to_array(points, ctx: FieldCtx) -> np.ndarray:
     return arr
 
 
-def array_to_points(arr: np.ndarray, ctx: FieldCtx):
-    return [
-        [FieldElement(ctx, int(arr[i, j, 0]) + int(arr[i, j, 1]) * ctx.p) for j in range(arr.shape[1])]
-        for i in range(arr.shape[0])
-    ]
-
-
 def shift_point(z, a: int, delta: FieldElement):
     """z - delta * e_a for a point given as a list of field elements."""
     out = list(z)
     out[a - 1] = out[a - 1] - FieldElement(z[0].ctx, delta.val)
     return out
-
-
-def _ext_scale(s: np.ndarray, M: np.ndarray, p: int, delta: int) -> np.ndarray:
-    """Scalar (npts, 2) times matrix stack (npts, n, n, 2)."""
-    s0 = s[:, 0][:, None, None]
-    s1 = s[:, 1][:, None, None]
-    c0 = (s0 * M[..., 0] + delta * s1 * M[..., 1]) % p
-    c1 = (s0 * M[..., 1] + s1 * M[..., 0]) % p
-    return np.stack([c0, c1], axis=-1)
-
-
-def _ext_mul_scalars(x: np.ndarray, y: np.ndarray, p: int, delta: int) -> np.ndarray:
-    c0 = (x[..., 0] * y[..., 0] + delta * x[..., 1] * y[..., 1]) % p
-    c1 = (x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0]) % p
-    return np.stack([c0, c1], axis=-1)
 
 
 def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
@@ -412,15 +389,15 @@ def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> 
         up1[:, 0] = (up1[:, 0] + 1) % p
         if np.any(np.all(up1 == 0, axis=1)):
             raise SingularPointError(f"degenerate R-factor (a={a}, j={j}) in the batch")
-        new = _ext_scale(um1, M, p, delta)
-        scaled = _ext_scale(u, M[:, [a - 1, j - 1]], p, delta)
+        new = ext_mul(um1[:, None, None], M, p, delta)
+        scaled = ext_mul(u[:, None, None], M[:, [a - 1, j - 1]], p, delta)
         ai, ji = a - 1, j - 1
         new[:, ai] = (scaled[:, 0] - M[:, ji]) % p
         new[:, ji] = (scaled[:, 1] - M[:, ai]) % p
         M = new
-        den = _ext_mul_scalars(den, um1, p, delta)
+        den = ext_mul(den, um1, p, delta)
     dinv = ext_inv(den, pctx)
-    return _ext_scale(dinv, M, p, delta)
+    return ext_mul(dinv[:, None, None], M, p, delta)
 
 
 # -- Shapovalov form ---------------------------------------------------------

@@ -195,3 +195,92 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "d(kappa)=1" in proc.stdout
+
+
+def test_verify_sabotage_fails_ext_kappa(capsys):
+    """Negative control: the determinant on all of K^n always vanishes."""
+    code = main(
+        ["verify", "--p", "5", "--n", "3", "--suites", "ext_kappa", "--points", "4",
+         "--sabotage", "--format", "json"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["passed"] is False
+    assert all(entry["passed"] is False for entry in out["ext_kappa"].values())
+
+
+def test_verify_without_checks_exits_2(capsys):
+    code = main(["verify", "--p", "7", "--n", "3", "--kappa", "7", "--suites", "solutions"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no check ran" in captured.err
+
+
+def test_solve_above_prime_cap_exits_2(capsys):
+    code = main(["solve", "--p", "103", "--n", "3", "--kappa", "2"])
+    assert code == 2
+    assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "103"],
+        ["verify", "--p", "4"],
+        ["verify", "--p", "5", "--n", "1"],
+        ["verify", "--p", "5", "--points", "0"],
+        ["verify", "--p", "5", "--kappa", "x"],
+        ["verify", "--p", "5", "--kappa", "3+0*g", "--suites", "ext_kappa"],
+        ["verify", "--p", "5", "--suites", "nonsense"],
+    ],
+)
+def test_verify_bad_input_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_duplicate_kappa_filter_runs_once(capsys):
+    code = main(
+        ["verify", "--p", "7", "--n", "3", "--kappa", "3", "--kappa", "10",
+         "--kappa", "1+2*g", "--kappa", "1+2*g", "--suites", "identities", "ext_kappa",
+         "--points", "3", "--format", "json"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert list(out["identities"]) == ["p=7,kappa=3"]
+    assert list(out["ext_kappa"]) == ["p=7,n=3,kappa=1+2*g"]
+
+
+def test_ext_kappas_drawn_without_replacement():
+    """Seeded draws never repeat; a seed whose first draws are distinct keeps
+    exactly those draws."""
+    import random
+
+    from charp_qkz.cli import RunConfig, _ext_kappas, _mix
+
+    repeated = 0
+    for seed in range(40):
+        cfg = RunConfig(seed=seed)
+        kaps = _ext_kappas(cfg, 5)
+        assert len(set(kaps)) == len(kaps) == 3
+        rng = random.Random(_mix(seed, 5, "ext"))
+        first = [(rng.randrange(5), rng.randrange(1, 5)) for _ in range(3)]
+        if len(set(first)) == 3:
+            assert [(k.a0, k.a1) for k in kaps] == first
+        else:
+            repeated += 1
+    assert repeated  # the redraw path is exercised
+
+
+def test_record_refuses_repeated_key():
+    from charp_qkz.cli import RunConfig, SuiteRunner
+
+    runner = SuiteRunner(RunConfig())
+    runner.record("ext_kappa", "p=5,n=2,kappa=g", {"passed": True})
+    with pytest.raises(ValueError):
+        runner.record("ext_kappa", "p=5,n=2,kappa=g", {"passed": True})
