@@ -10,6 +10,7 @@ one fails, and 2 on a bad invocation or when no check ran.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -23,17 +24,14 @@ from .hypergeo import (
     d_of_kappa,
     extract_solutions,
     gram_det,
-    k_from_kappa,
     solution_set_to_json,
     verify_independence,
     verify_leading_terms,
     verify_orthogonality,
-    verify_q_product_formula,
     verify_quasi_flatness,
     verify_restrictions,
 )
 from .pcurvature import (
-    curvature_report_json,
     kernel_image_ranks,
     verify_curvature_battery,
     verify_duality,
@@ -482,9 +480,11 @@ def cmd_solve(args) -> int:
         ]
         if ss.d == 0:
             lines.append(payload["message"])
-        for ell, sol in enumerate(ss.solutions, start=1):
-            lines.append(f"Q^({ell}p-1), degree {sol.degree()}:")
-            for i, c in enumerate(sol.coords, start=1):
+        for ell, (deg, coords) in enumerate(
+            zip(payload["degrees"], payload["solutions"]), start=1
+        ):
+            lines.append(f"Q^({ell}p-1), degree {deg}:")
+            for i, c in enumerate(coords, start=1):
                 lines.append(f"  [{i}] {c}")
         text = "\n".join(lines) + "\n"
         if args.out:
@@ -716,9 +716,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing leaves no state in it (appended
+    options start from a fresh list in every namespace)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

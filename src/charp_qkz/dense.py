@@ -1,13 +1,16 @@
 """Dense numpy kernels for prime-field polynomial work.
 
-Sparse dict polynomials are the source of truth; these kernels are a fast
-path for the heavy constructions (large products in t and z, Pochhammer-basis
-reduction).  Everything here is exact int64 arithmetic mod p: with p <= 101
-and the accumulation patterns used below no intermediate value approaches
-2^63.
+Solution sets are built and held as dense coefficient arrays (axes = z_1..
+z_n); these kernels build them (large products in t and z, Pochhammer-basis
+reduction), evaluate them and convert them to and from sparse polynomials.
+Everything here is exact arithmetic mod p: with p <= 101 and the
+accumulation patterns used below no int64 intermediate approaches 2^63, and
+the float64 products stay below 2^53 by the bounds stated where they occur.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -18,7 +21,6 @@ __all__ = [
     "mpoly_to_dense",
     "dense_to_mpoly",
     "dense_mul",
-    "dense_mul_sparse",
     "dense_shift_var",
     "dense_negate_vars",
     "dense_conv",
@@ -26,7 +28,6 @@ __all__ = [
     "build_product_tpoly",
     "pochhammer_scalar_coeffs",
     "dense_pochhammer_coeffs",
-    "dense_monomial_coeffs",
 ]
 
 
@@ -43,27 +44,13 @@ def mpoly_to_dense(f: MPoly) -> np.ndarray:
     return arr
 
 
-def dense_to_mpoly(arr: np.ndarray, ctx: FieldCtx, nvars: int, axes_vars=None) -> MPoly:
-    """Convert a dense coefficient array back to a sparse polynomial.
-
-    ``axes_vars`` maps array axes to 1-based variable indices; by default
-    axis i is z_{i+1}.  Axes not listed contribute exponent 0.
-    """
+def dense_to_mpoly(arr: np.ndarray, ctx: FieldCtx, nvars: int) -> MPoly:
+    """Convert a dense coefficient array (axis i = z_{i+1}, ``nvars`` axes)
+    back to a sparse polynomial."""
     arr = np.mod(arr, ctx.p)
-    if axes_vars is None:
-        axes_vars = list(range(1, arr.ndim + 1))
-    if arr.ndim == 0:
-        v = int(arr)
-        return MPoly(ctx, nvars, {(0,) * nvars: v} if v else {})
     nz = np.nonzero(arr)
-    coefs = arr[nz]
-    terms = {}
-    for flat in zip(*nz, coefs):
-        e = [0] * nvars
-        for ax, var in enumerate(axes_vars):
-            e[var - 1] = int(flat[ax])
-        terms[tuple(e)] = int(flat[-1])
-    return MPoly(ctx, nvars, terms)
+    exps = zip(*(ax.tolist() for ax in nz))
+    return MPoly(ctx, nvars, dict(zip(exps, arr[nz].tolist())))
 
 
 def dense_mul(f: MPoly, g: MPoly) -> MPoly:
@@ -84,22 +71,6 @@ def dense_mul(f: MPoly, g: MPoly) -> MPoly:
         if budget % 64 == 0:
             out %= p
     return dense_to_mpoly(out, f.ctx, f.nvars)
-
-
-def dense_mul_sparse(arr: np.ndarray, f: MPoly) -> np.ndarray:
-    """Product of a dense coefficient array (axes = z_1..z_n) with a sparse
-    polynomial, staying dense."""
-    p = f.ctx.p
-    out_shape = tuple(s + f.degree_in(i + 1) for i, s in enumerate(arr.shape))
-    out = np.zeros(out_shape, dtype=np.int64)
-    budget = 0
-    for e, c in f.terms.items():
-        sl = tuple(slice(ei, ei + s) for ei, s in zip(e, arr.shape))
-        out[sl] += c * arr
-        budget += 1
-        if budget % 64 == 0:
-            out %= p
-    return out % p
 
 
 def dense_shift_var(arr: np.ndarray, axis: int, delta: int, p: int) -> np.ndarray:
@@ -273,50 +244,53 @@ def pochhammer_scalar_coeffs(p: int, kappa: int, max_deg: int) -> list[list[int]
     return tables
 
 
+@functools.lru_cache(maxsize=256)
+def _pochhammer_basis_matrix(p: int, kappa: int, tlen: int) -> np.ndarray:
+    """The tlen x tlen matrix taking monomial coefficients of a t-polynomial
+    of degree < tlen to its coefficients in the basis (t; kappa)_i, as
+    float64 with entries in [0, p).
+
+    Column i of the inverse map is (t; kappa)_i, a monic polynomial of degree
+    i, so the matrix is the inverse of a unit upper-triangular matrix and
+    comes out of one back substitution.
+    """
+    B = np.zeros((tlen, tlen), dtype=np.int64)
+    for i, coeffs in enumerate(pochhammer_scalar_coeffs(p, kappa, tlen - 1)):
+        B[: i + 1, i] = coeffs
+    M = np.eye(tlen, dtype=np.int64)
+    for i in range(tlen - 2, -1, -1):
+        M[i] = (M[i] - B[i, i + 1 :] @ M[i + 1 :]) % p
+    M = M.astype(np.float64)
+    M.flags.writeable = False
+    return M
+
+
+# multiply-adds per float64 product in dense_pochhammer_coeffs.  Blocks this
+# small run single-threaded: on a shared 2-vCPU guest, unblocked products of
+# these thin shapes (30 x 30 by 30 x 14406) sometimes took 16 ms against
+# 0.7-0.9 ms blocked, and with one BLAS thread the blocked form was no
+# slower.  Blocking also bounds the float64 scratch memory.
+_GEMM_MADDS = 1 << 19
+
+
 def dense_pochhammer_coeffs(arr: np.ndarray, p: int, kappa: int) -> np.ndarray:
     """Rewrite a dense t-polynomial (axis 0 = t-degree) in the Pochhammer
     basis (t; kappa)_i; returns an array of the same shape holding the basis
     coefficients along axis 0.
 
-    Uses the block identity (t;kappa)_{ap+r} = h(t)^a (t;kappa)_r with
-    h(t) = t^p - kappa^{p-1} t, so only degree-(<p) triangular eliminations
-    are needed.
+    One exact float64 product with the cached basis matrix: both factors
+    have entries in [0, p), so every partial sum is an integer of size at
+    most tlen * (p-1)^2 < 2^53 and no rounding occurs.
     """
-    kpow = pow(kappa, p - 1, p) if kappa % p else 0
-    work = arr % p
-    tlen = work.shape[0]
-    # base-h digits: work = sum_a h^a * digits[a], deg_t(digits[a]) < p
-    digits = []
-    while work.shape[0] > p:
-        tl = work.shape[0]
-        quot = np.zeros((tl - p,) + work.shape[1:], dtype=np.int64)
-        work = work.copy()
-        for d in range(tl - 1, p - 1, -1):
-            top = work[d]
-            quot[d - p] = top
-            if kpow:
-                work[d - p + 1] = (work[d - p + 1] + kpow * top) % p
-            work[d] = 0
-        digits.append(work[:p])
-        work = quot % p
-    digits.append(work)
-    # per-digit triangular elimination against the monic (t;kappa)_r
-    pochs = pochhammer_scalar_coeffs(p, kappa, p - 1)
-    out = np.zeros((tlen,) + arr.shape[1:], dtype=np.int64)
-    for a, g in enumerate(digits):
-        g = g.copy()
-        for r in range(g.shape[0] - 1, -1, -1):
-            c = g[r]
-            if a * p + r < tlen:
-                out[a * p + r] = c
-            if r and np.any(c):
-                tab = pochs[r]
-                for l in range(r):
-                    if tab[l]:
-                        g[l] = (g[l] - tab[l] * c) % p
-    return out % p
-
-
-def dense_monomial_coeffs(arr: np.ndarray) -> np.ndarray:
-    """Identity companion of :func:`dense_pochhammer_coeffs` (monomial basis)."""
-    return arr
+    tlen = arr.shape[0]
+    if tlen * (p - 1) ** 2 >= 1 << 53:
+        raise AssertionError("Pochhammer basis change would leave exact float64 range")
+    M = _pochhammer_basis_matrix(p, kappa % p, tlen)
+    flat = arr.reshape(tlen, -1)
+    out = np.empty(flat.shape, dtype=np.int64)
+    step = max(1, _GEMM_MADDS // (tlen * tlen))
+    for c in range(0, flat.shape[1], step):
+        block = (flat[:, c : c + step] % p).astype(np.float64)
+        out[:, c : c + step] = M @ block
+    out %= p
+    return out.reshape(arr.shape)

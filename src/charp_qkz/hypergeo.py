@@ -15,23 +15,21 @@ eta_a definition survive as cross-checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from . import dense, linalg
 from .ffield import FieldCtx, FieldElement, sample_point
 from .mpoly import MPoly
-from .pochhammer import TPoly, binomial_mod, poch_factor, to_pochhammer_basis
+from .pochhammer import TPoly, binomial_mod, poch_factor
 from .qkz_core import (
     CheckReport,
     QkzParams,
     VectorPoly,
     k_operator_at,
-    negate_z_vector,
-    shapovalov,
     shift_point,
 )
 
@@ -73,21 +71,45 @@ def d_of_kappa(ctx: FieldCtx, n: int, kappa: FieldElement) -> int:
     return n * k_from_kappa(ctx, kappa) // ctx.p
 
 
-@dataclass
+@dataclass(eq=False)
 class SolutionSet:
-    """The solutions for one parameter triple; entry ell-1 is the coefficient
-    vector at Pochhammer index ell*p - 1 (monomial index for the KZ kind)."""
+    """The solutions for one parameter triple, held as one int64 array of
+    shape (d, n, k+1, ..., k+1): entry [ell-1, a-1] is coordinate a of the
+    coefficient vector at Pochhammer index ell*p - 1 (monomial index for the
+    KZ kind), with array axes z_1..z_n.  ``solutions`` is a sparse view built
+    on first use.  The arrays are read-only: a cached set is shared by every
+    caller."""
 
     params: QkzParams
-    solutions: list[VectorPoly]
+    arrays: np.ndarray
     kind: str = "qkz"
+
+    def __post_init__(self):
+        self.arrays.flags.writeable = False
 
     @property
     def d(self) -> int:
-        return len(self.solutions)
+        return self.arrays.shape[0]
+
+    @functools.cached_property
+    def solutions(self) -> list[VectorPoly]:
+        ctx, n = self.params.ctx, self.params.n
+        return [
+            VectorPoly([dense.dense_to_mpoly(coord, ctx, n) for coord in sol])
+            for sol in self.arrays
+        ]
 
     def degrees(self) -> list[int]:
-        return [s.degree() for s in self.solutions]
+        return _degrees(self.arrays)
+
+
+def _degrees(arrays: np.ndarray) -> list[int]:
+    """Total degree of each solution in a (d, n, ...) stack; -1 for zero."""
+    if not arrays.shape[0]:
+        return []
+    total = np.indices(arrays.shape[2:]).sum(axis=0).ravel()
+    support = np.any(arrays != 0, axis=1).reshape(arrays.shape[0], -1)
+    return [int(total[row].max()) if row.any() else -1 for row in support]
 
 
 @dataclass(frozen=True)
@@ -139,36 +161,43 @@ def _q_factors(params: QkzParams, a: int) -> list[tuple]:
 _solution_cache: dict = {}
 
 
+def _solution_stack(params: QkzParams) -> np.ndarray:
+    """Zeroed (d, n, k+1, ..., k+1) array for a solution set."""
+    n = params.n
+    return np.zeros((params.d, n) + (params.k + 1,) * n, dtype=np.int64)
+
+
 def extract_solutions(params: QkzParams) -> SolutionSet:
     """All p-hypergeometric qKZ solutions Q^{ell*p-1}, ell = 1..d(kappa).
 
     Also asserts the degree-reasons vanishing Q^{ell*p-1} = 0 for
-    d(kappa) < ell <= n.
+    d(kappa) < ell <= n, the degree law deg Q^{ell*p-1} = nk - ell*p and
+    that every solution lies in the zero-sum space.
     """
     _require_prime_kappa(params)
     key = (params.p, params.n, params.kappa.val)
     if key in _solution_cache:
         return _solution_cache[key]
-    ctx, n, p = params.ctx, params.n, params.p
+    n, p = params.n, params.p
     k, d = params.k, params.d
-    columns = []
+    sols = _solution_stack(params)
     for a in range(1, n + 1):
-        arr, axes_vars = dense.build_product_tpoly(ctx, params.kappa.val, _q_factors(params, a))
+        # the factors list z_1..z_n in order, so the z-axes of arr are too
+        arr, _ = dense.build_product_tpoly(params.ctx, params.kappa.val, _q_factors(params, a))
         pc = dense.dense_pochhammer_coeffs(arr, p, params.kappa.val)
-        col = []
+        box = tuple(slice(s) for s in pc.shape[1:])
         for ell in range(1, d + 1):
-            col.append(dense.dense_to_mpoly(pc[ell * p - 1], ctx, n, axes_vars))
+            sols[(ell - 1, a - 1) + box] = pc[ell * p - 1]
         for ell in range(d + 1, n + 1):
             if ell * p - 1 < pc.shape[0] and np.any(pc[ell * p - 1]):
                 raise AssertionError(
                     f"vanishing violated at index {ell * p - 1} (a={a})"
                 )
-        columns.append(col)
-    sols = [VectorPoly([columns[a][ell] for a in range(n)]) for ell in range(d)]
-    for ell, s in enumerate(sols, start=1):
-        if s.degree() != n * k - ell * p:
+    for ell, deg in enumerate(_degrees(sols), start=1):
+        if deg != n * k - ell * p:
             raise AssertionError(f"degree law violated for ell={ell}")
-        if not s.is_singular_vector():
+    for ell, s in enumerate(sols, start=1):
+        if np.any(s.sum(axis=0) % p):
             raise AssertionError(f"solution ell={ell} not in the zero-sum space")
     out = SolutionSet(params, sols, kind="qkz")
     _solution_cache[key] = out
@@ -179,18 +208,15 @@ def barq_solutions(params: QkzParams) -> SolutionSet:
     """KZ companions: coefficients of t^{ell*p-1} in
     bar-Q_a = (t-z_a)^{k-1} prod_{j != a} (t-z_j)^k."""
     _require_prime_kappa(params)
-    ctx, n, p = params.ctx, params.n, params.p
+    n, p = params.n, params.p
     k, d = params.k, params.d
-    columns = []
+    sols = _solution_stack(params)
     for a in range(1, n + 1):
         factors = [(j, 0, k - 1 if j == a else k) for j in range(1, n + 1)]
-        arr, axes_vars = dense.build_product_tpoly(ctx, 0, factors)
-        col = [
-            dense.dense_to_mpoly(arr[ell * p - 1], ctx, n, axes_vars)
-            for ell in range(1, d + 1)
-        ]
-        columns.append(col)
-    sols = [VectorPoly([columns[a][ell] for a in range(n)]) for ell in range(d)]
+        arr, _ = dense.build_product_tpoly(params.ctx, 0, factors)
+        box = tuple(slice(s) for s in arr.shape[1:])
+        for ell in range(1, d + 1):
+            sols[(ell - 1, a - 1) + box] = arr[ell * p - 1]
     return SolutionSet(params, sols, kind="kz")
 
 
@@ -389,25 +415,16 @@ def orthogonality_pairing(params: QkzParams) -> list[list[MPoly]]:
     Q^{ell p-1}_a(z;kappa), ell = 1..d(kappa), m = 1..d(-kappa)."""
     _require_prime_kappa(params)
     ctx, n, p = params.ctx, params.n, params.p
-    plus = extract_solutions(params).solutions
-    minus = extract_solutions(params.minus()).solutions
+    plus = extract_solutions(params).arrays
+    minus = extract_solutions(params.minus()).arrays
     out = []
     for sp in plus:
         row = []
         for sm in minus:
-            shape = None
-            acc = None
-            for a in range(n):
-                A = dense.mpoly_to_dense(sp.coords[a])
-                B = dense.dense_negate_vars(dense.mpoly_to_dense(sm.coords[a]), p)
-                prod = dense.dense_conv(A, B, p)
-                if acc is None:
-                    acc, shape = prod, prod.shape
-                else:
-                    shape = tuple(max(x, y) for x, y in zip(shape, prod.shape))
-                    acc = (
-                        dense.pad_to_shape(acc, shape) + dense.pad_to_shape(prod, shape)
-                    ) % p
+            acc = sum(
+                dense.dense_conv(sp[a], dense.dense_negate_vars(sm[a], p), p)
+                for a in range(n)
+            ) % p
             row.append(dense.dense_to_mpoly(acc, ctx, n))
         out.append(row)
     return out
@@ -564,6 +581,28 @@ def verify_q_product_formula(params: QkzParams, trials: int = 5, seed: int = 0) 
     )
 
 
+def _render(arrays: np.ndarray, p: int) -> list[list[str]]:
+    """Every coordinate polynomial of a (d, n, ...) solution stack as text,
+    exactly as ``str(MPoly)`` prints it: terms "c*z1^e1*z2*..." by
+    descending (total degree, e_1, ..., e_n), joined by " + "; "0" for the
+    zero polynomial."""
+    d, n = arrays.shape[:2]
+    idx = np.nonzero(arrays)
+    exps = idx[2:]
+    order = np.lexsort(tuple(-e for e in reversed(exps)) + (-sum(exps), idx[1], idx[0]))
+    terms = np.array([str(c) for c in range(p)], dtype=object)[arrays[idx][order]]
+    for i, (e, size) in enumerate(zip(exps, arrays.shape[2:]), start=1):
+        tokens = np.array(
+            [""] + [f"*z{i}"] + [f"*z{i}^{x}" for x in range(2, size)], dtype=object
+        )
+        terms = terms + tokens[e[order]]
+    texts = terms.tolist()
+    ends = np.cumsum(np.bincount(idx[0] * n + idx[1], minlength=d * n)).tolist()
+    starts = [0] + ends[:-1]
+    polys = [" + ".join(texts[b:e]) or "0" for b, e in zip(starts, ends)]
+    return [polys[ell * n : (ell + 1) * n] for ell in range(d)]
+
+
 def solution_set_to_json(ss: SolutionSet) -> dict:
     return {
         "p": ss.params.p,
@@ -573,5 +612,5 @@ def solution_set_to_json(ss: SolutionSet) -> dict:
         "d": ss.d,
         "kind": ss.kind,
         "degrees": ss.degrees(),
-        "solutions": [[str(c) for c in s.coords] for s in ss.solutions],
+        "solutions": _render(ss.arrays, ss.params.p),
     }

@@ -194,13 +194,12 @@ def _points_batch(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx):
 
 def _solution_evals(params: QkzParams, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
     """Evaluate all hypergeometric solutions on the batch: (d, npts, n, 2)."""
-    sols = extract_solutions(params).solutions
+    sols = extract_solutions(params).arrays
     p, delta = pctx.p, pctx.nonresidue
-    out = np.zeros((len(sols), Z.shape[0], params.n, 2), dtype=np.int64)
+    out = np.zeros((sols.shape[0], Z.shape[0], params.n, 2), dtype=np.int64)
     for s_idx, s in enumerate(sols):
-        for c_idx, coord in enumerate(s.coords):
-            arr = dense.mpoly_to_dense(coord)
-            out[s_idx, :, c_idx] = dense.dense_eval_points(arr, Z, p, delta)
+        for c_idx, coord in enumerate(s):
+            out[s_idx, :, c_idx] = dense.dense_eval_points(coord, Z, p, delta)
     return out
 
 

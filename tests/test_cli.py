@@ -284,3 +284,18 @@ def test_record_refuses_repeated_key():
     runner.record("ext_kappa", "p=5,n=2,kappa=g", {"passed": True})
     with pytest.raises(ValueError):
         runner.record("ext_kappa", "p=5,n=2,kappa=g", {"passed": True})
+
+
+def test_parser_built_once_without_shared_state():
+    from charp_qkz import cli
+
+    assert cli._parser() is cli._parser()
+    base = ["verify", "--suites", "identities", "--format", "json"]
+    code, out = run_cli(base + ["--p", "5", "--p", "7", "--n", "2", "--kappa", "1"])
+    assert code == 0
+    first = json.loads(out)["config"]
+    code, out = run_cli(base + ["--p", "11", "--n", "3", "--n", "4", "--kappa", "2", "--kappa", "3"])
+    assert code == 0
+    second = json.loads(out)["config"]
+    assert (first["primes"], first["n_range"], first["kappa_filter"]) == ([5, 7], [2], ["1"])
+    assert (second["primes"], second["n_range"], second["kappa_filter"]) == ([11], [3, 4], ["2", "3"])
