@@ -18,6 +18,9 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
+from .dense import dense_top_degree_part
 from .ffield import FieldCtx, FieldElement, make_field, sample_point
 from .hypergeo import (
     barq_solutions,
@@ -152,6 +155,14 @@ def _ext_kappas(cfg: RunConfig, p: int, count: int = 3) -> list[FieldElement]:
     return out
 
 
+def _perturbed(F: np.ndarray, p: int) -> np.ndarray:
+    """A copy of a solution array with the constant coefficient of its first
+    coordinate raised by one (negative control for the equation checks)."""
+    out = F.copy()
+    out.flat[0] = (out.flat[0] + 1) % p
+    return out
+
+
 def _jsonable(obj):
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
@@ -159,13 +170,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.integer):
-            return int(obj)
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(obj, np.integer):
+        return int(obj)
     return str(obj)
 
 
@@ -278,8 +284,10 @@ class SuiteRunner:
                 continue
             ss = extract_solutions(params)
             failures = []
-            for ell, sol in enumerate(ss.solutions, start=1):
-                rep = verify_qkz_solution(params, sol)
+            for ell, F in enumerate(ss.arrays, start=1):
+                if self.cfg.sabotage:
+                    F = _perturbed(F, p)
+                rep = verify_qkz_solution(params, F)
                 if not rep.passed:
                     failures.append(("qkz", ell, _jsonable(rep.failures[:3])))
             ind = verify_independence(
@@ -383,7 +391,7 @@ class SuiteRunner:
                 sample_point(pctx, n, _mix(self.cfg.seed, "quasi", p, n, kv, i))
                 for i in range(min(self.cfg.point_count, 10))
             ]
-            rep = verify_quasi_flatness(params, pts)
+            rep = verify_quasi_flatness(params, pts, perturb_control=self.cfg.sabotage)
             self.record("quasi", key, _report_entry(rep))
 
     def suite_kz(self, triples):
@@ -395,14 +403,16 @@ class SuiteRunner:
                 continue
             failures = []
             bars = barq_solutions(params)
-            for ell, sol in enumerate(bars.solutions, start=1):
-                rep = verify_kz_solution(params, sol)
+            for ell, B in enumerate(bars.arrays, start=1):
+                if self.cfg.sabotage:
+                    B = _perturbed(B, p)
+                rep = verify_kz_solution(params, B)
                 if not rep.passed:
                     failures.append(("kz", ell, _jsonable(rep.failures[:3])))
             qkz = extract_solutions(params)
-            for ell, (sol, bar) in enumerate(zip(qkz.solutions, bars.solutions), start=1):
-                top = sol.top_degree_part()
-                if top != bar:
+            for ell, (F, B) in enumerate(zip(qkz.arrays, bars.arrays), start=1):
+                top = dense_top_degree_part(F)
+                if not np.array_equal(top, B):
                     failures.append(("top-degree-mismatch", ell))
                     continue
                 rep = verify_kz_solution(params, top)

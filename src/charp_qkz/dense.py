@@ -25,6 +25,7 @@ __all__ = [
     "dense_negate_vars",
     "dense_conv",
     "pad_to_shape",
+    "dense_top_degree_part",
     "build_product_tpoly",
     "pochhammer_scalar_coeffs",
     "dense_pochhammer_coeffs",
@@ -108,6 +109,14 @@ def pad_to_shape(arr: np.ndarray, shape: tuple) -> np.ndarray:
     out = np.zeros(shape, dtype=np.int64)
     out[tuple(slice(0, s) for s in arr.shape)] = arr
     return out
+
+
+def dense_top_degree_part(F: np.ndarray) -> np.ndarray:
+    """The terms of largest total degree of a coordinate stack (axis 0 =
+    coordinate, then z_1..z_n): the degree is the maximum over all
+    coordinates, so lower-degree coordinates become zero."""
+    total = np.indices(F.shape[1:]).sum(axis=0)
+    return np.where(total == total[np.any(F != 0, axis=0)].max(initial=-1), F, 0)
 
 
 def dense_conv(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

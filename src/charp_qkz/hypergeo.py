@@ -30,7 +30,7 @@ from .qkz_core import (
     QkzParams,
     VectorPoly,
     k_operator_at,
-    shift_point,
+    points_to_array,
 )
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "q_vector",
     "extract_solutions",
     "barq_solutions",
+    "evaluate_solutions",
     "leading_term_data",
     "verify_leading_terms",
     "minor",
@@ -76,9 +77,9 @@ class SolutionSet:
     """The solutions for one parameter triple, held as one int64 array of
     shape (d, n, k+1, ..., k+1): entry [ell-1, a-1] is coordinate a of the
     coefficient vector at Pochhammer index ell*p - 1 (monomial index for the
-    KZ kind), with array axes z_1..z_n.  ``solutions`` is a sparse view built
-    on first use.  The arrays are read-only: a cached set is shared by every
-    caller."""
+    KZ kind), with array axes z_1..z_n.  Every check reads the arrays;
+    ``solutions`` is a sparse view for the library API, built on first use.
+    The arrays are read-only: a cached set is shared by every caller."""
 
     params: QkzParams
     arrays: np.ndarray
@@ -220,6 +221,24 @@ def barq_solutions(params: QkzParams) -> SolutionSet:
     return SolutionSet(params, sols, kind="kz")
 
 
+def evaluate_solutions(arrays: np.ndarray, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
+    """Values of every solution in a (d, n, ...) stack at a batch of
+    F_{p^2} points Z (npts, n, 2), as (d, npts, n, 2) (a0, a1) pairs; one
+    ``dense_eval_points`` call per (solution, coordinate)."""
+    p, delta = pctx.p, pctx.nonresidue
+    d, n = arrays.shape[:2]
+    out = np.zeros((d, Z.shape[0], n, 2), dtype=np.int64)
+    for s_idx, sol in enumerate(arrays):
+        for c_idx, coord in enumerate(sol):
+            out[s_idx, :, c_idx] = dense.dense_eval_points(coord, Z, p, delta)
+    return out
+
+
+def _elements(v: np.ndarray, pctx: FieldCtx) -> list[FieldElement]:
+    """A vector of (a0, a1) pairs as field elements."""
+    return [FieldElement(pctx, a0 + a1 * pctx.p) for a0, a1 in v.tolist()]
+
+
 # -- leading terms and independence -------------------------------------------
 
 
@@ -248,6 +267,18 @@ def leading_term_data(params: QkzParams, ell: int) -> LeadingTermData:
     return LeadingTermData(ell, r, a, tuple(u), monomial)
 
 
+def _leading_term(F: np.ndarray, ctx: FieldCtx) -> tuple[tuple, list[FieldElement]]:
+    """Vector-valued leading term of a coordinate stack (n, ...): the largest
+    (total degree, e_1, ..., e_n) in the support of any coordinate, with the
+    column of coefficients there."""
+    exps = np.argwhere(np.any(F != 0, axis=0))  # C order: lexicographic
+    if not len(exps):
+        raise ValueError("leading term of the zero vector")
+    total = exps.sum(axis=1)
+    mono = tuple(exps[total == total.max()][-1].tolist())
+    return mono, [ctx.element(c) for c in F[(slice(None),) + mono].tolist()]
+
+
 def verify_leading_terms(params: QkzParams, permute_control: bool = False) -> CheckReport:
     """Leading term of every Q^{ell*p-1} equals the closed-form prediction,
     and equals the leading term of the KZ companion bar-Q^{ell*p-1}.
@@ -263,10 +294,10 @@ def verify_leading_terms(params: QkzParams, permute_control: bool = False) -> Ch
         u = list(data.u)
         if permute_control:
             u = u[1:] + u[:1]
-        mono, vec = sols.solutions[ell - 1].leading_term()
+        mono, vec = _leading_term(sols.arrays[ell - 1], params.ctx)
         if mono != data.monomial or vec != u:
             failures.append(("qkz", ell, mono, [str(v) for v in vec]))
-        bmono, bvec = bars.solutions[ell - 1].leading_term()
+        bmono, bvec = _leading_term(bars.arrays[ell - 1], params.ctx)
         if (bmono, bvec) != (mono, vec):
             failures.append(("barq", ell))
     return CheckReport(
@@ -313,10 +344,10 @@ def verify_independence(
     Reports every index set whose minor evaluates nonzero; the predicted
     pivot set {r(ell)+1} is recorded separately.
     """
-    sols = list(extract_solutions(params).solutions)
-    if duplicate_control and len(sols) >= 2:
-        sols[1] = sols[0]
+    sols = extract_solutions(params).arrays
     d = len(sols)
+    if duplicate_control and d >= 2:
+        sols = sols[[0, 0, *range(2, d)]]
     if d == 0:
         return CheckReport(
             name=f"independence p={params.p} n={params.n} kappa={params.kappa}",
@@ -325,7 +356,7 @@ def verify_independence(
         )
     ectx = FieldCtx(params.p, 2)
     z = sample_point(ectx, params.n, seed)
-    cols = [s.eval(z) for s in sols]
+    cols = [_elements(v[0], ectx) for v in evaluate_solutions(sols, points_to_array([z], ectx), ectx)]
     nonzero_sets = []
     for I in itertools.combinations(range(1, params.n + 1), d):
         mat = [[cols[c][i - 1] for c in range(d)] for i in I]
@@ -454,56 +485,76 @@ def verify_orthogonality(params: QkzParams) -> CheckReport:
 # -- quasi-hypergeometric sections ------------------------------------------------
 
 
-def quasi_sections_at(params: QkzParams, z) -> list[list[FieldElement]]:
-    """The d(-kappa) quasi-section values T^ell(z): the unique solutions of
-    S(Q^{m p-1}(-z;-kappa), T) = delta_{ell m} subject to sum(T) = 0 and the
-    gauge S(Q^{ell' p-1}(z;kappa), T) = 0."""
+def _section_systems(params: QkzParams, Z: np.ndarray, pctx: FieldCtx) -> tuple[np.ndarray, int]:
+    """The quasi-section systems at a batch of F_{p^2} points Z (npts, n, 2)
+    as (npts, rows, n, 2): rows Q^{m p-1}(-z; -kappa) for m = 1..d(-kappa),
+    then (1, ..., 1), then Q^{ell' p-1}(z; kappa) for ell' = 1..d(kappa);
+    also returns d(-kappa)."""
     _require_prime_kappa(params)
     n = params.n
     if n % params.p == 0:
         raise ValueError("quasi-sections need p not dividing n")
+    minus = evaluate_solutions(extract_solutions(params.minus()).arrays, -Z % pctx.p, pctx)
+    plus = evaluate_solutions(extract_solutions(params).arrays, Z, pctx)
+    ones = np.broadcast_to(np.array([1, 0], dtype=np.int64), (1,) + plus.shape[1:])
+    return np.concatenate([minus, ones, plus]).swapaxes(0, 1), minus.shape[0]
+
+
+def _solve_sections(system: np.ndarray, dq: int, pctx: FieldCtx) -> list[list[FieldElement]]:
+    """T^1..T^dq from one point's section system; ValueError when singular."""
+    rows = [_elements(r, pctx) for r in system]
+    units = [[pctx.element(int(m == ell)) for m in range(system.shape[1])] for ell in range(dq)]
+    return [linalg.solve(rows, rhs, pctx) for rhs in units]
+
+
+def quasi_sections_at(params: QkzParams, z) -> list[list[FieldElement]]:
+    """The d(-kappa) quasi-section values T^ell(z): the unique solutions of
+    S(Q^{m p-1}(-z;-kappa), T) = delta_{ell m} subject to sum(T) = 0 and the
+    gauge S(Q^{ell' p-1}(z;kappa), T) = 0."""
     pctx = z[0].ctx
-    minus = extract_solutions(params.minus()).solutions
-    plus = extract_solutions(params).solutions
-    negz = [-zi for zi in z]
-    rows = [[s.coords[a].eval(negz) for a in range(n)] for s in minus]
-    rows.append([pctx.element(1)] * n)
-    rows += [[s.coords[a].eval(z) for a in range(n)] for s in plus]
-    dq = len(minus)
-    out = []
-    for ell in range(dq):
-        rhs = [pctx.element(1) if m == ell else pctx.zero() for m in range(n)]
-        out.append(linalg.solve(rows, rhs, pctx))
-    return out
+    systems, dq = _section_systems(params, points_to_array([z], pctx), pctx)
+    return _solve_sections(systems[0], dq, pctx)
 
 
-def verify_quasi_flatness(params: QkzParams, points) -> CheckReport:
+def verify_quasi_flatness(params: QkzParams, points, perturb_control: bool = False) -> CheckReport:
     """Flatness modulo the hypergeometric span: at each point,
     K_a(z) T^ell(z) - T^ell(z - kappa e_a) lies in
-    span{Q^{ell' p-1}(z - kappa e_a; kappa)}."""
+    span{Q^{ell' p-1}(z - kappa e_a; kappa)}.
+
+    The solutions are evaluated once for the whole batch: every point and
+    its n shifts z - kappa e_a.  ``perturb_control`` adds 1 to the first
+    coordinate of T^1(z) at every base point (negative control).
+    """
     _require_prime_kappa(params)
-    n = params.n
-    plus = extract_solutions(params).solutions
+    n, p = params.n, params.p
+    pctx = points[0][0].ctx
+    Z = points_to_array(points, pctx)
+    # batch row idx*(n+1) is point idx, row idx*(n+1) + a its shift by -kappa e_a
+    batch = np.repeat(Z[:, None], n + 1, axis=1)
+    for a in range(1, n + 1):
+        batch[:, a, a - 1, 0] = (batch[:, a, a - 1, 0] - params.kappa.val) % p
+    systems, dq = _section_systems(params, batch.reshape(-1, n, 2), pctx)
     failures = []
     skipped = []
     checked = 0
     for idx, z in enumerate(points):
-        pctx = z[0].ctx
+        base = idx * (n + 1)
         try:
-            T = quasi_sections_at(params, z)
+            T = _solve_sections(systems[base], dq, pctx)
         except ValueError:
             skipped.append((idx, "degenerate section system at base point"))
             continue
+        if perturb_control:
+            T[0][0] = T[0][0] + pctx.element(1)
         for a in range(1, n + 1):
-            zs = shift_point(z, a, params.kappa)
             try:
-                Ts = quasi_sections_at(params, zs)
+                Ts = _solve_sections(systems[base + a], dq, pctx)
             except ValueError:
                 skipped.append((idx, a))
                 continue
             checked += 1
             K = k_operator_at(params, a, z)
-            span = [s.eval(zs) for s in plus]
+            span = [_elements(v, pctx) for v in systems[base + a, dq + 1 :]]
             base_rank = linalg.rank(span, pctx) if span else 0
             for ell in range(len(T)):
                 v = [

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dense, linalg
+from . import linalg
 from .ffield import FieldCtx, FieldElement, sample_point
-from .hypergeo import extract_solutions
+from .hypergeo import _elements, evaluate_solutions, extract_solutions
 from .linalg import ext_det_batch, ext_matmul, ext_mul
 from .mpoly import MPoly
 from .qkz_core import (
@@ -192,24 +192,6 @@ def _points_batch(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx):
     return [sample_point(pctx, params.n, seed * 10007 + i) for i in range(npoints)]
 
 
-def _solution_evals(params: QkzParams, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
-    """Evaluate all hypergeometric solutions on the batch: (d, npts, n, 2)."""
-    sols = extract_solutions(params).arrays
-    p, delta = pctx.p, pctx.nonresidue
-    out = np.zeros((sols.shape[0], Z.shape[0], params.n, 2), dtype=np.int64)
-    for s_idx, s in enumerate(sols):
-        for c_idx, coord in enumerate(s):
-            out[s_idx, :, c_idx] = dense.dense_eval_points(coord, Z, p, delta)
-    return out
-
-
-def _elems(M, pctx: FieldCtx, i: int):
-    return [
-        [FieldElement(pctx, int(M[i, r, c, 0]) + int(M[i, r, c, 1]) * pctx.p) for c in range(M.shape[2])]
-        for r in range(M.shape[1])
-    ]
-
-
 def verify_curvature_battery(
     params: QkzParams, npoints: int = 50, seed: int = 0
 ) -> CurvatureReport:
@@ -269,7 +251,7 @@ def verify_curvature_battery(
     # solutions fixed by C_a; image and kernel versus the span
     ranks = {}
     if d > 0:
-        S = _solution_evals(params, Z, pctx)  # (d, npts, n, 2)
+        S = evaluate_solutions(extract_solutions(params).arrays, Z, pctx)  # (d, npts, n, 2)
         for a in range(1, n + 1):
             # C_a s = s  <=>  hat-C_a s = 0
             for s_idx in range(d):
@@ -284,16 +266,13 @@ def verify_curvature_battery(
             span_dims = []
             sum_image_dims = []
             for i in range(npoints):
-                span = [
-                    [FieldElement(pctx, int(S[s_idx, i, c, 0]) + int(S[s_idx, i, c, 1]) * p) for c in range(n)]
-                    for s_idx in range(d)
-                ]
+                span = [_elements(S[s_idx, i], pctx) for s_idx in range(d)]
                 span_rank = linalg.rank(span, pctx)
                 span_dims.append(span_rank)
                 basis = singular_basis(pctx, n)
                 all_images = []
                 for a in range(1, n + 1):
-                    Ha = _elems(H[a], pctx, i)
+                    Ha = [_elements(row, pctx) for row in H[a][i]]
                     images = [
                         [sum((Ha[r][c] * e[c] for c in range(n)), pctx.zero()) for r in range(n)]
                         for e in basis

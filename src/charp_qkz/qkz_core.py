@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dense import dense_shift_var, pad_to_shape
 from .ffield import FieldCtx, FieldElement
 from .linalg import ext_inv, ext_mul
 from .mpoly import LinearForm, MPoly
@@ -180,23 +181,6 @@ class RatOpMatrix:
     @property
     def n(self) -> int:
         return len(self.num)
-
-    def den_poly(self, ctx: FieldCtx, nvars: int) -> MPoly:
-        acc = MPoly.const(ctx, nvars, 1)
-        for form in self.den:
-            acc = acc * form.as_mpoly(nvars)
-        return acc
-
-    def apply(self, f: VectorPoly) -> VectorPoly:
-        """Numerator-matrix action on a polynomial vector (no denominator)."""
-        out = []
-        for row in self.num:
-            acc = MPoly.zero(f.ctx, f.coords[0].nvars)
-            for entry, coord in zip(row, f.coords):
-                if entry and coord:
-                    acc = acc + entry * coord
-            out.append(acc)
-        return VectorPoly(out)
 
     def eval_at(self, point) -> list[list[FieldElement]]:
         """Full rational operator evaluated at a point off the poles."""
@@ -562,147 +546,84 @@ def verify_flatness(params: QkzParams, points, pctx: Optional[FieldCtx] = None) 
     )
 
 
-_DENSE_VERIFY_THRESHOLD = 2000
+def _pad_for_axis(F: np.ndarray, ax: int, n: int) -> np.ndarray:
+    """Pad a coordinate stack for the axis-a check: the cleared equation
+    raises the degree by n-1 in z_a and by 1 in every other variable."""
+    grow = [n - 1 if i == ax else 1 for i in range(n)]
+    return pad_to_shape(F, (F.shape[0],) + tuple(s + g for s, g in zip(F.shape[1:], grow)))
 
 
-def _dense_coords(f: VectorPoly):
-    from .dense import mpoly_to_dense
-
-    n = f.n
-    degs = [max(c.degree_in(i + 1) for c in f.coords) for i in range(n)]
-    return [mpoly_to_dense(c) for c in f.coords], degs
-
-
-def _pad_for_axis(arrs, degs, ax: int, n: int):
-    """Pad coordinate arrays for the axis-a check: the product picks up
-    degree n-1 in z_a and 1 in every other variable."""
-    from .dense import pad_to_shape
-
-    shape = tuple(d + (n if i == ax else 2) for i, d in enumerate(degs))
-    return [pad_to_shape(x, shape) for x in arrs], shape
+def _axis_slices(ndim: int, axis: int):
+    """Index tuples (upper, lower) selecting entries 1.. and ..-2 along one
+    axis (negative axes count from the end)."""
+    lead = (slice(None),) * (axis % ndim)
+    return lead + (slice(1, None),), lead + (slice(0, -1),)
 
 
-def _lin_mul(X: np.ndarray, ax_a: int, ax_j, cc: int, p: int) -> np.ndarray:
-    """(z_a - z_j - cc) * X inside a fixed padded shape (ax_j None drops the
-    z_j term)."""
-    out = np.zeros_like(X)
-    sl_hi = tuple(slice(1, None) if i == ax_a else slice(None) for i in range(X.ndim))
-    sl_lo = tuple(slice(0, -1) if i == ax_a else slice(None) for i in range(X.ndim))
-    out[sl_hi] += X[sl_lo]
-    if ax_j is not None:
-        sj_hi = tuple(slice(1, None) if i == ax_j else slice(None) for i in range(X.ndim))
-        sj_lo = tuple(slice(0, -1) if i == ax_j else slice(None) for i in range(X.ndim))
-        out[sj_hi] -= X[sj_lo]
-    if cc % p:
-        out -= (cc % p) * X
-    return out % p
+def _lin_mul(X: np.ndarray, ax_a: int, ax_j: int, cc: int) -> np.ndarray:
+    """(z_a - z_j - cc) * X inside X's (padded) shape, not reduced mod p;
+    ``ax_a``/``ax_j`` are the negative array axes of z_a and z_j."""
+    out = X * -cc
+    hi, lo = _axis_slices(X.ndim, ax_a)
+    out[hi] += X[lo]
+    hi, lo = _axis_slices(X.ndim, ax_j)
+    out[hi] -= X[lo]
+    return out
 
 
-def _verify_qkz_dense(params: QkzParams, f: VectorPoly) -> CheckReport:
-    from .dense import dense_shift_var
+def _solution_array(params: QkzParams, F: np.ndarray) -> np.ndarray:
+    """F mod p (axis 0 = coordinate, then z_1..z_n) cut down to the bounding
+    box of its support, at least one entry per axis."""
+    if params.ctx.ext_degree != 1 or F.ndim != params.n + 1 or F.shape[0] != params.n:
+        raise ValueError(f"expected a prime-field coordinate array of shape (n, ...), n={params.n}")
+    F = np.asarray(F, dtype=np.int64) % params.p
+    hits = np.nonzero(np.any(F, axis=0))
+    return F[(slice(None),) + tuple(slice(int(h.max()) + 1 if h.size else 1) for h in hits)]
 
+
+def _mismatches(a: int, lhs: np.ndarray, rhs: np.ndarray) -> list[tuple]:
+    """(a, i) for every coordinate i where two reduced stacks differ."""
+    bad = np.any((lhs != rhs).reshape(lhs.shape[0], -1), axis=1)
+    return [(a, int(i) + 1) for i in np.nonzero(bad)[0]]
+
+
+def verify_qkz_solution(params: QkzParams, F: np.ndarray) -> CheckReport:
+    """Denominator-cleared symbolic check that a solution solves the qKZ
+    equations: for each a,  (prod den_a)(z) * f(z - kappa e_a) = num_a(z) f(z).
+
+    ``F`` holds the coordinates of f as dense coefficient arrays, shape
+    (n, e_1+1, ..., e_n+1) with axes z_1..z_n (one entry of
+    ``SolutionSet.arrays``).  Both sides are built exactly in a shape large
+    enough to hold them; failures are (a, coordinate) pairs.
+    """
     p, n = params.p, params.n
     kv = params.kappa.val
-    F0, degs = _dense_coords(f)
+    F0 = _solution_array(params, F)
     failures = []
     per_axis = {}
     for a in range(1, n + 1):
-        ax = a - 1
-        F, shape = _pad_for_axis(F0, degs, ax, n)
-        lhs = [dense_shift_var(Fi, ax, -kv, p) for Fi in F]
-        rhs = F
+        ax = a - 1 - n
+        X = _pad_for_axis(F0, a - 1, n)
+        # rows 0..n-1 carry the left side, rows n..2n-1 the right side
+        S = np.concatenate([dense_shift_var(X, ax, -kv, p), X])
+        ra, bound = n + a - 1, p
         for j in _factor_order(n, a):
-            jx = j - 1
-            c = kv if j < a else 0
-            ua = _lin_mul(rhs[ax], ax, jx, c, p)
-            uj = _lin_mul(rhs[jx], ax, jx, c, p)
-            new = []
-            for i in range(n):
-                if i == ax:
-                    new.append((ua - rhs[jx]) % p)
-                elif i == jx:
-                    new.append((uj - rhs[ax]) % p)
-                else:
-                    new.append(_lin_mul(rhs[i], ax, jx, c + 1, p))
-            rhs = new
-            lhs = [_lin_mul(X, ax, jx, c + 1, p) for X in lhs]
-        ok = True
-        for i in range(n):
-            if np.any((lhs[i] - rhs[i]) % p):
-                ok = False
-                failures.append((a, i + 1))
-        per_axis[a] = ok
-    return CheckReport(
-        name=f"qKZ solution p={params.p} n={n} kappa={params.kappa}",
-        passed=not failures,
-        failures=failures,
-        details={"per_axis": per_axis, "path": "dense"},
-    )
-
-
-def _verify_kz_dense(params: QkzParams, f: VectorPoly) -> CheckReport:
-    p, n = params.p, params.n
-    kv = params.kappa.val
-    F0, degs = _dense_coords(f)
-    failures = []
-    for a in range(1, n + 1):
-        ax = a - 1
-        F, shape = _pad_for_axis(F0, degs, ax, n)
-        lhs = []
-        for Fi in F:
-            d = np.zeros_like(Fi)
-            s = Fi.shape[ax]
-            sl_lo = tuple(slice(0, -1) if i == ax else slice(None) for i in range(n))
-            sl_hi = tuple(slice(1, None) if i == ax else slice(None) for i in range(n))
-            mult = np.arange(1, s, dtype=np.int64).reshape(
-                tuple(s - 1 if i == ax else 1 for i in range(n))
-            )
-            d[sl_lo] = (Fi[sl_hi] * mult) % p
-            d = d * kv % p
-            for j in range(1, n + 1):
-                if j != a:
-                    d = _lin_mul(d, ax, j - 1, 0, p)
-            lhs.append(d)
-        rhs = [np.zeros(shape, dtype=np.int64) for _ in range(n)]
-        for j in range(1, n + 1):
-            if j == a:
-                continue
-            G = (F[j - 1] - F[ax]) % p
-            for j2 in range(1, n + 1):
-                if j2 not in (a, j):
-                    G = _lin_mul(G, ax, j2 - 1, 0, p)
-            rhs[ax] = (rhs[ax] + G) % p
-            rhs[j - 1] = (rhs[j - 1] - G) % p
-        for i in range(n):
-            if np.any((lhs[i] - rhs[i]) % p):
-                failures.append((a, i + 1))
-    return CheckReport(
-        name=f"KZ solution p={params.p} n={n} kappa={params.kappa}",
-        passed=not failures,
-        failures=failures,
-        details={"path": "dense"},
-    )
-
-
-def verify_qkz_solution(params: QkzParams, f: VectorPoly) -> CheckReport:
-    """Denominator-cleared symbolic check that f solves the qKZ equations:
-    for each a,  (prod den_a)(z) * f(z - kappa e_a) = num_a(z) * f(z)."""
-    ctx, n = params.ctx, params.n
-    if ctx.ext_degree == 1 and sum(len(c.terms) for c in f.coords) > _DENSE_VERIFY_THRESHOLD:
-        return _verify_qkz_dense(params, f)
-    failures = []
-    per_axis = {}
-    for a in range(1, n + 1):
-        op = k_operator(params, a)
-        denf = op.den_poly(ctx, n)
-        shifted = f.shift_var(a, -params.kappa)
-        rhs = op.apply(f)
-        ok = True
-        for i in range(n):
-            if denf * shifted.coords[i] != rhs.coords[i]:
-                ok = False
-                failures.append((a, i + 1))
-        per_axis[a] = ok
+            # with u = z_a - z_j - c, the left side takes the factor's
+            # denominator u - 1 and the right side its numerator u - P:
+            # u - 1 on every coordinate but a and j, which swap in P.
+            # A factor multiplies |entries| by at most p + 2 (0 <= c < p).
+            if bound * (p + 2) >= 1 << 62:
+                S, bound = S % p, p
+            U = _lin_mul(S, ax, j - 1 - n, kv if j < a else 0)
+            rj = n + j - 1
+            ua, uj = U[ra] - S[rj], U[rj] - S[ra]
+            U -= S
+            U[ra], U[rj] = ua, uj
+            S, bound = U, bound * (p + 2)
+        S %= p
+        bad = _mismatches(a, S[:n], S[n:])
+        failures += bad
+        per_axis[a] = not bad
     return CheckReport(
         name=f"qKZ solution p={params.p} n={n} kappa={params.kappa}",
         passed=not failures,
@@ -711,21 +632,37 @@ def verify_qkz_solution(params: QkzParams, f: VectorPoly) -> CheckReport:
     )
 
 
-def verify_kz_solution(params: QkzParams, f: VectorPoly) -> CheckReport:
+def verify_kz_solution(params: QkzParams, F: np.ndarray) -> CheckReport:
     """Denominator-cleared differential KZ check:
-    kappa * prod_{j != a}(z_a - z_j) * df/dz_a = num(H_a) * f."""
-    ctx, n = params.ctx, params.n
-    if ctx.ext_degree == 1 and sum(len(c.terms) for c in f.coords) > _DENSE_VERIFY_THRESHOLD:
-        return _verify_kz_dense(params, f)
+    kappa * prod_{j != a}(z_a - z_j) * df/dz_a = num(H_a) * f, with f given
+    as in :func:`verify_qkz_solution`."""
+    p, n = params.p, params.n
+    kv = params.kappa.val
+    F0 = _solution_array(params, F)
     failures = []
     for a in range(1, n + 1):
-        op = gaudin_operator(params, a)
-        denf = op.den_poly(ctx, n)
-        rhs = op.apply(f)
-        for i in range(n):
-            lhs = (denf * f.coords[i].derivative(a)).scale(params.kappa)
-            if lhs != rhs.coords[i]:
-                failures.append((a, i + 1))
+        ax = a - 1 - n
+        X = _pad_for_axis(F0, a - 1, n)
+        s = X.shape[ax]
+        hi, lo = _axis_slices(X.ndim, ax)
+        lhs = np.zeros_like(X)
+        lhs[lo] = X[hi] * (kv * np.arange(1, s) % p).reshape((s - 1,) + (1,) * (-ax - 1))
+        rhs = np.zeros_like(X)
+        # unreduced: each factor z_a - z_j at most doubles |entries|, so they
+        # stay below n p^2 2^(n-1) < 2^62, since the padded stack has over
+        # 2^(n-1) entries and n < 40 for any stack that fits in memory
+        for j in range(1, n + 1):
+            if j == a:
+                continue
+            lhs = _lin_mul(lhs, ax, j - 1 - n, 0)
+            # Gaudin term (P^(a,j) - 1) f times prod_{j2 != a, j} (z_a - z_j2)
+            G = X[j - 1] - X[a - 1]
+            for j2 in range(1, n + 1):
+                if j2 not in (a, j):
+                    G = _lin_mul(G, ax, j2 - 1 - n, 0)
+            rhs[a - 1] += G
+            rhs[j - 1] -= G
+        failures += _mismatches(a, lhs % p, rhs % p)
     return CheckReport(
         name=f"KZ solution p={params.p} n={n} kappa={params.kappa}",
         passed=not failures,

@@ -13,6 +13,7 @@ from math import comb
 
 import pytest
 
+from charp_qkz.dense import dense_to_mpoly, dense_top_degree_part
 from charp_qkz.ffield import make_field, sample_point
 from charp_qkz.hypergeo import (
     barq_solutions,
@@ -110,8 +111,8 @@ def test_criterion_04_qkz_solutions_symbolic():
             params = make_params(make_field(p), n, kv)
             ss = extract_solutions(params)
             assert ss.d == params.d
-            for ell, sol in enumerate(ss.solutions, start=1):
-                rep = verify_qkz_solution(params, sol)
+            for ell, F in enumerate(ss.arrays, start=1):
+                rep = verify_qkz_solution(params, F)
                 assert rep.passed, (p, n, kv, ell, rep.failures[:2])
 
 
@@ -285,11 +286,13 @@ def test_criterion_14_kz_side():
             bars = barq_solutions(params)
             qkz = extract_solutions(params)
             for ell, (bar, sol) in enumerate(zip(bars.solutions, qkz.solutions), start=1):
-                rep = verify_kz_solution(params, bar)
+                rep = verify_kz_solution(params, bars.arrays[ell - 1])
                 assert rep.passed, ("bar", p, n, kv, ell, rep.failures[:2])
                 top = sol.top_degree_part()
                 assert top == bar, ("top-degree", p, n, kv, ell)
-                rep = verify_kz_solution(params, top)
+                top_arr = dense_top_degree_part(qkz.arrays[ell - 1])
+                assert [dense_to_mpoly(c, params.ctx, n) for c in top_arr] == top.coords
+                rep = verify_kz_solution(params, top_arr)
                 assert rep.passed, ("top", p, n, kv, ell, rep.failures[:2])
 
 

@@ -299,3 +299,56 @@ def test_parser_built_once_without_shared_state():
     second = json.loads(out)["config"]
     assert (first["primes"], first["n_range"], first["kappa_filter"]) == ([5, 7], [2], ["1"])
     assert (second["primes"], second["n_range"], second["kappa_filter"]) == ([11], [3, 4], ["2", "3"])
+
+
+def _verify_references():
+    import pathlib
+
+    path = pathlib.Path(__file__).parent / "data" / "verify_reference.json"
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "entry", _verify_references(), ids=lambda e: e["argv"].replace(" ", "")
+)
+def test_verify_reproduces_reference_digest(entry):
+    """verify --format json is byte-identical to the frozen reports of the
+    benchmark's verify configurations (digests in tests/data, read only)."""
+    import hashlib
+
+    code, out = run_cli(entry["argv"].split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
+
+
+def _is_flatness_witness(w):
+    return isinstance(w, list) and len(w) == 3 and all(isinstance(x, int) for x in w)
+
+
+@pytest.mark.parametrize(
+    "suite,names_check",
+    [
+        ("solutions", lambda w: w[0] == "qkz"),
+        ("kz", lambda w: w[0] == "kz"),
+        ("quasi", _is_flatness_witness),
+    ],
+)
+def test_verify_sabotage_fails_rewritten_checks(suite, names_check, capsys):
+    """Negative controls: a perturbed solution coefficient (solutions, kz)
+    or quasi-section value (quasi) fails every entry that runs the check,
+    with a witness from the perturbed check itself."""
+    code = main(
+        ["verify", "--p", "5", "--n", "3", "--suites", suite, "--sabotage", "--format", "json"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["passed"] is False
+    checked = [
+        entry
+        for entry in out[suite].values()
+        if not entry.get("skipped") and entry.get("details", {}).get("d") != 0
+    ]
+    assert checked
+    for entry in checked:
+        assert entry["passed"] is False
+        assert any(names_check(w) for w in entry["witnesses"])

@@ -107,7 +107,7 @@ def test_solutions_satisfy_qkz(p, n, kv):
     for ell, sol in enumerate(ss.solutions, start=1):
         assert sol.degree() == n * params.k - ell * p
         assert sol.is_singular_vector()
-        rep = verify_qkz_solution(params, sol)
+        rep = verify_qkz_solution(params, ss.arrays[ell - 1])
         assert rep.passed, (p, n, kv, ell, rep.failures[:2])
 
 
