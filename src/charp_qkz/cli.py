@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import hypergeo
 from .dense import dense_top_degree_part
 from .ffield import FieldCtx, FieldElement, make_field, sample_point
 from .hypergeo import (
@@ -329,7 +330,7 @@ class SuiteRunner:
             if params.d == 0:
                 self.record("restrict", key, _skip_entry("d(kappa)=0"))
                 continue
-            rep = verify_restrictions(params)
+            rep = verify_restrictions(params, perturb_control=self.cfg.sabotage)
             self.record("restrict", key, _report_entry(rep))
 
     def suite_curvature(self, triples):
@@ -734,8 +735,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    return args.func(args)
+    """Run one command.  The solution cache lives for this call only, so a
+    long-lived process that calls main repeatedly does not grow with every
+    (p, n, kappa) it has seen."""
+    try:
+        args = _parser().parse_args(argv)
+        return args.func(args)
+    finally:
+        hypergeo._solution_cache.clear()
 
 
 if __name__ == "__main__":

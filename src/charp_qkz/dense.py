@@ -282,24 +282,60 @@ def _pochhammer_basis_matrix(p: int, kappa: int, tlen: int) -> np.ndarray:
 _GEMM_MADDS = 1 << 19
 
 
-def dense_pochhammer_coeffs(arr: np.ndarray, p: int, kappa: int) -> np.ndarray:
-    """Rewrite a dense t-polynomial (axis 0 = t-degree) in the Pochhammer
-    basis (t; kappa)_i; returns an array of the same shape holding the basis
-    coefficients along axis 0.
+@functools.lru_cache(maxsize=256)
+def _row_functional(
+    p: int, kappa: int, tlen: int, rows: tuple[int, ...], factor: tuple
+) -> np.ndarray:
+    """The matrix G[(r, e), tau] = sum_i M[rows_r, i] F[i - tau, e] taking
+    the t-coefficients of a polynomial of degree < tlen to the requested
+    Pochhammer coefficients of its product with the factor table F of
+    ``factor`` = (var, shift, m); M is the basis matrix of size tlen + m.
+    Float64 with entries in [0, p), read-only."""
+    var, shift, m = factor
+    F = _factor_table(p, kappa, m, shift, with_var=var is not None)
+    Mr = _pochhammer_basis_matrix(p, kappa, tlen + m)[list(rows)].astype(np.int64)
+    G = np.zeros((len(rows), F.shape[1], tlen), dtype=np.int64)
+    for dt in range(m + 1):
+        G += Mr[:, None, dt : dt + tlen] * F[dt][None, :, None]
+    G = (G % p).reshape(-1, tlen).astype(np.float64)
+    G.flags.writeable = False
+    return G
 
-    One exact float64 product with the cached basis matrix: both factors
+
+def dense_pochhammer_coeffs(
+    arr: np.ndarray,
+    p: int,
+    kappa: int,
+    rows: tuple[int, ...] | None = None,
+    factor: tuple[int | None, int, int] | None = None,
+) -> np.ndarray:
+    """Pochhammer-basis coefficients (t; kappa)_i of a dense t-polynomial
+    (axis 0 = t-degree), or of its product with one more factor.
+
+    ``factor`` is one (var, shift, m) entry as ``build_product_tpoly`` takes
+    it: the coefficients are those of arr * (t - w - shift; kappa)_m, and
+    when ``var`` is not None the factor's variable is a new axis of size
+    m + 1 right after axis 0.  ``rows`` picks the basis indices returned
+    along axis 0 (default: all of them).  With neither, the result has the
+    shape of ``arr``.
+
+    One exact float64 product with the cached row functional: both factors
     have entries in [0, p), so every partial sum is an integer of size at
     most tlen * (p-1)^2 < 2^53 and no rounding occurs.
     """
     tlen = arr.shape[0]
     if tlen * (p - 1) ** 2 >= 1 << 53:
         raise AssertionError("Pochhammer basis change would leave exact float64 range")
-    M = _pochhammer_basis_matrix(p, kappa % p, tlen)
+    factor = (None, 0, 0) if factor is None else tuple(factor)
+    var, _, m = factor
+    rows = tuple(range(tlen + m)) if rows is None else tuple(rows)
+    G = _row_functional(p, kappa % p, tlen, rows, factor)
     flat = arr.reshape(tlen, -1)
-    out = np.empty(flat.shape, dtype=np.int64)
-    step = max(1, _GEMM_MADDS // (tlen * tlen))
+    out = np.empty((G.shape[0], flat.shape[1]), dtype=np.int64)
+    step = max(1, _GEMM_MADDS // max(1, G.size))
     for c in range(0, flat.shape[1], step):
         block = (flat[:, c : c + step] % p).astype(np.float64)
-        out[:, c : c + step] = M @ block
+        out[:, c : c + step] = G @ block
     out %= p
-    return out.reshape(arr.shape)
+    lead = (len(rows),) + ((m + 1,) if var is not None else ())
+    return out.reshape(lead + arr.shape[1:])

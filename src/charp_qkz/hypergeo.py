@@ -168,32 +168,38 @@ def _solution_stack(params: QkzParams) -> np.ndarray:
     return np.zeros((params.d, n) + (params.k + 1,) * n, dtype=np.int64)
 
 
+def _solution_rows(params: QkzParams, kappa: int, factors_of) -> np.ndarray:
+    """The (d, n, k+1, ..., k+1) stack of Pochhammer coefficients at
+    ell*p - 1, ell = 1..d, of the products ``factors_of(a)``, a = 1..n
+    (factor j carries z_j).  Only the product over z_2..z_n is expanded in
+    t; the z_1 factor is folded into the row functional."""
+    p = params.p
+    sols = _solution_stack(params)
+    if not params.d:
+        return sols
+    rows = tuple(ell * p - 1 for ell in range(1, params.d + 1))
+    for a in range(1, params.n + 1):
+        factors = factors_of(a)
+        arr, _ = dense.build_product_tpoly(params.ctx, kappa, factors[1:])
+        out = dense.dense_pochhammer_coeffs(arr, p, kappa, rows=rows, factor=factors[0])
+        sols[(slice(None), a - 1) + tuple(slice(s) for s in out.shape[1:])] = out
+    return sols
+
+
 def extract_solutions(params: QkzParams) -> SolutionSet:
     """All p-hypergeometric qKZ solutions Q^{ell*p-1}, ell = 1..d(kappa).
 
-    Also asserts the degree-reasons vanishing Q^{ell*p-1} = 0 for
-    d(kappa) < ell <= n, the degree law deg Q^{ell*p-1} = nk - ell*p and
-    that every solution lies in the zero-sum space.
+    Q^{ell*p-1} = 0 for ell > d(kappa) by degree: deg_t Q_a = nk - 1, and
+    ell*p - 1 <= nk - 1 exactly when ell <= floor(nk/p) = d(kappa).  Asserts
+    the degree law deg Q^{ell*p-1} = nk - ell*p and that every solution lies
+    in the zero-sum space.
     """
     _require_prime_kappa(params)
     key = (params.p, params.n, params.kappa.val)
     if key in _solution_cache:
         return _solution_cache[key]
-    n, p = params.n, params.p
-    k, d = params.k, params.d
-    sols = _solution_stack(params)
-    for a in range(1, n + 1):
-        # the factors list z_1..z_n in order, so the z-axes of arr are too
-        arr, _ = dense.build_product_tpoly(params.ctx, params.kappa.val, _q_factors(params, a))
-        pc = dense.dense_pochhammer_coeffs(arr, p, params.kappa.val)
-        box = tuple(slice(s) for s in pc.shape[1:])
-        for ell in range(1, d + 1):
-            sols[(ell - 1, a - 1) + box] = pc[ell * p - 1]
-        for ell in range(d + 1, n + 1):
-            if ell * p - 1 < pc.shape[0] and np.any(pc[ell * p - 1]):
-                raise AssertionError(
-                    f"vanishing violated at index {ell * p - 1} (a={a})"
-                )
+    n, p, k = params.n, params.p, params.k
+    sols = _solution_rows(params, params.kappa.val, functools.partial(_q_factors, params))
     for ell, deg in enumerate(_degrees(sols), start=1):
         if deg != n * k - ell * p:
             raise AssertionError(f"degree law violated for ell={ell}")
@@ -207,18 +213,15 @@ def extract_solutions(params: QkzParams) -> SolutionSet:
 
 def barq_solutions(params: QkzParams) -> SolutionSet:
     """KZ companions: coefficients of t^{ell*p-1} in
-    bar-Q_a = (t-z_a)^{k-1} prod_{j != a} (t-z_j)^k."""
+    bar-Q_a = (t-z_a)^{k-1} prod_{j != a} (t-z_j)^k.  With kappa = 0 the
+    Pochhammer basis (t; 0)_i = t^i is the monomial basis."""
     _require_prime_kappa(params)
-    n, p = params.n, params.p
-    k, d = params.k, params.d
-    sols = _solution_stack(params)
-    for a in range(1, n + 1):
-        factors = [(j, 0, k - 1 if j == a else k) for j in range(1, n + 1)]
-        arr, _ = dense.build_product_tpoly(params.ctx, 0, factors)
-        box = tuple(slice(s) for s in arr.shape[1:])
-        for ell in range(1, d + 1):
-            sols[(ell - 1, a - 1) + box] = arr[ell * p - 1]
-    return SolutionSet(params, sols, kind="kz")
+    n, k = params.n, params.k
+
+    def factors_of(a):
+        return [(j, 0, k - 1 if j == a else k) for j in range(1, n + 1)]
+
+    return SolutionSet(params, _solution_rows(params, 0, factors_of), kind="kz")
 
 
 def evaluate_solutions(arrays: np.ndarray, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
@@ -399,12 +402,19 @@ def restrict_special(params: QkzParams, obj, I):
     return obj.substitute(vals)
 
 
-def verify_restrictions(params: QkzParams, index_sets=None) -> CheckReport:
+def verify_restrictions(
+    params: QkzParams, index_sets=None, perturb_control: bool = False
+) -> CheckReport:
     """Restriction laws on the special strata: Q(t,z;kappa)|_{S_I} has
     vanishing Pochhammer coefficients below index |I|k - 1 (divisibility by
-    (t;kappa)_{|I|k-1}), hence Q^{ell*p-1}|_{S_I} = 0 whenever ell*p < |I|k."""
+    (t;kappa)_{|I|k-1}), hence Q^{ell*p-1}|_{S_I} = 0 whenever ell*p < |I|k.
+
+    ``perturb_control`` adds 1 to the t^0 coefficient of every restricted
+    product (negative control): (t;kappa)_i vanishes at t = 0 for i >= 1, so
+    exactly the coefficient at index 0 becomes 1.
+    """
     _require_prime_kappa(params)
-    ctx, n, p, k = params.ctx, params.n, params.p, params.k
+    n, p = params.n, params.p
     if index_sets is None:
         index_sets = [
             I
@@ -414,18 +424,10 @@ def verify_restrictions(params: QkzParams, index_sets=None) -> CheckReport:
     failures = []
     checked = 0
     for I in index_sets:
-        vals = special_restriction_values(params, I)
-        bound = len(I) * k - 1
         for a in range(1, n + 1):
-            factors = []
-            for var, shift, m in _q_factors(params, a):
-                if var in vals:
-                    factors.append((None, (vals[var].val + shift) % p, m))
-                else:
-                    factors.append((var, shift, m))
-            arr, _ = dense.build_product_tpoly(ctx, params.kappa.val, factors)
-            pc = dense.dense_pochhammer_coeffs(arr, p, params.kappa.val)
-            low = pc[: min(bound, pc.shape[0])]
+            low = _restriction_rows(params, I, a)
+            if perturb_control and len(low):
+                low[(0,) * low.ndim] = (low[(0,) * low.ndim] + 1) % p
             if np.any(low):
                 bad = int(np.nonzero(np.any(low.reshape(low.shape[0], -1), axis=1))[0][0])
                 failures.append((tuple(I), a, bad))
@@ -438,27 +440,49 @@ def verify_restrictions(params: QkzParams, index_sets=None) -> CheckReport:
     )
 
 
+def _restriction_rows(params: QkzParams, I, a: int) -> np.ndarray:
+    """Pochhammer coefficients of Q_a|_{S_I} below index |I|k - 1 (axis 0),
+    with the axes of the variables left free after it (z_1 first)."""
+    p, kappa = params.p, params.kappa.val
+    vals = special_restriction_values(params, I)
+    factors = [
+        (None, (vals[var].val + shift) % p, m) if var in vals else (var, shift, m)
+        for var, shift, m in _q_factors(params, a)
+    ]
+    arr, _ = dense.build_product_tpoly(params.ctx, kappa, factors[1:])
+    rows = range(min(len(I) * params.k - 1, params.n * params.k))  # deg_t Q_a = nk - 1
+    return dense.dense_pochhammer_coeffs(arr, p, kappa, rows=rows, factor=factors[0])
+
+
 # -- orthogonality ---------------------------------------------------------------
 
 
-def orthogonality_pairing(params: QkzParams) -> list[list[MPoly]]:
+def _pairing_arrays(params: QkzParams) -> list[list[np.ndarray]]:
     """The pairing matrix G[ell-1][m-1] = sum_a Q^{m p-1}_a(-z;-kappa)
-    Q^{ell p-1}_a(z;kappa), ell = 1..d(kappa), m = 1..d(-kappa)."""
+    Q^{ell p-1}_a(z;kappa), ell = 1..d(kappa), m = 1..d(-kappa), as dense
+    coefficient arrays."""
     _require_prime_kappa(params)
-    ctx, n, p = params.ctx, params.n, params.p
+    n, p = params.n, params.p
     plus = extract_solutions(params).arrays
     minus = extract_solutions(params.minus()).arrays
-    out = []
-    for sp in plus:
-        row = []
-        for sm in minus:
-            acc = sum(
+    return [
+        [
+            sum(
                 dense.dense_conv(sp[a], dense.dense_negate_vars(sm[a], p), p)
                 for a in range(n)
             ) % p
-            row.append(dense.dense_to_mpoly(acc, ctx, n))
-        out.append(row)
-    return out
+            for sm in minus
+        ]
+        for sp in plus
+    ]
+
+
+def orthogonality_pairing(params: QkzParams) -> list[list[MPoly]]:
+    """The pairing matrix of ``_pairing_arrays`` as polynomials."""
+    return [
+        [dense.dense_to_mpoly(g, params.ctx, params.n) for g in row]
+        for row in _pairing_arrays(params)
+    ]
 
 
 def verify_orthogonality(params: QkzParams) -> CheckReport:
@@ -467,12 +491,12 @@ def verify_orthogonality(params: QkzParams) -> CheckReport:
     d = params.d
     if d is None or not 0 < d < params.n - 1:
         raise ValueError("orthogonality requires 0 < d(kappa) < n-1")
-    G = orthogonality_pairing(params)
+    G = _pairing_arrays(params)
     failures = [
         (ell + 1, m + 1)
         for ell, row in enumerate(G)
         for m, g in enumerate(row)
-        if not g.is_zero()
+        if np.any(g)
     ]
     return CheckReport(
         name=f"orthogonality p={params.p} n={params.n} kappa={params.kappa}",

@@ -352,3 +352,19 @@ def test_verify_sabotage_fails_rewritten_checks(suite, names_check, capsys):
     for entry in checked:
         assert entry["passed"] is False
         assert any(names_check(w) for w in entry["witnesses"])
+
+
+def test_verify_sabotage_fails_restrict(capsys):
+    """Negative control: 1 added to the t^0 coefficient of each restricted
+    product shows up at Pochhammer index 0 and fails every checked entry."""
+    code = main(
+        ["verify", "--p", "5", "--n", "3", "--suites", "restrict", "--sabotage", "--format", "json"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["passed"] is False
+    checked = [entry for entry in out["restrict"].values() if not entry.get("skipped")]
+    assert checked
+    for entry in checked:
+        assert entry["passed"] is False
+        assert all(w[2] == 0 for w in entry["witnesses"])

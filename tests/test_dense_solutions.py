@@ -1,11 +1,14 @@
 """Dense solution sets: the cached Pochhammer basis matrix against the
-digit-plus-triangular elimination it replaced, the array renderer against
-``str(MPoly)``, ``SolutionSet.arrays`` against sparse constructions, and
-``solve`` output against the recorded reference digests."""
+digit-plus-triangular elimination it replaced, the row fold against the
+full t-expansion it replaced, the array renderer against ``str(MPoly)``,
+``SolutionSet.arrays`` against sparse constructions, and ``solve`` output
+against the recorded reference digests."""
 
 import contextlib
+import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 
@@ -17,11 +20,14 @@ from charp_qkz.cli import main
 from charp_qkz.dense import dense_pochhammer_coeffs, mpoly_to_dense, pochhammer_scalar_coeffs
 from charp_qkz.ffield import make_field
 from charp_qkz.hypergeo import (
+    _q_factors,
     _render,
+    _restriction_rows,
     barq_solutions,
     extract_solutions,
     q_vector,
     solution_set_to_json,
+    special_restriction_values,
 )
 from charp_qkz.mpoly import MPoly
 from charp_qkz.pochhammer import TPoly, poch_factor, to_pochhammer_basis
@@ -98,6 +104,102 @@ def test_pochhammer_blocks_agree(monkeypatch):
 def test_pochhammer_matrix_refuses_inexact_size():
     with pytest.raises(AssertionError):
         dense_pochhammer_coeffs(np.zeros((1 << 40, 0), dtype=np.int64), 101, 1)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_row_fold_matches_full_product(p):
+    """Requested rows of arr * (t - w - shift; kappa)_m equal the same rows
+    of the explicitly expanded product after the full basis change."""
+    rng = np.random.default_rng(100 + p)
+    for kappa in range(p):
+        for var in (1, None):
+            for m in (0, 1, p - 1, p + 2):
+                shift = int(rng.integers(p))
+                tlen = int(rng.integers(1, 3 * p))
+                arr = rng.integers(-p, 2 * p, size=(tlen, 2, 3))
+                F = dense._factor_table(p, kappa, m, shift, with_var=var is not None)
+                full = np.zeros((tlen + m, F.shape[1], 2, 3), dtype=np.int64)
+                for dt in range(m + 1):
+                    for e in range(F.shape[1]):
+                        full[dt : dt + tlen, e] += F[dt, e] * (arr % p)
+                if var is None:
+                    full = full[:, 0]
+                rows = sorted(rng.choice(tlen + m, size=int(rng.integers(tlen + m + 1)), replace=False))
+                got = dense_pochhammer_coeffs(arr, p, kappa, rows=rows, factor=(var, shift, m))
+                expected = dense_pochhammer_coeffs(full, p, kappa)[rows]
+                assert got.shape == expected.shape and got.dtype == np.int64
+                assert np.array_equal(got, expected), (p, kappa, var, m, rows)
+
+
+def test_row_fold_refuses_inexact_size():
+    with pytest.raises(AssertionError):
+        dense_pochhammer_coeffs(
+            np.zeros((1 << 40, 0), dtype=np.int64), 101, 1, rows=(99,), factor=(1, 0, 5)
+        )
+
+
+def _full_product_rows(ctx, kappa: int, factors, rows) -> np.ndarray:
+    """The construction path the row fold replaced: the whole t-expansion
+    of the product, the full basis change ((t; 0)_i = t^i needs none), then
+    the requested rows."""
+    arr, _ = dense.build_product_tpoly(ctx, kappa, factors)
+    pc = dense_pochhammer_coeffs(arr, ctx.p, kappa) if kappa else arr
+    return pc[list(rows)]
+
+
+def _full_product_stack(params, kappa: int, factors_of) -> np.ndarray:
+    p, n, k, d = params.p, params.n, params.k, params.d
+    sols = np.zeros((d, n) + (k + 1,) * n, dtype=np.int64)
+    for a in range(1, n + 1):
+        pc = _full_product_rows(params.ctx, kappa, factors_of(a), range(n * k))
+        # deg_t Q_a = nk - 1, so index ell*p - 1 exists exactly for ell <= d
+        assert pc.shape[0] == n * k and (d + 1) * p - 1 >= n * k
+        box = tuple(slice(s) for s in pc.shape[1:])
+        for ell in range(1, d + 1):
+            sols[(ell - 1, a - 1) + box] = pc[ell * p - 1]
+    return sols
+
+
+def _assert_rows_match_full_products(p, n):
+    ctx = make_field(p)
+    for kv in range(1, p):
+        params = make_params(ctx, n, kv)
+        k = params.k
+        qkz = _full_product_stack(params, kv, functools.partial(_q_factors, params))
+        assert np.array_equal(extract_solutions(params).arrays, qkz), kv
+
+        def bar_factors(a):
+            return [(j, 0, k - 1 if j == a else k) for j in range(1, n + 1)]
+
+        assert np.array_equal(barq_solutions(params).arrays, _full_product_stack(params, 0, bar_factors)), kv
+        for size in range(1, n + 1):
+            for I in itertools.combinations(range(1, n + 1), size):
+                vals = special_restriction_values(params, I)
+                for a in range(1, n + 1):
+                    factors = [
+                        (None, (vals[var].val + shift) % p, m) if var in vals else (var, shift, m)
+                        for var, shift, m in _q_factors(params, a)
+                    ]
+                    rows = range(min(size * k - 1, n * k))
+                    expected = _full_product_rows(ctx, kv, factors, rows)
+                    assert np.array_equal(_restriction_rows(params, I, a), expected), (kv, I, a)
+
+
+_FOLD_SWEEP = [(p, n) for p in (5, 7, 11, 13) for n in range(2, 6) if n < p]
+_FOLD_SLOW = {(11, 5), (13, 5)}
+
+
+@pytest.mark.parametrize("p,n", [pn for pn in _FOLD_SWEEP if pn not in _FOLD_SLOW])
+def test_solution_rows_match_full_products(p, n):
+    """extract_solutions, barq_solutions and every restriction's rows equal
+    the full-product path, for every kappa."""
+    _assert_rows_match_full_products(p, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,n", sorted(_FOLD_SLOW))
+def test_solution_rows_match_full_products_slow(p, n):
+    _assert_rows_match_full_products(p, n)
 
 
 @pytest.mark.parametrize("p,n", [(7, 5), (11, 4), (13, 3), (19, 3)])
