@@ -25,7 +25,6 @@ from .dense import dense_top_degree_part
 from .ffield import FieldCtx, FieldElement, make_field, sample_point
 from .hypergeo import (
     barq_solutions,
-    d_of_kappa,
     extract_solutions,
     gram_det,
     solution_set_to_json,
@@ -268,7 +267,7 @@ class SuiteRunner:
                 sample_point(pctx, n, _mix(self.cfg.seed, "flat", p, n, kv, i))
                 for i in range(npts)
             ]
-            rep = verify_flatness(params, pts, pctx)
+            rep = verify_flatness(params, pts, pctx, unshifted_control=self.cfg.sabotage)
             self.record("rmatrix", f"flatness,p={p},n={n},kappa={kv}", _report_entry(rep))
 
     # -- per-triple suites --------------------------------------------------
@@ -278,7 +277,7 @@ class SuiteRunner:
             params = self.params_for(p, n, kv)
             key = f"p={p},n={n},kappa={kv}"
             # p never divides n in-sweep (n < p), so the complement law applies
-            dsum_ok = params.d + d_of_kappa(params.ctx, n, -params.kappa) == n - 1
+            dsum_ok = params.d + params.minus().d == n - 1
             if params.d == 0:
                 entry = {"passed": dsum_ok, "details": {"d": 0, "note": "empty solution set"}}
                 self.record("solutions", key, entry)
@@ -320,7 +319,7 @@ class SuiteRunner:
             if not 0 < params.d < n - 1:
                 self.record("ortho", key, _skip_entry(f"d={params.d} not in (0, n-1)"))
                 continue
-            rep = verify_orthogonality(params)
+            rep = verify_orthogonality(params, unnegated_control=self.cfg.sabotage)
             self.record("ortho", key, _report_entry(rep))
 
     def suite_restrict(self, triples):
@@ -338,7 +337,10 @@ class SuiteRunner:
             params = self.params_for(p, n, kv)
             key = f"p={p},n={n},kappa={kv}"
             rep = verify_curvature_battery(
-                params, npoints=self.cfg.point_count, seed=self.cfg.seed
+                params,
+                npoints=self.cfg.point_count,
+                seed=self.cfg.seed,
+                perturb_control=self.cfg.sabotage,
             )
             entry = {"passed": rep.passed, "per_axis": _jsonable(rep.per_axis)}
             if rep.failures:
@@ -384,7 +386,7 @@ class SuiteRunner:
         for p, n, kv in triples:
             params = self.params_for(p, n, kv)
             key = f"p={p},n={n},kappa={kv}"
-            if params.d == 0 or d_of_kappa(params.ctx, n, -params.kappa) == 0:
+            if params.d == 0 or params.minus().d == 0:
                 self.record("quasi", key, _skip_entry("no sections: d=0 on one side"))
                 continue
             pctx = make_field(p, 2)
@@ -430,9 +432,13 @@ class SuiteRunner:
 
 def emit(payload: dict, cfg_format: str, out_path: Optional[str]) -> None:
     if cfg_format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
     else:
-        text = render_text(payload)
+        _write(render_text(payload), out_path)
+
+
+def _write(text: str, out_path: Optional[str]) -> None:
+    """Write a report to ``out_path``, or to stdout without one."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -497,12 +503,7 @@ def cmd_solve(args) -> int:
             lines.append(f"Q^({ell}p-1), degree {deg}:")
             for i, c in enumerate(coords, start=1):
                 lines.append(f"  [{i}] {c}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -578,18 +579,9 @@ def cmd_verify(args) -> int:
     return _finish(runner, payload, cfg)
 
 
-def cmd_curvature(args) -> int:
+def cmd_suite(args) -> int:
+    """The curvature and ortho subcommands: one suite over a sweep."""
     cfg = _config_from_args(args)
-    cfg.suites = ["curvature"]
-    runner = SuiteRunner(cfg)
-    results = runner.run()
-    payload = {"schema": SCHEMA, "passed": runner.all_passed, **results}
-    return _finish(runner, payload, cfg)
-
-
-def cmd_ortho(args) -> int:
-    cfg = _config_from_args(args)
-    cfg.suites = ["ortho"]
     runner = SuiteRunner(cfg)
     results = runner.run()
     payload = {"schema": SCHEMA, "passed": runner.all_passed, **results}
@@ -609,7 +601,7 @@ def cmd_report(args) -> int:
             gram_ok = gram_det(ctx, n).val == n % p
             for kv in _kappa_values(cfg, p):
                 params = make_params(ctx, n, kv)
-                dm = d_of_kappa(ctx, n, -params.kappa)
+                dm = params.minus().d
                 row = {
                     "p": p,
                     "n": n,
@@ -657,12 +649,7 @@ def cmd_report(args) -> int:
             )
         for s in skipped:
             lines.append(f"SKIP p={s['p']} n={s['n']}: {s['reason']}")
-        text = "\n".join(lines) + "\n"
-        if cfg.out_path:
-            with open(cfg.out_path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", cfg.out_path)
     return 0
 
 
@@ -714,11 +701,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("curvature", help="p-curvature battery over a sweep")
     common(sp)
     sp.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
-    sp.set_defaults(func=cmd_curvature)
+    sp.set_defaults(func=cmd_suite, suites=["curvature"])
 
     sp = sub.add_parser("ortho", help="orthogonality pairing over a sweep")
     common(sp)
-    sp.set_defaults(func=cmd_ortho)
+    sp.set_defaults(func=cmd_suite, suites=["ortho"])
 
     sp = sub.add_parser("report", help="summary table of invariants per (p, n, kappa)")
     common(sp)

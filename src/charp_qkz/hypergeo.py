@@ -23,13 +23,17 @@ import numpy as np
 
 from . import dense, linalg
 from .ffield import FieldCtx, FieldElement, sample_point
+from .linalg import ext_det_batch, ext_matmul, ext_solve_batch
 from .mpoly import MPoly
 from .pochhammer import TPoly, binomial_mod, poch_factor
 from .qkz_core import (
     CheckReport,
     QkzParams,
     VectorPoly,
-    k_operator_at,
+    k_from_kappa_int,
+    k_matrix_batch,
+    k_operator_at,  # noqa: F401  (a binding perfbench/tracer.py rebinds)
+    make_params,
     points_to_array,
 )
 
@@ -64,12 +68,16 @@ def k_from_kappa(ctx: FieldCtx, kappa: FieldElement) -> int:
     """The unique 0 < k < p with kappa*k = -1 mod p."""
     if not kappa or not kappa.in_prime_field:
         raise ValueError("kappa must be a nonzero element of F_p")
-    return (-pow(kappa.a0, ctx.p - 2, ctx.p)) % ctx.p
+    return k_from_kappa_int(ctx.p, kappa.a0)
 
 
 def d_of_kappa(ctx: FieldCtx, n: int, kappa: FieldElement) -> int:
-    """d(kappa) = floor(n*k/p), the number of solutions for step kappa."""
-    return n * k_from_kappa(ctx, kappa) // ctx.p
+    """d(kappa) = floor(n*k/p), the number of solutions for step kappa, as
+    ``make_params`` computes it (2 <= n < p)."""
+    d = make_params(ctx, n, kappa).d
+    if d is None:
+        raise ValueError("kappa must be a nonzero element of F_p")
+    return d
 
 
 @dataclass(eq=False)
@@ -162,19 +170,13 @@ def _q_factors(params: QkzParams, a: int) -> list[tuple]:
 _solution_cache: dict = {}
 
 
-def _solution_stack(params: QkzParams) -> np.ndarray:
-    """Zeroed (d, n, k+1, ..., k+1) array for a solution set."""
-    n = params.n
-    return np.zeros((params.d, n) + (params.k + 1,) * n, dtype=np.int64)
-
-
 def _solution_rows(params: QkzParams, kappa: int, factors_of) -> np.ndarray:
     """The (d, n, k+1, ..., k+1) stack of Pochhammer coefficients at
     ell*p - 1, ell = 1..d, of the products ``factors_of(a)``, a = 1..n
     (factor j carries z_j).  Only the product over z_2..z_n is expanded in
     t; the z_1 factor is folded into the row functional."""
     p = params.p
-    sols = _solution_stack(params)
+    sols = np.zeros((params.d, params.n) + (params.k + 1,) * params.n, dtype=np.int64)
     if not params.d:
         return sols
     rows = tuple(ell * p - 1 for ell in range(1, params.d + 1))
@@ -359,17 +361,13 @@ def verify_independence(
         )
     ectx = FieldCtx(params.p, 2)
     z = sample_point(ectx, params.n, seed)
-    cols = [_elements(v[0], ectx) for v in evaluate_solutions(sols, points_to_array([z], ectx), ectx)]
-    nonzero_sets = []
-    for I in itertools.combinations(range(1, params.n + 1), d):
-        mat = [[cols[c][i - 1] for c in range(d)] for i in I]
-        if linalg.det(mat, ectx):
-            nonzero_sets.append(I)
-    pivot_guess = tuple(
-        sorted(leading_term_data(params, ell).r + 1 for ell in range(1, d + 1))
-    ) if params.n % params.p and len(
-        {leading_term_data(params, ell).r for ell in range(1, d + 1)}
-    ) == d else None
+    # row i-1: coordinate i of every solution at z
+    rows = np.swapaxes(evaluate_solutions(sols, points_to_array([z], ectx), ectx)[:, 0], 0, 1)
+    index_sets = list(itertools.combinations(range(1, params.n + 1), d))
+    dets = ext_det_batch(rows[np.array(index_sets) - 1], ectx)
+    nonzero_sets = [I for I, dv in zip(index_sets, dets) if dv.any()]
+    rs = [leading_term_data(params, ell).r for ell in range(1, d + 1)] if params.n % params.p else []
+    pivot_guess = tuple(sorted(r + 1 for r in rs)) if len(set(rs)) == d else None
     return CheckReport(
         name=f"independence p={params.p} n={params.n} kappa={params.kappa}",
         passed=bool(nonzero_sets),
@@ -377,9 +375,7 @@ def verify_independence(
         details={
             "nonzero_index_sets": nonzero_sets,
             "pivot_guess": pivot_guess,
-            "pivot_guess_nonzero": pivot_guess in {tuple(s) for s in nonzero_sets}
-            if pivot_guess
-            else None,
+            "pivot_guess_nonzero": pivot_guess in nonzero_sets if pivot_guess else None,
         },
     )
 
@@ -457,10 +453,10 @@ def _restriction_rows(params: QkzParams, I, a: int) -> np.ndarray:
 # -- orthogonality ---------------------------------------------------------------
 
 
-def _pairing_arrays(params: QkzParams) -> list[list[np.ndarray]]:
+def _pairing_arrays(params: QkzParams, negate: bool = True) -> list[list[np.ndarray]]:
     """The pairing matrix G[ell-1][m-1] = sum_a Q^{m p-1}_a(-z;-kappa)
     Q^{ell p-1}_a(z;kappa), ell = 1..d(kappa), m = 1..d(-kappa), as dense
-    coefficient arrays."""
+    coefficient arrays (with Q^{m p-1}_a(z;-kappa) when ``negate`` is off)."""
     _require_prime_kappa(params)
     n, p = params.n, params.p
     plus = extract_solutions(params).arrays
@@ -468,7 +464,7 @@ def _pairing_arrays(params: QkzParams) -> list[list[np.ndarray]]:
     return [
         [
             sum(
-                dense.dense_conv(sp[a], dense.dense_negate_vars(sm[a], p), p)
+                dense.dense_conv(sp[a], dense.dense_negate_vars(sm[a], p) if negate else sm[a], p)
                 for a in range(n)
             ) % p
             for sm in minus
@@ -485,13 +481,17 @@ def orthogonality_pairing(params: QkzParams) -> list[list[MPoly]]:
     ]
 
 
-def verify_orthogonality(params: QkzParams) -> CheckReport:
+def verify_orthogonality(params: QkzParams, unnegated_control: bool = False) -> CheckReport:
     """Shapovalov orthogonality: every entry of the pairing matrix is the
-    zero polynomial when 0 < d(kappa) < n-1."""
+    zero polynomial when 0 < d(kappa) < n-1.
+
+    ``unnegated_control`` pairs with Q^{m p-1}(z;-kappa) in place of
+    Q^{m p-1}(-z;-kappa) (negative control).
+    """
     d = params.d
     if d is None or not 0 < d < params.n - 1:
         raise ValueError("orthogonality requires 0 < d(kappa) < n-1")
-    G = _pairing_arrays(params)
+    G = _pairing_arrays(params, negate=not unnegated_control)
     failures = [
         (ell + 1, m + 1)
         for ell, row in enumerate(G)
@@ -524,11 +524,15 @@ def _section_systems(params: QkzParams, Z: np.ndarray, pctx: FieldCtx) -> tuple[
     return np.concatenate([minus, ones, plus]).swapaxes(0, 1), minus.shape[0]
 
 
-def _solve_sections(system: np.ndarray, dq: int, pctx: FieldCtx) -> list[list[FieldElement]]:
-    """T^1..T^dq from one point's section system; ValueError when singular."""
-    rows = [_elements(r, pctx) for r in system]
-    units = [[pctx.element(int(m == ell)) for m in range(system.shape[1])] for ell in range(dq)]
-    return [linalg.solve(rows, rhs, pctx) for rhs in units]
+def _invert_sections(systems: np.ndarray, dq: int, pctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """The first dq + 1 columns of the inverse of every section system
+    (..., n, n, 2), and the mask of the invertible ones.  Column ell - 1 is
+    T^ell (ell <= dq); a vector lies in the span of the plus solutions (the
+    later rows) exactly when it is orthogonal to all dq + 1 columns."""
+    n = systems.shape[-2]
+    eye = np.zeros((n, dq + 1, 2), dtype=np.int64)
+    eye[range(dq + 1), range(dq + 1), 0] = 1
+    return ext_solve_batch(systems, eye, pctx)
 
 
 def quasi_sections_at(params: QkzParams, z) -> list[list[FieldElement]]:
@@ -537,7 +541,10 @@ def quasi_sections_at(params: QkzParams, z) -> list[list[FieldElement]]:
     gauge S(Q^{ell' p-1}(z;kappa), T) = 0."""
     pctx = z[0].ctx
     systems, dq = _section_systems(params, points_to_array([z], pctx), pctx)
-    return _solve_sections(systems[0], dq, pctx)
+    X, ok = _invert_sections(systems, dq, pctx)
+    if not ok[0]:
+        raise ValueError("singular quasi-section system")
+    return [_elements(T, pctx) for T in np.swapaxes(X[0], 0, 1)[:dq]]
 
 
 def verify_quasi_flatness(params: QkzParams, points, perturb_control: bool = False) -> CheckReport:
@@ -545,9 +552,10 @@ def verify_quasi_flatness(params: QkzParams, points, perturb_control: bool = Fal
     K_a(z) T^ell(z) - T^ell(z - kappa e_a) lies in
     span{Q^{ell' p-1}(z - kappa e_a; kappa)}.
 
-    The solutions are evaluated once for the whole batch: every point and
-    its n shifts z - kappa e_a.  ``perturb_control`` adds 1 to the first
-    coordinate of T^1(z) at every base point (negative control).
+    The solutions are evaluated, and the section systems solved, once for
+    the whole batch: every point and its n shifts z - kappa e_a.
+    ``perturb_control`` adds 1 to the first coordinate of T^1(z) at every
+    base point (negative control).
     """
     _require_prime_kappa(params)
     n, p = params.n, params.p
@@ -558,37 +566,26 @@ def verify_quasi_flatness(params: QkzParams, points, perturb_control: bool = Fal
     for a in range(1, n + 1):
         batch[:, a, a - 1, 0] = (batch[:, a, a - 1, 0] - params.kappa.val) % p
     systems, dq = _section_systems(params, batch.reshape(-1, n, 2), pctx)
-    failures = []
+    X, ok = _invert_sections(systems.reshape(batch.shape[:2] + systems.shape[1:]), dq, pctx)
+    T = X[:, 0, :, :dq]  # T^ell(z) as columns
+    if perturb_control:
+        T[:, 0, 0, 0] = (T[:, 0, 0, 0] + 1) % p
+    outside = np.zeros((len(points), n, dq), dtype=bool)  # [idx, a-1, ell-1]
+    for a in range(1, n + 1):
+        rows = ok[:, 0] & ok[:, a]
+        Xs = X[rows, a]
+        K = k_matrix_batch(params, a, Z[rows], pctx)
+        v = ext_matmul(K, T[rows], p, pctx.nonresidue) - Xs[:, :, :dq]
+        coef = ext_matmul(np.swapaxes(v % p, 1, 2), Xs, p, pctx.nonresidue)
+        outside[rows, a - 1] = np.any(coef != 0, axis=(2, 3))
     skipped = []
-    checked = 0
-    for idx, z in enumerate(points):
-        base = idx * (n + 1)
-        try:
-            T = _solve_sections(systems[base], dq, pctx)
-        except ValueError:
+    for idx in range(len(points)):
+        if not ok[idx, 0]:
             skipped.append((idx, "degenerate section system at base point"))
-            continue
-        if perturb_control:
-            T[0][0] = T[0][0] + pctx.element(1)
-        for a in range(1, n + 1):
-            try:
-                Ts = _solve_sections(systems[base + a], dq, pctx)
-            except ValueError:
-                skipped.append((idx, a))
-                continue
-            checked += 1
-            K = k_operator_at(params, a, z)
-            span = [_elements(v, pctx) for v in systems[base + a, dq + 1 :]]
-            base_rank = linalg.rank(span, pctx) if span else 0
-            for ell in range(len(T)):
-                v = [
-                    sum((K[i][j] * T[ell][j] for j in range(n)), pctx.zero())
-                    - Ts[ell][i]
-                    for i in range(n)
-                ]
-                if any(v):
-                    if linalg.rank(span + [v], pctx) != base_rank:
-                        failures.append((idx, a, ell + 1))
+        else:
+            skipped += [(idx, a) for a in range(1, n + 1) if not ok[idx, a]]
+    checked = int(np.sum(ok[:, :1] & ok[:, 1:]))
+    failures = [(int(i), int(a) + 1, int(ell) + 1) for i, a, ell in np.argwhere(outside)]
     return CheckReport(
         name=f"quasi-section flatness p={params.p} n={params.n} kappa={params.kappa}",
         passed=not failures and checked > 0,

@@ -4,6 +4,8 @@ for F_{p^2} matrix work (points stacked along a leading axis, elements as
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .ffield import FieldCtx, FieldElement
@@ -16,6 +18,8 @@ __all__ = [
     "ext_matmul",
     "ext_inv",
     "ext_det_batch",
+    "ext_rank_batch",
+    "ext_solve_batch",
 ]
 
 
@@ -121,33 +125,65 @@ def ext_inv(x: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     return np.stack([(a0 * ninv) % p, (-a1 * ninv) % p], axis=-1)
 
 
-def ext_det_batch(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Determinants of stacked square F_{p^2} matrices (npts, k, k, 2) -> (npts, 2).
+def _eliminate_batch(A: np.ndarray, ctx: FieldCtx, ncols: int | None = None):
+    """Gauss-Jordan elimination of stacked F_{p^2} matrices (..., r, c, 2) on
+    their first ``ncols`` columns (all by default; later columns ride along).
 
-    Gaussian elimination on every point at once: each point swaps in its own
-    pivot row (the first nonzero entry at or below the diagonal) and flips
-    its own sign. A point with no pivot in a column multiplies its
-    determinant by that zero entry, and its column below the diagonal is
-    already zero, so its elimination step changes nothing.
+    Each matrix keeps its own pivot count: per column it swaps in its first
+    row at or below that count with a nonzero entry, scales it to a leading
+    1 and clears the column elsewhere, or is left as it is when there is no
+    such row. Returns (reduced matrices, ranks, dets (..., 2)); det is the
+    signed product of the pivots, zero once a column has none.
     """
     p, delta = ctx.p, ctx.nonresidue
-    A = M % p
-    npts, k = A.shape[0], A.shape[1]
+    lead = A.shape[:-3]
+    A = A.reshape((math.prod(lead),) + A.shape[-3:]) % p
+    npts, nrows = A.shape[:2]
     pts = np.arange(npts)
+    rank = np.zeros(npts, dtype=np.int64)
     det = np.zeros((npts, 2), dtype=np.int64)
     det[:, 0] = 1
     one = np.array([1, 0], dtype=np.int64)
-    for c in range(k):
-        nonzero = np.any(A[:, c:, c] != 0, axis=-1)  # (npts, k - c)
-        pr = c + np.argmax(nonzero, axis=1)  # c where the column is zero
-        row_c = A[pts, c].copy()
-        A[pts, c] = A[pts, pr]
-        A[pts, pr] = row_c
-        swapped = pr != c
-        det[swapped] = (-det[swapped]) % p
-        piv = A[:, c, c]
+    for c in range(A.shape[2] if ncols is None else ncols):
+        if np.all(rank == nrows):
+            break  # no row left to pivot on (only when there are more columns than rows)
+        r = np.minimum(rank, nrows - 1)
+        cand = np.any(A[:, :, c] != 0, axis=-1) & (np.arange(nrows) >= rank[:, None])
+        has = np.any(cand, axis=1)
+        pr = np.where(has, np.argmax(cand, axis=1), r)
+        row_r = A[pts, r].copy()
+        A[pts, r] = A[pts, pr]
+        A[pts, pr] = row_r
+        det = np.where((has & (pr != r))[:, None], -det % p, det * has[:, None])
+        piv = np.where(has[:, None], A[pts, r, c], one)
         det = ext_mul(det, piv, p, delta)
-        inv = ext_inv(np.where(np.any(piv != 0, axis=-1, keepdims=True), piv, one), ctx)
-        f = ext_mul(A[:, c + 1 :, c], inv[:, None], p, delta)  # (npts, k - c - 1, 2)
-        A[:, c + 1 :] = (A[:, c + 1 :] - ext_mul(f[:, :, None], A[:, None, c], p, delta)) % p
-    return det
+        A[pts, r] = ext_mul(A[pts, r], ext_inv(piv, ctx)[:, None], p, delta)
+        f = A[:, :, c] * has[:, None, None]
+        f[pts, r] = 0
+        A = (A - ext_mul(f[:, :, None], A[pts, r][:, None], p, delta)) % p
+        rank += has
+    return A.reshape(lead + A.shape[1:]), rank.reshape(lead), det.reshape(lead + (2,))
+
+
+def ext_det_batch(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Determinants of stacked square F_{p^2} matrices (..., k, k, 2) -> (..., 2)."""
+    return _eliminate_batch(M, ctx)[2]
+
+
+def ext_rank_batch(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Ranks of stacked F_{p^2} matrices (..., r, c, 2) -> (...)."""
+    return _eliminate_batch(M, ctx)[1]
+
+
+def ext_solve_batch(A: np.ndarray, B: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A X = B for stacked square F_{p^2} systems, A (..., n, n, 2) and
+    B (..., n, m, 2) (B broadcasts over the leading axes).
+
+    Returns (X (..., n, m, 2), solvable (...)): solvable is False where A is
+    singular, and X is zero there.
+    """
+    n = A.shape[-2]
+    B = np.broadcast_to(B, A.shape[:-3] + B.shape[-3:])
+    R, rank, _ = _eliminate_batch(np.concatenate([A, B], axis=-2), ctx, ncols=n)
+    ok = rank == n
+    return R[..., n:, :] * ok[..., None, None, None], ok

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dense import dense_shift_var, pad_to_shape
 from .ffield import FieldCtx, FieldElement
-from .linalg import ext_inv, ext_mul
+from .linalg import ext_inv, ext_matmul, ext_mul
 from .mpoly import LinearForm, MPoly
 
 __all__ = [
@@ -334,13 +334,8 @@ def k_operator_at(params: QkzParams, a: int, z: Sequence[FieldElement]):
 
 def points_to_array(points, ctx: FieldCtx) -> np.ndarray:
     """Stack points into an int64 array (npts, n, 2) of (a0, a1) pairs."""
-    p = ctx.p
-    arr = np.empty((len(points), len(points[0]), 2), dtype=np.int64)
-    for i, pt in enumerate(points):
-        for j, x in enumerate(pt):
-            arr[i, j, 0] = x.val % p
-            arr[i, j, 1] = x.val // p
-    return arr
+    vals = np.array([[x.val for x in pt] for pt in points], dtype=np.int64)
+    return np.stack([vals % ctx.p, vals // ctx.p], axis=-1)
 
 
 def shift_point(z, a: int, delta: FieldElement):
@@ -507,11 +502,15 @@ def verify_rmatrix_identities(ctx: FieldCtx, mutate: bool = False) -> CheckRepor
 # -- equation verifiers --------------------------------------------------------
 
 
-def verify_flatness(params: QkzParams, points, pctx: Optional[FieldCtx] = None) -> CheckReport:
+def verify_flatness(
+    params: QkzParams, points, pctx: Optional[FieldCtx] = None, unshifted_control: bool = False
+) -> CheckReport:
     """Discrete flatness K_a(z - kappa e_b) K_b(z) = K_b(z - kappa e_a) K_a(z)
-    checked exactly at every given extension-field point."""
-    from .linalg import ext_matmul
+    checked exactly at every given extension-field point.
 
+    ``unshifted_control`` takes K_a(z) in place of K_a(z - kappa e_b) on the
+    left (negative control).
+    """
     if pctx is None:
         pctx = points[0][0].ctx
     p, delta = pctx.p, pctx.nonresidue
@@ -528,7 +527,8 @@ def verify_flatness(params: QkzParams, points, pctx: Optional[FieldCtx] = None) 
             Zb = Z.copy()
             Zb[:, b - 1] = (Zb[:, b - 1] - kap) % p
             try:
-                Kab = k_matrix_batch(params, a, Zb, pctx)  # K_a(z - kappa e_b)
+                # K_a(z - kappa e_b), or K_a(z) under the control
+                Kab = K[a] if unshifted_control else k_matrix_batch(params, a, Zb, pctx)
                 Kba = k_matrix_batch(params, b, Za, pctx)  # K_b(z - kappa e_a)
             except SingularPointError as exc:
                 skipped.append((a, b, str(exc)))

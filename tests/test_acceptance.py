@@ -13,6 +13,7 @@ from math import comb
 
 import pytest
 
+from charp_qkz import hypergeo
 from charp_qkz.dense import dense_to_mpoly, dense_top_degree_part
 from charp_qkz.ffield import make_field, sample_point
 from charp_qkz.hypergeo import (
@@ -294,6 +295,8 @@ def test_criterion_14_kz_side():
                 assert [dense_to_mpoly(c, params.ctx, n) for c in top_arr] == top.coords
                 rep = verify_kz_solution(params, top_arr)
                 assert rep.passed, ("top", p, n, kv, ell, rep.failures[:2])
+            # the sweep holds one triple's sets at a time, not every set it has read
+            hypergeo._solution_cache.clear()
 
 
 def test_criterion_15_harness_falsifiability():

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from charp_qkz.cli import main, parse_kappa
+from charp_qkz.cli import ALL_SUITES, main, parse_kappa
 from charp_qkz.ffield import make_field
+from charp_qkz.qkz_core import make_params
 
 
 def run_cli(args, tmp_path=None):
@@ -368,3 +369,35 @@ def test_verify_sabotage_fails_restrict(capsys):
     for entry in checked:
         assert entry["passed"] is False
         assert all(w[2] == 0 for w in entry["witnesses"])
+
+
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_every_suite_fails_under_sabotage(suite, capsys):
+    """Each suite run alone with --sabotage at p=5, n=4 exits 1 with a
+    failing entry.  The flatness mutation fails every flatness entry, the
+    unnegated pairing every orthogonality entry, and the perturbed solution
+    value every curvature battery with 0 < d < n-1, both in the fixed
+    solution and in the image-in-span check."""
+    code = main(
+        ["verify", "--p", "5", "--n", "4", "--suites", suite, "--sabotage", "--format", "json"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["passed"] is False
+    block = out[suite]
+    assert any(entry.get("passed") is False and entry.get("witnesses") for entry in block.values())
+    if suite == "rmatrix":
+        flat = [e for key, e in block.items() if key.startswith("flatness,")]
+        assert len(flat) == 4 and not any(e["passed"] for e in flat)
+    if suite == "ortho":
+        checked = [e for e in block.values() if not e.get("skipped")]
+        assert checked and not any(e["passed"] for e in checked)
+    if suite == "curvature":
+        ctx = make_field(5)
+        strict = [kv for kv in range(1, 5) if 0 < make_params(ctx, 4, kv).d < 3]
+        assert strict
+        for kv in strict:
+            entry = block[f"p=5,n=4,kappa={kv}"]
+            names = {w[0] for w in entry["witnesses"]}
+            assert entry["passed"] is False
+            assert {"solution not fixed", "image not in span"} <= names

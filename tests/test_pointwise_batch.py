@@ -1,6 +1,9 @@
 """Differential tests of the batched F_{p^2} pointwise layer against the
-scalar reference path (``reduced_curvature_at`` / ``curvature_at`` and
-``linalg.det`` on field-element matrices)."""
+scalar reference path on field-element matrices: the curvature as a
+product of p scalar ``k_operator_at`` matrices, ``linalg.det`` and
+``linalg.rank``.  The curvature battery's solution checks as a per-point
+loop on ``linalg.rank``, and ``kernel_image_ranks`` on the same scalar
+path, are the oracles for the batched ranks."""
 
 import random
 
@@ -9,16 +12,27 @@ import pytest
 
 from charp_qkz import linalg
 from charp_qkz.ffield import FieldElement, make_field, sample_point
+from charp_qkz.hypergeo import evaluate_solutions, extract_solutions
 from charp_qkz.linalg import ext_det_batch
 from charp_qkz.pcurvature import (
     _nonsingular_points,
+    _points_batch,
+    _reduce_batch,
     _singular_mask,
     curvature_at,
     curvature_batch,
+    kernel_image_ranks,
     reduced_curvature_at,
+    verify_curvature_battery,
     verify_ext_kappa,
 )
-from charp_qkz.qkz_core import SingularPointError, make_params, points_to_array
+from charp_qkz.qkz_core import (
+    SingularPointError,
+    k_operator_at,
+    make_params,
+    points_to_array,
+    singular_basis,
+)
 
 PN = [(p, n) for p in (5, 7, 11, 13) for n in range(2, 6) if n < p]
 
@@ -36,6 +50,130 @@ def _ext_kappas(p, count, seed):
 
 def _elem(pctx, pair):
     return FieldElement(pctx, int(pair[0]) + int(pair[1]) * pctx.p)
+
+
+def scalar_curvature_at(params, a, z):
+    """C_a(z) as the ordered product of the p scalar matrices K_a(z - m kappa e_a)."""
+    n = params.n
+    pctx = z[0].ctx
+    C = None
+    pt = list(z)
+    for _ in range(params.p):
+        K = k_operator_at(params, a, pt)
+        if C is None:
+            C = K
+        else:
+            C = [
+                [sum((K[i][l] * C[l][j] for l in range(n)), pctx.zero()) for j in range(n)]
+                for i in range(n)
+            ]
+        pt[a - 1] = pt[a - 1] - FieldElement(pctx, params.kappa.val)
+    return C
+
+
+def scalar_reduced_curvature_at(params, a, z):
+    """hat-C_a(z) = C_a(z) - Id on the scalar path."""
+    C = scalar_curvature_at(params, a, z)
+    one = z[0].ctx.element(1)
+    for i in range(len(C)):
+        C[i][i] = C[i][i] - one
+    return C
+
+
+def scalar_kernel_image_ranks(params, z):
+    """kernel_image_ranks on the scalar path: images of the zero-sum basis
+    under scalar hat-C_a, ranks by ``linalg.rank``."""
+    n = params.n
+    pctx = z[0].ctx
+    basis = singular_basis(pctx, n)
+    out = {}
+    all_images = []
+    for a in range(1, n + 1):
+        H = scalar_reduced_curvature_at(params, a, z)
+        images = [
+            [sum((H[r][c] * e[c] for c in range(n)), pctx.zero()) for r in range(n)]
+            for e in basis
+        ]
+        rk = linalg.rank(images, pctx)
+        out[a] = {"rank": rk, "kernel_dim": (n - 1) - rk}
+        all_images.extend(images)
+    out["sum_image_dim"] = linalg.rank(all_images, pctx)
+    return out
+
+
+def scalar_battery_span_checks(params, npoints, seed, perturb=False):
+    """The battery's solution checks as a per-point loop on field elements
+    (the fixed-solution test, then rank bound and image-in-span at every
+    point): (failures, per-axis ranks, details)."""
+    n, p, d = params.n, params.p, params.d
+    pctx = make_field(p, 2)
+    delta = pctx.nonresidue
+    Z = points_to_array(_points_batch(params, npoints, seed, pctx), pctx)
+    H = {a: _reduce_batch(curvature_batch(params, a, Z, pctx), p) for a in range(1, n + 1)}
+    S = evaluate_solutions(extract_solutions(params).arrays, Z, pctx)
+    if perturb:
+        S[0, :, 0, 0] = (S[0, :, 0, 0] + 1) % p
+    failures, ranks = [], {a: [] for a in range(1, n + 1)}
+    for a in range(1, n + 1):
+        for s_idx in range(d):
+            v = S[s_idx]
+            a0, a1 = H[a][..., 0], H[a][..., 1]
+            b0, b1 = v[..., 0], v[..., 1]
+            r0 = (np.einsum("mij,mj->mi", a0, b0) + delta * np.einsum("mij,mj->mi", a1, b1)) % p
+            r1 = (np.einsum("mij,mj->mi", a0, b1) + np.einsum("mij,mj->mi", a1, b0)) % p
+            if np.any(r0) or np.any(r1):
+                failures.append(("solution not fixed", a, s_idx + 1))
+    span_dims, sum_image_dims = [], []
+    basis = singular_basis(pctx, n)
+    for i in range(npoints):
+        span = [[_elem(pctx, x) for x in S[s_idx, i]] for s_idx in range(d)]
+        span_rank = linalg.rank(span, pctx)
+        span_dims.append(span_rank)
+        all_images = []
+        for a in range(1, n + 1):
+            Ha = [[_elem(pctx, x) for x in row] for row in H[a][i]]
+            images = [
+                [sum((Ha[r][c] * e[c] for c in range(n)), pctx.zero()) for r in range(n)]
+                for e in basis
+            ]
+            all_images.extend(images)
+            rk = linalg.rank(images, pctx)
+            if rk > d:
+                failures.append(("rank bound", a, i, rk))
+            if linalg.rank(span + images, pctx) != span_rank:
+                failures.append(("image not in span", a, i))
+            ranks[a].append(rk)
+        sum_image_dims.append(linalg.rank(all_images, pctx))
+    details = {"span_dim": sorted(set(span_dims)), "sum_image_dim": sorted(set(sum_image_dims))}
+    return failures, ranks, details
+
+
+SPAN_CHECKS = ("solution not fixed", "rank bound", "image not in span")
+STRICT = [
+    (p, n, kv)
+    for p in (5, 7, 11, 13)
+    for n in range(3, 6)
+    if n < p
+    for kv in range(1, p)
+    if 0 < make_params(make_field(p), n, kv).d < n - 1
+]
+
+
+@pytest.mark.parametrize("p,n,kv", STRICT)
+def test_battery_matches_per_point_loop(p, n, kv):
+    """The batched span, image and sum ranks give the battery report and
+    kernel_image_ranks of the per-point loop, on every triple with
+    0 < d < n-1, and under the perturbed-solution control."""
+    params = make_params(make_field(p), n, kv)
+    for perturb in (False, True):
+        rep = verify_curvature_battery(params, npoints=10, seed=kv, perturb_control=perturb)
+        failures, ranks, details = scalar_battery_span_checks(params, 10, kv, perturb)
+        assert [f for f in rep.failures if f[0] in SPAN_CHECKS] == failures
+        assert {a: v["ranks"] for a, v in rep.per_axis.items()} == ranks
+        assert rep.details == details
+        assert rep.passed != perturb
+    z = sample_point(make_field(p, 2), n, kv)
+    assert kernel_image_ranks(params, z) == scalar_kernel_image_ranks(params, z)
 
 
 def _scalar_restrict_to_v(M, pctx):
@@ -61,7 +199,7 @@ def _scalar_ext_kappa(params, npoints, seed):
         z = sample_point(pctx, n, seed * 65537 + attempt)
         attempt += 1
         try:
-            mats = {a: reduced_curvature_at(params, a, z) for a in range(1, n + 1)}
+            mats = {a: scalar_reduced_curvature_at(params, a, z) for a in range(1, n + 1)}
         except SingularPointError:
             continue
         good += 1
@@ -95,7 +233,7 @@ def test_singular_mask_matches_scalar_loop():
     for z in pts:
         try:
             for a in range(1, n + 1):
-                reduced_curvature_at(params, a, z)
+                scalar_reduced_curvature_at(params, a, z)
             expected.append(False)
         except SingularPointError:
             expected.append(True)
@@ -143,8 +281,10 @@ def test_stacked_curvature_batch_matches_curvature_at(p, n):
         for a in range(1, n + 1):
             batch = curvature_batch(params, a, Z, pctx)
             for idx, z in enumerate(pts):
-                C = curvature_at(params, a, z)
+                C = scalar_curvature_at(params, a, z)
                 assert [[_elem(pctx, x) for x in row] for row in batch[idx]] == C
+                assert curvature_at(params, a, z) == C
+                assert reduced_curvature_at(params, a, z) == scalar_reduced_curvature_at(params, a, z)
 
 
 def test_curvature_batch_raises_on_singular_shift():
