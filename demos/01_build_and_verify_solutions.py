@@ -5,7 +5,8 @@ Run:  python3 demos/01_build_and_verify_solutions.py
 """
 
 from charp_qkz import make_field, make_params
-from charp_qkz.hypergeo import extract_solutions, leading_term_data
+from charp_qkz.dense import render_polynomials
+from charp_qkz.hypergeo import extract_solutions, leading_term_data, verify_leading_terms
 from charp_qkz.qkz_core import verify_qkz_solution
 
 # The system lives on K^n-valued functions of (z_1, ..., z_n) and asks
@@ -18,21 +19,27 @@ for p, n, kv in [(5, 2, 3), (7, 3, 5), (7, 4, 2)]:
     params = make_params(ctx, n, kv)
     print(f"\np={p}, n={n}, kappa={kv}:  k={params.k}, d(kappa)={params.d}")
 
+    # the solutions are held as one int64 array of shape (d, n, k+1, ..., k+1):
+    # entry [ell-1, a-1] is coordinate a of solution ell, with axes z_1..z_n
     ss = extract_solutions(params)
-    for ell, sol in enumerate(ss.solutions, start=1):
-        print(f"  solution #{ell}, degree {sol.degree()} (= n*k - {ell}*p):")
-        for i, coord in enumerate(sol.coords, start=1):
+    texts = render_polynomials(ss.arrays, p)
+    for ell, (deg, coords) in enumerate(zip(ss.degrees(), texts), start=1):
+        print(f"  solution #{ell}, degree {deg} (= n*k - {ell}*p):")
+        for i, coord in enumerate(coords, start=1):
             print(f"    [{i}] {coord}")
 
         # the leading term has a closed form: monomial (z1...zr)^k z_{r+1}^a
         # times an explicit constant vector
         lt = leading_term_data(params, ell)
-        mono, vec = sol.leading_term()
-        assert mono == lt.monomial and tuple(vec) == lt.u
-        print(f"    leading monomial {mono}, vector {[str(v) for v in vec]}")
+        print(f"    predicted leading monomial {lt.monomial}, vector {[str(v) for v in lt.u]}")
 
-        # exact symbolic check of the denominator-cleared difference equation,
-        # run on the dense coefficient arrays the solution set holds
+        # exact symbolic check of the denominator-cleared difference equation
         rep = verify_qkz_solution(params, ss.arrays[ell - 1])
         print(f"    {rep.summary()}")
+        assert rep.passed
+
+    # the leading terms of every solution against the closed form
+    if params.d:
+        rep = verify_leading_terms(params)
+        print(f"  {rep.summary()}")
         assert rep.passed

@@ -10,14 +10,17 @@ The Shapovalov form pairs solutions of the two systems. Two facts fall out:
 Run:  python3 demos/02_orthogonality_and_quasi_sections.py
 """
 
+import numpy as np
+
 from charp_qkz import make_field, make_params
-from charp_qkz.ffield import sample_point
+from charp_qkz.ffield import FieldElement, sample_point
 from charp_qkz.hypergeo import (
+    evaluate_solutions,
     extract_solutions,
     orthogonality_pairing,
     quasi_sections_at,
 )
-from charp_qkz.qkz_core import shapovalov
+from charp_qkz.qkz_core import points_to_array
 
 # -- orthogonality ------------------------------------------------------------
 p, n, kv = 7, 4, 5
@@ -25,9 +28,10 @@ ctx = make_field(p)
 params = make_params(ctx, n, kv)
 print(f"p={p}, n={n}, kappa={kv}: d(kappa)={params.d}, d(-kappa)={params.minus().d}")
 
+# each entry is the dense coefficient array of a polynomial in z_1..z_n
 G = orthogonality_pairing(params)
 print(f"pairing matrix is {len(G)} x {len(G[0])}; all entries zero polynomials:")
-print(" ", all(entry.is_zero() for row in G for entry in row))
+print(" ", not any(np.any(entry) for row in G for entry in row))
 
 # -- quasi-sections at d(kappa) = 0 -------------------------------------------
 p, n, kv = 5, 2, 2
@@ -36,15 +40,18 @@ pctx = make_field(p, 2)
 params = make_params(ctx, n, kv)
 print(f"\np={p}, n={n}, kappa={kv}: d(kappa)={params.d} (no polynomial solutions)")
 
-dual = extract_solutions(params.minus()).solutions
-print(f"the step-(-kappa) system has d(-kappa)={len(dual)} solution(s)")
+dual = extract_solutions(params.minus())
+print(f"the step-(-kappa) system has d(-kappa)={dual.d} solution(s)")
 
 z = sample_point(pctx, n, rng_seed=6)
 (T,) = quasi_sections_at(params, z)
 print(f"at z = {[str(v) for v in z]}:")
 print(f"  T^1(z) = {[str(v) for v in T]}")
 
-# duality normalization: S(Q(-z; -kappa), T^1(z)) = 1
-val = shapovalov(dual[0].eval([-v for v in z]), T)
+# duality normalization: S(Q(-z; -kappa), T^1(z)) = 1, with the dual
+# solution evaluated at -z as (a0, a1) pairs a0 + a1*g
+values = evaluate_solutions(dual.arrays, points_to_array([[-v for v in z]], pctx), pctx)
+qdual = [FieldElement(pctx, int(a0) + int(a1) * p) for a0, a1 in values[0, 0]]
+val = sum((q * t for q, t in zip(qdual, T)), pctx.zero())
 print(f"  pairing with the dual solution: {val}")
 assert val == pctx.one()

@@ -4,25 +4,15 @@ rational sl2 qKZ difference equations over finite fields of characteristic p.
 
 from .ffield import FieldCtx, FieldElement, SamplingError, make_field, sample_point
 from .mpoly import DivisibilityError, LinearForm, MPoly, divide_exact_linear
-from .pochhammer import (
-    PochhammerForm,
-    TPoly,
-    from_pochhammer_basis,
-    poch_poly,
-    pochhammer_identity_suite,
-    to_pochhammer_basis,
-)
+from .pochhammer import pochhammer_identity_suite
 from .qkz_core import (
     CheckReport,
     QkzParams,
     RatOpMatrix,
     SingularPointError,
-    VectorPoly,
-    gaudin_operator,
     k_operator,
     k_operator_at,
     make_params,
-    shapovalov,
 )
 
 __version__ = "0.1.0"

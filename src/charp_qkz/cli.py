@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import sys
 import time
 import zlib
@@ -144,8 +145,6 @@ def _ext_kappas(cfg: RunConfig, p: int, count: int = 3) -> list[FieldElement]:
                 if kap not in out:
                     out.append(kap)
         return out
-    import random
-
     rng = random.Random(_mix(cfg.seed, p, "ext"))
     while len(out) < count:
         a, b = rng.randrange(p), rng.randrange(1, p)

@@ -268,14 +268,6 @@ class FieldElement:
         return f"{a0}+{gpart}"
 
 
-def inv(x: FieldElement) -> FieldElement:
-    return x.inv()
-
-
-def fpow(x: FieldElement, e: int) -> FieldElement:
-    return x**e
-
-
 def make_field(p: int, ext_degree: int = 1) -> FieldCtx:
     """Construct a field context; the nonresidue for ext_degree=2 is the
     smallest quadratic nonresidue mod p, so results are reproducible."""

@@ -9,8 +9,7 @@ vector Q(t,z;kappa): coordinate a is the n-fold Pochhammer product
 
 with kappa*k = -1 mod p, and the solution with index ell (1 <= ell <= d =
 floor(nk/p)) is the coefficient vector of (t;kappa)_{ell*p-1}.  Construction
-runs on the dense numpy kernels; the sparse product formula and the rational
-eta_a definition survive as cross-checks.
+and every check run on the dense numpy kernels.
 """
 
 from __future__ import annotations
@@ -24,12 +23,10 @@ import numpy as np
 from . import dense, linalg
 from .ffield import FieldCtx, FieldElement, sample_point
 from .linalg import ext_det_batch, ext_matmul, ext_solve_batch
-from .mpoly import MPoly
-from .pochhammer import TPoly, binomial_mod, poch_factor
+from .pochhammer import binomial_mod
 from .qkz_core import (
     CheckReport,
     QkzParams,
-    VectorPoly,
     k_from_kappa_int,
     k_matrix_batch,
     k_operator_at,  # noqa: F401  (a binding perfbench/tracer.py rebinds)
@@ -42,15 +39,12 @@ __all__ = [
     "LeadingTermData",
     "k_from_kappa",
     "d_of_kappa",
-    "q_vector",
     "extract_solutions",
     "barq_solutions",
     "evaluate_solutions",
     "leading_term_data",
     "verify_leading_terms",
-    "minor",
     "verify_independence",
-    "restrict_special",
     "special_restriction_values",
     "verify_restrictions",
     "orthogonality_pairing",
@@ -60,7 +54,6 @@ __all__ = [
     "gram_matrix",
     "gram_det",
     "solution_set_to_json",
-    "verify_q_product_formula",
 ]
 
 
@@ -85,9 +78,9 @@ class SolutionSet:
     """The solutions for one parameter triple, held as one int64 array of
     shape (d, n, k+1, ..., k+1): entry [ell-1, a-1] is coordinate a of the
     coefficient vector at Pochhammer index ell*p - 1 (monomial index for the
-    KZ kind), with array axes z_1..z_n.  Every check reads the arrays;
-    ``solutions`` is a sparse view for the library API, built on first use.
-    The arrays are read-only: a cached set is shared by every caller."""
+    KZ kind), with array axes z_1..z_n.  Every check reads the arrays, and
+    ``dense.render_polynomials`` prints them.  The arrays are read-only: a
+    cached set is shared by every caller."""
 
     params: QkzParams
     arrays: np.ndarray
@@ -99,14 +92,6 @@ class SolutionSet:
     @property
     def d(self) -> int:
         return self.arrays.shape[0]
-
-    @functools.cached_property
-    def solutions(self) -> list[VectorPoly]:
-        ctx, n = self.params.ctx, self.params.n
-        return [
-            VectorPoly([dense.dense_to_mpoly(coord, ctx, n) for coord in sol])
-            for sol in self.arrays
-        ]
 
     def degrees(self) -> list[int]:
         return _degrees(self.arrays)
@@ -138,24 +123,6 @@ def _require_prime_kappa(params: QkzParams):
         raise ValueError("construction requires kappa in F_p^x")
 
 
-def q_vector(params: QkzParams) -> list[TPoly]:
-    """The vector Q(t,z;kappa) from the n-fold Pochhammer product formula
-    (sparse reference construction)."""
-    _require_prime_kappa(params)
-    ctx, n, k = params.ctx, params.n, params.k
-    kappa = params.kappa
-    out = []
-    for a in range(1, n + 1):
-        acc = TPoly(ctx, n, [MPoly.const(ctx, n, 1)])
-        for j in range(1, n + 1):
-            base = MPoly.variable(ctx, n, j)
-            if j <= a:
-                base = base + MPoly.const(ctx, n, kappa)
-            acc = acc * poch_factor(base, kappa, k - 1 if j == a else k)
-        out.append(acc)
-    return out
-
-
 def _q_factors(params: QkzParams, a: int) -> list[tuple]:
     """Dense-builder factor list (var, shift, length) for Q_a."""
     k = params.k
@@ -167,7 +134,19 @@ def _q_factors(params: QkzParams, a: int) -> list[tuple]:
     )
 
 
+# The solution cache evicts least-recently-used sets once their arrays hold
+# more than this many bytes (512 MiB), keeping the newest set whatever its
+# size.  The default verify sweep's sets total 203 MiB, the largest 57 MiB
+# (p=13, n=5, kappa=1), so no default run evicts.
+_SOLUTION_CACHE_BYTES = 512 << 20
 _solution_cache: dict = {}
+
+
+def _cache_put(key, ss: "SolutionSet") -> None:
+    _solution_cache[key] = ss
+    total = sum(s.arrays.nbytes for s in _solution_cache.values())
+    while total > _SOLUTION_CACHE_BYTES and len(_solution_cache) > 1:
+        total -= _solution_cache.pop(next(iter(_solution_cache))).arrays.nbytes
 
 
 def _solution_rows(params: QkzParams, kappa: int, factors_of) -> np.ndarray:
@@ -199,6 +178,7 @@ def extract_solutions(params: QkzParams) -> SolutionSet:
     _require_prime_kappa(params)
     key = (params.p, params.n, params.kappa.val)
     if key in _solution_cache:
+        _solution_cache[key] = _solution_cache.pop(key)  # most recently used
         return _solution_cache[key]
     n, p, k = params.n, params.p, params.k
     sols = _solution_rows(params, params.kappa.val, functools.partial(_q_factors, params))
@@ -209,7 +189,7 @@ def extract_solutions(params: QkzParams) -> SolutionSet:
         if np.any(s.sum(axis=0) % p):
             raise AssertionError(f"solution ell={ell} not in the zero-sum space")
     out = SolutionSet(params, sols, kind="qkz")
-    _solution_cache[key] = out
+    _cache_put(key, out)
     return out
 
 
@@ -312,34 +292,6 @@ def verify_leading_terms(params: QkzParams, permute_control: bool = False) -> Ch
     )
 
 
-def _det_mpoly(rows: list[list[MPoly]]) -> MPoly:
-    m = len(rows)
-    ctx, nv = rows[0][0].ctx, rows[0][0].nvars
-    acc = MPoly.zero(ctx, nv)
-    for perm in itertools.permutations(range(m)):
-        sgn = 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                if perm[i] > perm[j]:
-                    sgn = -sgn
-        term = MPoly.const(ctx, nv, sgn)
-        for i in range(m):
-            term = term * rows[i][perm[i]]
-        acc = acc + term
-    return acc
-
-
-def minor(params: QkzParams, I, solutions: list[VectorPoly] | None = None) -> MPoly:
-    """Determinant of rows I (1-based) of the n x d solution matrix."""
-    if solutions is None:
-        solutions = extract_solutions(params).solutions
-    I = sorted(I)
-    if len(I) != len(solutions) or not solutions:
-        raise ValueError("index set size must equal the number of solutions")
-    rows = [[s.coords[i - 1] for s in solutions] for i in I]
-    return _det_mpoly(rows)
-
-
 def verify_independence(
     params: QkzParams, seed: int = 0, duplicate_control: bool = False
 ) -> CheckReport:
@@ -390,12 +342,6 @@ def special_restriction_values(params: QkzParams, I) -> dict[int, FieldElement]:
     return {
         i: params.kappa * ((b - 1) * k - 1) for b, i in enumerate(sorted(I), start=1)
     }
-
-
-def restrict_special(params: QkzParams, obj, I):
-    """Substitute the special values into a VectorPoly, TPoly, or MPoly."""
-    vals = special_restriction_values(params, I)
-    return obj.substitute(vals)
 
 
 def verify_restrictions(
@@ -453,7 +399,7 @@ def _restriction_rows(params: QkzParams, I, a: int) -> np.ndarray:
 # -- orthogonality ---------------------------------------------------------------
 
 
-def _pairing_arrays(params: QkzParams, negate: bool = True) -> list[list[np.ndarray]]:
+def orthogonality_pairing(params: QkzParams, negate: bool = True) -> list[list[np.ndarray]]:
     """The pairing matrix G[ell-1][m-1] = sum_a Q^{m p-1}_a(-z;-kappa)
     Q^{ell p-1}_a(z;kappa), ell = 1..d(kappa), m = 1..d(-kappa), as dense
     coefficient arrays (with Q^{m p-1}_a(z;-kappa) when ``negate`` is off)."""
@@ -473,14 +419,6 @@ def _pairing_arrays(params: QkzParams, negate: bool = True) -> list[list[np.ndar
     ]
 
 
-def orthogonality_pairing(params: QkzParams) -> list[list[MPoly]]:
-    """The pairing matrix of ``_pairing_arrays`` as polynomials."""
-    return [
-        [dense.dense_to_mpoly(g, params.ctx, params.n) for g in row]
-        for row in _pairing_arrays(params)
-    ]
-
-
 def verify_orthogonality(params: QkzParams, unnegated_control: bool = False) -> CheckReport:
     """Shapovalov orthogonality: every entry of the pairing matrix is the
     zero polynomial when 0 < d(kappa) < n-1.
@@ -491,7 +429,7 @@ def verify_orthogonality(params: QkzParams, unnegated_control: bool = False) -> 
     d = params.d
     if d is None or not 0 < d < params.n - 1:
         raise ValueError("orthogonality requires 0 < d(kappa) < n-1")
-    G = _pairing_arrays(params, negate=not unnegated_control)
+    G = orthogonality_pairing(params, negate=not unnegated_control)
     failures = [
         (ell + 1, m + 1)
         for ell, row in enumerate(G)
@@ -613,68 +551,6 @@ def gram_det(ctx: FieldCtx, n: int) -> FieldElement:
     return linalg.det(gram_matrix(ctx, n), ctx)
 
 
-def verify_q_product_formula(params: QkzParams, trials: int = 5, seed: int = 0) -> CheckReport:
-    """Randomized denominator-cleared cross-check of the product formula
-    against the rational definition Phi * eta_a:
-
-    Q_a(t,z) (t - z_a) prod_{j<a}(t - z_j) = Phi(t,z) prod_{j<a}(t - z_j + 1).
-    """
-    _require_prime_kappa(params)
-    ctx, n, k = params.ctx, params.n, params.k
-    ectx = FieldCtx(params.p, 2)
-    qs = q_vector(params)
-    phi = TPoly(ctx, n, [MPoly.const(ctx, n, 1)])
-    for j in range(1, n + 1):
-        phi = phi * poch_factor(MPoly.variable(ctx, n, j), params.kappa, k)
-
-    def eval_tp(tp: TPoly, tval, zpt):
-        acc = ectx.zero()
-        for c in reversed(tp.coeffs):
-            acc = acc * tval + c.eval(zpt)
-        return acc
-
-    failures = []
-    for trial in range(trials):
-        pt = sample_point(ectx, n + 1, seed * 1000 + trial)
-        tval, zpt = pt[0], pt[1:]
-        phival = eval_tp(phi, tval, zpt)
-        for a in range(1, n + 1):
-            lhs = eval_tp(qs[a - 1], tval, zpt) * (tval - zpt[a - 1])
-            rhs = phival
-            for j in range(a - 1):
-                lhs = lhs * (tval - zpt[j])
-                rhs = rhs * (tval - zpt[j] + 1)
-            if lhs != rhs:
-                failures.append((trial, a))
-    return CheckReport(
-        name=f"product formula vs eta p={params.p} n={n} kappa={params.kappa}",
-        passed=not failures,
-        failures=failures,
-    )
-
-
-def _render(arrays: np.ndarray, p: int) -> list[list[str]]:
-    """Every coordinate polynomial of a (d, n, ...) solution stack as text,
-    exactly as ``str(MPoly)`` prints it: terms "c*z1^e1*z2*..." by
-    descending (total degree, e_1, ..., e_n), joined by " + "; "0" for the
-    zero polynomial."""
-    d, n = arrays.shape[:2]
-    idx = np.nonzero(arrays)
-    exps = idx[2:]
-    order = np.lexsort(tuple(-e for e in reversed(exps)) + (-sum(exps), idx[1], idx[0]))
-    terms = np.array([str(c) for c in range(p)], dtype=object)[arrays[idx][order]]
-    for i, (e, size) in enumerate(zip(exps, arrays.shape[2:]), start=1):
-        tokens = np.array(
-            [""] + [f"*z{i}"] + [f"*z{i}^{x}" for x in range(2, size)], dtype=object
-        )
-        terms = terms + tokens[e[order]]
-    texts = terms.tolist()
-    ends = np.cumsum(np.bincount(idx[0] * n + idx[1], minlength=d * n)).tolist()
-    starts = [0] + ends[:-1]
-    polys = [" + ".join(texts[b:e]) or "0" for b, e in zip(starts, ends)]
-    return [polys[ell * n : (ell + 1) * n] for ell in range(d)]
-
-
 def solution_set_to_json(ss: SolutionSet) -> dict:
     return {
         "p": ss.params.p,
@@ -684,5 +560,5 @@ def solution_set_to_json(ss: SolutionSet) -> dict:
         "d": ss.d,
         "kind": ss.kind,
         "degrees": ss.degrees(),
-        "solutions": _render(ss.arrays, ss.params.p),
+        "solutions": dense.render_polynomials(ss.arrays, ss.params.p),
     }

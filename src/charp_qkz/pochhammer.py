@@ -1,30 +1,27 @@
-"""Pochhammer polynomials (t; kappa)_m, Stirling numbers mod p, and
-conversion between the monomial and Pochhammer bases of A[t], A = K[z].
+"""Stirling numbers mod p and the symbolic identity battery of the
+Pochhammer polynomials (t; kappa)_m, on exact coefficient vectors over F_p.
 
-The basis conversion is triangular elimination from the top degree against
-the monic (t; kappa)_i.  Divided-difference or factorial-based routes are
-invalid here: i! vanishes mod p as soon as i >= p.
+The battery reads the kernels the solutions are built with: the factor
+tables of ``dense.build_product_tpoly`` and the cached basis matrix of
+``dense.dense_pochhammer_coeffs``.  That basis change is a back substitution
+against the monic (t; kappa)_i; divided-difference or factorial-based
+routes are invalid here, since i! vanishes mod p as soon as i >= p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence, Union
 
+import numpy as np
+
+from . import dense
 from .ffield import FieldCtx, FieldElement
-from .mpoly import MPoly
+from .qkz_core import CheckReport
 
 __all__ = [
-    "TPoly",
-    "PochhammerForm",
-    "poch_poly",
-    "poch_factor",
     "stirling",
     "binomial_mod",
     "factorial_mod",
-    "to_pochhammer_basis",
-    "from_pochhammer_basis",
     "pochhammer_identity_suite",
 ]
 
@@ -42,187 +39,6 @@ def factorial_mod(m: int, p: int) -> int:
     for i in range(2, m + 1):
         out = out * i % p
     return out
-
-
-class TPoly:
-    """Polynomial in t with MPoly coefficients, indexed by t-degree."""
-
-    __slots__ = ("ctx", "nvars", "coeffs")
-
-    def __init__(self, ctx: FieldCtx, nvars: int, coeffs: Sequence[MPoly]):
-        self.ctx = ctx
-        self.nvars = nvars
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = cs
-
-    @classmethod
-    def zero(cls, ctx: FieldCtx, nvars: int) -> "TPoly":
-        return cls(ctx, nvars, [])
-
-    @classmethod
-    def from_mpoly(cls, f: MPoly) -> "TPoly":
-        return cls(f.ctx, f.nvars, [f])
-
-    @classmethod
-    def t(cls, ctx: FieldCtx, nvars: int = 0) -> "TPoly":
-        one = MPoly.const(ctx, nvars, 1)
-        return cls(ctx, nvars, [MPoly.zero(ctx, nvars), one])
-
-    @property
-    def deg_t(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, i: int) -> MPoly:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return MPoly.zero(self.ctx, self.nvars)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check(self, other: "TPoly"):
-        if self.ctx != other.ctx or self.nvars != other.nvars:
-            raise ValueError("t-polynomial context/arity mismatch")
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(
-            self.ctx, self.nvars, [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(
-            self.ctx, self.nvars, [self.coeff(i) - other.coeff(i) for i in range(n)]
-        )
-
-    def __neg__(self) -> "TPoly":
-        return TPoly(self.ctx, self.nvars, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            return TPoly(self.ctx, self.nvars, [c.scale(other) for c in self.coeffs])
-        if isinstance(other, MPoly):
-            return TPoly(self.ctx, self.nvars, [c * other for c in self.coeffs])
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return TPoly.zero(self.ctx, self.nvars)
-        out = [MPoly.zero(self.ctx, self.nvars) for _ in range(self.deg_t + other.deg_t + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TPoly(self.ctx, self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return (
-            self.ctx == other.ctx
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )
-
-    def eval_t(self, value) -> MPoly:
-        """Substitute a field value for t (Horner)."""
-        acc = MPoly.zero(self.ctx, self.nvars)
-        for c in reversed(self.coeffs):
-            acc = acc.scale(value) + c
-        return acc
-
-    def substitute(self, assignments) -> "TPoly":
-        return TPoly(self.ctx, self.nvars, [c.substitute(assignments) for c in self.coeffs])
-
-    def shift_t(self, delta) -> "TPoly":
-        """Substitute t -> t + delta."""
-        from .mpoly import _binomial_table
-
-        d = delta.val if isinstance(delta, FieldElement) else delta % self.ctx.p
-        if d == 0 or self.is_zero():
-            return self
-        ctx = self.ctx
-        deg = self.deg_t
-        binom = _binomial_table(deg, ctx.p)
-        dpow = [1]
-        for _ in range(deg):
-            dpow.append(ctx.mul(dpow[-1], d))
-        out = [MPoly.zero(ctx, self.nvars) for _ in range(deg + 1)]
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            for m in range(i + 1):
-                s = ctx.mul(binom[i][m], dpow[i - m])
-                if s:
-                    out[m] = out[m] + c.scale(s)
-        return TPoly(ctx, self.nvars, out)
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.deg_t, -1, -1):
-            c = self.coeff(i)
-            if c.is_zero():
-                continue
-            tp = f"t^{i}" if i > 1 else ("t" if i == 1 else "")
-            cs = str(c)
-            if " + " in cs and tp:
-                cs = f"({cs})"
-            parts.append(f"{cs}*{tp}" if tp else cs)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"TPoly({self})"
-
-
-@dataclass
-class PochhammerForm:
-    """Expansion f(t) = sum_i coeffs[i] * (t; kappa)_i."""
-
-    kappa: FieldElement
-    nvars: int
-    coeffs: list[MPoly]
-
-    @property
-    def ctx(self) -> FieldCtx:
-        return self.kappa.ctx
-
-    def coeff(self, i: int) -> MPoly:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return MPoly.zero(self.ctx, self.nvars)
-
-
-def poch_factor(base: Union[MPoly, None], kappa: FieldElement, m: int, nvars: Optional[int] = None) -> TPoly:
-    """(t - base; kappa)_m as a TPoly (base omitted or None means (t; kappa)_m)."""
-    ctx = kappa.ctx
-    if base is not None:
-        nvars = base.nvars
-    elif nvars is None:
-        nvars = 0
-    one = MPoly.const(ctx, nvars, 1)
-    acc = TPoly(ctx, nvars, [one])
-    for i in range(m):
-        const = MPoly.const(ctx, nvars, -(kappa * i))
-        if base is not None:
-            const = const - base
-        acc = acc * TPoly(ctx, nvars, [const, one])
-    return acc
-
-
-def poch_poly(kappa: FieldElement, m: int, nvars: int = 0) -> TPoly:
-    """The Pochhammer polynomial (t; kappa)_m = prod_{i=1}^m (t - (i-1) kappa)."""
-    if m < 0:
-        raise ValueError("Pochhammer length must be non-negative")
-    return poch_factor(None, kappa, m, nvars=nvars)
 
 
 def stirling(kind: int, m: int, l: int, ctx: FieldCtx) -> FieldElement:
@@ -250,80 +66,28 @@ def stirling(kind: int, m: int, l: int, ctx: FieldCtx) -> FieldElement:
     return ctx.element(row[l])
 
 
-def to_pochhammer_basis(f: TPoly, kappa: FieldElement) -> PochhammerForm:
-    """Expand f(t) in the basis (t; kappa)_i by top-down triangular
-    elimination (each basis element is monic of degree i)."""
-    from .dense import pochhammer_scalar_coeffs
-
-    ctx, nvars = f.ctx, f.nvars
-    if f.is_zero():
-        return PochhammerForm(kappa, nvars, [])
-    deg = f.deg_t
-    if ctx.ext_degree == 1:
-        pochs = pochhammer_scalar_coeffs(ctx.p, kappa.val, deg)
-    else:
-        pochs = _poch_scalar_coeffs_ext(ctx, kappa, deg)
-    work = list(f.coeffs)
-    out = [MPoly.zero(ctx, nvars) for _ in range(deg + 1)]
-    for i in range(deg, -1, -1):
-        c = work[i]
-        out[i] = c
-        if i and not c.is_zero():
-            tab = pochs[i]
-            for l in range(i):
-                if tab[l]:
-                    work[l] = work[l] - c.scale(tab[l])
-    return PochhammerForm(kappa, nvars, out)
-
-
-def _poch_scalar_coeffs_ext(ctx: FieldCtx, kappa: FieldElement, max_deg: int) -> list[list[int]]:
-    tables = [[1]]
-    for i in range(1, max_deg + 1):
-        prev = tables[-1]
-        c = ctx.neg((kappa * (i - 1)).val)
-        cur = [0] * (i + 1)
-        for d, a in enumerate(prev):
-            cur[d + 1] = ctx.add(cur[d + 1], a)
-            cur[d] = ctx.add(cur[d], ctx.mul(c, a))
-        tables.append(cur)
-    return tables
-
-
-def _lin_prod(consts: Sequence[int], p: int) -> "np.ndarray":
-    """Coefficient vector of prod_s (t + consts[s]) over F_p (ascending)."""
-    import numpy as np
-
-    acc = np.zeros(len(consts) + 1, dtype=np.int64)
-    acc[0] = 1
-    deg = 0
-    for c in consts:
-        new = np.zeros_like(acc)
-        new[1 : deg + 2] = acc[: deg + 1]
-        new[: deg + 1] += c * acc[: deg + 1]
-        acc = new % p
-        deg += 1
-    return acc
+def _plus_var_table(p: int, kappa: int, m: int) -> np.ndarray:
+    """Coefficients [t-degree, z-degree] of (t + z; kappa)_m: the factor
+    table of (t - w; kappa)_m with w = -z."""
+    F = dense._factor_table(p, kappa, m, 0, with_var=True)
+    return np.where(np.arange(m + 1) % 2, -F, F) % p
 
 
 def pochhammer_identity_suite(
     ctx: FieldCtx, kappa: FieldElement, max_len: int | None = None, mutate: bool = False
-) -> "CheckReport":
+) -> CheckReport:
     """The full symbolic identity battery for one (p, kappa), on exact
     coefficient vectors over F_p:
 
     shift-down and shift-up laws (denominator-cleared), binomial convolution
     in a second formal variable, the product rule, Stirling expansions in
-    both directions verified by expansion and by basis conversion, additivity
-    at p, the (t; kappa)_p closed form, and the quasi-constant law.
-    ``max_len`` defaults to 2p; all lengths m, i, j up to it are covered.
+    both directions verified by expansion and against the basis matrix the
+    solutions are built with, additivity at p, the (t; kappa)_p closed form,
+    and the quasi-constant law.  ``max_len`` defaults to 2p; all lengths
+    m, i, j up to it are covered.
 
     ``mutate`` perturbs the l = 1 product-rule coefficient (negative control).
     """
-    import numpy as np
-
-    from .dense import pochhammer_scalar_coeffs
-    from .qkz_core import CheckReport
-
     p = ctx.p
     kv = kappa.val
     if kappa.ctx is not ctx or not 0 < kv < p:
@@ -336,34 +100,33 @@ def pochhammer_identity_suite(
         return np.convolve(a, b) % p
 
     # pochs[m] = ascending coefficients of (t; kappa)_m, up to degree 2*max_len
-    tables = pochhammer_scalar_coeffs(p, kv, 2 * max_len)
+    tables = dense.pochhammer_scalar_coeffs(p, kv, 2 * max_len)
     pochs = [np.array(tab, dtype=np.int64) for tab in tables]
+    # the monomial -> Pochhammer basis matrix, and B with columns (t; kappa)_i
+    M = dense._pochhammer_basis_matrix(p, kv, max_len + 1).astype(np.int64)
+    B = np.zeros_like(M)
+    for i in range(max_len + 1):
+        B[: i + 1, i] = pochs[i]
+    round_trip = np.all(B @ M % p == np.eye(max_len + 1, dtype=np.int64), axis=0)
 
     tvec = np.array([0, 1], dtype=np.int64)
 
     for m in range(max_len + 1):
         pm = pochs[m]
         # (t - kappa; kappa)_m * t = (t; kappa)_m * (t - kappa m)
-        shifted_dn = _lin_prod([(-kv * (s + 1)) % p for s in range(m)], p)
+        shifted_dn = dense._factor_table(p, kv, m, kv, with_var=False)[:, 0]
         lhs = pmul(shifted_dn, tvec)
         rhs = pmul(pm, np.array([(-kv * m) % p, 1], dtype=np.int64))
         if not np.array_equal(lhs, rhs):
             failures.append(("shift-down", m))
         # (t + kappa; kappa)_m * (t - (m-1) kappa) = (t; kappa)_m * (t + kappa)
-        shifted_up = _lin_prod([(-kv * (s - 1)) % p for s in range(m)], p)
+        shifted_up = dense._factor_table(p, kv, m, -kv, with_var=False)[:, 0]
         lhs = pmul(shifted_up, np.array([(-kv * (m - 1)) % p, 1], dtype=np.int64))
         rhs = pmul(pm, np.array([kv, 1], dtype=np.int64))
         if not np.array_equal(lhs, rhs):
             failures.append(("shift-up", m))
         # binomial convolution: (t + z; kappa)_m = sum_i C(m,i) (t;)_i (z;)_{m-i}
-        lhs2 = np.zeros((m + 1, m + 1), dtype=np.int64)  # [t-deg, z-deg]
-        lhs2[0, 0] = 1
-        for s in range(m):
-            new = np.zeros_like(lhs2)
-            new[1:, :] = lhs2[:-1, :]
-            new[:, 1:] += lhs2[:, :-1]
-            new += (-kv * s) % p * lhs2
-            lhs2 = new % p
+        lhs2 = _plus_var_table(p, kv, m)  # [t-deg, z-deg]
         rhs2 = np.zeros_like(lhs2)
         for i in range(m + 1):
             b = binomial_mod(m, i, p)
@@ -390,16 +153,14 @@ def pochhammer_identity_suite(
         tm[m] = 1
         if not np.array_equal(tm, rhs3 % p):
             failures.append(("stirling-2", m))
-        # same expansion recovered by the generic basis-conversion routine
-        tmono = TPoly(ctx, 0, [MPoly.zero(ctx, 0)] * m + [MPoly.const(ctx, 0, 1)])
-        conv = to_pochhammer_basis(tmono, kappa)
+        # the same expansion is column m of the basis matrix, and B M = I
         kpow = 1
         for l in range(m, -1, -1):
             want = stirling(2, m, l, ctx).val * kpow % p
             kpow = kpow * kv % p
-            if conv.coeff(l).constant_term().val != want:
+            if M[l, m] != want:
                 failures.append(("stirling-2-conversion", m, l))
-        if from_pochhammer_basis(conv) != tmono:
+        if not round_trip[m]:
             failures.append(("basis-round-trip", m))
 
     # product rule over all pairs i, j <= max_len
@@ -425,18 +186,10 @@ def pochhammer_identity_suite(
     hp[1] = (-pow(kv, p - 1, p)) % p
     if not np.array_equal(pochs[p], hp):
         failures.append(("closed-form-p",))
-    lhsp = np.zeros((p + 1, p + 1), dtype=np.int64)
-    lhsp[0, 0] = 1
-    for s in range(p):
-        new = np.zeros_like(lhsp)
-        new[1:, :] = lhsp[:-1, :]
-        new[:, 1:] += lhsp[:, :-1]
-        new += (-kv * s) % p * lhsp
-        lhsp = new % p
     rhsp = np.zeros((p + 1, p + 1), dtype=np.int64)
     rhsp[: p + 1, 0] = pochs[p]
     rhsp[0, : p + 1] += hp
-    if not np.array_equal(lhsp, rhsp % p):
+    if not np.array_equal(_plus_var_table(p, kv, p), rhsp % p):
         failures.append(("additivity-p",))
     for mult in (1, 2):
         qa = pochs[p * mult]
@@ -445,9 +198,8 @@ def pochhammer_identity_suite(
             hpow = pmul(hpow, hp)
         if not np.array_equal(qa, hpow):
             failures.append(("quasi-constant-power", mult))
-        # invariance under t -> t - kappa, checked via the TPoly shift
-        qt = TPoly(ctx, 0, [MPoly.const(ctx, 0, int(c)) for c in qa])
-        if qt.shift_t(-kappa) != qt:
+        # invariance under t -> t - kappa
+        if not np.array_equal(dense.dense_shift_var(qa, 0, -kv, p), qa):
             failures.append(("quasi-constant-shift", mult))
 
     return CheckReport(
@@ -455,26 +207,3 @@ def pochhammer_identity_suite(
         passed=not failures,
         failures=failures,
     )
-
-
-def from_pochhammer_basis(pf: PochhammerForm) -> TPoly:
-    """Expand sum_i coeffs[i] (t; kappa)_i back into the monomial basis."""
-    ctx = pf.ctx
-    nvars = pf.nvars
-    if not pf.coeffs:
-        return TPoly.zero(ctx, nvars)
-    deg = len(pf.coeffs) - 1
-    if ctx.ext_degree == 1:
-        from .dense import pochhammer_scalar_coeffs
-
-        pochs = pochhammer_scalar_coeffs(ctx.p, pf.kappa.val, deg)
-    else:
-        pochs = _poch_scalar_coeffs_ext(ctx, pf.kappa, deg)
-    out = [MPoly.zero(ctx, nvars) for _ in range(deg + 1)]
-    for i, c in enumerate(pf.coeffs):
-        if c.is_zero():
-            continue
-        for l, s in enumerate(pochs[i]):
-            if s:
-                out[l] = out[l] + c.scale(s)
-    return TPoly(ctx, nvars, out)

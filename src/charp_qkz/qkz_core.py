@@ -1,5 +1,5 @@
-"""The weight space, R-matrix, qKZ operators, Gaudin Hamiltonians,
-Shapovalov form, and the symbolic / pointwise equation verifiers.
+"""The weight space, R-matrix, qKZ operators, and the symbolic / pointwise
+equation verifiers.
 
 Operators act on K^n in the basis v^(i) (the i-th tensor slot carries the
 lowered vector); the singular-weight subspace V is the zero-coordinate-sum
@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dense import dense_shift_var, pad_to_shape
+from .dense import dense_shift_var, pad_to_shape, render_polynomials
 from .ffield import FieldCtx, FieldElement
 from .linalg import ext_inv, ext_matmul, ext_mul
 from .mpoly import LinearForm, MPoly
@@ -23,23 +23,16 @@ from .mpoly import LinearForm, MPoly
 __all__ = [
     "QkzParams",
     "make_params",
-    "VectorPoly",
     "RatOpMatrix",
     "CheckReport",
     "SingularPointError",
     "k_operator",
     "k_operator_at",
     "k_matrix_batch",
-    "gaudin_operator",
-    "shapovalov",
-    "negate_z",
     "verify_rmatrix_identities",
     "verify_flatness",
     "verify_qkz_solution",
     "verify_kz_solution",
-    "verify_pairing_periodicity",
-    "pairing_polynomial",
-    "is_quasi_constant",
     "points_to_array",
     "shift_point",
 ]
@@ -94,81 +87,6 @@ def k_from_kappa_int(p: int, kappa0: int) -> int:
         raise ValueError("kappa must be nonzero in F_p")
     k = (-pow(kappa0, p - 2, p)) % p
     return k
-
-
-class VectorPoly:
-    """A K^n-valued polynomial function of z (one MPoly per coordinate)."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Sequence[MPoly]):
-        self.coords = list(coords)
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    @property
-    def ctx(self) -> FieldCtx:
-        return self.coords[0].ctx
-
-    def coordinate_sum(self) -> MPoly:
-        acc = self.coords[0]
-        for c in self.coords[1:]:
-            acc = acc + c
-        return acc
-
-    def is_singular_vector(self) -> bool:
-        """Whether the value lies in V (coordinates sum to zero)."""
-        return self.coordinate_sum().is_zero()
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
-    def degree(self) -> int:
-        return max(c.total_degree() for c in self.coords)
-
-    def eval(self, point) -> list[FieldElement]:
-        return [c.eval(point) for c in self.coords]
-
-    def shift_var(self, a: int, delta) -> "VectorPoly":
-        return VectorPoly([c.shift_var(a, delta) for c in self.coords])
-
-    def substitute(self, assignments) -> "VectorPoly":
-        return VectorPoly([c.substitute(assignments) for c in self.coords])
-
-    def top_degree_part(self) -> "VectorPoly":
-        d = self.degree()
-        parts = []
-        for c in self.coords:
-            if c.total_degree() == d:
-                parts.append(c.top_degree_part())
-            else:
-                parts.append(MPoly.zero(c.ctx, c.nvars))
-        return VectorPoly(parts)
-
-    def leading_term(self) -> tuple[tuple, list[FieldElement]]:
-        """Vector-valued leading term: the largest monomial occurring in any
-        coordinate, with the vector of its coefficients."""
-        if self.is_zero():
-            raise ValueError("leading term of the zero vector")
-        mono = max(
-            (c.leading_monomial() for c in self.coords if not c.is_zero()),
-            key=lambda e: (sum(e), e),
-        )
-        return mono, [c.coeff(mono) for c in self.coords]
-
-    def __sub__(self, other: "VectorPoly") -> "VectorPoly":
-        return VectorPoly([a - b for a, b in zip(self.coords, other.coords)])
-
-    def __add__(self, other: "VectorPoly") -> "VectorPoly":
-        return VectorPoly([a + b for a, b in zip(self.coords, other.coords)])
-
-    def __eq__(self, other):
-        return isinstance(other, VectorPoly) and self.coords == other.coords
-
-    def __repr__(self):
-        return "VectorPoly(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
 @dataclass
@@ -259,28 +177,19 @@ def k_operator(params: QkzParams, a: int) -> RatOpMatrix:
     return RatOpMatrix(M, den)
 
 
-def gaudin_operator(params: QkzParams, a: int) -> RatOpMatrix:
-    """Gaudin Hamiltonian H_a = sum_{j != a} (P^(a,j) - 1)/(z_a - z_j) on the
-    weight basis, over the common denominator prod_{j != a} (z_a - z_j)."""
-    ctx, n = params.ctx, params.n
-    if not 1 <= a <= n:
-        raise IndexError(f"operator index {a} out of range 1..{n}")
-    zero = MPoly.zero(ctx, n)
-    num = [[zero for _ in range(n)] for _ in range(n)]
-    den = [LinearForm(a, j, ctx.zero()) for j in range(1, n + 1) if j != a]
-    for j in range(1, n + 1):
-        if j == a:
-            continue
-        rest = MPoly.const(ctx, n, 1)
-        for j2 in range(1, n + 1):
-            if j2 not in (a, j):
-                rest = rest * LinearForm(a, j2, ctx.zero()).as_mpoly(n)
-        ai, ji = a - 1, j - 1
-        num[ai][ai] = num[ai][ai] - rest
-        num[ji][ji] = num[ji][ji] - rest
-        num[ai][ji] = num[ai][ji] + rest
-        num[ji][ai] = num[ji][ai] + rest
-    return RatOpMatrix(num, den)
+def _matmul_poly(A, B):
+    n = len(A)
+    ctx, nv = A[0][0].ctx, A[0][0].nvars
+    out = [[MPoly.zero(ctx, nv) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            a = A[i][k]
+            if not a:
+                continue
+            for j in range(n):
+                if B[k][j]:
+                    out[i][j] = out[i][j] + a * B[k][j]
+    return out
 
 
 # -- pointwise evaluation ----------------------------------------------------
@@ -379,39 +288,6 @@ def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> 
     return ext_mul(dinv[:, None, None], M, p, delta)
 
 
-# -- Shapovalov form ---------------------------------------------------------
-
-
-def shapovalov(x, y):
-    """Standard dot product sum_i x_i y_i (works for field elements, MPoly
-    coordinates, or VectorPoly arguments)."""
-    if isinstance(x, VectorPoly):
-        x = x.coords
-    if isinstance(y, VectorPoly):
-        y = y.coords
-    if len(x) != len(y):
-        raise ValueError("Shapovalov form needs equal-length vectors")
-    acc = None
-    for xi, yi in zip(x, y):
-        t = xi * yi
-        acc = t if acc is None else acc + t
-    return acc
-
-
-def negate_z(f: MPoly) -> MPoly:
-    """f(-z_1, ..., -z_n)."""
-    ctx = f.ctx
-    return MPoly(
-        ctx,
-        f.nvars,
-        {e: (c if sum(e) % 2 == 0 else ctx.neg(c)) for e, c in f.terms.items()},
-    )
-
-
-def negate_z_vector(f: VectorPoly) -> VectorPoly:
-    return VectorPoly([negate_z(c) for c in f.coords])
-
-
 def singular_basis(ctx: FieldCtx, n: int) -> list[list[FieldElement]]:
     """The basis e_i = v^(i) - v^(i+1) of the zero-sum subspace V."""
     basis = []
@@ -426,74 +302,77 @@ def singular_basis(ctx: FieldCtx, n: int) -> list[list[FieldElement]]:
 # -- symbolic R-matrix identities ---------------------------------------------
 
 
-def _tensor_numerator(ctx: FieldCtx, nvars: int, nfactors: int, i: int, j: int, u: MPoly, sign: int = -1):
-    """Numerator u*Id + sign*P^(i,j) of the R-matrix on (C^2)^{x nfactors},
-    with P the swap of tensor slots i and j (1-based)."""
-    dim = 1 << nfactors
-    zero = MPoly.zero(ctx, nvars)
-    M = [[zero for _ in range(dim)] for _ in range(dim)]
-    sgn = MPoly.const(ctx, nvars, sign)
-    for b in range(dim):
-        bits = [(b >> (nfactors - 1 - s)) & 1 for s in range(nfactors)]
-        bits[i - 1], bits[j - 1] = bits[j - 1], bits[i - 1]
-        bp = 0
-        for s in range(nfactors):
-            bp = (bp << 1) | bits[s]
-        M[bp][b] = M[bp][b] + sgn
-        M[b][b] = M[b][b] + u
-    return M
+def _swap_matrix(nfactors: int, i: int, j: int) -> np.ndarray:
+    """The swap P^(i,j) of tensor slots i and j (1-based) on (C^2)^{x
+    nfactors}, in the basis of bit strings with slot 1 leading."""
+    weights = 1 << np.arange(nfactors - 1, -1, -1)
+    bits = (np.arange(1 << nfactors)[:, None] // weights) % 2
+    bits[:, [i - 1, j - 1]] = bits[:, [j - 1, i - 1]]
+    return np.eye(1 << nfactors, dtype=np.int64)[bits @ weights].T
 
 
-def _matmul_poly(A, B):
-    n = len(A)
-    ctx, nv = A[0][0].ctx, A[0][0].nvars
-    out = [[MPoly.zero(ctx, nv) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            a = A[i][k]
-            if not a:
-                continue
-            for j in range(n):
-                if B[k][j]:
-                    out[i][j] = out[i][j] + a * B[k][j]
-    return out
+def _r_numerator(nfactors: int, i: int, j: int, u: tuple, sign: int) -> np.ndarray:
+    """The R-matrix numerator u*Id + sign*P^(i,j) on (C^2)^{x nfactors} for
+    the linear form u = c + c_u*u + c_v*v given as (c, c_u, c_v), as integer
+    coefficient matrices: entry [a, b] is the matrix coefficient of u^a v^b."""
+    P = _swap_matrix(nfactors, i, j)
+    eye = np.eye(len(P), dtype=np.int64)
+    N = np.zeros((2, 2) + P.shape, dtype=np.int64)
+    N[0, 0] = u[0] * eye + sign * P
+    N[1, 0] = u[1] * eye
+    N[0, 1] = u[2] * eye
+    return N
+
+
+def _poly_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """The product of two matrices of polynomials in u, v held as in
+    ``_r_numerator``, reduced mod p."""
+    shape = (A.shape[0] + B.shape[0] - 1, A.shape[1] + B.shape[1] - 1) + A.shape[2:]
+    out = np.zeros(shape, dtype=np.int64)
+    for a, b in np.ndindex(A.shape[:2]):
+        for c, d in np.ndindex(B.shape[:2]):
+            out[a + c, b + d] += A[a, b] @ B[c, d]
+    return out % p
+
+
+def _entry_failures(tag: str, values: np.ndarray, expect: np.ndarray, p: int) -> list[tuple]:
+    """(tag, i, j, entry of ``values`` as text) wherever two matrices of
+    polynomials, coefficient axes first as in ``_r_numerator``, differ; the
+    variables print as z1 = u and z2 = v."""
+    coeff_axes = tuple(range(values.ndim - 2))
+    bad = np.argwhere(np.any(values != expect, axis=coeff_axes))
+    if not len(bad):
+        return []
+    texts = render_polynomials(np.moveaxis(values, coeff_axes, tuple(a + 2 for a in coeff_axes)), p)
+    return [(tag, int(i), int(j), texts[i][j]) for i, j in bad]
 
 
 def verify_rmatrix_identities(ctx: FieldCtx, mutate: bool = False) -> CheckReport:
-    """Symbolic unitarity and Yang-Baxter checks with denominators cleared.
+    """Symbolic unitarity and Yang-Baxter checks with denominators cleared,
+    on integer coefficient matrices of u^a v^b.
 
     ``mutate`` doubles the permutation part of R (negative control; note a
     bare sign flip would still satisfy both identities); the report then
     carries every failing matrix entry.
     """
+    p = ctx.p
     sign = -2 if mutate else -1
-    failures = []
-    # unitarity on (C^2)^x2, formal u: (u-P)(-u-P) = (u-1)(-u-1) Id
-    u = MPoly.variable(ctx, 1, 1)
-    N12 = _tensor_numerator(ctx, 1, 2, 1, 2, u, sign)
-    N21 = _tensor_numerator(ctx, 1, 2, 2, 1, -u, sign)
-    prod = _matmul_poly(N12, N21)
-    scale = (u - MPoly.const(ctx, 1, 1)) * (-u - MPoly.const(ctx, 1, 1))
-    for i in range(4):
-        for j in range(4):
-            expect = scale if i == j else MPoly.zero(ctx, 1)
-            if prod[i][j] != expect:
-                failures.append(("unitarity", i, j, str(prod[i][j])))
+    # unitarity on (C^2)^x2, formal u: (u-P)(-u-P) = (u-1)(-u-1) Id = (1-u^2) Id
+    prod = _poly_matmul(_r_numerator(2, 1, 2, (0, 1, 0), sign), _r_numerator(2, 2, 1, (0, -1, 0), sign), p)
+    expect = np.zeros_like(prod)
+    expect[0, 0] = np.eye(4, dtype=np.int64)
+    expect[2, 0] = (p - 1) * expect[0, 0]
+    failures = _entry_failures("unitarity", prod[:, 0], expect[:, 0], p)
     # Yang-Baxter on (C^2)^x3, formal u, v; both sides cleared by
     # (u-v-1)(u-1)(v-1)
-    uu = MPoly.variable(ctx, 2, 1)
-    vv = MPoly.variable(ctx, 2, 2)
-    R12 = _tensor_numerator(ctx, 2, 3, 1, 2, uu - vv, sign)
-    R13 = _tensor_numerator(ctx, 2, 3, 1, 3, uu, sign)
-    R23 = _tensor_numerator(ctx, 2, 3, 2, 3, vv, sign)
-    lhs = _matmul_poly(_matmul_poly(R12, R13), R23)
-    rhs = _matmul_poly(_matmul_poly(R23, R13), R12)
-    for i in range(8):
-        for j in range(8):
-            if lhs[i][j] != rhs[i][j]:
-                failures.append(("yang-baxter", i, j, str(lhs[i][j] - rhs[i][j])))
+    R12 = _r_numerator(3, 1, 2, (0, 1, -1), sign)
+    R13 = _r_numerator(3, 1, 3, (0, 1, 0), sign)
+    R23 = _r_numerator(3, 2, 3, (0, 0, 1), sign)
+    lhs = _poly_matmul(_poly_matmul(R12, R13, p), R23, p)
+    rhs = _poly_matmul(_poly_matmul(R23, R13, p), R12, p)
+    failures += _entry_failures("yang-baxter", (lhs - rhs) % p, 0, p)
     return CheckReport(
-        name=f"rmatrix identities p={ctx.p}",
+        name=f"rmatrix identities p={p}",
         passed=not failures,
         failures=failures,
     )
@@ -665,43 +544,6 @@ def verify_kz_solution(params: QkzParams, F: np.ndarray) -> CheckReport:
         failures += _mismatches(a, lhs % p, rhs % p)
     return CheckReport(
         name=f"KZ solution p={params.p} n={n} kappa={params.kappa}",
-        passed=not failures,
-        failures=failures,
-    )
-
-
-def pairing_polynomial(f: VectorPoly, g: VectorPoly) -> MPoly:
-    """S(g(-z), f(z)) as a polynomial in z."""
-    return shapovalov(negate_z_vector(g), f)
-
-
-def is_quasi_constant(fpoly: MPoly, kappa: FieldElement) -> bool:
-    """Whether the polynomial is invariant under z_a -> z_a - kappa for every
-    a; for kappa in F_p^x this is membership in F_p[z_1^p-z_1, ..., z_n^p-z_n]."""
-    for a in range(1, fpoly.nvars + 1):
-        if fpoly.shift_var(a, -kappa) != fpoly:
-            return False
-    return True
-
-
-def verify_pairing_periodicity(
-    params: QkzParams, f: VectorPoly, g: VectorPoly, points
-) -> CheckReport:
-    """Periodicity of S(g(-z), f(z)) for a step-kappa solution f
-    and step-(-kappa) solution g: pointwise kappa-shift invariance on each
-    axis, plus the symbolic quasi-constant property."""
-    pairing = pairing_polynomial(f, g)
-    failures = []
-    if not is_quasi_constant(pairing, params.kappa):
-        failures.append(("symbolic", "pairing is not a quasi-constant"))
-    for idx, z in enumerate(points):
-        base = pairing.eval(z)
-        for a in range(1, params.n + 1):
-            zs = shift_point(z, a, params.kappa)
-            if pairing.eval(zs) != base:
-                failures.append((idx, a))
-    return CheckReport(
-        name=f"pairing periodicity p={params.p} n={params.n} kappa={params.kappa}",
         passed=not failures,
         failures=failures,
     )

@@ -38,12 +38,13 @@ from charp_qkz.pcurvature import (
 from charp_qkz.pochhammer import pochhammer_identity_suite
 from charp_qkz.qkz_core import (
     make_params,
-    shapovalov,
     verify_flatness,
     verify_kz_solution,
     verify_qkz_solution,
     verify_rmatrix_identities,
 )
+from oracles.solutions import sparse_solutions
+from oracles.vectors import shapovalov
 
 SWEEP_PRIMES = (5, 7, 11, 13)
 SWEEP_N = (2, 3, 4, 5)
@@ -125,14 +126,14 @@ def test_criterion_05_golden_values():
         z1 = MPoly.variable(ctx, 2, 1)
         z2 = MPoly.variable(ctx, 2, 2)
         assert ss.d == 1
-        assert ss.solutions[0].coords[0] == z1.scale(-2) + z2.scale(2) + MPoly.const(ctx, 2, 2)
-        assert ss.solutions[0].coords[1] == z1.scale(2) + z2.scale(-2) + MPoly.const(ctx, 2, -2)
-        assert str(ss.solutions[0].coords[0]) == "3*z1 + 2*z2 + 2"
+        assert sparse_solutions(ss)[0].coords[0] == z1.scale(-2) + z2.scale(2) + MPoly.const(ctx, 2, 2)
+        assert sparse_solutions(ss)[0].coords[1] == z1.scale(2) + z2.scale(-2) + MPoly.const(ctx, 2, -2)
+        assert str(sparse_solutions(ss)[0].coords[0]) == "3*z1 + 2*z2 + 2"
 
         params2 = make_params(ctx, 2, 2)
         assert params2.d == 0
-        assert extract_solutions(params2).solutions == []
-        dual = extract_solutions(params2.minus()).solutions[0]
+        assert sparse_solutions(extract_solutions(params2)) == []
+        dual = sparse_solutions(extract_solutions(params2.minus()))[0]
         pctx = make_field(5, 2)
         three = pctx.element(3)
         for seed in range(3):
@@ -168,7 +169,7 @@ def test_criterion_07_leading_terms():
         # branch p/2 < k < 2p/3 at k=4 (kappa=5): L = z1^k z2^(2k-p) c (0, p-k, k)
         params = make_params(ctx, 3, 5)
         assert params.k == 4
-        mono, vec = extract_solutions(params).solutions[0].leading_term()
+        mono, vec = sparse_solutions(extract_solutions(params))[0].leading_term()
         assert mono == (4, 1, 0)
         scale = vec[2] / ctx.element(4)
         assert [v / scale for v in vec] == [ctx.element(c) for c in (0, 3, 4)]
@@ -176,15 +177,15 @@ def test_criterion_07_leading_terms():
         # branch p/3 < k < p/2 at k=3 (kappa=2): L = z1^(3k-p) c' (p-2k, k, k)
         params = make_params(ctx, 3, 2)
         assert params.k == 3
-        mono, vec = extract_solutions(params).solutions[0].leading_term()
+        mono, vec = sparse_solutions(extract_solutions(params))[0].leading_term()
         assert mono == (2, 0, 0)
         scale = vec[1] / ctx.element(3)
         assert [v / scale for v in vec] == [ctx.element(c) for c in (1, 3, 3)]
         # vector-leading-term equality with the differential companion
         for kv in (5, 2):
             params = make_params(ctx, 3, kv)
-            q = extract_solutions(params).solutions[0]
-            bar = barq_solutions(params).solutions[0]
+            q = sparse_solutions(extract_solutions(params))[0]
+            bar = sparse_solutions(barq_solutions(params))[0]
             assert q.leading_term() == bar.leading_term()
 
 
@@ -286,7 +287,7 @@ def test_criterion_14_kz_side():
                 continue
             bars = barq_solutions(params)
             qkz = extract_solutions(params)
-            for ell, (bar, sol) in enumerate(zip(bars.solutions, qkz.solutions), start=1):
+            for ell, (bar, sol) in enumerate(zip(sparse_solutions(bars), sparse_solutions(qkz)), start=1):
                 rep = verify_kz_solution(params, bars.arrays[ell - 1])
                 assert rep.passed, ("bar", p, n, kv, ell, rep.failures[:2])
                 top = sol.top_degree_part()

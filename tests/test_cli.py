@@ -401,3 +401,33 @@ def test_every_suite_fails_under_sabotage(suite, capsys):
             names = {w[0] for w in entry["witnesses"]}
             assert entry["passed"] is False
             assert {"solution not fixed", "image not in span"} <= names
+
+
+_VERIFY_ALL = ["verify", "--p", "5", "--n", "2", "--n", "3", "--n", "4", "--format", "json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _VERIFY_ALL,
+        _VERIFY_ALL + ["--sabotage"],
+        ["solve", "--p", "7", "--n", "4", "--kappa", "2", "--format", "json"],
+        ["solve", "--p", "5", "--n", "2", "--kappa", "3"],
+        ["report", "--p", "5", "--n", "3", "--n", "4", "--format", "json"],
+        ["curvature", "--p", "5", "--n", "4", "--points", "5", "--format", "json"],
+        ["ortho", "--p", "7", "--n", "4", "--format", "json"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a in ("--sabotage",) or not a.startswith("-"))[:40],
+)
+def test_cli_builds_no_mpoly(argv, monkeypatch):
+    """Every CLI path runs on the dense kernels: with MPoly construction
+    made to raise, each command gives the same exit code and output."""
+    from charp_qkz.mpoly import MPoly
+
+    expected = run_cli(argv)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("MPoly constructed")
+
+    monkeypatch.setattr(MPoly, "__init__", refuse)
+    assert run_cli(argv) == expected

@@ -17,21 +17,25 @@ import pytest
 
 from charp_qkz import dense
 from charp_qkz.cli import main
-from charp_qkz.dense import dense_pochhammer_coeffs, mpoly_to_dense, pochhammer_scalar_coeffs
+from charp_qkz.dense import (
+    dense_pochhammer_coeffs,
+    mpoly_to_dense,
+    pochhammer_scalar_coeffs,
+    render_polynomials,
+)
 from charp_qkz.ffield import make_field
 from charp_qkz.hypergeo import (
     _q_factors,
-    _render,
     _restriction_rows,
     barq_solutions,
     extract_solutions,
-    q_vector,
     solution_set_to_json,
     special_restriction_values,
 )
 from charp_qkz.mpoly import MPoly
-from charp_qkz.pochhammer import TPoly, poch_factor, to_pochhammer_basis
 from charp_qkz.qkz_core import make_params
+from oracles.solutions import q_vector, sparse_solutions
+from oracles.tpoly import TPoly, poch_factor, to_pochhammer_basis
 
 REFERENCE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -208,18 +212,19 @@ def test_renderer_matches_mpoly_str(p, n):
     for kv in range(1, p):
         ss = extract_solutions(make_params(ctx, n, kv))
         payload = solution_set_to_json(ss)
-        assert payload["solutions"] == [[str(c) for c in s.coords] for s in ss.solutions]
-        assert payload["degrees"] == [s.degree() for s in ss.solutions]
+        sols = sparse_solutions(ss)
+        assert payload["solutions"] == [[str(c) for c in s.coords] for s in sols]
+        assert payload["degrees"] == [s.degree() for s in sols]
 
 
 def test_renderer_zero_polynomials():
     arr = np.zeros((2, 3, 4, 4, 4), dtype=np.int64)
-    assert _render(arr, 7) == [["0"] * 3, ["0"] * 3]
+    assert render_polynomials(arr, 7) == [["0"] * 3, ["0"] * 3]
     arr[1, 2, 3, 0, 1] = 5
     arr[1, 2, 0, 0, 0] = 1
     expected = str(MPoly(make_field(7), 3, {(3, 0, 1): 5, (0, 0, 0): 1}))
-    assert _render(arr, 7) == [["0"] * 3, ["0", "0", expected]]
-    assert _render(np.zeros((0, 2, 3, 3), dtype=np.int64), 5) == []
+    assert render_polynomials(arr, 7) == [["0"] * 3, ["0", "0", expected]]
+    assert render_polynomials(np.zeros((0, 2, 3, 3), dtype=np.int64), 5) == []
 
 
 def _boxed(f: MPoly, box: tuple) -> np.ndarray:
@@ -251,9 +256,10 @@ def test_arrays_match_sparse_constructions(p, n, kv):
             assert np.array_equal(qkz.arrays[ell - 1, a - 1], _boxed(pf.coeff(idx), box))
             assert np.array_equal(kz.arrays[ell - 1, a - 1], _boxed(bar.coeff(idx), box))
     for ss in (qkz, kz):
-        assert len(ss.solutions) == ss.d
-        assert ss.degrees() == [s.degree() for s in ss.solutions]
-        for ell, sol in enumerate(ss.solutions):
+        sols = sparse_solutions(ss)
+        assert len(sols) == ss.d
+        assert ss.degrees() == [s.degree() for s in sols]
+        for ell, sol in enumerate(sols):
             for a, coord in enumerate(sol.coords):
                 assert np.array_equal(ss.arrays[ell, a], _boxed(coord, box))
 
@@ -283,7 +289,7 @@ def test_solve_text_matches_sparse_rendering(p, n, kv):
     lines = [f"p={p} n={n} kappa={kv} k={params.k} d(kappa)={params.d}"]
     if ss.d == 0:
         lines.append("d(kappa)=0: no p-hypergeometric solutions for this step")
-    for ell, sol in enumerate(ss.solutions, start=1):
+    for ell, sol in enumerate(sparse_solutions(ss), start=1):
         lines.append(f"Q^({ell}p-1), degree {sol.degree()}:")
         lines += [f"  [{i}] {c}" for i, c in enumerate(sol.coords, start=1)]
     code, out = _run(["solve", "--p", str(p), "--n", str(n), "--kappa", str(kv)])

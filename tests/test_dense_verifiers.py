@@ -29,8 +29,6 @@ from charp_qkz.hypergeo import (
 from charp_qkz.mpoly import MPoly
 from charp_qkz import linalg
 from charp_qkz.qkz_core import (
-    VectorPoly,
-    gaudin_operator,
     k_operator,
     k_operator_at,
     make_params,
@@ -39,6 +37,8 @@ from charp_qkz.qkz_core import (
     verify_kz_solution,
     verify_qkz_solution,
 )
+from oracles.solutions import sparse_solutions
+from oracles.vectors import VectorPoly, gaudin_operator
 
 
 # -- sparse oracles ------------------------------------------------------------
@@ -95,8 +95,8 @@ def sparse_kz_failures(params, f):
 def scalar_quasi_sections_at(params, z):
     n = params.n
     pctx = z[0].ctx
-    minus = extract_solutions(params.minus()).solutions
-    plus = extract_solutions(params).solutions
+    minus = sparse_solutions(extract_solutions(params.minus()))
+    plus = sparse_solutions(extract_solutions(params))
     negz = [-zi for zi in z]
     rows = [[s.coords[a].eval(negz) for a in range(n)] for s in minus]
     rows.append([pctx.element(1)] * n)
@@ -111,7 +111,7 @@ def scalar_quasi_sections_at(params, z):
 def scalar_quasi_flatness(params, points, perturb_control=False):
     """(passed, failures, details) of the per-point scalar quasi check."""
     n = params.n
-    plus = extract_solutions(params).solutions
+    plus = sparse_solutions(extract_solutions(params))
     failures, skipped, checked = [], [], 0
     for idx, z in enumerate(points):
         pctx = z[0].ctx
@@ -249,7 +249,7 @@ def test_evaluate_solutions_matches_scalar_eval():
     pts = [sample_point(pctx, 4, 100 + i) for i in range(5)]
     vals = evaluate_solutions(ss.arrays, points_to_array(pts, pctx), pctx)
     assert vals.shape == (ss.d, 5, 4, 2)
-    for s_idx, sol in enumerate(ss.solutions):
+    for s_idx, sol in enumerate(sparse_solutions(ss)):
         for i, z in enumerate(pts):
             got = [int(a0) + int(a1) * 7 for a0, a1 in vals[s_idx, i]]
             assert got == [x.val for x in sol.eval(z)]

@@ -1,6 +1,7 @@
 """Solution construction: extraction, golden values, leading terms,
 independence, restrictions, orthogonality, and quasi-sections."""
 
+import numpy as np
 import pytest
 
 from charp_qkz.ffield import make_field, sample_point
@@ -12,25 +13,27 @@ from charp_qkz.hypergeo import (
     gram_matrix,
     k_from_kappa,
     leading_term_data,
-    minor,
     orthogonality_pairing,
     quasi_sections_at,
-    restrict_special,
     solution_set_to_json,
     special_restriction_values,
     verify_independence,
     verify_leading_terms,
     verify_orthogonality,
-    verify_q_product_formula,
     verify_quasi_flatness,
     verify_restrictions,
 )
 from charp_qkz.mpoly import MPoly
-from charp_qkz.qkz_core import (
-    make_params,
-    shapovalov,
-    verify_qkz_solution,
+from charp_qkz.qkz_core import make_params, verify_qkz_solution
+from oracles.solutions import (
+    minor,
+    q_vector,
+    restrict_special,
+    sparse_solutions,
+    verify_q_product_formula,
 )
+from oracles.tpoly import to_pochhammer_basis
+from oracles.vectors import shapovalov
 
 SWEEP = [
     (p, n, kv)
@@ -62,8 +65,8 @@ def test_golden_solution_p5_n2():
     z2 = MPoly.variable(ctx, 2, 2)
     expected0 = z1.scale(-2) + z2.scale(2) + MPoly.const(ctx, 2, 2)
     expected1 = z1.scale(2) + z2.scale(-2) + MPoly.const(ctx, 2, -2)
-    assert ss.solutions[0].coords[0] == expected0
-    assert ss.solutions[0].coords[1] == expected1
+    assert sparse_solutions(ss)[0].coords[0] == expected0
+    assert sparse_solutions(ss)[0].coords[1] == expected1
 
 
 def test_golden_empty_set_p5_n2_kappa2():
@@ -71,7 +74,7 @@ def test_golden_empty_set_p5_n2_kappa2():
     params = make_params(ctx, 2, 2)
     assert params.d == 0
     ss = extract_solutions(params)
-    assert ss.solutions == []
+    assert sparse_solutions(ss) == []
 
 
 def test_golden_quasi_section_p5_n2_kappa2():
@@ -80,7 +83,7 @@ def test_golden_quasi_section_p5_n2_kappa2():
     ctx = make_field(5)
     pctx = make_field(5, 2)
     params = make_params(ctx, 2, 2)
-    dual = extract_solutions(params.minus()).solutions  # step -2 = 3
+    dual = sparse_solutions(extract_solutions(params.minus()))  # step -2 = 3
     assert len(dual) == 1
     for seed in range(4):
         z = sample_point(pctx, 2, seed)
@@ -104,7 +107,7 @@ def test_solutions_satisfy_qkz(p, n, kv):
     params = make_params(ctx, n, kv)
     ss = extract_solutions(params)
     assert ss.d == params.d
-    for ell, sol in enumerate(ss.solutions, start=1):
+    for ell, sol in enumerate(sparse_solutions(ss), start=1):
         assert sol.degree() == n * params.k - ell * p
         assert sol.is_singular_vector()
         rep = verify_qkz_solution(params, ss.arrays[ell - 1])
@@ -122,14 +125,11 @@ def test_d_sum_complement(p, n, kv):
 def test_sparse_dense_extraction_agree(p, n, kv):
     """The dense fast path used by extract_solutions matches coefficients of
     the sparse product construction."""
-    from charp_qkz.hypergeo import q_vector
-    from charp_qkz.pochhammer import to_pochhammer_basis
-
     ctx = make_field(p)
     params = make_params(ctx, n, kv)
     ss = extract_solutions(params)
     qs = q_vector(params)
-    for ell, sol in enumerate(ss.solutions, start=1):
+    for ell, sol in enumerate(sparse_solutions(ss), start=1):
         idx = ell * p - 1
         for a in range(n):
             pf = to_pochhammer_basis(qs[a], params.kappa)
@@ -166,7 +166,7 @@ def test_leading_term_n3_branches_at_p7():
     assert params.k == 4 and params.d == 1
     lt = leading_term_data(params, 1)
     assert lt.monomial == (4, 1, 0)  # z1^k z2^(2k-p)
-    sol = extract_solutions(params).solutions[0]
+    sol = sparse_solutions(extract_solutions(params))[0]
     mono, vec = sol.leading_term()
     assert mono == lt.monomial and tuple(vec) == lt.u
     # direction (0, p-k, k) = (0, 3, 4)
@@ -179,7 +179,7 @@ def test_leading_term_n3_branches_at_p7():
     assert params.k == 3 and params.d == 1
     lt = leading_term_data(params, 1)
     assert lt.monomial == (2, 0, 0)  # z1^(3k-p)
-    sol = extract_solutions(params).solutions[0]
+    sol = sparse_solutions(extract_solutions(params))[0]
     mono, vec = sol.leading_term()
     assert mono == lt.monomial and tuple(vec) == lt.u
     # direction (p-2k, k, k) = (1, 3, 3)
@@ -210,7 +210,7 @@ def test_minor_predicted_pivot_rows():
     symbolically nonzero minor."""
     ctx = make_field(7)
     params = make_params(ctx, 4, 2)  # k=3, d=1
-    sols = extract_solutions(params).solutions
+    sols = sparse_solutions(extract_solutions(params))
     rows = sorted({leading_term_data(params, ell).r + 1 for ell in range(1, params.d + 1)})
     assert len(rows) == params.d
     assert not minor(params, rows, sols).is_zero()
@@ -238,7 +238,7 @@ def test_restriction_values_formula():
 def test_restrict_special_substitutes():
     ctx = make_field(5)
     params = make_params(ctx, 3, 3)
-    sol = extract_solutions(params).solutions[0]
+    sol = sparse_solutions(extract_solutions(params))[0]
     restricted = restrict_special(params, sol, [1, 2, 3])
     # |I| = n: ell*p = 5 < |I|*k = 9, so the full restriction vanishes
     assert restricted.is_zero()
@@ -255,7 +255,8 @@ def test_orthogonality(p, n, kv):
     rep = verify_orthogonality(params)
     assert rep.passed, rep.failures[:3]
     G = orthogonality_pairing(params)
-    assert all(entry.is_zero() for row in G for entry in row)
+    assert len(G) == params.d and all(len(row) == params.minus().d for row in G)
+    assert not any(np.any(entry) for row in G for entry in row)
 
 
 def test_orthogonality_requires_intermediate_d():
@@ -282,7 +283,7 @@ def test_quasi_sections_duality():
     ctx = make_field(7)
     pctx = make_field(7, 2)
     params = make_params(ctx, 4, 3)
-    dual = extract_solutions(params.minus()).solutions
+    dual = sparse_solutions(extract_solutions(params.minus()))
     assert len(dual) >= 2
     z = sample_point(pctx, 4, 8)
     T = quasi_sections_at(params, z)
@@ -316,7 +317,7 @@ def test_barq_solutions_structure():
     bars = barq_solutions(params)
     assert bars.kind == "kz"
     assert bars.d == params.d
-    for ell, sol in enumerate(bars.solutions, start=1):
+    for ell, sol in enumerate(sparse_solutions(bars), start=1):
         assert sol.degree() == 3 * params.k - ell * 7
 
 
@@ -328,3 +329,27 @@ def test_solution_set_json_shape():
     assert payload["d"] == 1 and payload["k"] == 3
     assert payload["degrees"] == [1]
     assert len(payload["solutions"]) == 1
+
+
+def test_solution_cache_evicts_least_recently_used(monkeypatch):
+    """Past the byte limit the least recently used set goes first; a hit
+    counts as a use, and the newest set stays even when it alone is over."""
+    from charp_qkz import hypergeo
+
+    ctx = make_field(7)
+    params = {kv: make_params(ctx, 4, kv) for kv in (2, 3, 4)}  # d = 1, 1, 2
+    hypergeo._solution_cache.clear()
+    size = {kv: extract_solutions(pr).arrays.nbytes for kv, pr in params.items()}
+    assert all(size.values())
+    hypergeo._solution_cache.clear()
+    monkeypatch.setattr(hypergeo, "_SOLUTION_CACHE_BYTES", size[2] + size[4])
+    first = extract_solutions(params[2])
+    extract_solutions(params[3])
+    assert extract_solutions(params[2]) is first
+    extract_solutions(params[4])
+    assert list(hypergeo._solution_cache) == [(7, 4, 2), (7, 4, 4)]
+    assert extract_solutions(params[2]) is first
+    monkeypatch.setattr(hypergeo, "_SOLUTION_CACHE_BYTES", 1)
+    extract_solutions(params[3])
+    assert list(hypergeo._solution_cache) == [(7, 4, 3)]
+    hypergeo._solution_cache.clear()

@@ -1,5 +1,5 @@
-"""Pochhammer polynomials, Stirling numbers mod p, basis conversion, and the
-symbolic identity battery."""
+"""Pochhammer polynomials, Stirling numbers mod p, basis conversion (the
+sparse oracle in ``oracles.tpoly``), and the symbolic identity battery."""
 
 import random
 
@@ -8,14 +8,16 @@ import pytest
 from charp_qkz.ffield import make_field
 from charp_qkz.mpoly import MPoly
 from charp_qkz.pochhammer import (
-    TPoly,
     binomial_mod,
     factorial_mod,
+    pochhammer_identity_suite,
+    stirling,
+)
+from oracles.tpoly import (
+    TPoly,
     from_pochhammer_basis,
     poch_factor,
     poch_poly,
-    pochhammer_identity_suite,
-    stirling,
     to_pochhammer_basis,
 )
 
@@ -147,3 +149,45 @@ def test_tpoly_shift_t():
     g = f.shift_t(3)
     for tv in range(5):
         assert g.eval_t(ctx.element(tv)) == f.eval_t(ctx.element(tv) + 3)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_basis_matrix_matches_sparse_conversion(p):
+    """Column m of the basis matrix the solutions are built with holds the
+    Pochhammer coefficients of t^m, as the sparse conversion gives them."""
+    import numpy as np
+
+    from charp_qkz import dense
+
+    ctx = make_field(p)
+    tlen = 2 * p + 1
+    for kv in range(1, p):
+        kappa = ctx.element(kv)
+        M = dense._pochhammer_basis_matrix(p, kv, tlen).astype(np.int64)
+        for m in range(tlen):
+            tm = TPoly(ctx, 0, [MPoly.zero(ctx, 0)] * m + [MPoly.const(ctx, 0, 1)])
+            conv = to_pochhammer_basis(tm, kappa)
+            assert [conv.coeff(l).constant_term().val for l in range(tlen)] == M[:, m].tolist()
+
+
+def test_identities_suite_reads_the_basis_matrix(monkeypatch):
+    """verify --suites identities checks the cached basis matrix that
+    dense_pochhammer_coeffs applies, once per (p, kappa)."""
+    import contextlib
+    import io
+
+    from charp_qkz import dense
+    from charp_qkz.cli import main
+
+    calls = []
+    real = dense._pochhammer_basis_matrix
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dense, "_pochhammer_basis_matrix", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "--p", "5", "--p", "7", "--suites", "identities", "--format", "json"])
+    assert code == 0
+    assert calls == [(5, kv, 11) for kv in range(1, 5)] + [(7, kv, 15) for kv in range(1, 7)]

@@ -8,21 +8,25 @@ from charp_qkz.linalg import ext_matmul
 from charp_qkz.mpoly import MPoly
 from charp_qkz.qkz_core import (
     SingularPointError,
-    VectorPoly,
-    is_quasi_constant,
     k_matrix_batch,
     k_operator,
     k_operator_at,
     make_params,
-    negate_z,
-    pairing_polynomial,
     points_to_array,
-    shapovalov,
     shift_point,
     singular_basis,
     verify_flatness,
-    verify_pairing_periodicity,
     verify_rmatrix_identities,
+)
+from oracles.solutions import sparse_solutions
+from oracles.vectors import (
+    VectorPoly,
+    is_quasi_constant,
+    negate_z,
+    pairing_polynomial,
+    shapovalov,
+    sparse_rmatrix_identities,
+    verify_pairing_periodicity,
 )
 
 
@@ -31,6 +35,21 @@ def test_rmatrix_unitarity_yang_baxter(p):
     ctx = make_field(p)
     rep = verify_rmatrix_identities(ctx)
     assert rep.passed, rep.failures
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_rmatrix_matches_sparse_oracle(p):
+    """The integer coefficient-matrix check gives the report of the MPoly
+    matrix products it replaced, witnesses included, with and without the
+    mutation."""
+    ctx = make_field(p)
+    for mutate in (False, True):
+        rep = verify_rmatrix_identities(ctx, mutate=mutate)
+        ref = sparse_rmatrix_identities(ctx, mutate=mutate)
+        assert (rep.name, rep.passed, rep.failures) == (ref.name, ref.passed, ref.failures)
+        # at p = 3 the doubled permutation part -2P is +P, a sign flip that
+        # satisfies both identities
+        assert rep.passed != (mutate and p > 3)
 
 
 def test_rmatrix_negative_control():
@@ -191,8 +210,8 @@ def test_pairing_periodicity(p, n, kv):
     ctx = make_field(p)
     pctx = make_field(p, 2)
     params = make_params(ctx, n, kv)
-    plus = extract_solutions(params).solutions
-    minus = extract_solutions(params.minus()).solutions
+    plus = sparse_solutions(extract_solutions(params))
+    minus = sparse_solutions(extract_solutions(params.minus()))
     assert plus and minus
     pts = [sample_point(pctx, n, 77 + i) for i in range(3)]
     for f in plus:
