@@ -9,6 +9,7 @@ on encoded integers directly for speed.
 
 from __future__ import annotations
 
+import functools
 import random
 
 __all__ = [
@@ -281,17 +282,23 @@ def sample_point(
 
     Such points avoid every hyperplane z_i - z_j - m = 0 with m in F_p,
     which is exactly where the qKZ operators have poles or degenerate.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed; each point is drawn once per process
+    and handed out as fresh elements.
     """
     if ctx.ext_degree != 2:
         raise ValueError("nonsingular points require an extension-field context")
     if n < 1:
         raise ValueError("n must be positive")
+    return [FieldElement(ctx, v) for v in _draw_point(ctx.p, n, rng_seed, max_tries)]
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _draw_point(p: int, n: int, rng_seed: int, max_tries: int) -> tuple[int, ...]:
+    """The rejection loop of :func:`sample_point` on encoded values."""
     rng = random.Random(rng_seed)
-    p = ctx.p
     for _ in range(max_tries):
-        vals = [rng.randrange(ctx.order) for _ in range(n)]
+        vals = [rng.randrange(p * p) for _ in range(n)]
         # z_i - z_j in F_p iff the g-components coincide
         if len({v // p for v in vals}) == n:
-            return [FieldElement(ctx, v) for v in vals]
+            return tuple(vals)
     raise SamplingError(f"could not find a nonsingular point for p={p}, n={n}")

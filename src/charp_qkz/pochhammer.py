@@ -10,6 +10,7 @@ routes are invalid here, since i! vanishes mod p as soon as i >= p.
 
 from __future__ import annotations
 
+import functools
 from math import comb
 
 import numpy as np
@@ -46,14 +47,22 @@ def stirling(kind: int, m: int, l: int, ctx: FieldCtx) -> FieldElement:
 
     Recurrences: s1(m+1, l) = s1(m, l-1) - m*s1(m, l),
                  s2(m+1, l) = s2(m, l-1) + l*s2(m, l).
+    Read from one triangle per (p, kind), built up to row 2p (further when
+    a larger m is asked for).
     """
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
     if l < 0 or l > m:
         raise ValueError(f"need 0 <= l <= m, got l={l}, m={m}")
-    p = ctx.p
-    row = [1]  # row for m=0
-    for mm in range(m):
+    return ctx.element(_stirling_table(kind, ctx.p, max(m, 2 * ctx.p))[m][l])
+
+
+@functools.lru_cache(maxsize=64)
+def _stirling_table(kind: int, p: int, rows: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..rows of the Stirling triangle of the given kind, mod p."""
+    table = [(1,)]  # row for m=0
+    for mm in range(rows):
+        row = table[-1]
         new = [0] * (mm + 2)
         for ll in range(mm + 1):
             if kind == 1:
@@ -62,8 +71,8 @@ def stirling(kind: int, m: int, l: int, ctx: FieldCtx) -> FieldElement:
             else:
                 new[ll + 1] = (new[ll + 1] + row[ll]) % p
                 new[ll] = (new[ll] + ll * row[ll]) % p
-        row = new
-    return ctx.element(row[l])
+        table.append(tuple(new))
+    return tuple(table)
 
 
 def _plus_var_table(p: int, kappa: int, m: int) -> np.ndarray:

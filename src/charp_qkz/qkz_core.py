@@ -17,7 +17,7 @@ import numpy as np
 
 from .dense import dense_shift_var, pad_to_shape, render_polynomials
 from .ffield import FieldCtx, FieldElement
-from .linalg import ext_inv, ext_matmul, ext_mul
+from .linalg import ext_matmul
 from .mpoly import LinearForm, MPoly
 
 __all__ = [
@@ -255,37 +255,54 @@ def shift_point(z, a: int, delta: FieldElement):
 
 
 def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
-    """K_a evaluated on a batch of extension-field points (npts, n, 2)."""
+    """K_a evaluated on a batch of extension-field points (npts, n, 2).
+
+    Each R-factor (u - P)/(u - 1) is applied as it comes, with no deferred
+    denominator: for c = 1/(u - 1) and w = u*c = 1 + c it sends row a to
+    w*row_a - c*row_j and row j to w*row_j - c*row_a, and fixes every other
+    row.  The running matrix is held as two component planes M0 + g*M1
+    indexed [row, column, point], so that a row is one contiguous slice.
+    """
     p = pctx.p
     delta = pctx.nonresidue
+    inv_tab = np.asarray(pctx._inv_table, dtype=np.int64)
     n = params.n
-    npts = Z.shape[0]
-    kap = np.array([params.kappa.val % p, params.kappa.val // p], dtype=np.int64)
-    M = np.zeros((npts, n, n, 2), dtype=np.int64)
-    M[:, range(n), range(n), 0] = 1
-    den = np.zeros((npts, 2), dtype=np.int64)
-    den[:, 0] = 1
+    k0, k1 = params.kappa.val % p, params.kappa.val // p
+    Zt = np.moveaxis(Z, 0, -1)  # [slot, component, point]
+    M0 = np.zeros((n, n, Z.shape[0]), dtype=np.int64)
+    M0[range(n), range(n)] = 1
+    M1 = np.zeros_like(M0)
+    ai = a - 1
     for j in _factor_order(n, a):
-        u = (Z[:, a - 1] - Z[:, j - 1]) % p
+        ji = j - 1
+        u0 = Zt[ai, 0] - Zt[ji, 0]
+        u1 = Zt[ai, 1] - Zt[ji, 1]
         if j < a:
-            u = (u - kap) % p
-        um1 = u.copy()
-        um1[:, 0] = (um1[:, 0] - 1) % p
-        if np.any(np.all(um1 == 0, axis=1)):
+            u0, u1 = u0 - k0, u1 - k1
+        u0, u1 = u0 % p, u1 % p
+        prime = u1 == 0
+        if np.any(prime & (u0 == 1)):
             raise SingularPointError(f"pole of R-factor (a={a}, j={j}) in the batch")
-        up1 = u.copy()
-        up1[:, 0] = (up1[:, 0] + 1) % p
-        if np.any(np.all(up1 == 0, axis=1)):
+        if np.any(prime & (u0 == p - 1)):
             raise SingularPointError(f"degenerate R-factor (a={a}, j={j}) in the batch")
-        new = ext_mul(um1[:, None, None], M, p, delta)
-        scaled = ext_mul(u[:, None, None], M[:, [a - 1, j - 1]], p, delta)
-        ai, ji = a - 1, j - 1
-        new[:, ai] = (scaled[:, 0] - M[:, ji]) % p
-        new[:, ji] = (scaled[:, 1] - M[:, ai]) % p
-        M = new
-        den = ext_mul(den, um1, p, delta)
-    dinv = ext_inv(den, pctx)
-    return ext_mul(dinv[:, None, None], M, p, delta)
+        # c = 1/(u - 1) through the norm of u - 1, left unreduced: |c| < p^2
+        # and |t| < 2p^4 below, far inside int64
+        v0 = u0 - 1
+        ninv = inv_tab[(v0 * v0 - delta * u1 * u1) % p]
+        c0, c1 = v0 * ninv, -u1 * ninv
+        # Row j is still e_j here: M starts at Id and each j != a is touched
+        # by its own factor only.  So with t = c*(row_a - e_j) the new rows
+        # are row_a + t and e_j - t.
+        a0, a1 = M0[ai], M1[ai]
+        d0 = a0.copy()
+        d0[ji] -= 1
+        t0 = c0 * d0 + delta * c1 * a1
+        t1 = c0 * a1 + c1 * d0
+        new_j0 = -t0
+        new_j0[ji] += 1
+        M0[ai], M1[ai] = (a0 + t0) % p, (a1 + t1) % p
+        M0[ji], M1[ji] = new_j0 % p, -t1 % p
+    return np.stack([M0, M1], axis=-1).transpose(2, 0, 1, 3).copy()
 
 
 def singular_basis(ctx: FieldCtx, n: int) -> list[list[FieldElement]]:
@@ -311,14 +328,23 @@ def _swap_matrix(nfactors: int, i: int, j: int) -> np.ndarray:
     return np.eye(1 << nfactors, dtype=np.int64)[bits @ weights].T
 
 
-def _r_numerator(nfactors: int, i: int, j: int, u: tuple, sign: int) -> np.ndarray:
-    """The R-matrix numerator u*Id + sign*P^(i,j) on (C^2)^{x nfactors} for
-    the linear form u = c + c_u*u + c_v*v given as (c, c_u, c_v), as integer
-    coefficient matrices: entry [a, b] is the matrix coefficient of u^a v^b."""
+def _r_numerator(nfactors: int, i: int, j: int, u: tuple, mutate: bool = False) -> np.ndarray:
+    """The R-matrix numerator u*Id - P^(i,j) on (C^2)^{x nfactors} for the
+    linear form u = c + c_u*u + c_v*v given as (c, c_u, c_v), as integer
+    coefficient matrices: entry [a, b] is the matrix coefficient of u^a v^b.
+
+    ``mutate`` adds the projector D onto slots i and j both in the first
+    basis state.  D commutes with P, so (D - P)^2 = Id - D, which is no
+    scalar: unitarity fails at every p.  A multiple c*P in place of P would
+    pass both identities whenever c^2 = 1 mod p, as -2P does at p = 3.
+    """
     P = _swap_matrix(nfactors, i, j)
     eye = np.eye(len(P), dtype=np.int64)
     N = np.zeros((2, 2) + P.shape, dtype=np.int64)
-    N[0, 0] = u[0] * eye + sign * P
+    N[0, 0] = u[0] * eye - P
+    if mutate:
+        bits = (np.arange(len(P))[:, None] >> (nfactors - np.array([i, j]))) % 2
+        N[0, 0] += np.diag(np.all(bits == 0, axis=1)).astype(np.int64)
     N[1, 0] = u[1] * eye
     N[0, 1] = u[2] * eye
     return N
@@ -351,23 +377,22 @@ def verify_rmatrix_identities(ctx: FieldCtx, mutate: bool = False) -> CheckRepor
     """Symbolic unitarity and Yang-Baxter checks with denominators cleared,
     on integer coefficient matrices of u^a v^b.
 
-    ``mutate`` doubles the permutation part of R (negative control; note a
-    bare sign flip would still satisfy both identities); the report then
-    carries every failing matrix entry.
+    ``mutate`` adds a rank-one projector to each numerator (negative
+    control, see ``_r_numerator``); the report then carries every failing
+    matrix entry.
     """
     p = ctx.p
-    sign = -2 if mutate else -1
     # unitarity on (C^2)^x2, formal u: (u-P)(-u-P) = (u-1)(-u-1) Id = (1-u^2) Id
-    prod = _poly_matmul(_r_numerator(2, 1, 2, (0, 1, 0), sign), _r_numerator(2, 2, 1, (0, -1, 0), sign), p)
+    prod = _poly_matmul(_r_numerator(2, 1, 2, (0, 1, 0), mutate), _r_numerator(2, 2, 1, (0, -1, 0), mutate), p)
     expect = np.zeros_like(prod)
     expect[0, 0] = np.eye(4, dtype=np.int64)
     expect[2, 0] = (p - 1) * expect[0, 0]
     failures = _entry_failures("unitarity", prod[:, 0], expect[:, 0], p)
     # Yang-Baxter on (C^2)^x3, formal u, v; both sides cleared by
     # (u-v-1)(u-1)(v-1)
-    R12 = _r_numerator(3, 1, 2, (0, 1, -1), sign)
-    R13 = _r_numerator(3, 1, 3, (0, 1, 0), sign)
-    R23 = _r_numerator(3, 2, 3, (0, 0, 1), sign)
+    R12 = _r_numerator(3, 1, 2, (0, 1, -1), mutate)
+    R13 = _r_numerator(3, 1, 3, (0, 1, 0), mutate)
+    R23 = _r_numerator(3, 2, 3, (0, 0, 1), mutate)
     lhs = _poly_matmul(_poly_matmul(R12, R13, p), R23, p)
     rhs = _poly_matmul(_poly_matmul(R23, R13, p), R12, p)
     failures += _entry_failures("yang-baxter", (lhs - rhs) % p, 0, p)

@@ -148,13 +148,15 @@ def negate_z_vector(f: VectorPoly) -> VectorPoly:
     return VectorPoly([negate_z(c) for c in f.coords])
 
 
-def _tensor_numerator(ctx: FieldCtx, nvars: int, nfactors: int, i: int, j: int, u: MPoly, sign: int = -1):
-    """Numerator u*Id + sign*P^(i,j) of the R-matrix on (C^2)^{x nfactors},
-    with P the swap of tensor slots i and j (1-based)."""
+def _tensor_numerator(ctx: FieldCtx, nvars: int, nfactors: int, i: int, j: int, u: MPoly, mutate: bool = False):
+    """Numerator u*Id - P^(i,j) of the R-matrix on (C^2)^{x nfactors},
+    with P the swap of tensor slots i and j (1-based); ``mutate`` adds the
+    projector onto slots i and j both in the first basis state."""
     dim = 1 << nfactors
     zero = MPoly.zero(ctx, nvars)
     M = [[zero for _ in range(dim)] for _ in range(dim)]
-    sgn = MPoly.const(ctx, nvars, sign)
+    sgn = MPoly.const(ctx, nvars, -1)
+    one = MPoly.const(ctx, nvars, 1)
     for b in range(dim):
         bits = [(b >> (nfactors - 1 - s)) & 1 for s in range(nfactors)]
         bits[i - 1], bits[j - 1] = bits[j - 1], bits[i - 1]
@@ -163,22 +165,22 @@ def _tensor_numerator(ctx: FieldCtx, nvars: int, nfactors: int, i: int, j: int, 
             bp = (bp << 1) | bits[s]
         M[bp][b] = M[bp][b] + sgn
         M[b][b] = M[b][b] + u
+        if mutate and bits[i - 1] == bits[j - 1] == 0:
+            M[b][b] = M[b][b] + one
     return M
 
 
 def sparse_rmatrix_identities(ctx: FieldCtx, mutate: bool = False) -> CheckReport:
     """Symbolic unitarity and Yang-Baxter checks with denominators cleared.
 
-    ``mutate`` doubles the permutation part of R (negative control; note a
-    bare sign flip would still satisfy both identities); the report then
-    carries every failing matrix entry.
+    ``mutate`` adds a rank-one projector to each numerator (negative
+    control); the report then carries every failing matrix entry.
     """
-    sign = -2 if mutate else -1
     failures = []
     # unitarity on (C^2)^x2, formal u: (u-P)(-u-P) = (u-1)(-u-1) Id
     u = MPoly.variable(ctx, 1, 1)
-    N12 = _tensor_numerator(ctx, 1, 2, 1, 2, u, sign)
-    N21 = _tensor_numerator(ctx, 1, 2, 2, 1, -u, sign)
+    N12 = _tensor_numerator(ctx, 1, 2, 1, 2, u, mutate)
+    N21 = _tensor_numerator(ctx, 1, 2, 2, 1, -u, mutate)
     prod = _matmul_poly(N12, N21)
     scale = (u - MPoly.const(ctx, 1, 1)) * (-u - MPoly.const(ctx, 1, 1))
     for i in range(4):
@@ -190,9 +192,9 @@ def sparse_rmatrix_identities(ctx: FieldCtx, mutate: bool = False) -> CheckRepor
     # (u-v-1)(u-1)(v-1)
     uu = MPoly.variable(ctx, 2, 1)
     vv = MPoly.variable(ctx, 2, 2)
-    R12 = _tensor_numerator(ctx, 2, 3, 1, 2, uu - vv, sign)
-    R13 = _tensor_numerator(ctx, 2, 3, 1, 3, uu, sign)
-    R23 = _tensor_numerator(ctx, 2, 3, 2, 3, vv, sign)
+    R12 = _tensor_numerator(ctx, 2, 3, 1, 2, uu - vv, mutate)
+    R13 = _tensor_numerator(ctx, 2, 3, 1, 3, uu, mutate)
+    R23 = _tensor_numerator(ctx, 2, 3, 2, 3, vv, mutate)
     lhs = _matmul_poly(_matmul_poly(R12, R13), R23)
     rhs = _matmul_poly(_matmul_poly(R23, R13), R12)
     for i in range(8):

@@ -371,6 +371,18 @@ def test_verify_sabotage_fails_restrict(capsys):
         assert all(w[2] == 0 for w in entry["witnesses"])
 
 
+def test_rmatrix_sabotage_fails_identities_at_p3(capsys):
+    """At p = 3 the sabotaged rmatrix suite fails its identities entry, not
+    only the flatness entries."""
+    code = main(
+        ["verify", "--p", "3", "--n", "2", "--suites", "rmatrix", "--sabotage", "--format", "json"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    entry = out["rmatrix"]["p=3"]
+    assert entry["passed"] is False and entry["witnesses"]
+
+
 @pytest.mark.parametrize("suite", ALL_SUITES)
 def test_every_suite_fails_under_sabotage(suite, capsys):
     """Each suite run alone with --sabotage at p=5, n=4 exits 1 with a

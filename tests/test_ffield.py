@@ -1,9 +1,12 @@
 """Field arithmetic: axioms, Frobenius, and nonsingular point sampling."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charp_qkz.ffield import FieldCtx, FieldElement, make_field, sample_point
+from charp_qkz import ffield
+from charp_qkz.ffield import FieldCtx, FieldElement, SamplingError, make_field, sample_point
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -86,6 +89,60 @@ def test_sample_point_deterministic():
     ctx = make_field(7, 2)
     assert sample_point(ctx, 4, 1) == sample_point(ctx, 4, 1)
     assert sample_point(ctx, 4, 1) != sample_point(ctx, 4, 2)
+
+
+def _uncached_sample(p, n, rng_seed, max_tries=10000):
+    """The rejection loop of ``sample_point`` on a fresh ``random.Random``,
+    or None when the budget runs out."""
+    rng = random.Random(rng_seed)
+    for _ in range(max_tries):
+        vals = [rng.randrange(p * p) for _ in range(n)]
+        if len({v // p for v in vals}) == n:
+            return vals
+    return None
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sample_point_matches_uncached_draws(p):
+    """Cached or not, every draw equals the uncached rejection loop, also
+    when the same (p, n, seed) is asked for again."""
+    ctx = make_field(p, 2)
+    for n in range(1, min(p, 6) + 1):
+        for seed in list(range(40)) + [10007 * 3 + 5, 65537 * 7 + 11]:
+            want = _uncached_sample(p, n, seed)
+            for _ in range(2):
+                z = sample_point(ctx, n, seed)
+                assert [x.val for x in z] == want
+                assert all(x.ctx is ctx for x in z)
+
+
+def test_sample_point_cache_is_bounded():
+    assert ffield._draw_point.cache_info().maxsize == 1 << 14
+
+
+def test_sample_point_returns_fresh_lists():
+    """Mutating a returned point or its elements does not change a later
+    draw."""
+    ctx = make_field(7, 2)
+    z = sample_point(ctx, 4, 123)
+    want = [x.val for x in z]
+    z[1].val = 0
+    z[0] = ctx.zero()
+    z.append(ctx.one())
+    assert [x.val for x in sample_point(ctx, 4, 123)] == want
+
+
+def test_sampling_error_propagates_uncached():
+    """n > p leaves no nonsingular point; the error reaches the caller on
+    every call and is never stored."""
+    ctx = make_field(3, 2)
+    before = ffield._draw_point.cache_info()
+    for _ in range(2):
+        with pytest.raises(SamplingError):
+            sample_point(ctx, 4, 5, max_tries=20)
+    after = ffield._draw_point.cache_info()
+    assert after.misses - before.misses == 2
+    assert after.hits == before.hits
 
 
 def test_element_two_component_encoding():

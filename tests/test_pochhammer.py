@@ -62,6 +62,32 @@ def test_stirling_against_integer_recurrences(p):
             assert stirling(2, m, l, ctx).val == s2[m][l] % p
 
 
+def _stirling_per_call(kind, m, l, p):
+    """The triangle rebuilt up to row m for a single entry."""
+    row = [1]
+    for mm in range(m):
+        new = [0] * (mm + 2)
+        for ll in range(mm + 1):
+            new[ll + 1] = (new[ll + 1] + row[ll]) % p
+            if kind == 1:
+                new[ll] = (new[ll] - mm * row[ll]) % p
+            else:
+                new[ll] = (new[ll] + ll * row[ll]) % p
+        row = new
+    return row[l]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_stirling_table_matches_per_call_recurrence(p):
+    """The cached triangle (rows up to 2p, extended beyond) gives every
+    entry of the per-call recurrence."""
+    ctx = make_field(p)
+    for kind in (1, 2):
+        for m in range(2 * p + 3):
+            for l in range(m + 1):
+                assert stirling(kind, m, l, ctx).val == _stirling_per_call(kind, m, l, p)
+
+
 def test_stirling_rejects_bad_args():
     ctx = make_field(5)
     with pytest.raises(ValueError):

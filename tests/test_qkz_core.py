@@ -47,9 +47,16 @@ def test_rmatrix_matches_sparse_oracle(p):
         rep = verify_rmatrix_identities(ctx, mutate=mutate)
         ref = sparse_rmatrix_identities(ctx, mutate=mutate)
         assert (rep.name, rep.passed, rep.failures) == (ref.name, ref.passed, ref.failures)
-        # at p = 3 the doubled permutation part -2P is +P, a sign flip that
-        # satisfies both identities
-        assert rep.passed != (mutate and p > 3)
+        assert rep.passed != mutate
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_rmatrix_mutation_breaks_unitarity_at_every_p(p):
+    """The mutated numerator fails unitarity at every supported p, p = 3
+    included: (D - P)^2 = Id - D is no scalar."""
+    rep = verify_rmatrix_identities(make_field(p), mutate=True)
+    tags = {f[0] for f in rep.failures}
+    assert not rep.passed and "unitarity" in tags
 
 
 def test_rmatrix_negative_control():
