@@ -13,14 +13,13 @@ Run:  python3 demos/02_orthogonality_and_quasi_sections.py
 import numpy as np
 
 from charp_qkz import make_field, make_params
-from charp_qkz.ffield import FieldElement, sample_point
+from charp_qkz.ffield import elements, sample_point
 from charp_qkz.hypergeo import (
     evaluate_solutions,
     extract_solutions,
     orthogonality_pairing,
     quasi_sections_at,
 )
-from charp_qkz.qkz_core import points_to_array
 
 # -- orthogonality ------------------------------------------------------------
 p, n, kv = 7, 4, 5
@@ -43,15 +42,16 @@ print(f"\np={p}, n={n}, kappa={kv}: d(kappa)={params.d} (no polynomial solutions
 dual = extract_solutions(params.minus())
 print(f"the step-(-kappa) system has d(-kappa)={dual.d} solution(s)")
 
-z = sample_point(pctx, n, rng_seed=6)
+# a point is an (n, 2) array of (a0, a1) pairs, read back as a0 + a1*g
+z = sample_point(pctx, n, 6)
 (T,) = quasi_sections_at(params, z)
-print(f"at z = {[str(v) for v in z]}:")
+print(f"at z = {[str(v) for v in elements(z, pctx)]}:")
 print(f"  T^1(z) = {[str(v) for v in T]}")
 
 # duality normalization: S(Q(-z; -kappa), T^1(z)) = 1, with the dual
-# solution evaluated at -z as (a0, a1) pairs a0 + a1*g
-values = evaluate_solutions(dual.arrays, points_to_array([[-v for v in z]], pctx), pctx)
-qdual = [FieldElement(pctx, int(a0) + int(a1) * p) for a0, a1 in values[0, 0]]
+# solution evaluated at -z
+values = evaluate_solutions(dual.arrays, -z[None] % p, pctx)
+qdual = elements(values[0, 0], pctx)
 val = sum((q * t for q, t in zip(qdual, T)), pctx.zero())
 print(f"  pairing with the dual solution: {val}")
 assert val == pctx.one()

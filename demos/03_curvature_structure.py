@@ -31,7 +31,7 @@ for kv in range(1, p):
 
 # rank/kernel structure at a sample point for an intermediate d
 params = make_params(ctx, n, 2)  # d = 1
-z = sample_point(pctx, n, rng_seed=3)
+z = sample_point(pctx, n, 3)  # an (n, 2) array of (a0, a1) pairs
 ranks = kernel_image_ranks(params, z)
 print(f"\nkappa=2, d={params.d}: per-axis rank of hat-C_a on the zero-sum space")
 for a in range(1, n + 1):

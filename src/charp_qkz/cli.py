@@ -262,11 +262,10 @@ class SuiteRunner:
         for p, n, kv in triples:
             params = self.params_for(p, n, kv)
             pctx = make_field(p, 2)
-            pts = [
-                sample_point(pctx, n, _mix(self.cfg.seed, "flat", p, n, kv, i))
-                for i in range(npts)
-            ]
-            rep = verify_flatness(params, pts, pctx, unshifted_control=self.cfg.sabotage)
+            Z = np.stack(
+                [sample_point(pctx, n, _mix(self.cfg.seed, "flat", p, n, kv, i)) for i in range(npts)]
+            )
+            rep = verify_flatness(params, Z, unshifted_control=self.cfg.sabotage)
             self.record("rmatrix", f"flatness,p={p},n={n},kappa={kv}", _report_entry(rep))
 
     # -- per-triple suites --------------------------------------------------
@@ -389,11 +388,13 @@ class SuiteRunner:
                 self.record("quasi", key, _skip_entry("no sections: d=0 on one side"))
                 continue
             pctx = make_field(p, 2)
-            pts = [
-                sample_point(pctx, n, _mix(self.cfg.seed, "quasi", p, n, kv, i))
-                for i in range(min(self.cfg.point_count, 10))
-            ]
-            rep = verify_quasi_flatness(params, pts, perturb_control=self.cfg.sabotage)
+            Z = np.stack(
+                [
+                    sample_point(pctx, n, _mix(self.cfg.seed, "quasi", p, n, kv, i))
+                    for i in range(min(self.cfg.point_count, 10))
+                ]
+            )
+            rep = verify_quasi_flatness(params, Z, perturb_control=self.cfg.sabotage)
             self.record("quasi", key, _report_entry(rep))
 
     def suite_kz(self, triples):

@@ -4,7 +4,9 @@ Elements are stored in an encoded integer form ``a0 + a1*p`` with
 ``0 <= a0, a1 < p`` (so a plain F_p residue encodes as itself).  The context
 object owns all arithmetic on encoded values; :class:`FieldElement` is a thin
 operator-overloading wrapper used at API boundaries.  Polynomial code works
-on encoded integers directly for speed.
+on encoded integers directly for speed.  A point of F_{p^2}^n, as
+:func:`sample_point` draws it, is an (n, 2) int64 array of (a0, a1) pairs;
+:func:`elements` reads such arrays back as field elements.
 """
 
 from __future__ import annotations
@@ -12,11 +14,14 @@ from __future__ import annotations
 import functools
 import random
 
+import numpy as np
+
 __all__ = [
     "FieldCtx",
     "FieldElement",
     "make_field",
     "sample_point",
+    "elements",
     "SamplingError",
 ]
 
@@ -156,7 +161,8 @@ class FieldCtx:
         return FieldElement(self, self.p)
 
     def elements(self):
-        """Iterate over all field elements (encoded order)."""
+        """Iterate over all field elements (encoded order); the module-level
+        :func:`elements` reads pair arrays instead."""
         for v in range(self.order):
             yield FieldElement(self, v)
 
@@ -269,36 +275,53 @@ class FieldElement:
         return f"{a0}+{gpart}"
 
 
+@functools.lru_cache(maxsize=None)
 def make_field(p: int, ext_degree: int = 1) -> FieldCtx:
-    """Construct a field context; the nonresidue for ext_degree=2 is the
-    smallest quadratic nonresidue mod p, so results are reproducible."""
+    """The field context for (p, ext_degree), one shared object per field;
+    the nonresidue for ext_degree=2 is the smallest quadratic nonresidue
+    mod p, so results are reproducible."""
     return FieldCtx(p, ext_degree)
 
 
-def sample_point(
-    ctx: FieldCtx, n: int, rng_seed: int, max_tries: int = 10000
-) -> list[FieldElement]:
-    """Sample z in F_{p^2}^n with z_i - z_j outside F_p for all i < j.
+@functools.lru_cache(maxsize=1 << 14)
+def sample_point(ctx: FieldCtx, n: int, rng_seed: int, max_tries: int = 10000) -> np.ndarray:
+    """Sample z in F_{p^2}^n with z_i - z_j outside F_p for all i < j, as a
+    read-only (n, 2) int64 array of (a0, a1) pairs.
 
     Such points avoid every hyperplane z_i - z_j - m = 0 with m in F_p,
     which is exactly where the qKZ operators have poles or degenerate.
     Deterministic for a fixed seed; each point is drawn once per process
-    and handed out as fresh elements.
+    and shared by every caller (a :class:`SamplingError` is not stored).
+    The cache key holds ``ctx`` itself: pass the shared context of
+    :func:`make_field`, and the arguments positionally, so that equal draws
+    share one entry.
     """
     if ctx.ext_degree != 2:
         raise ValueError("nonsingular points require an extension-field context")
     if n < 1:
         raise ValueError("n must be positive")
-    return [FieldElement(ctx, v) for v in _draw_point(ctx.p, n, rng_seed, max_tries)]
-
-
-@functools.lru_cache(maxsize=1 << 14)
-def _draw_point(p: int, n: int, rng_seed: int, max_tries: int) -> tuple[int, ...]:
-    """The rejection loop of :func:`sample_point` on encoded values."""
+    p = ctx.p
     rng = random.Random(rng_seed)
     for _ in range(max_tries):
         vals = [rng.randrange(p * p) for _ in range(n)]
         # z_i - z_j in F_p iff the g-components coincide
         if len({v // p for v in vals}) == n:
-            return tuple(vals)
+            z = np.array([ctx.split(v) for v in vals], dtype=np.int64)
+            z.flags.writeable = False
+            return z
     raise SamplingError(f"could not find a nonsingular point for p={p}, n={n}")
+
+
+def elements(Z: np.ndarray, ctx: FieldCtx):
+    """An array of (a0, a1) pairs (..., 2) as the field elements
+    ``FieldElement(ctx, a0 + a1*p)``, unreduced: one element for a single
+    pair, else nested lists in the array's shape.  (Not
+    :meth:`FieldCtx.elements`, which lists the whole field.)"""
+    vals = np.asarray(Z, dtype=np.int64)
+    return _wrap((vals[..., 0] + vals[..., 1] * ctx.p).tolist(), ctx)
+
+
+def _wrap(vals, ctx: FieldCtx):
+    if isinstance(vals, int):
+        return FieldElement(ctx, vals)
+    return [_wrap(v, ctx) for v in vals]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dense, linalg
-from .ffield import FieldCtx, FieldElement, sample_point
+from .ffield import FieldCtx, FieldElement, elements, make_field, sample_point
 from .linalg import ext_det_batch, ext_matmul, ext_solve_batch
 from .pochhammer import binomial_mod
 from .qkz_core import (
@@ -31,7 +31,6 @@ from .qkz_core import (
     k_matrix_batch,
     k_operator_at,  # noqa: F401  (a binding perfbench/tracer.py rebinds)
     make_params,
-    points_to_array,
 )
 
 __all__ = [
@@ -219,11 +218,6 @@ def evaluate_solutions(arrays: np.ndarray, Z: np.ndarray, pctx: FieldCtx) -> np.
     return out
 
 
-def _elements(v: np.ndarray, pctx: FieldCtx) -> list[FieldElement]:
-    """A vector of (a0, a1) pairs as field elements."""
-    return [FieldElement(pctx, a0 + a1 * pctx.p) for a0, a1 in v.tolist()]
-
-
 # -- leading terms and independence -------------------------------------------
 
 
@@ -311,10 +305,10 @@ def verify_independence(
             passed=True,
             details={"d": 0},
         )
-    ectx = FieldCtx(params.p, 2)
+    ectx = make_field(params.p, 2)
     z = sample_point(ectx, params.n, seed)
     # row i-1: coordinate i of every solution at z
-    rows = np.swapaxes(evaluate_solutions(sols, points_to_array([z], ectx), ectx)[:, 0], 0, 1)
+    rows = np.swapaxes(evaluate_solutions(sols, z[None], ectx)[:, 0], 0, 1)
     index_sets = list(itertools.combinations(range(1, params.n + 1), d))
     dets = ext_det_batch(rows[np.array(index_sets) - 1], ectx)
     nonzero_sets = [I for I, dv in zip(index_sets, dets) if dv.any()]
@@ -323,7 +317,7 @@ def verify_independence(
     return CheckReport(
         name=f"independence p={params.p} n={params.n} kappa={params.kappa}",
         passed=bool(nonzero_sets),
-        failures=[] if nonzero_sets else [("no nonzero minor", str(z))],
+        failures=[] if nonzero_sets else [("no nonzero minor", str(elements(z, ectx)))],
         details={
             "nonzero_index_sets": nonzero_sets,
             "pivot_guess": pivot_guess,
@@ -473,22 +467,23 @@ def _invert_sections(systems: np.ndarray, dq: int, pctx: FieldCtx) -> tuple[np.n
     return ext_solve_batch(systems, eye, pctx)
 
 
-def quasi_sections_at(params: QkzParams, z) -> list[list[FieldElement]]:
-    """The d(-kappa) quasi-section values T^ell(z): the unique solutions of
-    S(Q^{m p-1}(-z;-kappa), T) = delta_{ell m} subject to sum(T) = 0 and the
-    gauge S(Q^{ell' p-1}(z;kappa), T) = 0."""
-    pctx = z[0].ctx
-    systems, dq = _section_systems(params, points_to_array([z], pctx), pctx)
+def quasi_sections_at(params: QkzParams, z: np.ndarray) -> list[list[FieldElement]]:
+    """The d(-kappa) quasi-section values T^ell(z) at one F_{p^2} point z
+    (n, 2): the unique solutions of S(Q^{m p-1}(-z;-kappa), T) =
+    delta_{ell m} subject to sum(T) = 0 and the gauge
+    S(Q^{ell' p-1}(z;kappa), T) = 0."""
+    pctx = make_field(params.p, 2)
+    systems, dq = _section_systems(params, z[None], pctx)
     X, ok = _invert_sections(systems, dq, pctx)
     if not ok[0]:
         raise ValueError("singular quasi-section system")
-    return [_elements(T, pctx) for T in np.swapaxes(X[0], 0, 1)[:dq]]
+    return elements(np.swapaxes(X[0], 0, 1)[:dq], pctx)
 
 
-def verify_quasi_flatness(params: QkzParams, points, perturb_control: bool = False) -> CheckReport:
-    """Flatness modulo the hypergeometric span: at each point,
-    K_a(z) T^ell(z) - T^ell(z - kappa e_a) lies in
-    span{Q^{ell' p-1}(z - kappa e_a; kappa)}.
+def verify_quasi_flatness(params: QkzParams, Z: np.ndarray, perturb_control: bool = False) -> CheckReport:
+    """Flatness modulo the hypergeometric span: at each point z of a batch Z
+    (npts, n, 2) of F_{p^2} points, K_a(z) T^ell(z) - T^ell(z - kappa e_a)
+    lies in span{Q^{ell' p-1}(z - kappa e_a; kappa)}.
 
     The solutions are evaluated, and the section systems solved, once for
     the whole batch: every point and its n shifts z - kappa e_a.
@@ -497,18 +492,17 @@ def verify_quasi_flatness(params: QkzParams, points, perturb_control: bool = Fal
     """
     _require_prime_kappa(params)
     n, p = params.n, params.p
-    pctx = points[0][0].ctx
-    Z = points_to_array(points, pctx)
+    pctx = make_field(p, 2)
     # batch row idx*(n+1) is point idx, row idx*(n+1) + a its shift by -kappa e_a
     batch = np.repeat(Z[:, None], n + 1, axis=1)
     for a in range(1, n + 1):
-        batch[:, a, a - 1, 0] = (batch[:, a, a - 1, 0] - params.kappa.val) % p
+        batch[:, a, a - 1] = (batch[:, a, a - 1] - params.kappa_pair) % p
     systems, dq = _section_systems(params, batch.reshape(-1, n, 2), pctx)
     X, ok = _invert_sections(systems.reshape(batch.shape[:2] + systems.shape[1:]), dq, pctx)
     T = X[:, 0, :, :dq]  # T^ell(z) as columns
     if perturb_control:
         T[:, 0, 0, 0] = (T[:, 0, 0, 0] + 1) % p
-    outside = np.zeros((len(points), n, dq), dtype=bool)  # [idx, a-1, ell-1]
+    outside = np.zeros((len(Z), n, dq), dtype=bool)  # [idx, a-1, ell-1]
     for a in range(1, n + 1):
         rows = ok[:, 0] & ok[:, a]
         Xs = X[rows, a]
@@ -517,7 +511,7 @@ def verify_quasi_flatness(params: QkzParams, points, perturb_control: bool = Fal
         coef = ext_matmul(np.swapaxes(v % p, 1, 2), Xs, p, pctx.nonresidue)
         outside[rows, a - 1] = np.any(coef != 0, axis=(2, 3))
     skipped = []
-    for idx in range(len(points)):
+    for idx in range(len(Z)):
         if not ok[idx, 0]:
             skipped.append((idx, "degenerate section system at base point"))
         else:
@@ -528,7 +522,7 @@ def verify_quasi_flatness(params: QkzParams, points, perturb_control: bool = Fal
         name=f"quasi-section flatness p={params.p} n={params.n} kappa={params.kappa}",
         passed=not failures and checked > 0,
         failures=failures if failures else ([("no checkable points", skipped)] if checked == 0 else []),
-        details={"points": len(points), "checked": checked, "skipped": skipped},
+        details={"points": len(Z), "checked": checked, "skipped": skipped},
     )
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ffield import FieldCtx, FieldElement, sample_point
-from .hypergeo import _elements, evaluate_solutions, extract_solutions
+from .ffield import FieldCtx, FieldElement, elements, make_field, sample_point
+from .hypergeo import evaluate_solutions, extract_solutions
 from .linalg import ext_det_batch, ext_matmul, ext_mul, ext_rank_batch
 from .mpoly import MPoly
 from .qkz_core import (
@@ -29,7 +29,6 @@ from .qkz_core import (
     k_matrix_batch,
     k_operator,
     k_operator_at,  # noqa: F401  (a binding perfbench/tracer.py rebinds)
-    points_to_array,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "verify_ext_kappa",
     "kernel_image_ranks",
     "verify_curvature_battery",
-    "curvature_report_json",
 ]
 
 
@@ -63,22 +61,16 @@ class CurvatureReport:
         return self.passed
 
 
-def curvature_at(params: QkzParams, a: int, z) -> list[list[FieldElement]]:
-    """C_a(z) at one point, as a matrix of field elements."""
-    pctx = z[0].ctx
-    C = curvature_batch(params, a, points_to_array([z], pctx), pctx)
-    return [_elements(row, pctx) for row in C[0]]
+def curvature_at(params: QkzParams, a: int, z: np.ndarray) -> list[list[FieldElement]]:
+    """C_a(z) at one F_{p^2} point z (n, 2), as a matrix of field elements."""
+    pctx = make_field(params.p, 2)
+    return elements(curvature_batch(params, a, z[None], pctx)[0], pctx)
 
 
-def reduced_curvature_at(params: QkzParams, a: int, z) -> list[list[FieldElement]]:
-    """hat-C_a(z) = C_a(z) - Id at one point."""
-    pctx = z[0].ctx
-    C = curvature_batch(params, a, points_to_array([z], pctx), pctx)
-    return [_elements(row, pctx) for row in _reduce_batch(C, pctx.p)[0]]
-
-
-def _kappa_pair(params: QkzParams, p: int) -> np.ndarray:
-    return np.array([params.kappa.val % p, params.kappa.val // p], dtype=np.int64)
+def reduced_curvature_at(params: QkzParams, a: int, z: np.ndarray) -> list[list[FieldElement]]:
+    """hat-C_a(z) = C_a(z) - Id at one F_{p^2} point z (n, 2)."""
+    pctx = make_field(params.p, 2)
+    return elements(_reduce_batch(curvature_batch(params, a, z[None], pctx), pctx.p)[0], pctx)
 
 
 def curvature_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
@@ -91,7 +83,7 @@ def curvature_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) ->
     is singular.
     """
     p = pctx.p
-    shifts = np.arange(params.p)[:, None] * _kappa_pair(params, p)  # (p, 2)
+    shifts = np.arange(params.p)[:, None] * params.kappa_pair  # (p, 2)
     Zs = np.broadcast_to(Z, (params.p,) + Z.shape).copy()
     Zs[:, :, a - 1] = (Zs[:, :, a - 1] - shifts[:, None]) % p
     K = k_matrix_batch(params, a, Zs.reshape((-1,) + Z.shape[1:]), pctx)
@@ -168,8 +160,9 @@ def curvature_symbolic(params: QkzParams, a: int) -> tuple[list[list[MPoly]], MP
     return num, da
 
 
-def _points_batch(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx):
-    return [sample_point(pctx, params.n, seed * 10007 + i) for i in range(npoints)]
+def _points_batch(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) -> np.ndarray:
+    """The points (npts, n, 2) of the battery and the duality check."""
+    return np.stack([sample_point(pctx, params.n, seed * 10007 + i) for i in range(npoints)])
 
 
 def verify_curvature_battery(
@@ -189,11 +182,10 @@ def verify_curvature_battery(
     if params.k is None:
         raise ValueError("battery requires kappa in F_p^x")
     n, p, d = params.n, params.p, params.d
-    pctx = FieldCtx(p, 2)
+    pctx = make_field(p, 2)
     delta = pctx.nonresidue
-    pts = _points_batch(params, npoints, seed, pctx)
-    Z = points_to_array(pts, pctx)
-    kap = _kappa_pair(params, p)
+    Z = _points_batch(params, npoints, seed, pctx)
+    kap = params.kappa_pair
     C = {a: curvature_batch(params, a, Z, pctx) for a in range(1, n + 1)}
     H = {a: _reduce_batch(C[a], p) for a in range(1, n + 1)}
     K = {a: k_matrix_batch(params, a, Z, pctx) for a in range(1, n + 1)}
@@ -282,15 +274,14 @@ def _curvature_ranks(H: np.ndarray, span: np.ndarray, pctx: FieldCtx):
     )
 
 
-def kernel_image_ranks(params: QkzParams, z) -> dict:
+def kernel_image_ranks(params: QkzParams, z: np.ndarray) -> dict:
     """Per-axis (dim ker, rank) of hat-C_a within the zero-sum space at one
-    point, plus the dimension of the sum of all images."""
+    F_{p^2} point z (n, 2), plus the dimension of the sum of all images."""
     if params.d is None or not 0 < params.d < params.n - 1:
         raise ValueError("kernel/image structure requires 0 < d(kappa) < n-1")
     n = params.n
-    pctx = z[0].ctx
-    Z = points_to_array([z], pctx)
-    H = np.stack([_reduce_batch(curvature_batch(params, a, Z, pctx), pctx.p) for a in range(1, n + 1)])
+    pctx = make_field(params.p, 2)
+    H = np.stack([_reduce_batch(curvature_batch(params, a, z[None], pctx), pctx.p) for a in range(1, n + 1)])
     _, image, _, total = _curvature_ranks(H, np.zeros((1, 0, n, 2), dtype=np.int64), pctx)
     out = {}
     for a in range(1, n + 1):
@@ -311,10 +302,9 @@ def verify_duality(params: QkzParams, npoints: int = 20, seed: int = 0, flip_con
     if params.k is None:
         raise ValueError("duality test requires kappa in F_p^x")
     n, p = params.n, params.p
-    pctx = FieldCtx(p, 2)
+    pctx = make_field(p, 2)
     delta = pctx.nonresidue
-    pts = _points_batch(params, npoints, seed, pctx)
-    Z = points_to_array(pts, pctx)
+    Z = _points_batch(params, npoints, seed, pctx)
     Zneg = (-Z) % p
     pm = params.minus()
     sgn = -1 if flip_control else 1
@@ -355,7 +345,7 @@ def _restrict_bilinear(M: np.ndarray, p: int) -> np.ndarray:
 def _d_a_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
     """D_a evaluated on the batch -> (npts, 2)."""
     p, delta = pctx.p, pctx.nonresidue
-    kap = _kappa_pair(params, p)
+    kap = params.kappa_pair
     out = np.zeros((Z.shape[0], 2), dtype=np.int64)
     out[:, 0] = 1
     for j in range(1, params.n + 1):
@@ -385,7 +375,7 @@ def _singular_mask(params: QkzParams, Z: np.ndarray, p: int) -> np.ndarray:
     shift m in 0..p-1 and some R-factor j of K_a, the factor's
     u = z_a - m kappa - z_j (- kappa if j < a) equals 1 (a pole) or -1 (a
     degeneracy)."""
-    kap = _kappa_pair(params, p)
+    kap = params.kappa_pair
     shifts = np.arange(params.p)[:, None] * kap  # (p, 2)
     mask = np.zeros(Z.shape[0], dtype=bool)
     for a in range(1, params.n + 1):
@@ -399,19 +389,18 @@ def _singular_mask(params: QkzParams, Z: np.ndarray, p: int) -> np.ndarray:
     return mask
 
 
-def _nonsingular_points(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx):
-    """The first ``npoints`` nonsingular points among the attempts
-    ``sample_point(pctx, n, seed * 65537 + t)``, t < 40 * npoints, drawn in
-    chunks no larger than the number still missing."""
-    pts = []
+def _nonsingular_points(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) -> np.ndarray:
+    """The first ``npoints`` nonsingular points (at most npoints, n, 2) among
+    the attempts ``sample_point(pctx, n, seed * 65537 + t)``, t < 40 *
+    npoints, drawn in chunks no larger than the number still missing."""
+    Z = np.zeros((0, params.n, 2), dtype=np.int64)
     attempt, budget = 0, npoints * 40
-    while len(pts) < npoints and attempt < budget:
-        chunk = min(npoints - len(pts), budget - attempt)
-        draws = [sample_point(pctx, params.n, seed * 65537 + attempt + t) for t in range(chunk)]
+    while len(Z) < npoints and attempt < budget:
+        chunk = min(npoints - len(Z), budget - attempt)
+        draws = np.stack([sample_point(pctx, params.n, seed * 65537 + attempt + t) for t in range(chunk)])
         attempt += chunk
-        singular = _singular_mask(params, points_to_array(draws, pctx), pctx.p)
-        pts.extend(z for z, bad in zip(draws, singular) if not bad)
-    return pts
+        Z = np.concatenate([Z, draws[~_singular_mask(params, draws, pctx.p)]])
+    return Z
 
 
 def verify_ext_kappa(
@@ -432,20 +421,19 @@ def verify_ext_kappa(
     if pctx.ext_degree != 2:
         raise ValueError("extension-field context required")
     p = pctx.p
-    pts = _nonsingular_points(params, npoints, seed, pctx)
-    good = len(pts)
+    Z = _nonsingular_points(params, npoints, seed, pctx)
+    good = len(Z)
     failures = []
     sample_dets = {}
-    if pts:
-        Z = points_to_array(pts, pctx)
+    if good:
         zero = np.zeros((good, n), dtype=bool)  # zero[i, a-1]: det of hat-C_a vanishes at point i
         for a in range(1, n + 1):
             H = _reduce_batch(curvature_batch(params, a, Z, pctx), p)
             dets = ext_det_batch(H if full_space_control else _restrict_to_v(H, p), pctx)
             zero[:, a - 1] = np.all(dets == 0, axis=-1)
-            sample_dets[a] = str(FieldElement(pctx, int(dets[0, 0]) + int(dets[0, 1]) * p))
+            sample_dets[a] = str(elements(dets[0], pctx))
         for i, a in zip(*np.nonzero(zero)):
-            failures.append(("degenerate hatC", int(a) + 1, [str(x) for x in pts[i]]))
+            failures.append(("degenerate hatC", int(a) + 1, [str(x) for x in elements(Z[i], pctx)]))
     if good < npoints:
         failures.append(("insufficient nonsingular points", good))
     return CheckReport(
@@ -455,16 +443,3 @@ def verify_ext_kappa(
         details={"points": good, "sample_dets": sample_dets},
     )
 
-
-def curvature_report_json(rep: CurvatureReport) -> dict:
-    return {
-        "p": rep.params.p,
-        "n": rep.params.n,
-        "kappa": str(rep.params.kappa),
-        "d": rep.params.d,
-        "points": rep.points,
-        "passed": rep.passed,
-        "failures": [[str(x) for x in f] for f in rep.failures],
-        "per_axis": {str(a): v for a, v in rep.per_axis.items()},
-        "details": rep.details,
-    }

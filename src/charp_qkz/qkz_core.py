@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dense import dense_shift_var, pad_to_shape, render_polynomials
-from .ffield import FieldCtx, FieldElement
+from .ffield import FieldCtx, FieldElement, make_field
 from .linalg import ext_matmul
 from .mpoly import LinearForm, MPoly
 
@@ -33,8 +33,6 @@ __all__ = [
     "verify_flatness",
     "verify_qkz_solution",
     "verify_kz_solution",
-    "points_to_array",
-    "shift_point",
 ]
 
 
@@ -60,6 +58,11 @@ class QkzParams:
     @property
     def p(self) -> int:
         return self.ctx.p
+
+    @property
+    def kappa_pair(self) -> np.ndarray:
+        """kappa as an (a0, a1) pair, the form the batched kernels read."""
+        return np.array([self.kappa.a0, self.kappa.a1], dtype=np.int64)
 
     def minus(self) -> "QkzParams":
         return make_params(self.ctx, self.n, -self.kappa)
@@ -241,19 +244,6 @@ def k_operator_at(params: QkzParams, a: int, z: Sequence[FieldElement]):
     return [[x * dinv for x in row] for row in M]
 
 
-def points_to_array(points, ctx: FieldCtx) -> np.ndarray:
-    """Stack points into an int64 array (npts, n, 2) of (a0, a1) pairs."""
-    vals = np.array([[x.val for x in pt] for pt in points], dtype=np.int64)
-    return np.stack([vals % ctx.p, vals // ctx.p], axis=-1)
-
-
-def shift_point(z, a: int, delta: FieldElement):
-    """z - delta * e_a for a point given as a list of field elements."""
-    out = list(z)
-    out[a - 1] = out[a - 1] - FieldElement(z[0].ctx, delta.val)
-    return out
-
-
 def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
     """K_a evaluated on a batch of extension-field points (npts, n, 2).
 
@@ -267,7 +257,7 @@ def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> 
     delta = pctx.nonresidue
     inv_tab = np.asarray(pctx._inv_table, dtype=np.int64)
     n = params.n
-    k0, k1 = params.kappa.val % p, params.kappa.val // p
+    k0, k1 = params.kappa_pair
     Zt = np.moveaxis(Z, 0, -1)  # [slot, component, point]
     M0 = np.zeros((n, n, Z.shape[0]), dtype=np.int64)
     M0[range(n), range(n)] = 1
@@ -406,21 +396,20 @@ def verify_rmatrix_identities(ctx: FieldCtx, mutate: bool = False) -> CheckRepor
 # -- equation verifiers --------------------------------------------------------
 
 
-def verify_flatness(
-    params: QkzParams, points, pctx: Optional[FieldCtx] = None, unshifted_control: bool = False
-) -> CheckReport:
+def verify_flatness(params: QkzParams, Z: np.ndarray, unshifted_control: bool = False) -> CheckReport:
     """Discrete flatness K_a(z - kappa e_b) K_b(z) = K_b(z - kappa e_a) K_a(z)
-    checked exactly at every given extension-field point.
+    checked exactly at every point of a batch Z (npts, n, 2) of F_{p^2}
+    points.
 
     ``unshifted_control`` takes K_a(z) in place of K_a(z - kappa e_b) on the
     left (negative control).
     """
-    if pctx is None:
-        pctx = points[0][0].ctx
+    if not len(Z):
+        raise ValueError("flatness needs at least one point")
+    pctx = make_field(params.p, 2)
     p, delta = pctx.p, pctx.nonresidue
     n = params.n
-    Z = points_to_array(points, pctx)
-    kap = np.array([params.kappa.val % p, params.kappa.val // p], dtype=np.int64)
+    kap = params.kappa_pair
     failures = []
     skipped = []
     K = {a: k_matrix_batch(params, a, Z, pctx) for a in range(1, n + 1)}
@@ -446,7 +435,7 @@ def verify_flatness(
         name=f"discrete flatness p={params.p} n={n} kappa={params.kappa}",
         passed=not failures,
         failures=failures,
-        details={"skipped": skipped, "points": len(points)},
+        details={"skipped": skipped, "points": len(Z)},
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from charp_qkz.dense import dense_to_mpoly
-from charp_qkz.ffield import FieldCtx, sample_point
+from charp_qkz.ffield import FieldCtx, elements, sample_point
 from charp_qkz.hypergeo import (
     SolutionSet,
     _require_prime_kappa,
@@ -104,7 +104,7 @@ def verify_q_product_formula(params: QkzParams, trials: int = 5, seed: int = 0) 
 
     failures = []
     for trial in range(trials):
-        pt = sample_point(ectx, n + 1, seed * 1000 + trial)
+        pt = elements(sample_point(ectx, n + 1, seed * 1000 + trial), ectx)
         tval, zpt = pt[0], pt[1:]
         phival = eval_tp(phi, tval, zpt)
         for a in range(1, n + 1):

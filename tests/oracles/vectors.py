@@ -1,6 +1,7 @@
 """The sparse vector layer: K^n-valued polynomials as one ``MPoly`` per
 coordinate, the Gaudin operators, the Shapovalov pairing and its
-periodicity, and the R-matrix identities on ``MPoly`` matrices.  The
+periodicity at points given as lists of field elements, and the R-matrix
+identities on ``MPoly`` matrices.  The
 package checks these claims on dense arrays; these are the references the
 dense checks are compared with."""
 
@@ -15,8 +16,14 @@ from charp_qkz.qkz_core import (
     QkzParams,
     RatOpMatrix,
     _matmul_poly,
-    shift_point,
 )
+
+
+def shift_point(z, a: int, delta: FieldElement):
+    """z - delta * e_a for a point given as a list of field elements."""
+    out = list(z)
+    out[a - 1] = out[a - 1] - FieldElement(z[0].ctx, delta.val)
+    return out
 
 
 class VectorPoly:

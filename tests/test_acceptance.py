@@ -11,11 +11,12 @@ import time
 from contextlib import contextmanager
 from math import comb
 
+import numpy as np
 import pytest
 
 from charp_qkz import hypergeo
 from charp_qkz.dense import dense_to_mpoly, dense_top_degree_part
-from charp_qkz.ffield import make_field, sample_point
+from charp_qkz.ffield import elements, make_field, sample_point
 from charp_qkz.hypergeo import (
     barq_solutions,
     d_of_kappa,
@@ -101,9 +102,9 @@ def test_criterion_03_discrete_flatness():
             for n in SWEEP_N:
                 if n >= p:
                     continue
-                pts = [sample_point(pctx, n, 9000 + 37 * n + i) for i in range(20)]
+                Z = np.stack([sample_point(pctx, n, 9000 + 37 * n + i) for i in range(20)])
                 for kv in range(1, p):
-                    rep = verify_flatness(make_params(ctx, n, kv), pts, pctx)
+                    rep = verify_flatness(make_params(ctx, n, kv), Z)
                     assert rep.passed, (p, n, kv, rep.failures[:3])
 
 
@@ -139,6 +140,7 @@ def test_criterion_05_golden_values():
         for seed in range(3):
             z = sample_point(pctx, 2, seed)
             (T,) = quasi_sections_at(params2, z)
+            z = elements(z, pctx)
             two = pctx.element(2)
             assert T[0] == three / (two * z[0] - two * z[1] + two)
             assert T[1] == three / (-(two * z[0]) + two * z[1] - two)
@@ -261,7 +263,7 @@ def test_criterion_12_symbolic_curvature():
                     for row in Ctil
                 ]
                 for seed in range(5):
-                    z = sample_point(pctx, 3, 1200 + seed)
+                    z = elements(sample_point(pctx, 3, 1200 + seed), pctx)
                     M = [[e.eval(z) for e in row] for row in top]
                     assert linalg.rank(M, pctx) <= 1
 

@@ -17,7 +17,7 @@ import pytest
 
 from charp_qkz.cli import _mix
 from charp_qkz.dense import dense_to_mpoly, dense_top_degree_part
-from charp_qkz.ffield import make_field, sample_point
+from charp_qkz.ffield import elements, make_field, sample_point
 from charp_qkz.hypergeo import (
     _leading_term,
     barq_solutions,
@@ -32,12 +32,11 @@ from charp_qkz.qkz_core import (
     k_operator,
     k_operator_at,
     make_params,
-    points_to_array,
-    shift_point,
     verify_kz_solution,
     verify_qkz_solution,
 )
 from oracles.solutions import sparse_solutions
+from oracles.vectors import shift_point
 from oracles.vectors import VectorPoly, gaudin_operator
 
 
@@ -246,13 +245,12 @@ def test_evaluate_solutions_matches_scalar_eval():
     params = make_params(make_field(7), 4, 2)
     pctx = make_field(7, 2)
     ss = extract_solutions(params)
-    pts = [sample_point(pctx, 4, 100 + i) for i in range(5)]
-    vals = evaluate_solutions(ss.arrays, points_to_array(pts, pctx), pctx)
+    Z = np.stack([sample_point(pctx, 4, 100 + i) for i in range(5)])
+    vals = evaluate_solutions(ss.arrays, Z, pctx)
     assert vals.shape == (ss.d, 5, 4, 2)
     for s_idx, sol in enumerate(sparse_solutions(ss)):
-        for i, z in enumerate(pts):
-            got = [int(a0) + int(a1) * 7 for a0, a1 in vals[s_idx, i]]
-            assert got == [x.val for x in sol.eval(z)]
+        for i, z in enumerate(elements(Z, pctx)):
+            assert elements(vals[s_idx, i], pctx) == sol.eval(z)
 
 
 @pytest.mark.parametrize("p,n", [(5, 3), (5, 4), (7, 3), (7, 4)])
@@ -266,15 +264,14 @@ def test_quasi_flatness_matches_scalar_oracle(p, n):
         params = make_params(ctx, n, kv)
         if params.d == 0 or params.minus().d == 0:
             continue
-        pts = [sample_point(pctx, n, _mix(1, "quasi", p, n, kv, i)) for i in range(6)]
+        Z = np.stack([sample_point(pctx, n, _mix(1, "quasi", p, n, kv, i)) for i in range(6)])
         for perturb in (False, True) if p == 5 else (False,):
-            rep = verify_quasi_flatness(params, pts, perturb_control=perturb)
-            passed, failures, details = scalar_quasi_flatness(params, pts, perturb)
+            rep = verify_quasi_flatness(params, Z, perturb_control=perturb)
+            passed, failures, details = scalar_quasi_flatness(params, elements(Z, pctx), perturb)
             assert (rep.passed, rep.failures, rep.details) == (passed, failures, details)
             assert rep.passed != perturb, (p, n, kv)
             compared += 1
-        z = pts[0]
-        assert quasi_sections_at(params, z) == scalar_quasi_sections_at(params, z)
+        assert quasi_sections_at(params, Z[0]) == scalar_quasi_sections_at(params, elements(Z[0], pctx))
     assert compared
 
 
@@ -284,13 +281,13 @@ def test_quasi_flatness_skips_singular_systems_like_oracle():
     (2, 6, 13) is regular but its shift z - kappa e_1 is that point."""
     params = make_params(make_field(5), 3, 2)
     pctx = make_field(5, 2)
-    singular = [pctx.element(0), pctx.element(1, 1), pctx.element(3, 2)]
-    assert [x.val for x in singular] == [0, 6, 13]
+    singular = np.array([[0, 0], [1, 1], [3, 2]])
+    assert [x.val for x in elements(singular, pctx)] == [0, 6, 13]
     with pytest.raises(ValueError):
-        scalar_quasi_sections_at(params, singular)
+        scalar_quasi_sections_at(params, elements(singular, pctx))
     with pytest.raises(ValueError):
         quasi_sections_at(params, singular)
-    pts = [singular, [pctx.element(2)] + singular[1:], sample_point(pctx, 3, 7)]
-    rep = verify_quasi_flatness(params, pts)
-    assert (rep.passed, rep.failures, rep.details) == scalar_quasi_flatness(params, pts)
+    Z = np.stack([singular, [[2, 0]] + singular[1:].tolist(), sample_point(pctx, 3, 7)])
+    rep = verify_quasi_flatness(params, Z)
+    assert (rep.passed, rep.failures, rep.details) == scalar_quasi_flatness(params, elements(Z, pctx))
     assert rep.details["skipped"][:2] == [(0, "degenerate section system at base point"), (1, 1)]

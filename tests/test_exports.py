@@ -1,5 +1,6 @@
-"""The package surface: every exported name resolves, and the sparse
-t-polynomial, vector and solution layers live only in tests/oracles."""
+"""The package surface: every exported name resolves, the sparse
+t-polynomial, vector and solution layers live only in tests/oracles, and
+the field-element point helpers are gone."""
 
 import importlib
 import pkgutil
@@ -33,7 +34,13 @@ MOVED_TO_ORACLES = {
     "_det_mpoly",
     "restrict_special",
     "verify_q_product_formula",
+    "shift_point",
 }
+
+# Deleted: the helpers of the field-element point form (points are (n, 2)
+# pair arrays, read back with ffield.elements), and an uncalled report
+# serializer.
+REMOVED = {"points_to_array", "_elements", "_kappa_pair", "_draw_point", "curvature_report_json"}
 
 
 def test_every_exported_name_resolves():
@@ -46,5 +53,6 @@ def test_every_exported_name_resolves():
 def test_sparse_layers_left_the_package():
     for mod in [charp_qkz] + MODULES:
         assert not MOVED_TO_ORACLES & set(vars(mod)), mod.__name__
+        assert not REMOVED & set(vars(mod)), mod.__name__
     assert not hasattr(charp_qkz.hypergeo.SolutionSet, "solutions")
     assert not hasattr(charp_qkz.ffield, "inv") and not hasattr(charp_qkz.ffield, "fpow")

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,27 +79,31 @@ def test_frobenius_additive_multiplicative(p):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sample_point_nonsingular(p, n):
     ctx = make_field(p, 2)
-    z = sample_point(ctx, n, rng_seed=42)
-    assert len(z) == n
+    z = sample_point(ctx, n, 42)
+    assert z.shape == (n, 2) and z.dtype == np.int64
+    assert np.all((0 <= z) & (z < p))
+    # z_i - z_j lies in F_p iff the g-components coincide
+    assert len(set(z[:, 1].tolist())) == n
+    zs = ffield.elements(z, ctx)
     for i in range(n):
         for j in range(i + 1, n):
-            assert not (z[i] - z[j]).in_prime_field
+            assert not (zs[i] - zs[j]).in_prime_field
 
 
 def test_sample_point_deterministic():
     ctx = make_field(7, 2)
-    assert sample_point(ctx, 4, 1) == sample_point(ctx, 4, 1)
-    assert sample_point(ctx, 4, 1) != sample_point(ctx, 4, 2)
+    assert np.array_equal(sample_point(ctx, 4, 1), sample_point(ctx, 4, 1))
+    assert not np.array_equal(sample_point(ctx, 4, 1), sample_point(ctx, 4, 2))
 
 
 def _uncached_sample(p, n, rng_seed, max_tries=10000):
     """The rejection loop of ``sample_point`` on a fresh ``random.Random``,
-    or None when the budget runs out."""
+    as (a0, a1) pairs, or None when the budget runs out."""
     rng = random.Random(rng_seed)
     for _ in range(max_tries):
         vals = [rng.randrange(p * p) for _ in range(n)]
         if len({v // p for v in vals}) == n:
-            return vals
+            return [[v % p, v // p] for v in vals]
     return None
 
 
@@ -112,37 +117,59 @@ def test_sample_point_matches_uncached_draws(p):
             want = _uncached_sample(p, n, seed)
             for _ in range(2):
                 z = sample_point(ctx, n, seed)
-                assert [x.val for x in z] == want
-                assert all(x.ctx is ctx for x in z)
+                assert z.dtype == np.int64
+                assert z.tolist() == want
 
 
 def test_sample_point_cache_is_bounded():
-    assert ffield._draw_point.cache_info().maxsize == 1 << 14
+    assert sample_point.cache_info().maxsize == 1 << 14
 
 
-def test_sample_point_returns_fresh_lists():
-    """Mutating a returned point or its elements does not change a later
-    draw."""
+def test_sample_point_returns_read_only_array():
+    """A returned point is shared by every caller, so it cannot be written;
+    a copy can, and a later draw is unchanged."""
     ctx = make_field(7, 2)
     z = sample_point(ctx, 4, 123)
-    want = [x.val for x in z]
-    z[1].val = 0
-    z[0] = ctx.zero()
-    z.append(ctx.one())
-    assert [x.val for x in sample_point(ctx, 4, 123)] == want
+    want = z.tolist()
+    assert isinstance(z, np.ndarray) and not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0, 0] = 0
+    w = z.copy()
+    w[0, 0] = (w[0, 0] + 1) % 7
+    assert sample_point(ctx, 4, 123).tolist() == want
 
 
 def test_sampling_error_propagates_uncached():
     """n > p leaves no nonsingular point; the error reaches the caller on
     every call and is never stored."""
     ctx = make_field(3, 2)
-    before = ffield._draw_point.cache_info()
+    before = sample_point.cache_info()
     for _ in range(2):
         with pytest.raises(SamplingError):
-            sample_point(ctx, 4, 5, max_tries=20)
-    after = ffield._draw_point.cache_info()
+            sample_point(ctx, 4, 5, 20)
+    after = sample_point.cache_info()
     assert after.misses - before.misses == 2
     assert after.hits == before.hits
+    assert after.currsize == before.currsize
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_elements_reads_every_pair(p):
+    """``elements`` turns (a0, a1) pairs into FieldElement(ctx, a0 + a1*p)
+    on all of F_{p^2}, in the array's shape: one element for a single pair,
+    nested lists otherwise.  It does not reduce, so a comparison against it
+    still sees a pair outside 0 <= a0, a1 < p."""
+    ctx = make_field(p, 2)
+    pairs = np.array([[a0, a1] for a1 in range(p) for a0 in range(p)], dtype=np.int64)
+    want = [FieldElement(ctx, a0 + a1 * p) for a0, a1 in pairs.tolist()]
+    got = ffield.elements(pairs, ctx)
+    assert got == want
+    assert all(x.ctx is ctx and x.val == w.val for x, w in zip(got, want))
+    assert [ffield.elements(v, ctx) for v in pairs] == want
+    grid = ffield.elements(pairs.reshape(p, p, 2), ctx)
+    assert grid == [want[i * p : (i + 1) * p] for i in range(p)]
+    for pair in ([p, 0], [-1, 0], [0, p], [1, -1]):
+        assert ffield.elements(np.array(pair), ctx).val == pair[0] + pair[1] * p
 
 
 def test_element_two_component_encoding():

@@ -4,7 +4,7 @@ independence, restrictions, orthogonality, and quasi-sections."""
 import numpy as np
 import pytest
 
-from charp_qkz.ffield import make_field, sample_point
+from charp_qkz.ffield import elements, make_field, sample_point
 from charp_qkz.hypergeo import (
     barq_solutions,
     d_of_kappa,
@@ -89,7 +89,7 @@ def test_golden_quasi_section_p5_n2_kappa2():
         z = sample_point(pctx, 2, seed)
         T = quasi_sections_at(params, z)
         assert len(T) == 1
-        z1, z2 = z
+        z1, z2 = z = elements(z, pctx)
         three = pctx.element(3)
         two = pctx.element(2)
         assert T[0][0] == three / (two * z1 - two * z2 + two)
@@ -272,10 +272,19 @@ def test_quasi_flatness(p, n, kv):
     pctx = make_field(p, 2)
     params = make_params(ctx, n, kv)
     assert params.d > 0 and d_of_kappa(ctx, n, -params.kappa) > 0
-    pts = [sample_point(pctx, n, 31 + i) for i in range(5)]
-    rep = verify_quasi_flatness(params, pts)
+    Z = np.stack([sample_point(pctx, n, 31 + i) for i in range(5)])
+    rep = verify_quasi_flatness(params, Z)
     assert rep.passed, rep.failures[:3]
     assert rep.details["checked"] > 0
+
+
+def test_quasi_flatness_fails_on_an_empty_batch():
+    """No point means no check: an empty batch fails instead of passing."""
+    params = make_params(make_field(5), 3, 2)
+    rep = verify_quasi_flatness(params, np.zeros((0, 3, 2), dtype=np.int64))
+    assert not rep.passed
+    assert rep.failures == [("no checkable points", [])]
+    assert rep.details == {"points": 0, "checked": 0, "skipped": []}
 
 
 def test_quasi_sections_duality():
@@ -287,7 +296,7 @@ def test_quasi_sections_duality():
     assert len(dual) >= 2
     z = sample_point(pctx, 4, 8)
     T = quasi_sections_at(params, z)
-    zneg = [-v for v in z]
+    zneg = elements(-z % 7, pctx)
     for ell in range(len(T)):
         for m in range(len(dual)):
             val = shapovalov(dual[m].eval(zneg), T[ell])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from charp_qkz.ffield import make_field, sample_point
-from charp_qkz.qkz_core import SingularPointError, k_matrix_batch, make_params, points_to_array
+from charp_qkz.qkz_core import SingularPointError, k_matrix_batch, make_params
 from oracles.kmatrix import k_matrix_batch as rescaling_k_matrix_batch
 
 PN = [(p, n) for p in (5, 7, 11, 13) for n in range(2, 6) if n < p]
@@ -52,8 +52,8 @@ def _sweep(p, n, batches, singles, seed):
         for a in range(1, n + 1):
             for _ in range(batches):
                 npts = rng.randrange(1, 17)
-                pts = [sample_point(pctx, n, rng.randrange(1 << 30)) for _ in range(npts)]
-                messages.add(_assert_same(params, a, points_to_array(pts, pctx), pctx))
+                Z = np.stack([sample_point(pctx, n, rng.randrange(1 << 30)) for _ in range(npts)])
+                messages.add(_assert_same(params, a, Z, pctx))
             for _ in range(singles):
                 Z = np.zeros((1, n, 2), dtype=np.int64)
                 Z[0, :, 0] = [rng.randrange(p) for _ in range(n)]

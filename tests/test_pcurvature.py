@@ -4,11 +4,10 @@ structure, duality, and nondegeneracy for steps outside the prime field."""
 import numpy as np
 import pytest
 
-from charp_qkz.ffield import make_field, sample_point
+from charp_qkz.ffield import elements, make_field, sample_point
 from charp_qkz.pcurvature import (
     curvature_at,
     curvature_batch,
-    curvature_report_json,
     curvature_symbolic,
     d_a_poly,
     kernel_image_ranks,
@@ -18,18 +17,17 @@ from charp_qkz.pcurvature import (
     verify_duality,
     verify_ext_kappa,
 )
-from charp_qkz.qkz_core import make_params, points_to_array
+from charp_qkz.qkz_core import make_params
 
 
 def test_batch_matches_scalar():
     ctx = make_field(5)
     pctx = make_field(5, 2)
     params = make_params(ctx, 3, 2)
-    pts = [sample_point(pctx, 3, 50 + i) for i in range(4)]
-    Z = points_to_array(pts, pctx)
+    Z = np.stack([sample_point(pctx, 3, 50 + i) for i in range(4)])
     for a in range(1, 4):
         batch = curvature_batch(params, a, Z, pctx)
-        for idx, z in enumerate(pts):
+        for idx, z in enumerate(Z):
             C = curvature_at(params, a, z)
             for r in range(3):
                 for c in range(3):
@@ -80,9 +78,9 @@ def test_battery_reports_ranks():
     params = make_params(ctx, 4, 2)  # k=3, d=1, 0 < d < n-1
     rep = verify_curvature_battery(params, npoints=10, seed=3)
     assert rep.passed
-    payload = curvature_report_json(rep)
-    assert payload["p"] == 7 and payload["passed"] is True
-    assert set(payload["per_axis"]) == {"1", "2", "3", "4"}
+    assert rep.params.p == 7 and rep.points == 10
+    assert set(rep.per_axis) == {1, 2, 3, 4}
+    assert all(len(axis["ranks"]) == 10 for axis in rep.per_axis.values())
 
 
 def test_kernel_image_ranks_bounds():
@@ -140,7 +138,7 @@ def test_symbolic_curvature_polynomial_structure(kv):
             for row in Ctil
         ]
         for seed in range(5):
-            z = sample_point(pctx, 3, 300 + seed)
+            z = elements(sample_point(pctx, 3, 300 + seed), pctx)
             M = [[e.eval(z) for e in row] for row in top]
             assert linalg.rank(M, pctx) <= 1
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from charp_qkz import linalg
-from charp_qkz.ffield import FieldElement, make_field, sample_point
+from charp_qkz.ffield import FieldElement, elements, make_field, sample_point
 from charp_qkz.hypergeo import evaluate_solutions, extract_solutions
 from charp_qkz.linalg import ext_det_batch
 from charp_qkz.pcurvature import (
@@ -30,7 +30,6 @@ from charp_qkz.qkz_core import (
     SingularPointError,
     k_operator_at,
     make_params,
-    points_to_array,
     singular_basis,
 )
 
@@ -46,10 +45,6 @@ def _ext_kappas(p, count, seed):
         if kap not in out:
             out.append(kap)
     return out
-
-
-def _elem(pctx, pair):
-    return FieldElement(pctx, int(pair[0]) + int(pair[1]) * pctx.p)
 
 
 def scalar_curvature_at(params, a, z):
@@ -108,7 +103,7 @@ def scalar_battery_span_checks(params, npoints, seed, perturb=False):
     n, p, d = params.n, params.p, params.d
     pctx = make_field(p, 2)
     delta = pctx.nonresidue
-    Z = points_to_array(_points_batch(params, npoints, seed, pctx), pctx)
+    Z = _points_batch(params, npoints, seed, pctx)
     H = {a: _reduce_batch(curvature_batch(params, a, Z, pctx), p) for a in range(1, n + 1)}
     S = evaluate_solutions(extract_solutions(params).arrays, Z, pctx)
     if perturb:
@@ -126,12 +121,12 @@ def scalar_battery_span_checks(params, npoints, seed, perturb=False):
     span_dims, sum_image_dims = [], []
     basis = singular_basis(pctx, n)
     for i in range(npoints):
-        span = [[_elem(pctx, x) for x in S[s_idx, i]] for s_idx in range(d)]
+        span = elements(S[:, i], pctx)
         span_rank = linalg.rank(span, pctx)
         span_dims.append(span_rank)
         all_images = []
         for a in range(1, n + 1):
-            Ha = [[_elem(pctx, x) for x in row] for row in H[a][i]]
+            Ha = elements(H[a][i], pctx)
             images = [
                 [sum((Ha[r][c] * e[c] for c in range(n)), pctx.zero()) for r in range(n)]
                 for e in basis
@@ -172,8 +167,9 @@ def test_battery_matches_per_point_loop(p, n, kv):
         assert {a: v["ranks"] for a, v in rep.per_axis.items()} == ranks
         assert rep.details == details
         assert rep.passed != perturb
-    z = sample_point(make_field(p, 2), n, kv)
-    assert kernel_image_ranks(params, z) == scalar_kernel_image_ranks(params, z)
+    pctx = make_field(p, 2)
+    z = sample_point(pctx, n, kv)
+    assert kernel_image_ranks(params, z) == scalar_kernel_image_ranks(params, elements(z, pctx))
 
 
 def _scalar_restrict_to_v(M, pctx):
@@ -196,7 +192,7 @@ def _scalar_ext_kappa(params, npoints, seed):
     failures, dets = [], {a: [] for a in range(1, n + 1)}
     good = attempt = 0
     while good < npoints and attempt < npoints * 40:
-        z = sample_point(pctx, n, seed * 65537 + attempt)
+        z = elements(sample_point(pctx, n, seed * 65537 + attempt), pctx)
         attempt += 1
         try:
             mats = {a: scalar_reduced_curvature_at(params, a, z) for a in range(1, n + 1)}
@@ -228,20 +224,20 @@ def test_singular_mask_matches_scalar_loop():
     p, n = 5, 4
     pctx = make_field(p, 2)
     params = make_params(pctx, n, pctx.element(2, 3))
-    pts = [sample_point(pctx, n, 65537 + t) for t in range(60)]
+    Z = np.stack([sample_point(pctx, n, 65537 + t) for t in range(60)])
     expected = []
-    for z in pts:
+    for z in elements(Z, pctx):
         try:
             for a in range(1, n + 1):
                 scalar_reduced_curvature_at(params, a, z)
             expected.append(False)
         except SingularPointError:
             expected.append(True)
-    mask = _singular_mask(params, points_to_array(pts, pctx), p)
-    assert 0 < sum(expected) < len(pts)
+    mask = _singular_mask(params, Z, p)
+    assert 0 < sum(expected) < len(Z)
     assert mask.tolist() == expected
     kept = _nonsingular_points(params, 10, 1, pctx)
-    assert kept == [z for z, bad in zip(pts, expected) if not bad][:10]
+    assert kept.tolist() == [z for z, bad in zip(Z.tolist(), expected) if not bad][:10]
 
 
 def _random_stack(rng, p, npts, k):
@@ -264,8 +260,7 @@ def test_det_batch_matches_scalar_det(p, k):
     for M in (rand, deficient, sparse, zero):
         got = ext_det_batch(M, pctx)
         for i in range(M.shape[0]):
-            rows = [[_elem(pctx, M[i, r, c]) for c in range(k)] for r in range(k)]
-            assert _elem(pctx, got[i]) == linalg.det(rows, pctx)
+            assert elements(got[i], pctx) == linalg.det(elements(M[i], pctx), pctx)
     assert not ext_det_batch(deficient, pctx).any()
     assert not ext_det_batch(zero, pctx).any()
 
@@ -276,23 +271,22 @@ def test_stacked_curvature_batch_matches_curvature_at(p, n):
     cases = [make_params(make_field(p), n, kv) for kv in (1, p - 2)]
     cases += [make_params(pctx, n, kap) for kap in _ext_kappas(p, 1, p + n)]
     for params in cases:
-        pts = _nonsingular_points(params, 3, 5, pctx)
-        Z = points_to_array(pts, pctx)
+        Z = _nonsingular_points(params, 3, 5, pctx)
         for a in range(1, n + 1):
             batch = curvature_batch(params, a, Z, pctx)
-            for idx, z in enumerate(pts):
-                C = scalar_curvature_at(params, a, z)
-                assert [[_elem(pctx, x) for x in row] for row in batch[idx]] == C
+            for idx, z in enumerate(Z):
+                zs = elements(z, pctx)
+                C = scalar_curvature_at(params, a, zs)
+                assert elements(batch[idx], pctx) == C
                 assert curvature_at(params, a, z) == C
-                assert reduced_curvature_at(params, a, z) == scalar_reduced_curvature_at(params, a, z)
+                assert reduced_curvature_at(params, a, z) == scalar_reduced_curvature_at(params, a, zs)
 
 
 def test_curvature_batch_raises_on_singular_shift():
     p, n = 5, 4
     pctx = make_field(p, 2)
     params = make_params(pctx, n, pctx.element(2, 3))
-    pts = [sample_point(pctx, n, 65537 + t) for t in range(60)]
-    Z = points_to_array(pts, pctx)
+    Z = np.stack([sample_point(pctx, n, 65537 + t) for t in range(60)])
     mask = _singular_mask(params, Z, p)
     with pytest.raises(SingularPointError):
         for a in range(1, n + 1):

@@ -1,9 +1,10 @@
 """Difference operators: R-matrix identities, weight-space restriction
 consistency, discrete flatness, and pairing periodicity."""
 
+import numpy as np
 import pytest
 
-from charp_qkz.ffield import make_field, sample_point
+from charp_qkz.ffield import elements, make_field, sample_point
 from charp_qkz.linalg import ext_matmul
 from charp_qkz.mpoly import MPoly
 from charp_qkz.qkz_core import (
@@ -12,8 +13,6 @@ from charp_qkz.qkz_core import (
     k_operator,
     k_operator_at,
     make_params,
-    points_to_array,
-    shift_point,
     singular_basis,
     verify_flatness,
     verify_rmatrix_identities,
@@ -25,6 +24,7 @@ from oracles.vectors import (
     negate_z,
     pairing_polynomial,
     shapovalov,
+    shift_point,
     sparse_rmatrix_identities,
     verify_pairing_periodicity,
 )
@@ -83,18 +83,15 @@ def test_make_params_validation():
 @pytest.mark.parametrize("p,n", [(5, 3), (7, 4)])
 def test_k_operator_three_way_consistency(p, n):
     """Symbolic K_a, its pointwise evaluation, and the batched kernel agree."""
-    import numpy as np
-
     ctx = make_field(p)
     pctx = make_field(p, 2)
     for kv in (1, p - 1):
         params = make_params(ctx, n, kv)
-        pts = [sample_point(pctx, n, 100 + i) for i in range(3)]
-        Z = points_to_array(pts, pctx)
+        Z = np.stack([sample_point(pctx, n, 100 + i) for i in range(3)])
         for a in range(1, n + 1):
             op = k_operator(params, a)
             batch = k_matrix_batch(params, a, Z, pctx)
-            for idx, z in enumerate(pts):
+            for idx, z in enumerate(elements(Z, pctx)):
                 direct = k_operator_at(params, a, z)
                 sym = op.eval_at(z)
                 for r in range(n):
@@ -110,7 +107,7 @@ def test_k_operator_preserves_zero_sum():
     ctx = make_field(7)
     pctx = make_field(7, 2)
     params = make_params(ctx, 4, 2)
-    z = sample_point(pctx, 4, 5)
+    z = elements(sample_point(pctx, 4, 5), pctx)
     for a in range(1, 5):
         K = k_operator_at(params, a, z)
         for c in range(4):
@@ -133,11 +130,18 @@ def test_flatness_sweep(p, n):
         pytest.skip("requires n < p")
     ctx = make_field(p)
     pctx = make_field(p, 2)
-    pts = [sample_point(pctx, n, 1000 * n + i) for i in range(5)]
+    Z = np.stack([sample_point(pctx, n, 1000 * n + i) for i in range(5)])
     for kv in range(1, p):
         params = make_params(ctx, n, kv)
-        rep = verify_flatness(params, pts, pctx)
+        rep = verify_flatness(params, Z)
         assert rep.passed, (p, n, kv, rep.failures[:3])
+
+
+def test_flatness_rejects_an_empty_batch():
+    """No point means no check: an empty batch raises instead of passing."""
+    params = make_params(make_field(7), 3, 2)
+    with pytest.raises(ValueError, match="at least one point"):
+        verify_flatness(params, np.zeros((0, 3, 2), dtype=np.int64))
 
 
 def test_flatness_definition_spot_check():
@@ -146,7 +150,7 @@ def test_flatness_definition_spot_check():
     ctx = make_field(7)
     pctx = make_field(7, 2)
     params = make_params(ctx, 3, 3)
-    z = sample_point(pctx, 3, 9)
+    z = elements(sample_point(pctx, 3, 9), pctx)
     a, b = 1, 3
     za = shift_point(z, a, params.kappa)
     zb = shift_point(z, b, params.kappa)
@@ -220,7 +224,7 @@ def test_pairing_periodicity(p, n, kv):
     plus = sparse_solutions(extract_solutions(params))
     minus = sparse_solutions(extract_solutions(params.minus()))
     assert plus and minus
-    pts = [sample_point(pctx, n, 77 + i) for i in range(3)]
+    pts = [elements(sample_point(pctx, n, 77 + i), pctx) for i in range(3)]
     for f in plus:
         for g in minus:
             rep = verify_pairing_periodicity(params, f, g, pts)
