@@ -9,6 +9,7 @@ Run:  python3 demos/03_curvature_structure.py
 """
 
 from charp_qkz import make_field, make_params
+from charp_qkz.dense import dense_total_degree
 from charp_qkz.ffield import sample_point
 from charp_qkz.pcurvature import (
     curvature_symbolic,
@@ -39,9 +40,12 @@ for a in range(1, n + 1):
 print(f"  dim of the span of all images: {ranks['sum_image_dim']}")
 
 # symbolic shape: after clearing the scalar factor D_a, the numerator matrix
-# is purely polynomial with total degree at most (n-2)p
+# is purely polynomial with total degree at most (n-2)p.  Both come as dense
+# coefficient arrays (axes z_1..z_n): Ctil of shape (n, n, ...), Da of the
+# same z-shape; dense_total_degree reads a stack with its first axis as the
+# entry index.
 print("\nsymbolic curvature at p=5, n=3, kappa=2:")
 params = make_params(make_field(5), 3, 2)
 Ctil, Da = curvature_symbolic(params, 1)
-deg = max((e.total_degree() for row in Ctil for e in row if not e.is_zero()), default=0)
-print(f"  denominator D_1 has degree {Da.total_degree()}; numerator degree {deg} <= (n-2)p = 5")
+deg = dense_total_degree(Ctil.reshape((-1,) + Da.shape))
+print(f"  denominator D_1 has degree {dense_total_degree(Da[None])}; numerator degree {deg} <= (n-2)p = 5")

@@ -3,14 +3,11 @@ rational sl2 qKZ difference equations over finite fields of characteristic p.
 """
 
 from .ffield import FieldCtx, FieldElement, SamplingError, make_field, sample_point
-from .mpoly import DivisibilityError, LinearForm, MPoly, divide_exact_linear
 from .pochhammer import pochhammer_identity_suite
 from .qkz_core import (
     CheckReport,
     QkzParams,
-    RatOpMatrix,
     SingularPointError,
-    k_operator,
     k_operator_at,
     make_params,
 )

@@ -438,10 +438,14 @@ def emit(payload: dict, cfg_format: str, out_path: Optional[str]) -> None:
 
 
 def _write(text: str, out_path: Optional[str]) -> None:
-    """Write a report to ``out_path``, or to stdout without one."""
+    """Write a report to ``out_path``, or to stdout without one; a path that
+    cannot be written is a usage error."""
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _usage_error(f"cannot write {out_path}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

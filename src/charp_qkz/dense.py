@@ -27,6 +27,7 @@ __all__ = [
     "dense_negate_vars",
     "dense_conv",
     "pad_to_shape",
+    "dense_total_degree",
     "dense_top_degree_part",
     "build_product_tpoly",
     "pochhammer_scalar_coeffs",
@@ -115,12 +116,19 @@ def pad_to_shape(arr: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
+def dense_total_degree(F: np.ndarray) -> int:
+    """The largest total degree of any term of a coordinate stack (axis 0 =
+    coordinate, then z_1..z_n); -1 when every coordinate is zero."""
+    total = np.indices(F.shape[1:]).sum(axis=0)
+    return int(total[np.any(F != 0, axis=0)].max(initial=-1))
+
+
 def dense_top_degree_part(F: np.ndarray) -> np.ndarray:
     """The terms of largest total degree of a coordinate stack (axis 0 =
     coordinate, then z_1..z_n): the degree is the maximum over all
     coordinates, so lower-degree coordinates become zero."""
     total = np.indices(F.shape[1:]).sum(axis=0)
-    return np.where(total == total[np.any(F != 0, axis=0)].max(initial=-1), F, 0)
+    return np.where(total == dense_total_degree(F), F, 0)
 
 
 # float64 unit roundoff, and the relative 2-norm error allowed per pass of

@@ -27,17 +27,13 @@ from .pochhammer import binomial_mod
 from .qkz_core import (
     CheckReport,
     QkzParams,
-    k_from_kappa_int,
     k_matrix_batch,
     k_operator_at,  # noqa: F401  (a binding perfbench/tracer.py rebinds)
-    make_params,
 )
 
 __all__ = [
     "SolutionSet",
     "LeadingTermData",
-    "k_from_kappa",
-    "d_of_kappa",
     "extract_solutions",
     "barq_solutions",
     "evaluate_solutions",
@@ -54,22 +50,6 @@ __all__ = [
     "gram_det",
     "solution_set_to_json",
 ]
-
-
-def k_from_kappa(ctx: FieldCtx, kappa: FieldElement) -> int:
-    """The unique 0 < k < p with kappa*k = -1 mod p."""
-    if not kappa or not kappa.in_prime_field:
-        raise ValueError("kappa must be a nonzero element of F_p")
-    return k_from_kappa_int(ctx.p, kappa.a0)
-
-
-def d_of_kappa(ctx: FieldCtx, n: int, kappa: FieldElement) -> int:
-    """d(kappa) = floor(n*k/p), the number of solutions for step kappa, as
-    ``make_params`` computes it (2 <= n < p)."""
-    d = make_params(ctx, n, kappa).d
-    if d is None:
-        raise ValueError("kappa must be a nonzero element of F_p")
-    return d
 
 
 @dataclass(eq=False)

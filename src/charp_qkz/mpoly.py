@@ -11,20 +11,15 @@ usual notation for the qKZ variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 from .ffield import FieldCtx, FieldElement
 
-__all__ = ["MPoly", "LinearForm", "DivisibilityError", "divide_exact_linear"]
+__all__ = ["MPoly"]
 
 # above this many coefficient products, prime-field multiplication switches
 # to the dense numpy kernel
 _DENSE_MUL_THRESHOLD = 1 << 14
-
-
-class DivisibilityError(ArithmeticError):
-    """A division that was promised to be exact left a remainder."""
 
 
 def _as_encoded(ctx: FieldCtx, c) -> int:
@@ -379,73 +374,3 @@ def _binomial_table(n: int, p: int) -> list[list[int]]:
         row = [1] + [(prev[i - 1] + prev[i]) % p for i in range(1, m)] + [1]
         rows.append(row)
     return rows
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """The linear form z_i - z_j - c (or z_i - c when j is None); 1-based."""
-
-    i: int
-    j: Optional[int]
-    c: FieldElement
-
-    def __post_init__(self):
-        if self.j is not None and self.i == self.j:
-            raise ValueError("linear form needs distinct variable indices")
-
-    def as_mpoly(self, nvars: int) -> MPoly:
-        ctx = self.c.ctx
-        f = MPoly.variable(ctx, nvars, self.i)
-        if self.j is not None:
-            f = f - MPoly.variable(ctx, nvars, self.j)
-        return f - MPoly.const(ctx, nvars, self.c)
-
-    def eval(self, point) -> FieldElement:
-        v = point[self.i - 1]
-        if self.j is not None:
-            v = v - point[self.j - 1]
-        return v - self.c
-
-    def __str__(self):
-        s = f"z{self.i}"
-        if self.j is not None:
-            s += f"-z{self.j}"
-        if self.c.val:
-            s += f"-{self.c}" if "+" not in str(self.c) else f"-({self.c})"
-        return s
-
-
-def divide_exact_linear(f: MPoly, form: LinearForm) -> MPoly:
-    """Exact quotient f / (z_i - z_j - c), verified by back-multiplication."""
-    if not f.terms:
-        return MPoly.zero(f.ctx, f.nvars)
-    ctx, n = f.ctx, f.nvars
-    i0 = form.i - 1
-    # u with z_i - u = the linear form
-    u = MPoly.const(ctx, n, form.c)
-    if form.j is not None:
-        u = u + MPoly.variable(ctx, n, form.j)
-    # coefficients of f as a polynomial in z_i
-    deg = f.degree_in(form.i)
-    layers = [dict() for _ in range(deg + 1)]
-    for e, c in f.terms.items():
-        layers[e[i0]][e[:i0] + (0,) + e[i0 + 1 :]] = c
-    fd = [MPoly(ctx, n, layer) for layer in layers]
-    q = [MPoly.zero(ctx, n) for _ in range(deg)]
-    carry = MPoly.zero(ctx, n)  # q_d during the downward sweep
-    for d in range(deg, 0, -1):
-        qd = fd[d] + u * carry
-        q[d - 1] = qd
-        carry = qd
-    rem = fd[0] + u * carry
-    if rem.terms:
-        raise DivisibilityError(f"{form} does not divide the polynomial exactly")
-    # reassemble the quotient
-    out: dict = {}
-    for d, qd in enumerate(q):
-        for e, c in qd.terms.items():
-            out[e[:i0] + (d,) + e[i0 + 1 :]] = c
-    quot = MPoly(ctx, n, out)
-    if quot * form.as_mpoly(n) != f:  # back-multiplication safety net
-        raise DivisibilityError("exact division self-check failed")
-    return quot

@@ -6,9 +6,10 @@ polynomial form is tilde-C_a = D_a (C_a - Id) with
 D_a = prod_{j != a} (z_a - z_j - 1; kappa)_p.
 
 Pointwise properties (ranks, kernels, duality, nondegeneracy for kappa
-outside the prime field) run batched over F_{p^2} points; the symbolic path
-is a desk-scale construction used for the denominator-cancellation and
-degree-bound claims.
+outside the prime field) run batched over F_{p^2} points.  The symbolic
+form, for the denominator-cancellation and degree-bound claims, is built
+on dense coefficient arrays by the R-factor kernel of the qKZ check
+(``qkz_core.apply_r_factors``).
 """
 
 from __future__ import annotations
@@ -20,15 +21,14 @@ import numpy as np
 from .ffield import FieldCtx, FieldElement, elements, make_field, sample_point
 from .hypergeo import evaluate_solutions, extract_solutions
 from .linalg import ext_det_batch, ext_matmul, ext_mul, ext_rank_batch
-from .mpoly import MPoly
 from .qkz_core import (
     CheckReport,
     QkzParams,
     SingularPointError,
-    _matmul_poly,
+    apply_r_factors,
     k_matrix_batch,
-    k_operator,
     k_operator_at,  # noqa: F401  (a binding perfbench/tracer.py rebinds)
+    r_factors,
 )
 
 __all__ = [
@@ -37,8 +37,7 @@ __all__ = [
     "curvature_batch",
     "reduced_curvature_at",
     "curvature_symbolic",
-    "d_a_poly",
-    "verify_d_a_closed_form",
+    "d_a_closed_form",
     "verify_duality",
     "verify_ext_kappa",
     "kernel_image_ranks",
@@ -101,63 +100,63 @@ def _reduce_batch(C: np.ndarray, p: int) -> np.ndarray:
     return H
 
 
-def d_a_poly(params: QkzParams, a: int) -> MPoly:
-    """D_a = prod_{j != a} (z_a - z_j - 1; kappa)_p as a polynomial in z."""
-    ctx, n = params.ctx, params.n
-    out = MPoly.const(ctx, n, 1)
-    base_a = MPoly.variable(ctx, n, a)
-    for j in range(1, n + 1):
-        if j == a:
-            continue
-        form = base_a - MPoly.variable(ctx, n, j) - MPoly.const(ctx, n, 1)
-        for m in range(params.p):
-            out = out * (form - MPoly.const(ctx, n, params.kappa * m))
-    return out
+def _symbolic_box(params: QkzParams, a: int) -> tuple[int, ...]:
+    """The z-exponent box of tilde-C_a and D_a: each of the p(n-1) factors
+    raises the degree in z_a and in one z_j (j != a) by one."""
+    p, n = params.p, params.n
+    return tuple((n - 1) * p + 1 if i == a else p + 1 for i in range(1, n + 1))
 
 
-def verify_d_a_closed_form(params: QkzParams, a: int) -> CheckReport:
-    """D_a equals prod_{j != a} h(z_a - z_j - 1) with h(t) = t^p - kappa^{p-1} t
-    (the (t;kappa)_p identity applied factorwise)."""
-    ctx, n, p = params.ctx, params.n, params.p
-    kpow = params.kappa ** (p - 1)
-    expect = MPoly.const(ctx, n, 1)
-    for j in range(1, n + 1):
-        if j == a:
-            continue
-        form = MPoly.variable(ctx, n, a) - MPoly.variable(ctx, n, j) - MPoly.const(ctx, n, 1)
-        expect = expect * (form ** p - form.scale(kpow))
-    got = d_a_poly(params, a)
-    return CheckReport(
-        name=f"D_a closed form p={p} n={n} a={a}",
-        passed=got == expect,
-        failures=[] if got == expect else [("mismatch", str(got - expect))],
-    )
-
-
-def curvature_symbolic(params: QkzParams, a: int) -> tuple[list[list[MPoly]], MPoly]:
-    """(tilde-C_a, D_a): the normalized curvature as an exact polynomial
-    matrix (desk scale: p symbolic matrix products).
-
-    The denominator multiset of the p-fold product is exactly the factor
-    list of D_a; this is asserted by comparing the accumulated denominator
-    polynomial with D_a, so no division is ever performed.
-    """
-    ctx, n = params.ctx, params.n
-    num = None
-    denpoly = MPoly.const(ctx, n, 1)
-    for m in range(params.p):
-        op = k_operator(params, a)
-        shift = -(params.kappa * m)
-        num_m = [[e.shift_var(a, shift) for e in row] for row in op.num]
-        for formpoly in (fm.as_mpoly(n).shift_var(a, shift) for fm in op.den):
-            denpoly = denpoly * formpoly
-        num = num_m if num is None else _matmul_poly(num_m, num)
-    da = d_a_poly(params, a)
-    if denpoly != da:
-        raise AssertionError("denominator of the p-fold product differs from D_a")
+def _symbolic_product(params: QkzParams, a: int, factors) -> tuple[np.ndarray, np.ndarray]:
+    """(N - D Id, D) for the product of the given R-factors of K_a applied
+    to [Id; Id], N the product of their numerators and D of their
+    denominators."""
+    p, n = params.p, params.n
+    S = np.zeros((2 * n, n) + _symbolic_box(params, a), dtype=np.int64)
+    corner = (0,) * n
     for i in range(n):
-        num[i][i] = num[i][i] - da
-    return num, da
+        S[(i, i) + corner] = S[(n + i, i) + corner] = 1
+    S = apply_r_factors(S, a, factors, p)
+    return (S[n:] - S[:n]) % p, S[0, 0]
+
+
+def curvature_symbolic(params: QkzParams, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tilde-C_a, D_a) as dense coefficient arrays, shapes (n, n, box) and
+    (box), axes z_1..z_n; the z_a axis has size (n-1)p + 1, the others p + 1.
+
+    C_a is the product of the R-factors of K_a(z - m kappa e_a), m = 0..p-1,
+    the factor (j, c_j) of K_a becoming (j, c_j + m kappa).  Applied to
+    [Id; Id], their denominators u - 1 leave D_a Id in the left half and
+    their numerators u - P leave D_a C_a in the right, so tilde-C_a is the
+    right half minus the left.  Prime-field kappa only.
+    """
+    if params.k is None:
+        raise ValueError("the symbolic curvature requires kappa in F_p^x")
+    kv = params.kappa.val
+    factors = [f for m in range(params.p) for f in r_factors(params, a, m * kv)]
+    return _symbolic_product(params, a, factors)
+
+
+def d_a_closed_form(params: QkzParams, a: int) -> np.ndarray:
+    """prod_{j != a} (x^p - y^p - 1 - kappa^{p-1} (x - y - 1)), x = z_a and
+    y = z_j, as a dense array in the box of ``curvature_symbolic``: the
+    identity (t; kappa)_p = t^p - kappa^{p-1} t at t = x - y - 1, with
+    t^p = x^p - y^p - 1 in characteristic p.  Prime-field kappa only."""
+    p, n = params.p, params.n
+    kp = pow(params.kappa.val, p - 1, p)
+    D = np.zeros(_symbolic_box(params, a), dtype=np.int64)
+    D[(0,) * n] = 1
+    for j in range(1, n + 1):
+        if j == a:
+            continue
+        out = (kp - 1) * D
+        # the monomial terms: (variable axis, exponent, coefficient)
+        for ax, e, c in ((a - 1, p, 1), (j - 1, p, -1), (a - 1, 1, -kp), (j - 1, 1, kp)):
+            hi, lo = [slice(None)] * n, [slice(None)] * n
+            hi[ax], lo[ax] = slice(e, None), slice(0, -e)
+            out[tuple(hi)] += c * D[tuple(lo)]
+        D = out % p
+    return D
 
 
 def _points_batch(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) -> np.ndarray:

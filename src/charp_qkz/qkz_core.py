@@ -3,9 +3,12 @@ equation verifiers.
 
 Operators act on K^n in the basis v^(i) (the i-th tensor slot carries the
 lowered vector); the singular-weight subspace V is the zero-coordinate-sum
-hyperplane.  Rational operators are kept as a polynomial numerator matrix
-over a factored linear-form denominator; identity checks always clear
-denominators, so no rational-function normalization is ever needed.
+hyperplane.  Pointwise, K_a is evaluated at F_{p^2} points, one point
+(``k_operator_at``) or a batch (``k_matrix_batch``) at a time.
+Symbolically, K_a is an ordered product of R-factors (u - P^(a,j))/(u - 1),
+and ``apply_r_factors`` multiplies a stack of dense coefficient arrays by
+their numerators and denominators separately, so every identity is checked
+with denominators cleared and no rational function is ever formed.
 """
 
 from __future__ import annotations
@@ -18,19 +21,18 @@ import numpy as np
 from .dense import dense_shift_var, pad_to_shape, render_polynomials
 from .ffield import FieldCtx, FieldElement, make_field
 from .linalg import ext_matmul
-from .mpoly import LinearForm, MPoly
 
 __all__ = [
     "QkzParams",
     "make_params",
-    "RatOpMatrix",
     "CheckReport",
     "SingularPointError",
-    "k_operator",
     "k_operator_at",
     "k_matrix_batch",
     "verify_rmatrix_identities",
     "verify_flatness",
+    "r_factors",
+    "apply_r_factors",
     "verify_qkz_solution",
     "verify_kz_solution",
 ]
@@ -79,41 +81,9 @@ def make_params(ctx: FieldCtx, n: int, kappa) -> QkzParams:
         raise ValueError("kappa must be nonzero")
     k = d = None
     if kappa.in_prime_field:
-        k = k_from_kappa_int(ctx.p, kappa.a0)
+        k = -pow(kappa.a0, ctx.p - 2, ctx.p) % ctx.p  # kappa*k = -1 mod p
         d = n * k // ctx.p
     return QkzParams(ctx, n, kappa, k, d)
-
-
-def k_from_kappa_int(p: int, kappa0: int) -> int:
-    """The unique 0 < k < p with kappa*k = -1 mod p."""
-    if kappa0 % p == 0:
-        raise ValueError("kappa must be nonzero in F_p")
-    k = (-pow(kappa0, p - 2, p)) % p
-    return k
-
-
-@dataclass
-class RatOpMatrix:
-    """Operator num / prod(den) with an n x n polynomial numerator."""
-
-    num: list[list[MPoly]]
-    den: list[LinearForm]
-
-    @property
-    def n(self) -> int:
-        return len(self.num)
-
-    def eval_at(self, point) -> list[list[FieldElement]]:
-        """Full rational operator evaluated at a point off the poles."""
-        pctx = point[0].ctx
-        den = FieldElement(pctx, 1)
-        for form in self.den:
-            v = form.eval(point)
-            if not v:
-                raise SingularPointError(f"pole of the operator on {form}=0")
-            den = den * v
-        dinv = den.inv()
-        return [[entry.eval(point) * dinv for entry in row] for row in self.num]
 
 
 @dataclass
@@ -141,58 +111,6 @@ def _factor_order(n: int, a: int) -> list[int]:
     """Tensor-slot order in which the R-factors of K_a are applied
     (rightmost factor of eq-order first)."""
     return list(range(a + 1, n + 1)) + list(range(1, a))
-
-
-def _u_form(params: QkzParams, a: int, j: int) -> tuple[MPoly, FieldElement]:
-    """(u_j as MPoly, constant c) for the factor R^{(a,j)}; u_j = z_a-z_j-c."""
-    ctx, n = params.ctx, params.n
-    c = params.kappa if j < a else ctx.zero()
-    u = (
-        MPoly.variable(ctx, n, a)
-        - MPoly.variable(ctx, n, j)
-        - MPoly.const(ctx, n, c)
-    )
-    return u, c
-
-
-def k_operator(params: QkzParams, a: int) -> RatOpMatrix:
-    """The qKZ operator K_a restricted to the weight basis v^(1..n), as an
-    ordered product of R-factors in numerator/denominator form."""
-    ctx, n = params.ctx, params.n
-    if not 1 <= a <= n:
-        raise IndexError(f"operator index {a} out of range 1..{n}")
-    zero = MPoly.zero(ctx, n)
-    M = [[MPoly.const(ctx, n, 1) if i == j else zero for j in range(n)] for i in range(n)]
-    den: list[LinearForm] = []
-    for j in _factor_order(n, a):
-        u, c = _u_form(params, a, j)
-        den.append(LinearForm(a, j, c + ctx.element(1)))
-        # numerator u - P in the weight basis: [[u,-1],[-1,u]] on rows {a,j},
-        # u-1 on the remaining diagonal (P fixes v^(i) for i outside {a,j})
-        um1 = u - MPoly.const(ctx, n, 1)
-        ai, ji = a - 1, j - 1
-        rowa = [u * M[ai][col] - M[ji][col] for col in range(n)]
-        rowj = [u * M[ji][col] - M[ai][col] for col in range(n)]
-        M = [
-            rowa if i == ai else rowj if i == ji else [um1 * M[i][col] for col in range(n)]
-            for i in range(n)
-        ]
-    return RatOpMatrix(M, den)
-
-
-def _matmul_poly(A, B):
-    n = len(A)
-    ctx, nv = A[0][0].ctx, A[0][0].nvars
-    out = [[MPoly.zero(ctx, nv) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            a = A[i][k]
-            if not a:
-                continue
-            for j in range(n):
-                if B[k][j]:
-                    out[i][j] = out[i][j] + a * B[k][j]
-    return out
 
 
 # -- pointwise evaluation ----------------------------------------------------
@@ -293,17 +211,6 @@ def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> 
         M0[ai], M1[ai] = (a0 + t0) % p, (a1 + t1) % p
         M0[ji], M1[ji] = new_j0 % p, -t1 % p
     return np.stack([M0, M1], axis=-1).transpose(2, 0, 1, 3).copy()
-
-
-def singular_basis(ctx: FieldCtx, n: int) -> list[list[FieldElement]]:
-    """The basis e_i = v^(i) - v^(i+1) of the zero-sum subspace V."""
-    basis = []
-    for i in range(n - 1):
-        vec = [ctx.zero() for _ in range(n)]
-        vec[i] = ctx.element(1)
-        vec[i + 1] = ctx.element(-1)
-        basis.append(vec)
-    return basis
 
 
 # -- symbolic R-matrix identities ---------------------------------------------
@@ -480,6 +387,40 @@ def _mismatches(a: int, lhs: np.ndarray, rhs: np.ndarray) -> list[tuple]:
     return [(a, int(i) + 1) for i in np.nonzero(bad)[0]]
 
 
+def r_factors(params: QkzParams, a: int, shift: int = 0) -> list[tuple[int, int]]:
+    """The R-factors of K_a(z - shift e_a) in the order they are applied, as
+    pairs (j, c) with u = z_a - z_j - c and 0 <= c < p (prime-field kappa)."""
+    kv = params.kappa.val
+    return [(j, ((kv if j < a else 0) + shift) % params.p) for j in _factor_order(params.n, a)]
+
+
+def apply_r_factors(S: np.ndarray, a: int, factors, p: int) -> np.ndarray:
+    """Multiply a stack of dense arrays by R-factors (j, c) of K_a; returns
+    the product reduced mod p.
+
+    Axis 0 of ``S`` has 2n rows, its last n axes are z_1..z_n and must hold
+    the products, and its entries lie in [0, p).  With u = z_a - z_j - c,
+    rows 0..n-1 take the factor's denominator u - 1 and rows n..2n-1 its
+    numerator u - P^(a,j): u - 1 on every row but n+a-1 and n+j-1, which
+    swap in P.  The stack is reduced only when the tracked bound on its
+    entries would pass 2^62.
+    """
+    n = S.shape[0] // 2
+    ax, ra = a - 1 - n, n + a - 1
+    bound = p
+    for j, c in factors:
+        # a factor multiplies |entries| by at most p + 2 (0 <= c < p)
+        if bound * (p + 2) >= 1 << 62:
+            S, bound = S % p, p
+        U = _lin_mul(S, ax, j - 1 - n, c)
+        rj = n + j - 1
+        ua, uj = U[ra] - S[rj], U[rj] - S[ra]
+        U -= S
+        U[ra], U[rj] = ua, uj
+        S, bound = U, bound * (p + 2)
+    return S % p
+
+
 def verify_qkz_solution(params: QkzParams, F: np.ndarray) -> CheckReport:
     """Denominator-cleared symbolic check that a solution solves the qKZ
     equations: for each a,  (prod den_a)(z) * f(z - kappa e_a) = num_a(z) f(z).
@@ -495,25 +436,10 @@ def verify_qkz_solution(params: QkzParams, F: np.ndarray) -> CheckReport:
     failures = []
     per_axis = {}
     for a in range(1, n + 1):
-        ax = a - 1 - n
         X = _pad_for_axis(F0, a - 1, n)
         # rows 0..n-1 carry the left side, rows n..2n-1 the right side
-        S = np.concatenate([dense_shift_var(X, ax, -kv, p), X])
-        ra, bound = n + a - 1, p
-        for j in _factor_order(n, a):
-            # with u = z_a - z_j - c, the left side takes the factor's
-            # denominator u - 1 and the right side its numerator u - P:
-            # u - 1 on every coordinate but a and j, which swap in P.
-            # A factor multiplies |entries| by at most p + 2 (0 <= c < p).
-            if bound * (p + 2) >= 1 << 62:
-                S, bound = S % p, p
-            U = _lin_mul(S, ax, j - 1 - n, kv if j < a else 0)
-            rj = n + j - 1
-            ua, uj = U[ra] - S[rj], U[rj] - S[ra]
-            U -= S
-            U[ra], U[rj] = ua, uj
-            S, bound = U, bound * (p + 2)
-        S %= p
+        S = np.concatenate([dense_shift_var(X, a - 1 - n, -kv, p), X])
+        S = apply_r_factors(S, a, r_factors(params, a), p)
         bad = _mismatches(a, S[:n], S[n:])
         failures += bad
         per_axis[a] = not bad

@@ -1,3 +1,4 @@
 """Reference implementations that the package no longer uses: the sparse
-``MPoly`` t-polynomial, vector and solution layers, and the whole-matrix
-rescaling K_a kernel.  Tests compare the production paths with them."""
+``MPoly`` t-polynomial, vector, solution and operator layers (the last with
+the sparse symbolic curvature), and the whole-matrix rescaling K_a kernel.
+Tests compare the production paths with them."""

@@ -10,13 +10,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from charp_qkz.ffield import FieldCtx, FieldElement
-from charp_qkz.mpoly import LinearForm, MPoly
-from charp_qkz.qkz_core import (
-    CheckReport,
-    QkzParams,
-    RatOpMatrix,
-    _matmul_poly,
-)
+from charp_qkz.mpoly import MPoly
+from charp_qkz.qkz_core import CheckReport, QkzParams
+
+from .operators import LinearForm, RatOpMatrix, _matmul_poly
 
 
 def shift_point(z, a: int, delta: FieldElement):

@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 
 from charp_qkz import hypergeo
-from charp_qkz.dense import dense_to_mpoly, dense_top_degree_part
+from charp_qkz.dense import dense_eval_points, dense_to_mpoly, dense_top_degree_part, dense_total_degree
 from charp_qkz.ffield import elements, make_field, sample_point
 from charp_qkz.hypergeo import (
     barq_solutions,
-    d_of_kappa,
     extract_solutions,
     leading_term_data,
     quasi_sections_at,
@@ -28,10 +27,10 @@ from charp_qkz.hypergeo import (
     verify_orthogonality,
     verify_restrictions,
 )
+from charp_qkz.linalg import ext_rank_batch
 from charp_qkz.mpoly import MPoly
 from charp_qkz.pcurvature import (
     curvature_symbolic,
-    d_a_poly,
     verify_curvature_battery,
     verify_duality,
     verify_ext_kappa,
@@ -44,6 +43,7 @@ from charp_qkz.qkz_core import (
     verify_qkz_solution,
     verify_rmatrix_identities,
 )
+from oracles.operators import d_a_poly
 from oracles.solutions import sparse_solutions
 from oracles.vectors import shapovalov
 
@@ -155,7 +155,7 @@ def test_criterion_06_d_complement_law():
         for p, n, kv in sweep_triples():
             ctx = make_field(p)
             kappa = ctx.element(kv)
-            assert d_of_kappa(ctx, n, kappa) + d_of_kappa(ctx, n, -kappa) == n - 1
+            assert make_params(ctx, n, kappa).d + make_params(ctx, n, -kappa).d == n - 1
 
 
 def test_criterion_07_leading_terms():
@@ -239,33 +239,19 @@ def test_criterion_11_curvature_battery():
 
 def test_criterion_12_symbolic_curvature():
     with criterion(12, "symbolic curvature at p=5, n=3: polynomial, degree <= 5, top rank <= 1", budget=120):
-        from charp_qkz import linalg
-
         ctx = make_field(5)
         pctx = make_field(5, 2)
+        Z = np.stack([sample_point(pctx, 3, 1200 + seed) for seed in range(5)])
         for kv in (1, 2, 3, 4):
             params = make_params(ctx, 3, kv)
             for a in range(1, 4):
-                Ctil, Da = curvature_symbolic(params, a)  # raises if D_a fails to cancel
-                assert Da == d_a_poly(params, a)
-                deg = max(
-                    (e.total_degree() for row in Ctil for e in row if not e.is_zero()),
-                    default=0,
-                )
-                assert deg <= 5
-                top = [
-                    [
-                        e.top_degree_part()
-                        if not e.is_zero() and e.total_degree() == deg
-                        else MPoly.zero(ctx, 3)
-                        for e in row
-                    ]
-                    for row in Ctil
-                ]
-                for seed in range(5):
-                    z = elements(sample_point(pctx, 3, 1200 + seed), pctx)
-                    M = [[e.eval(z) for e in row] for row in top]
-                    assert linalg.rank(M, pctx) <= 1
+                Ctil, Da = curvature_symbolic(params, a)
+                assert dense_to_mpoly(Da, ctx, 3) == d_a_poly(params, a)
+                entries = Ctil.reshape((9,) + Ctil.shape[2:])
+                assert dense_total_degree(entries) <= 5
+                top = dense_top_degree_part(entries)
+                M = np.stack([dense_eval_points(e, Z, 5, pctx.nonresidue) for e in top], axis=1)
+                assert np.all(ext_rank_batch(M.reshape(5, 3, 3, 2), pctx) <= 1)
 
 
 def test_criterion_13_ext_kappa_nondegeneracy():

@@ -245,6 +245,27 @@ def test_verify_bad_input_exits_2(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--p", "5", "--n", "3", "--kappa", "2"],
+        ["solve", "--p", "5", "--n", "3", "--kappa", "2", "--format", "json"],
+        ["verify", "--p", "5", "--n", "3", "--suites", "identities"],
+    ],
+)
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_exits_2(argv, target, tmp_path, capsys):
+    """A report path that cannot be opened (a missing directory, or a
+    directory itself) is a usage error, not a traceback and not a failed
+    check."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ")
+
+
 def test_duplicate_kappa_filter_runs_once(capsys):
     code = main(
         ["verify", "--p", "7", "--n", "3", "--kappa", "3", "--kappa", "10",

@@ -29,12 +29,12 @@ from charp_qkz.hypergeo import (
 from charp_qkz.mpoly import MPoly
 from charp_qkz import linalg
 from charp_qkz.qkz_core import (
-    k_operator,
     k_operator_at,
     make_params,
     verify_kz_solution,
     verify_qkz_solution,
 )
+from oracles.operators import k_operator
 from oracles.solutions import sparse_solutions
 from oracles.vectors import shift_point
 from oracles.vectors import VectorPoly, gaudin_operator

@@ -1,8 +1,11 @@
 """The package surface: every exported name resolves, the sparse
-t-polynomial, vector and solution layers live only in tests/oracles, and
-the field-element point helpers are gone."""
+t-polynomial, vector, solution and operator layers live only in
+tests/oracles, the field-element point helpers and duplicate entry points
+are gone, and only the dense kernels import the sparse polynomials."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import charp_qkz
@@ -35,12 +38,33 @@ MOVED_TO_ORACLES = {
     "restrict_special",
     "verify_q_product_formula",
     "shift_point",
+    "k_operator",
+    "RatOpMatrix",
+    "_u_form",
+    "_matmul_poly",
+    "LinearForm",
+    "d_a_poly",
+    "singular_basis",
 }
 
 # Deleted: the helpers of the field-element point form (points are (n, 2)
-# pair arrays, read back with ffield.elements), and an uncalled report
-# serializer.
-REMOVED = {"points_to_array", "_elements", "_kappa_pair", "_draw_point", "curvature_report_json"}
+# pair arrays, read back with ffield.elements), an uncalled report
+# serializer, exact division by linear forms (no caller outside its own
+# tests), the sparse D_a closed-form check (d_a_closed_form is its dense
+# replacement), and wrappers of make_params(...).k and .d.
+REMOVED = {
+    "points_to_array",
+    "_elements",
+    "_kappa_pair",
+    "_draw_point",
+    "curvature_report_json",
+    "divide_exact_linear",
+    "DivisibilityError",
+    "verify_d_a_closed_form",
+    "k_from_kappa",
+    "k_from_kappa_int",
+    "d_of_kappa",
+}
 
 
 def test_every_exported_name_resolves():
@@ -56,3 +80,33 @@ def test_sparse_layers_left_the_package():
         assert not REMOVED & set(vars(mod)), mod.__name__
     assert not hasattr(charp_qkz.hypergeo.SolutionSet, "solutions")
     assert not hasattr(charp_qkz.ffield, "inv") and not hasattr(charp_qkz.ffield, "fpow")
+
+
+def _imported_modules(path: pathlib.Path) -> set[str]:
+    """The package modules a source file imports, by relative or absolute
+    import: "mpoly" for both ``from .mpoly import MPoly`` and
+    ``from charp_qkz import mpoly``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = node.module.split(".") if node.module else []
+            elif (node.module or "").split(".")[0] == "charp_qkz":
+                parts = node.module.split(".")[1:]
+            else:
+                continue
+            found |= {parts[0]} if parts else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "charp_qkz" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_only_dense_imports_the_sparse_polynomials():
+    src = pathlib.Path(charp_qkz.__file__).parent
+    files = sorted(src.glob("*.py"))
+    assert len(files) >= 9
+    importers = {f.name for f in files if "mpoly" in _imported_modules(f)}
+    assert importers == {"dense.py"}

@@ -7,11 +7,9 @@ import pytest
 from charp_qkz.ffield import elements, make_field, sample_point
 from charp_qkz.hypergeo import (
     barq_solutions,
-    d_of_kappa,
     extract_solutions,
     gram_det,
     gram_matrix,
-    k_from_kappa,
     leading_term_data,
     orthogonality_pairing,
     quasi_sections_at,
@@ -46,12 +44,12 @@ SWEEP = [
 
 def test_k_and_d():
     ctx = make_field(5)
-    assert k_from_kappa(ctx, ctx.element(3)) == 3  # 3*3 = 9 = -1 mod 5
-    assert k_from_kappa(ctx, ctx.element(2)) == 2  # 2*2 = 4 = -1 mod 5
-    assert d_of_kappa(ctx, 2, ctx.element(3)) == 1
-    assert d_of_kappa(ctx, 2, ctx.element(2)) == 0
+    assert make_params(ctx, 2, ctx.element(3)).k == 3  # 3*3 = 9 = -1 mod 5
+    assert make_params(ctx, 2, ctx.element(2)).k == 2  # 2*2 = 4 = -1 mod 5
+    assert make_params(ctx, 2, ctx.element(3)).d == 1
+    assert make_params(ctx, 2, ctx.element(2)).d == 0
     with pytest.raises(ValueError):
-        k_from_kappa(ctx, ctx.zero())
+        make_params(ctx, 2, ctx.zero())
 
 
 def test_golden_solution_p5_n2():
@@ -118,7 +116,7 @@ def test_solutions_satisfy_qkz(p, n, kv):
 def test_d_sum_complement(p, n, kv):
     ctx = make_field(p)
     kappa = ctx.element(kv)
-    assert d_of_kappa(ctx, n, kappa) + d_of_kappa(ctx, n, -kappa) == n - 1
+    assert make_params(ctx, n, kappa).d + make_params(ctx, n, -kappa).d == n - 1
 
 
 @pytest.mark.parametrize("p,n,kv", [(5, 3, 1), (7, 4, 2), (7, 5, 3)])
@@ -271,7 +269,7 @@ def test_quasi_flatness(p, n, kv):
     ctx = make_field(p)
     pctx = make_field(p, 2)
     params = make_params(ctx, n, kv)
-    assert params.d > 0 and d_of_kappa(ctx, n, -params.kappa) > 0
+    assert params.d > 0 and params.minus().d > 0
     Z = np.stack([sample_point(pctx, n, 31 + i) for i in range(5)])
     rep = verify_quasi_flatness(params, Z)
     assert rep.passed, rep.failures[:3]

@@ -1,11 +1,11 @@
 """Sparse multivariate polynomials: ring axioms, shifts, evaluation,
-leading terms, and exact division by linear forms."""
+leading terms, and the linear forms of the operator oracle."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from charp_qkz.ffield import make_field
-from charp_qkz.mpoly import DivisibilityError, LinearForm, MPoly, divide_exact_linear
+from charp_qkz.mpoly import MPoly
+from oracles.operators import LinearForm
 
 
 def random_mpoly(ctx, nvars, rng, max_terms=6, max_deg=3):
@@ -101,28 +101,6 @@ def test_derivative_leibniz():
     g = random_mpoly(ctx, 2, rng, max_terms=5)
     for a in (1, 2):
         assert (f * g).derivative(a) == f.derivative(a) * g + f * g.derivative(a)
-
-
-@settings(max_examples=80, deadline=None)
-@given(p=st.sampled_from([5, 7]), seed=st.integers(0, 10**6))
-def test_divide_exact_linear_round_trip(p, seed):
-    import random
-
-    rng = random.Random(seed)
-    ctx = make_field(p)
-    n = rng.randrange(2, 4)
-    g = random_mpoly(ctx, n, rng)
-    i, j = rng.sample(range(1, n + 1), 2)
-    form = LinearForm(i, j, ctx.element(rng.randrange(p)))
-    product = g * form.as_mpoly(n)
-    assert divide_exact_linear(product, form) == g
-
-
-def test_divide_exact_linear_rejects_nondivisible():
-    ctx = make_field(5)
-    f = MPoly.variable(ctx, 2, 1) + MPoly.const(ctx, 2, 1)
-    with pytest.raises(DivisibilityError):
-        divide_exact_linear(f, LinearForm(1, 2, ctx.element(0)))
 
 
 def test_linear_form_eval():

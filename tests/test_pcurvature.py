@@ -4,20 +4,27 @@ structure, duality, and nondegeneracy for steps outside the prime field."""
 import numpy as np
 import pytest
 
-from charp_qkz.ffield import elements, make_field, sample_point
+from charp_qkz.dense import dense_eval_points, dense_to_mpoly, dense_top_degree_part, dense_total_degree
+from charp_qkz.ffield import make_field, sample_point
+from charp_qkz.linalg import ext_mul, ext_rank_batch
 from charp_qkz.pcurvature import (
+    _d_a_batch,
+    _points_batch,
+    _reduce_batch,
+    _symbolic_product,
     curvature_at,
     curvature_batch,
     curvature_symbolic,
-    d_a_poly,
+    d_a_closed_form,
     kernel_image_ranks,
     reduced_curvature_at,
     verify_curvature_battery,
-    verify_d_a_closed_form,
     verify_duality,
     verify_ext_kappa,
 )
-from charp_qkz.qkz_core import make_params
+from charp_qkz.qkz_core import make_params, r_factors
+from oracles.operators import curvature_symbolic as sparse_curvature_symbolic
+from oracles.operators import d_a_poly
 
 
 def test_batch_matches_scalar():
@@ -99,13 +106,27 @@ def test_kernel_image_ranks_bounds():
 
 
 def test_d_a_closed_form():
-    """D_a = prod_{j != a} ((z_a - z_j)^p - kappa^{p-1} (z_a - z_j))."""
-    ctx = make_field(5)
-    for kv in (1, 2, 3, 4):
-        params = make_params(ctx, 3, kv)
-        for a in range(1, 4):
-            rep = verify_d_a_closed_form(params, a)
-            assert rep.passed, rep.failures[:2]
+    """D_a = prod_{j != a} (t^p - kappa^{p-1} t) at t = z_a - z_j - 1: the
+    denominators of the symbolic product equal the closed form, and so does
+    the sparse Pochhammer product, at p=5, n=3 and p=7, n=4 for every kappa
+    and a."""
+    for p, n in ((5, 3), (7, 4)):
+        ctx = make_field(p)
+        for kv in range(1, p):
+            params = make_params(ctx, n, kv)
+            for a in range(1, n + 1):
+                expect = d_a_closed_form(params, a)
+                assert np.array_equal(curvature_symbolic(params, a)[1], expect), (p, kv, a)
+                assert dense_to_mpoly(expect, ctx, n) == d_a_poly(params, a), (p, kv, a)
+
+
+def _entry_values(C: np.ndarray, Z: np.ndarray, pctx) -> np.ndarray:
+    """Every entry of an (n, n, box) polynomial matrix at the points Z:
+    (npts, n, n, 2)."""
+    n = C.shape[0]
+    entries = C.reshape((n * n,) + C.shape[2:])
+    vals = np.stack([dense_eval_points(e, Z, pctx.p, pctx.nonresidue) for e in entries], axis=1)
+    return vals.reshape(len(Z), n, n, 2)
 
 
 @pytest.mark.parametrize("kv", [1, 2, 3, 4])
@@ -113,34 +134,67 @@ def test_symbolic_curvature_polynomial_structure(kv):
     """p=5, n=3: the reduced numerator matrix is polynomial (denominator
     fully cancels), total degree <= (n-2)p = 5, and its top-degree
     homogeneous part has rank <= 1 at random points."""
-    from charp_qkz import linalg
-
     ctx = make_field(5)
     pctx = make_field(5, 2)
     params = make_params(ctx, 3, kv)
+    Z = np.stack([sample_point(pctx, 3, 300 + seed) for seed in range(5)])
     for a in range(1, 4):
         Ctil, Da = curvature_symbolic(params, a)
-        assert Da == d_a_poly(params, a)
-        deg = max(
-            (entry.total_degree() for row in Ctil for entry in row if not entry.is_zero()),
-            default=0,
-        )
-        assert deg <= 5
-        from charp_qkz.mpoly import MPoly
+        assert dense_to_mpoly(Da, ctx, 3) == d_a_poly(params, a)
+        entries = Ctil.reshape((9,) + Ctil.shape[2:])
+        assert dense_total_degree(entries) <= 5
+        top = dense_top_degree_part(entries).reshape(Ctil.shape)
+        assert np.all(ext_rank_batch(_entry_values(top, Z, pctx), pctx) <= 1)
 
-        top = [
-            [
-                entry.top_degree_part()
-                if not entry.is_zero() and entry.total_degree() == deg
-                else MPoly.zero(entry.ctx, entry.nvars)
-                for entry in row
-            ]
-            for row in Ctil
-        ]
-        for seed in range(5):
-            z = elements(sample_point(pctx, 3, 300 + seed), pctx)
-            M = [[e.eval(z) for e in row] for row in top]
-            assert linalg.rank(M, pctx) <= 1
+
+@pytest.mark.parametrize("p,n", [(5, 3), pytest.param(7, 4, marks=pytest.mark.slow)])
+def test_symbolic_curvature_matches_sparse_oracle(p, n):
+    """The dense tilde-C_a and D_a equal the sparse MPoly construction
+    entry for entry, for every kappa and a."""
+    ctx = make_field(p)
+    for kv in range(1, p):
+        params = make_params(ctx, n, kv)
+        for a in range(1, n + 1):
+            Ctil, Da = curvature_symbolic(params, a)
+            ref, ref_da = sparse_curvature_symbolic(params, a)
+            assert dense_to_mpoly(Da, ctx, n) == ref_da
+            for i in range(n):
+                for j in range(n):
+                    assert dense_to_mpoly(Ctil[i, j], ctx, n) == ref[i][j], (kv, a, i, j)
+
+
+@pytest.mark.parametrize(
+    "p,n", [(5, 3)] + [pytest.param(p, n, marks=pytest.mark.slow) for p, n in [(5, 4), (7, 3), (7, 4)]]
+)
+def test_symbolic_curvature_matches_pointwise(p, n):
+    """Each entry of tilde-C_a at the battery's points equals
+    D_a(z) hat-C_a(z), built from the batched K_a products, for every kappa
+    and a."""
+    ctx = make_field(p)
+    pctx = make_field(p, 2)
+    for kv in range(1, p):
+        params = make_params(ctx, n, kv)
+        Z = _points_batch(params, 6, 1, pctx)
+        for a in range(1, n + 1):
+            Ctil, _ = curvature_symbolic(params, a)
+            H = _reduce_batch(curvature_batch(params, a, Z, pctx), p)
+            expect = ext_mul(_d_a_batch(params, a, Z, pctx)[:, None, None], H, p, pctx.nonresidue)
+            assert np.array_equal(_entry_values(Ctil, Z, pctx), expect), (kv, a)
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (7, 4)])
+def test_symbolic_checks_fail_without_last_factor(p, n):
+    """Negative control: the product with its last R-factor left out fails
+    both the D_a closed form and the degree bound, for every kappa and a."""
+    ctx = make_field(p)
+    for kv in range(1, p):
+        params = make_params(ctx, n, kv)
+        for a in range(1, n + 1):
+            factors = [f for m in range(p) for f in r_factors(params, a, m * kv)]
+            Ctil, Da = _symbolic_product(params, a, factors[:-1])
+            assert not np.array_equal(Da, d_a_closed_form(params, a)), (kv, a)
+            deg = dense_total_degree(Ctil.reshape((n * n,) + Ctil.shape[2:]))
+            assert deg > (n - 2) * p, (kv, a, deg)
 
 
 @pytest.mark.parametrize("p,n", [(5, 4), (7, 4), (7, 5)])

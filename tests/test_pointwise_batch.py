@@ -26,12 +26,8 @@ from charp_qkz.pcurvature import (
     verify_curvature_battery,
     verify_ext_kappa,
 )
-from charp_qkz.qkz_core import (
-    SingularPointError,
-    k_operator_at,
-    make_params,
-    singular_basis,
-)
+from charp_qkz.qkz_core import SingularPointError, k_operator_at, make_params
+from oracles.operators import singular_basis
 
 PN = [(p, n) for p in (5, 7, 11, 13) for n in range(2, 6) if n < p]
 

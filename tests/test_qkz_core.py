@@ -10,13 +10,12 @@ from charp_qkz.mpoly import MPoly
 from charp_qkz.qkz_core import (
     SingularPointError,
     k_matrix_batch,
-    k_operator,
     k_operator_at,
     make_params,
-    singular_basis,
     verify_flatness,
     verify_rmatrix_identities,
 )
+from oracles.operators import k_operator, singular_basis
 from oracles.solutions import sparse_solutions
 from oracles.vectors import (
     VectorPoly,
