@@ -41,9 +41,10 @@ print(f"  dim of the span of all images: {ranks['sum_image_dim']}")
 
 # symbolic shape: after clearing the scalar factor D_a, the numerator matrix
 # is purely polynomial with total degree at most (n-2)p.  Both come as dense
-# coefficient arrays (axes z_1..z_n): Ctil of shape (n, n, ...), Da of the
-# same z-shape; dense_total_degree reads a stack with its first axis as the
-# entry index.
+# coefficient arrays in the variables w_j = z_a - z_j, j != a (axes w_2, w_3
+# here): Ctil of shape (n, n, ...), Da of the same w-shape.  The w_j are
+# independent linear forms in z, so the total degrees are those in z;
+# dense_total_degree reads a stack with its first axis as the entry index.
 print("\nsymbolic curvature at p=5, n=3, kappa=2:")
 params = make_params(make_field(5), 3, 2)
 Ctil, Da = curvature_symbolic(params, 1)

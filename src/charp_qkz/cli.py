@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -406,19 +407,19 @@ class SuiteRunner:
                 continue
             failures = []
             bars = barq_solutions(params)
-            for ell, B in enumerate(bars.arrays, start=1):
+            # one check per bar-Q array: the top-degree part of a qKZ
+            # solution that equals the array reads its report
+            reports = [verify_kz_solution(params, B) for B in bars.arrays]
+            for ell, (B, rep) in enumerate(zip(bars.arrays, reports), start=1):
                 if self.cfg.sabotage:
-                    B = _perturbed(B, p)
-                rep = verify_kz_solution(params, B)
+                    rep = verify_kz_solution(params, _perturbed(B, p))
                 if not rep.passed:
                     failures.append(("kz", ell, _jsonable(rep.failures[:3])))
             qkz = extract_solutions(params)
-            for ell, (F, B) in enumerate(zip(qkz.arrays, bars.arrays), start=1):
-                top = dense_top_degree_part(F)
-                if not np.array_equal(top, B):
+            for ell, (F, B, rep) in enumerate(zip(qkz.arrays, bars.arrays, reports), start=1):
+                if not np.array_equal(dense_top_degree_part(F), B):
                     failures.append(("top-degree-mismatch", ell))
                     continue
-                rep = verify_kz_solution(params, top)
                 if not rep.passed:
                     failures.append(("kz-top", ell, _jsonable(rep.failures[:3])))
             entry = {"passed": not failures}
@@ -448,6 +449,15 @@ def _write(text: str, out_path: Optional[str]) -> None:
             _usage_error(f"cannot write {out_path}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out_path: Optional[str]) -> None:
+    """Exit 2 with the message of ``_write`` when a report path names a
+    directory or lies in a missing one: before any work, creating nothing."""
+    if out_path and os.path.isdir(out_path):
+        _usage_error(f"cannot write {out_path}: Is a directory")
+    if out_path and not os.path.isdir(os.path.dirname(out_path) or "."):
+        _usage_error(f"cannot write {out_path}: No such file or directory")
 
 
 def render_text(payload: dict) -> str:
@@ -731,6 +741,7 @@ def main(argv=None) -> int:
     (p, n, kappa) it has seen."""
     try:
         args = _parser().parse_args(argv)
+        _check_out(args.out)
         return args.func(args)
     finally:
         hypergeo._solution_cache.clear()

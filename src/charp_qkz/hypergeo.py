@@ -318,9 +318,7 @@ def special_restriction_values(params: QkzParams, I) -> dict[int, FieldElement]:
     }
 
 
-def verify_restrictions(
-    params: QkzParams, index_sets=None, perturb_control: bool = False
-) -> CheckReport:
+def verify_restrictions(params: QkzParams, perturb_control: bool = False) -> CheckReport:
     """Restriction laws on the special strata: Q(t,z;kappa)|_{S_I} has
     vanishing Pochhammer coefficients below index |I|k - 1 (divisibility by
     (t;kappa)_{|I|k-1}), hence Q^{ell*p-1}|_{S_I} = 0 whenever ell*p < |I|k.
@@ -331,12 +329,7 @@ def verify_restrictions(
     """
     _require_prime_kappa(params)
     n, p = params.n, params.p
-    if index_sets is None:
-        index_sets = [
-            I
-            for m in range(1, n + 1)
-            for I in itertools.combinations(range(1, n + 1), m)
-        ]
+    index_sets = [I for m in range(1, n + 1) for I in itertools.combinations(range(1, n + 1), m)]
     failures = []
     checked = 0
     for I in index_sets:

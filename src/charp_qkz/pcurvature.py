@@ -8,8 +8,9 @@ D_a = prod_{j != a} (z_a - z_j - 1; kappa)_p.
 Pointwise properties (ranks, kernels, duality, nondegeneracy for kappa
 outside the prime field) run batched over F_{p^2} points.  The symbolic
 form, for the denominator-cancellation and degree-bound claims, is built
-on dense coefficient arrays by the R-factor kernel of the qKZ check
-(``qkz_core.apply_r_factors``).
+in the n - 1 variables w_j = z_a - z_j, where D_a = prod_{j != a}
+(w_j^p - w_j), on dense coefficient arrays by the R-factor kernel of the
+qKZ check (``qkz_core.apply_r_factors``).
 """
 
 from __future__ import annotations
@@ -100,62 +101,52 @@ def _reduce_batch(C: np.ndarray, p: int) -> np.ndarray:
     return H
 
 
-def _symbolic_box(params: QkzParams, a: int) -> tuple[int, ...]:
-    """The z-exponent box of tilde-C_a and D_a: each of the p(n-1) factors
-    raises the degree in z_a and in one z_j (j != a) by one."""
+def _w_product(params: QkzParams, a: int, factors) -> tuple[np.ndarray, np.ndarray]:
+    """(N - D Id, D) in the box of ``curvature_symbolic``, N the product of
+    the numerators of the given R-factors (j, c) of K_a and D of their
+    denominators: the p factors of each w_j fit its p + 1 exponents."""
     p, n = params.p, params.n
-    return tuple((n - 1) * p + 1 if i == a else p + 1 for i in range(1, n + 1))
-
-
-def _symbolic_product(params: QkzParams, a: int, factors) -> tuple[np.ndarray, np.ndarray]:
-    """(N - D Id, D) for the product of the given R-factors of K_a applied
-    to [Id; Id], N the product of their numerators and D of their
-    denominators."""
-    p, n = params.p, params.n
-    S = np.zeros((2 * n, n) + _symbolic_box(params, a), dtype=np.int64)
-    corner = (0,) * n
-    for i in range(n):
-        S[(i, i) + corner] = S[(n + i, i) + corner] = 1
-    S = apply_r_factors(S, a, factors, p)
-    return (S[n:] - S[:n]) % p, S[0, 0]
+    D = np.zeros((p + 1,) * (n - 1), dtype=np.int64)
+    D.flat[0] = 1
+    N = np.zeros((n, n) + D.shape, dtype=np.int64)
+    N[range(n), range(n)] = D
+    forms = [(j, (j - (j > a) - n,), c) for j, c in factors]  # w_j's negative axis
+    D, N = apply_r_factors(D, N, a, forms, p)
+    N[range(n), range(n)] -= D
+    return N % p, D
 
 
 def curvature_symbolic(params: QkzParams, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """(tilde-C_a, D_a) as dense coefficient arrays, shapes (n, n, box) and
-    (box), axes z_1..z_n; the z_a axis has size (n-1)p + 1, the others p + 1.
+    """(tilde-C_a, D_a) as dense coefficient arrays, shapes (n, n) + box and
+    box = (p + 1)^{n-1}, axes w_j = z_a - z_j for j != a in increasing order.
 
-    C_a is the product of the R-factors of K_a(z - m kappa e_a), m = 0..p-1,
-    the factor (j, c_j) of K_a becoming (j, c_j + m kappa).  Applied to
-    [Id; Id], their denominators u - 1 leave D_a Id in the left half and
-    their numerators u - P leave D_a C_a in the right, so tilde-C_a is the
-    right half minus the left.  Prime-field kappa only.
+    C_a is the product of the R-factors of K_a(z - m kappa e_a), m = 0..p-1:
+    the factor (j, c_j) of K_a becomes (j, c_j + m kappa), u = w_j - c_j -
+    m kappa.  Their denominators give D_a, their numerators D_a C_a, and
+    tilde-C_a = D_a C_a - D_a Id.  The w_j are independent linear forms, so
+    total degree and top-degree part are those in z.  Prime-field kappa only.
     """
     if params.k is None:
         raise ValueError("the symbolic curvature requires kappa in F_p^x")
     kv = params.kappa.val
     factors = [f for m in range(params.p) for f in r_factors(params, a, m * kv)]
-    return _symbolic_product(params, a, factors)
+    return _w_product(params, a, factors)
 
 
 def d_a_closed_form(params: QkzParams, a: int) -> np.ndarray:
-    """prod_{j != a} (x^p - y^p - 1 - kappa^{p-1} (x - y - 1)), x = z_a and
-    y = z_j, as a dense array in the box of ``curvature_symbolic``: the
-    identity (t; kappa)_p = t^p - kappa^{p-1} t at t = x - y - 1, with
-    t^p = x^p - y^p - 1 in characteristic p.  Prime-field kappa only."""
-    p, n = params.p, params.n
-    kp = pow(params.kappa.val, p - 1, p)
-    D = np.zeros(_symbolic_box(params, a), dtype=np.int64)
-    D[(0,) * n] = 1
-    for j in range(1, n + 1):
-        if j == a:
-            continue
-        out = (kp - 1) * D
-        # the monomial terms: (variable axis, exponent, coefficient)
-        for ax, e, c in ((a - 1, p, 1), (j - 1, p, -1), (a - 1, 1, -kp), (j - 1, 1, kp)):
-            hi, lo = [slice(None)] * n, [slice(None)] * n
-            hi[ax], lo[ax] = slice(e, None), slice(0, -e)
-            out[tuple(hi)] += c * D[tuple(lo)]
-        D = out % p
+    """prod_{j != a} (w_j^p - w_j) as a dense array in the box of
+    ``curvature_symbolic``: the denominators of the factors of w_j are
+    w_j - c_j - 1 - m kappa, m = 0..p-1, and as m runs over F_p so does
+    c_j + 1 + m kappa, so they multiply to prod_{t in F_p} (w_j - t).  The
+    same array for every a and kappa; prime-field kappa only."""
+    if params.k is None:
+        raise ValueError("the closed form of D_a requires kappa in F_p^x")
+    p = params.p
+    f = np.zeros(p + 1, dtype=np.int64)
+    f[1], f[p] = p - 1, 1
+    D = np.ones((), dtype=np.int64)
+    for _ in range(params.n - 1):
+        D = np.multiply.outer(D, f) % p
     return D
 
 

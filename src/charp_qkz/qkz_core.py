@@ -6,9 +6,10 @@ lowered vector); the singular-weight subspace V is the zero-coordinate-sum
 hyperplane.  Pointwise, K_a is evaluated at F_{p^2} points, one point
 (``k_operator_at``) or a batch (``k_matrix_batch``) at a time.
 Symbolically, K_a is an ordered product of R-factors (u - P^(a,j))/(u - 1),
-and ``apply_r_factors`` multiplies a stack of dense coefficient arrays by
-their numerators and denominators separately, so every identity is checked
-with denominators cleared and no rational function is ever formed.
+and ``apply_r_factors`` multiplies one dense coefficient array by their
+denominators and another by their numerators, u given by the axes of its
+variables, so every identity is checked with denominators cleared and no
+rational function is ever formed.
 """
 
 from __future__ import annotations
@@ -360,14 +361,16 @@ def _axis_slices(ndim: int, axis: int):
     return lead + (slice(1, None),), lead + (slice(0, -1),)
 
 
-def _lin_mul(X: np.ndarray, ax_a: int, ax_j: int, cc: int) -> np.ndarray:
-    """(z_a - z_j - cc) * X inside X's (padded) shape, not reduced mod p;
-    ``ax_a``/``ax_j`` are the negative array axes of z_a and z_j."""
+def _lin_mul(X: np.ndarray, axes: tuple, cc: int) -> np.ndarray:
+    """(x - y - cc) * X inside X's (padded) shape, not reduced mod p; the
+    linear form is given by the negative array axes ``axes`` = (x, y) of its
+    variables, or (x,) for the form x - cc."""
     out = X * -cc
-    hi, lo = _axis_slices(X.ndim, ax_a)
+    hi, lo = _axis_slices(X.ndim, axes[0])
     out[hi] += X[lo]
-    hi, lo = _axis_slices(X.ndim, ax_j)
-    out[hi] -= X[lo]
+    if len(axes) > 1:
+        hi, lo = _axis_slices(X.ndim, axes[1])
+        out[hi] -= X[lo]
     return out
 
 
@@ -394,31 +397,31 @@ def r_factors(params: QkzParams, a: int, shift: int = 0) -> list[tuple[int, int]
     return [(j, ((kv if j < a else 0) + shift) % params.p) for j in _factor_order(params.n, a)]
 
 
-def apply_r_factors(S: np.ndarray, a: int, factors, p: int) -> np.ndarray:
-    """Multiply a stack of dense arrays by R-factors (j, c) of K_a; returns
-    the product reduced mod p.
+def apply_r_factors(D: np.ndarray, N: np.ndarray, a: int, factors, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Multiply D by the denominators u - 1 and N by the numerators
+    u - P^(a,j) of R-factors (j, axes, c) of K_a; returns both reduced mod p.
 
-    Axis 0 of ``S`` has 2n rows, its last n axes are z_1..z_n and must hold
-    the products, and its entries lie in [0, p).  With u = z_a - z_j - c,
-    rows 0..n-1 take the factor's denominator u - 1 and rows n..2n-1 its
-    numerator u - P^(a,j): u - 1 on every row but n+a-1 and n+j-1, which
-    swap in P.  The stack is reduced only when the tracked bound on its
-    entries would pass 2^62.
+    u is x - y - c, or x - c when ``axes`` holds one axis, for the negative
+    array axes (x, y) of its variables: z_a and z_j, or w_j = z_a - z_j.
+    Axis 0 of N indexes the coordinates, and u - P^(a,j) is u - 1 on every
+    row but a and j, which swap in P.  The trailing axes must hold the
+    products and the entries lie in [0, p); both are reduced only when the
+    tracked bound on their entries would pass 2^62.
     """
-    n = S.shape[0] // 2
-    ax, ra = a - 1 - n, n + a - 1
+    ra = a - 1
     bound = p
-    for j, c in factors:
+    for j, axes, c in factors:
         # a factor multiplies |entries| by at most p + 2 (0 <= c < p)
         if bound * (p + 2) >= 1 << 62:
-            S, bound = S % p, p
-        U = _lin_mul(S, ax, j - 1 - n, c)
-        rj = n + j - 1
-        ua, uj = U[ra] - S[rj], U[rj] - S[ra]
-        U -= S
+            D, N, bound = D % p, N % p, p
+        D = _lin_mul(D, axes, c + 1)
+        U = _lin_mul(N, axes, c)
+        rj = j - 1
+        ua, uj = U[ra] - N[rj], U[rj] - N[ra]
+        U -= N
         U[ra], U[rj] = ua, uj
-        S, bound = U, bound * (p + 2)
-    return S % p
+        N, bound = U, bound * (p + 2)
+    return D % p, N % p
 
 
 def verify_qkz_solution(params: QkzParams, F: np.ndarray) -> CheckReport:
@@ -437,10 +440,9 @@ def verify_qkz_solution(params: QkzParams, F: np.ndarray) -> CheckReport:
     per_axis = {}
     for a in range(1, n + 1):
         X = _pad_for_axis(F0, a - 1, n)
-        # rows 0..n-1 carry the left side, rows n..2n-1 the right side
-        S = np.concatenate([dense_shift_var(X, a - 1 - n, -kv, p), X])
-        S = apply_r_factors(S, a, r_factors(params, a), p)
-        bad = _mismatches(a, S[:n], S[n:])
+        factors = [(j, (a - 1 - n, j - 1 - n), c) for j, c in r_factors(params, a)]
+        lhs, rhs = apply_r_factors(dense_shift_var(X, a - 1 - n, -kv, p), X, a, factors, p)
+        bad = _mismatches(a, lhs, rhs)
         failures += bad
         per_axis[a] = not bad
     return CheckReport(
@@ -473,12 +475,12 @@ def verify_kz_solution(params: QkzParams, F: np.ndarray) -> CheckReport:
         for j in range(1, n + 1):
             if j == a:
                 continue
-            lhs = _lin_mul(lhs, ax, j - 1 - n, 0)
+            lhs = _lin_mul(lhs, (ax, j - 1 - n), 0)
             # Gaudin term (P^(a,j) - 1) f times prod_{j2 != a, j} (z_a - z_j2)
             G = X[j - 1] - X[a - 1]
             for j2 in range(1, n + 1):
                 if j2 not in (a, j):
-                    G = _lin_mul(G, ax, j2 - 1 - n, 0)
+                    G = _lin_mul(G, (ax, j2 - 1 - n), 0)
             rhs[a - 1] += G
             rhs[j - 1] -= G
         failures += _mismatches(a, lhs % p, rhs % p)

@@ -46,6 +46,7 @@ from charp_qkz.qkz_core import (
 from oracles.operators import d_a_poly
 from oracles.solutions import sparse_solutions
 from oracles.vectors import shapovalov
+from oracles.zbox import w_to_z
 
 SWEEP_PRIMES = (5, 7, 11, 13)
 SWEEP_N = (2, 3, 4, 5)
@@ -245,7 +246,8 @@ def test_criterion_12_symbolic_curvature():
         for kv in (1, 2, 3, 4):
             params = make_params(ctx, 3, kv)
             for a in range(1, 4):
-                Ctil, Da = curvature_symbolic(params, a)
+                # built in w_j = z_a - z_j, expanded exactly into z
+                Ctil, Da = (w_to_z(arr, a, 3, 5) for arr in curvature_symbolic(params, a))
                 assert dense_to_mpoly(Da, ctx, 3) == d_a_poly(params, a)
                 entries = Ctil.reshape((9,) + Ctil.shape[2:])
                 assert dense_total_degree(entries) <= 5

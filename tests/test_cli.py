@@ -254,16 +254,27 @@ def test_verify_bad_input_exits_2(argv, capsys):
     ],
 )
 @pytest.mark.parametrize("target", ["missing/x.json", "."])
-def test_unwritable_out_exits_2(argv, target, tmp_path, capsys):
+def test_unwritable_out_exits_2(argv, target, tmp_path, capsys, monkeypatch):
     """A report path that cannot be opened (a missing directory, or a
     directory itself) is a usage error, not a traceback and not a failed
-    check."""
+    check.  It is found before any construction or check runs, and no file
+    is left behind."""
+    import charp_qkz.cli as cli
+
+    def ran(*args, **kwargs):
+        raise AssertionError("work ran before the --out check")
+
+    monkeypatch.setattr(cli, "extract_solutions", ran)
+    monkeypatch.setattr(cli, "pochhammer_identity_suite", ran)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / target)])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write ")
+    reason = "Is a directory" if target == "." else "No such file or directory"
+    assert captured.err.rstrip().endswith(reason)
+    assert not any(tmp_path.iterdir())
 
 
 def test_duplicate_kappa_filter_runs_once(capsys):

@@ -1,7 +1,8 @@
 """The package surface: every exported name resolves, the sparse
-t-polynomial, vector, solution and operator layers live only in
-tests/oracles, the field-element point helpers and duplicate entry points
-are gone, and only the dense kernels import the sparse polynomials."""
+t-polynomial, vector, solution and operator layers and the z-box symbolic
+curvature live only in tests/oracles, the field-element point helpers and
+duplicate entry points are gone, and only the dense kernels import the
+sparse polynomials."""
 
 import ast
 import importlib
@@ -45,6 +46,8 @@ MOVED_TO_ORACLES = {
     "LinearForm",
     "d_a_poly",
     "singular_basis",
+    "_symbolic_box",
+    "_symbolic_product",
 }
 
 # Deleted: the helpers of the field-element point form (points are (n, 2)
@@ -72,6 +75,16 @@ def test_every_exported_name_resolves():
     for mod in MODULES:
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{mod.__name__}.{name} is exported but missing"
+
+
+def test_z_box_curvature_lives_in_the_oracles():
+    """The symbolic curvature on the z-box (its box, its (2n, n, box)
+    builder, and the z closed form of D_a) is a test reference only."""
+    from oracles import zbox
+
+    for name in ("_symbolic_box", "_symbolic_product", "curvature_symbolic", "d_a_closed_form"):
+        assert callable(getattr(zbox, name)), name
+    assert zbox.curvature_symbolic is not charp_qkz.pcurvature.curvature_symbolic
 
 
 def test_sparse_layers_left_the_package():

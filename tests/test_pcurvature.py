@@ -11,7 +11,7 @@ from charp_qkz.pcurvature import (
     _d_a_batch,
     _points_batch,
     _reduce_batch,
-    _symbolic_product,
+    _w_product,
     curvature_at,
     curvature_batch,
     curvature_symbolic,
@@ -23,8 +23,10 @@ from charp_qkz.pcurvature import (
     verify_ext_kappa,
 )
 from charp_qkz.qkz_core import make_params, r_factors
+from oracles import zbox
 from oracles.operators import curvature_symbolic as sparse_curvature_symbolic
 from oracles.operators import d_a_poly
+from oracles.zbox import w_to_z
 
 
 def test_batch_matches_scalar():
@@ -106,10 +108,11 @@ def test_kernel_image_ranks_bounds():
 
 
 def test_d_a_closed_form():
-    """D_a = prod_{j != a} (t^p - kappa^{p-1} t) at t = z_a - z_j - 1: the
-    denominators of the symbolic product equal the closed form, and so does
-    the sparse Pochhammer product, at p=5, n=3 and p=7, n=4 for every kappa
-    and a."""
+    """D_a = prod_{j != a} (w_j^p - w_j), w_j = z_a - z_j: the denominators
+    of the symbolic product equal the closed form, and so, expanded in z, do
+    the z-box closed form prod (t^p - kappa^{p-1} t) at t = z_a - z_j - 1
+    and the sparse Pochhammer product, at p=5, n=3 and p=7, n=4 for every
+    kappa and a."""
     for p, n in ((5, 3), (7, 4)):
         ctx = make_field(p)
         for kv in range(1, p):
@@ -117,7 +120,9 @@ def test_d_a_closed_form():
             for a in range(1, n + 1):
                 expect = d_a_closed_form(params, a)
                 assert np.array_equal(curvature_symbolic(params, a)[1], expect), (p, kv, a)
-                assert dense_to_mpoly(expect, ctx, n) == d_a_poly(params, a), (p, kv, a)
+                in_z = w_to_z(expect, a, n, p)
+                assert np.array_equal(in_z, zbox.d_a_closed_form(params, a)), (p, kv, a)
+                assert dense_to_mpoly(in_z, ctx, n) == d_a_poly(params, a), (p, kv, a)
 
 
 def _entry_values(C: np.ndarray, Z: np.ndarray, pctx) -> np.ndarray:
@@ -129,17 +134,27 @@ def _entry_values(C: np.ndarray, Z: np.ndarray, pctx) -> np.ndarray:
     return vals.reshape(len(Z), n, n, 2)
 
 
+def _w_points(Z: np.ndarray, a: int, p: int) -> np.ndarray:
+    """The points (npts, n, 2) in the variables w_j = z_a - z_j, j != a:
+    (npts, n-1, 2)."""
+    W = (Z[:, a - 1 : a] - Z) % p
+    return np.delete(W, a - 1, axis=1)
+
+
 @pytest.mark.parametrize("kv", [1, 2, 3, 4])
 def test_symbolic_curvature_polynomial_structure(kv):
     """p=5, n=3: the reduced numerator matrix is polynomial (denominator
     fully cancels), total degree <= (n-2)p = 5, and its top-degree
-    homogeneous part has rank <= 1 at random points."""
+    homogeneous part has rank <= 1 at random points; in w, and expanded in
+    z."""
     ctx = make_field(5)
     pctx = make_field(5, 2)
     params = make_params(ctx, 3, kv)
     Z = np.stack([sample_point(pctx, 3, 300 + seed) for seed in range(5)])
     for a in range(1, 4):
-        Ctil, Da = curvature_symbolic(params, a)
+        Cw, Dw = curvature_symbolic(params, a)
+        assert dense_total_degree(Cw.reshape((9,) + Dw.shape)) <= 5
+        Ctil, Da = w_to_z(Cw, a, 3, 5), w_to_z(Dw, a, 3, 5)
         assert dense_to_mpoly(Da, ctx, 3) == d_a_poly(params, a)
         entries = Ctil.reshape((9,) + Ctil.shape[2:])
         assert dense_total_degree(entries) <= 5
@@ -149,13 +164,14 @@ def test_symbolic_curvature_polynomial_structure(kv):
 
 @pytest.mark.parametrize("p,n", [(5, 3), pytest.param(7, 4, marks=pytest.mark.slow)])
 def test_symbolic_curvature_matches_sparse_oracle(p, n):
-    """The dense tilde-C_a and D_a equal the sparse MPoly construction
-    entry for entry, for every kappa and a."""
+    """tilde-C_a and D_a, expanded from w into z, equal the sparse MPoly
+    construction entry for entry, for every kappa and a."""
     ctx = make_field(p)
     for kv in range(1, p):
         params = make_params(ctx, n, kv)
         for a in range(1, n + 1):
-            Ctil, Da = curvature_symbolic(params, a)
+            Cw, Dw = curvature_symbolic(params, a)
+            Ctil, Da = w_to_z(Cw, a, n, p), w_to_z(Dw, a, n, p)
             ref, ref_da = sparse_curvature_symbolic(params, a)
             assert dense_to_mpoly(Da, ctx, n) == ref_da
             for i in range(n):
@@ -163,11 +179,48 @@ def test_symbolic_curvature_matches_sparse_oracle(p, n):
                     assert dense_to_mpoly(Ctil[i, j], ctx, n) == ref[i][j], (kv, a, i, j)
 
 
-@pytest.mark.parametrize(
-    "p,n", [(5, 3)] + [pytest.param(p, n, marks=pytest.mark.slow) for p, n in [(5, 4), (7, 3), (7, 4)]]
-)
+def _slow_except_5_3(pairs):
+    return [(p, n) if (p, n) == (5, 3) else pytest.param(p, n, marks=pytest.mark.slow) for p, n in pairs]
+
+
+ZBOX_PAIRS = [(p, n) for p in (5, 7, 11, 13) for n in (2, 3, 4)] + [(7, 5)]
+SWEEP_PAIRS = [(p, n) for p in (5, 7, 11, 13) for n in (2, 3, 4, 5) if n < p]
+
+
+@pytest.mark.parametrize("p,n", _slow_except_5_3(ZBOX_PAIRS))
+def test_symbolic_curvature_matches_zbox_oracle(p, n):
+    """tilde-C_a and D_a built in w, expanded exactly into z, equal the
+    z-box construction entry for entry, for every kappa and a."""
+    ctx = make_field(p)
+    for kv in range(1, p):
+        params = make_params(ctx, n, kv)
+        for a in range(1, n + 1):
+            Cw, Dw = curvature_symbolic(params, a)
+            Cz, Dz = zbox.curvature_symbolic(params, a)
+            assert np.array_equal(w_to_z(Dw, a, n, p), Dz), (kv, a)
+            assert np.array_equal(w_to_z(Cw, a, n, p), Cz), (kv, a)
+
+
+@pytest.mark.parametrize("p,n", _slow_except_5_3(SWEEP_PAIRS))
+def test_symbolic_curvature_closed_form_and_exact_degree(p, n):
+    """In w, for every kappa and a: D_a equals its closed form, and the
+    total degree of tilde-C_a is exactly (n-2)p when 0 < d < n-1, while
+    tilde-C_a = 0 otherwise."""
+    ctx = make_field(p)
+    for kv in range(1, p):
+        params = make_params(ctx, n, kv)
+        for a in range(1, n + 1):
+            Ctil, Da = curvature_symbolic(params, a)
+            assert np.array_equal(Da, d_a_closed_form(params, a)), (kv, a)
+            if 0 < params.d < n - 1:
+                assert dense_total_degree(Ctil.reshape((n * n,) + Da.shape)) == (n - 2) * p, (kv, a)
+            else:
+                assert not Ctil.any(), (kv, a)
+
+
+@pytest.mark.parametrize("p,n", _slow_except_5_3(SWEEP_PAIRS))
 def test_symbolic_curvature_matches_pointwise(p, n):
-    """Each entry of tilde-C_a at the battery's points equals
+    """Each entry of tilde-C_a at the battery's points, in w, equals
     D_a(z) hat-C_a(z), built from the batched K_a products, for every kappa
     and a."""
     ctx = make_field(p)
@@ -179,19 +232,20 @@ def test_symbolic_curvature_matches_pointwise(p, n):
             Ctil, _ = curvature_symbolic(params, a)
             H = _reduce_batch(curvature_batch(params, a, Z, pctx), p)
             expect = ext_mul(_d_a_batch(params, a, Z, pctx)[:, None, None], H, p, pctx.nonresidue)
-            assert np.array_equal(_entry_values(Ctil, Z, pctx), expect), (kv, a)
+            assert np.array_equal(_entry_values(Ctil, _w_points(Z, a, p), pctx), expect), (kv, a)
 
 
 @pytest.mark.parametrize("p,n", [(5, 3), (7, 4)])
 def test_symbolic_checks_fail_without_last_factor(p, n):
-    """Negative control: the product with its last R-factor left out fails
-    both the D_a closed form and the degree bound, for every kappa and a."""
+    """Negative control: the product in w with its last R-factor left out
+    fails both the D_a closed form and the degree bound, for every kappa
+    and a."""
     ctx = make_field(p)
     for kv in range(1, p):
         params = make_params(ctx, n, kv)
         for a in range(1, n + 1):
             factors = [f for m in range(p) for f in r_factors(params, a, m * kv)]
-            Ctil, Da = _symbolic_product(params, a, factors[:-1])
+            Ctil, Da = _w_product(params, a, factors[:-1])
             assert not np.array_equal(Da, d_a_closed_form(params, a)), (kv, a)
             deg = dense_total_degree(Ctil.reshape((n * n,) + Ctil.shape[2:]))
             assert deg > (n - 2) * p, (kv, a, deg)
