@@ -9,7 +9,7 @@ Run:  python3 demos/03_curvature_structure.py
 """
 
 from charp_qkz import make_field, make_params
-from charp_qkz.dense import dense_total_degree
+from charp_qkz.dense import dense_total_degrees
 from charp_qkz.ffield import sample_point
 from charp_qkz.pcurvature import (
     curvature_symbolic,
@@ -44,9 +44,9 @@ print(f"  dim of the span of all images: {ranks['sum_image_dim']}")
 # coefficient arrays in the variables w_j = z_a - z_j, j != a (axes w_2, w_3
 # here): Ctil of shape (n, n, ...), Da of the same w-shape.  The w_j are
 # independent linear forms in z, so the total degrees are those in z;
-# dense_total_degree reads a stack with its first axis as the entry index.
+# dense_total_degrees reads stacks of entries: axis 0 the stack, axis 1 the entry.
 print("\nsymbolic curvature at p=5, n=3, kappa=2:")
 params = make_params(make_field(5), 3, 2)
 Ctil, Da = curvature_symbolic(params, 1)
-deg = dense_total_degree(Ctil.reshape((-1,) + Da.shape))
-print(f"  denominator D_1 has degree {dense_total_degree(Da[None])}; numerator degree {deg} <= (n-2)p = 5")
+deg = dense_total_degrees(Ctil.reshape((1, -1) + Da.shape))[0]
+print(f"  denominator D_1 has degree {dense_total_degrees(Da[None, None])[0]}; numerator degree {deg} <= (n-2)p = 5")

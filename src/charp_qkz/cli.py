@@ -98,11 +98,13 @@ def _usage_error(message: str):
 
 
 def parse_kappa(ctx: FieldCtx, text: str) -> FieldElement:
-    """Parse "c" (element of F_p) or "a+b*g" (element of F_{p^2})."""
+    """Parse "c" (element of F_p) or "a+b*g" (element of F_{p^2}); "g",
+    "b*g", "a+g" and "a+bg" are read too.  Any other spelling raises a
+    ValueError that names the two forms."""
     s = text.replace(" ", "")
-    if "g" in s:
-        if ctx.ext_degree != 2:
-            ctx = make_field(ctx.p, 2)
+    try:
+        if "g" not in s:
+            return ctx.element(int(s) % ctx.p)
         a, b = 0, 1
         if s == "g":
             pass
@@ -113,9 +115,11 @@ def parse_kappa(ctx: FieldCtx, text: str) -> FieldElement:
         elif s.endswith("*g"):
             b = int(s[:-2])
         else:
-            raise ValueError(f"cannot parse kappa {text!r}; use 'c' or 'a+b*g'")
-        return ctx.element(a % ctx.p, b % ctx.p)
-    return ctx.element(int(s) % ctx.p)
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"cannot parse kappa {text!r}; use 'c' or 'a+b*g'") from None
+    ext = ctx if ctx.ext_degree == 2 else make_field(ctx.p, 2)
+    return ext.element(a % ext.p, b % ext.p)
 
 
 def _kappa_values(cfg: RunConfig, p: int) -> list[int]:
@@ -218,14 +222,14 @@ class SuiteRunner:
         return self._params_cache[key]
 
     def sweep(self):
-        """(p, n, kappa_value) triples with n < p; out-of-range pairs are
-        logged once per suite run."""
+        """The (p, n, kappa_value) triples with n < p, and the skipped
+        (p, n) pairs as report entries {"p", "n", "reason"}."""
         skipped = []
         triples = []
         for p in self.cfg.primes:
             for n in self.cfg.n_range:
                 if n >= p:
-                    skipped.append((p, n, "requires n < p"))
+                    skipped.append({"p": p, "n": n, "reason": "requires n < p"})
                     continue
                 for kv in _kappa_values(self.cfg, p):
                     triples.append((p, n, kv))
@@ -235,9 +239,7 @@ class SuiteRunner:
         cfg = self.cfg
         triples, skipped = self.sweep()
         if skipped:
-            self.results["skipped_pairs"] = [
-                {"p": p, "n": n, "reason": r} for p, n, r in skipped
-            ]
+            self.results["skipped_pairs"] = skipped
         for suite in cfg.suites:
             getattr(self, f"suite_{suite}")(triples)
         return self.results
@@ -604,48 +606,39 @@ def cmd_suite(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _config_from_args(args)
+    runner = SuiteRunner(cfg)
+    triples, skipped = runner.sweep()
     rows = []
-    skipped = []
-    for p in cfg.primes:
-        ctx = make_field(p)
-        for n in cfg.n_range:
-            if n >= p:
-                skipped.append({"p": p, "n": n, "reason": "requires n < p"})
-                continue
-            gram_ok = gram_det(ctx, n).val == n % p
-            for kv in _kappa_values(cfg, p):
-                params = make_params(ctx, n, kv)
-                dm = params.minus().d
-                row = {
-                    "p": p,
-                    "n": n,
-                    "kappa": kv,
-                    "k": params.k,
-                    "d": params.d,
-                    "d_minus": dm,
-                    "gram_det_equals_n": gram_ok,
+    for p, n, kv in triples:
+        params = runner.params_for(p, n, kv)
+        row = {
+            "p": p,
+            "n": n,
+            "kappa": kv,
+            "k": params.k,
+            "d": params.d,
+            "d_minus": params.minus().d,
+            "gram_det_equals_n": gram_det(params.ctx, n).val == n % p,
+        }
+        if params.d:
+            ss = extract_solutions(params)
+            row["degrees"] = ss.degrees()
+            row["ortho"] = "zero-pairing" if 0 < params.d < n - 1 else "not applicable"
+        else:
+            row["degrees"] = []
+            row["ortho"] = "not applicable"
+        if 0 < params.d < n - 1:
+            pctx = make_field(p, 2)
+            z = sample_point(pctx, n, _mix(cfg.seed, "report", p, n, kv))
+            try:
+                ranks = kernel_image_ranks(params, z)
+                row["curvature_ranks"] = {
+                    str(a): v["rank"] for a, v in ranks.items() if a != "sum_image_dim"
                 }
-                if params.d:
-                    ss = extract_solutions(params)
-                    row["degrees"] = ss.degrees()
-                    row["ortho"] = (
-                        "zero-pairing" if 0 < params.d < n - 1 else "not applicable"
-                    )
-                else:
-                    row["degrees"] = []
-                    row["ortho"] = "not applicable"
-                if 0 < params.d < n - 1:
-                    pctx = make_field(p, 2)
-                    z = sample_point(pctx, n, _mix(cfg.seed, "report", p, n, kv))
-                    try:
-                        ranks = kernel_image_ranks(params, z)
-                        row["curvature_ranks"] = {
-                            str(a): v["rank"] for a, v in ranks.items() if a != "sum_image_dim"
-                        }
-                        row["sum_image_dim"] = ranks["sum_image_dim"]
-                    except SingularPointError:
-                        row["curvature_ranks"] = None
-                rows.append(row)
+                row["sum_image_dim"] = ranks["sum_image_dim"]
+            except SingularPointError:
+                row["curvature_ranks"] = None
+        rows.append(row)
     payload = {"schema": SCHEMA, "rows": rows}
     if skipped:
         payload["skipped_pairs"] = skipped

@@ -27,7 +27,7 @@ __all__ = [
     "dense_negate_vars",
     "dense_conv",
     "pad_to_shape",
-    "dense_total_degree",
+    "dense_total_degrees",
     "dense_top_degree_part",
     "build_product_tpoly",
     "pochhammer_scalar_coeffs",
@@ -116,11 +116,16 @@ def pad_to_shape(arr: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def dense_total_degree(F: np.ndarray) -> int:
-    """The largest total degree of any term of a coordinate stack (axis 0 =
-    coordinate, then z_1..z_n); -1 when every coordinate is zero."""
-    total = np.indices(F.shape[1:]).sum(axis=0)
-    return int(total[np.any(F != 0, axis=0)].max(initial=-1))
+def dense_total_degrees(S: np.ndarray) -> list[int]:
+    """The total degree of each coordinate stack in S (axis 0 = stack, axis
+    1 = coordinate, then z_1..z_n): the largest total degree of any term of
+    any coordinate, -1 when every coordinate is zero.  One pass over the
+    whole stack, as ``SolutionSet.degrees`` reads it."""
+    if not S.shape[0]:
+        return []
+    total = np.indices(S.shape[2:]).sum(axis=0).ravel()
+    support = np.any(S != 0, axis=1).reshape(S.shape[0], -1)
+    return [int(total[row].max(initial=-1)) for row in support]
 
 
 def dense_top_degree_part(F: np.ndarray) -> np.ndarray:
@@ -128,7 +133,7 @@ def dense_top_degree_part(F: np.ndarray) -> np.ndarray:
     coordinate, then z_1..z_n): the degree is the maximum over all
     coordinates, so lower-degree coordinates become zero."""
     total = np.indices(F.shape[1:]).sum(axis=0)
-    return np.where(total == dense_total_degree(F), F, 0)
+    return np.where(total == dense_total_degrees(F[None])[0], F, 0)
 
 
 # float64 unit roundoff, and the relative 2-norm error allowed per pass of

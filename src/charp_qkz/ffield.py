@@ -160,12 +160,6 @@ class FieldCtx:
             raise ValueError("no extension generator in a prime field")
         return FieldElement(self, self.p)
 
-    def elements(self):
-        """Iterate over all field elements (encoded order); the module-level
-        :func:`elements` reads pair arrays instead."""
-        for v in range(self.order):
-            yield FieldElement(self, v)
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldCtx)
@@ -315,8 +309,7 @@ def sample_point(ctx: FieldCtx, n: int, rng_seed: int, max_tries: int = 10000) -
 def elements(Z: np.ndarray, ctx: FieldCtx):
     """An array of (a0, a1) pairs (..., 2) as the field elements
     ``FieldElement(ctx, a0 + a1*p)``, unreduced: one element for a single
-    pair, else nested lists in the array's shape.  (Not
-    :meth:`FieldCtx.elements`, which lists the whole field.)"""
+    pair, else nested lists in the array's shape."""
     vals = np.asarray(Z, dtype=np.int64)
     return _wrap((vals[..., 0] + vals[..., 1] * ctx.p).tolist(), ctx)
 

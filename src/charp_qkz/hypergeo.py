@@ -73,16 +73,7 @@ class SolutionSet:
         return self.arrays.shape[0]
 
     def degrees(self) -> list[int]:
-        return _degrees(self.arrays)
-
-
-def _degrees(arrays: np.ndarray) -> list[int]:
-    """Total degree of each solution in a (d, n, ...) stack; -1 for zero."""
-    if not arrays.shape[0]:
-        return []
-    total = np.indices(arrays.shape[2:]).sum(axis=0).ravel()
-    support = np.any(arrays != 0, axis=1).reshape(arrays.shape[0], -1)
-    return [int(total[row].max()) if row.any() else -1 for row in support]
+        return dense.dense_total_degrees(self.arrays)
 
 
 @dataclass(frozen=True)
@@ -161,7 +152,7 @@ def extract_solutions(params: QkzParams) -> SolutionSet:
         return _solution_cache[key]
     n, p, k = params.n, params.p, params.k
     sols = _solution_rows(params, params.kappa.val, functools.partial(_q_factors, params))
-    for ell, deg in enumerate(_degrees(sols), start=1):
+    for ell, deg in enumerate(dense.dense_total_degrees(sols), start=1):
         if deg != n * k - ell * p:
             raise AssertionError(f"degree law violated for ell={ell}")
     for ell, s in enumerate(sols, start=1):

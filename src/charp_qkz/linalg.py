@@ -1,6 +1,8 @@
-"""Exact linear algebra over a field context, plus batched numpy kernels
-for F_{p^2} matrix work (points stacked along a leading axis, elements as
-(a0, a1) component pairs in the trailing axis)."""
+"""Exact linear algebra over F_p and F_{p^2} on batched numpy kernels:
+matrices stacked along leading axes, elements as (a0, a1) component pairs
+in the trailing axis.  One Gauss-Jordan elimination serves every rank,
+determinant and solve; ``rank``, ``det`` and ``solve`` are its one-matrix
+views on matrices of field elements."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import math
 
 import numpy as np
 
-from .ffield import FieldCtx, FieldElement
+from .ffield import FieldCtx, FieldElement, make_field
 
 __all__ = [
     "rank",
@@ -23,73 +25,41 @@ __all__ = [
 ]
 
 
-def _to_rows(mat, ctx: FieldCtx) -> list[list[int]]:
-    return [
-        [x.val if isinstance(x, FieldElement) else x % ctx.p for x in row] for row in mat
-    ]
-
-
-def _eliminate(rows: list[list[int]], ctx: FieldCtx) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form in place; returns (rows, pivot column indices)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ctx.inv(rows[r][c])
-        rows[r] = [ctx.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+def _pairs(mat, ctx: FieldCtx) -> tuple[np.ndarray, FieldCtx]:
+    """A matrix of field elements or integers as an (r, c, 2) pair array,
+    with the F_{p^2} context the batched kernels compute in (F_p sits in
+    it as the pairs (a0, 0))."""
+    p = ctx.p
+    vals = np.array(
+        [[x.val if isinstance(x, FieldElement) else x % p for x in row] for row in mat],
+        dtype=np.int64,
+    )
+    if vals.ndim < 2:  # no rows
+        vals = vals.reshape(0, 0)
+    return np.stack([vals % p, vals // p], axis=-1), make_field(p, 2)
 
 
 def rank(mat, ctx: FieldCtx) -> int:
-    rows = _to_rows(mat, ctx)
-    _, pivots = _eliminate(rows, ctx)
-    return len(pivots)
+    """Rank of one matrix; an empty matrix has rank 0."""
+    return int(ext_rank_batch(*_pairs(mat, ctx)))
 
 
 def det(mat, ctx: FieldCtx) -> FieldElement:
-    rows = _to_rows(mat, ctx)
-    n = len(rows)
-    acc = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c]), None)
-        if pr is None:
-            return FieldElement(ctx, 0)
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            acc = ctx.neg(acc)
-        acc = ctx.mul(acc, rows[c][c])
-        inv = ctx.inv(rows[c][c])
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = ctx.mul(rows[i][c], inv)
-                rows[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], rows[c])]
-    return FieldElement(ctx, acc)
+    """Determinant of one square matrix, in ``ctx``."""
+    d = ext_det_batch(*_pairs(mat, ctx))
+    return FieldElement(ctx, int(d[0]) + int(d[1]) * ctx.p)
 
 
 def solve(mat, rhs, ctx: FieldCtx) -> list[FieldElement]:
-    """Solve a square nonsingular system A x = b."""
-    rows = _to_rows(mat, ctx)
-    b = [x.val if isinstance(x, FieldElement) else x % ctx.p for x in rhs]
-    aug = [row + [bv] for row, bv in zip(rows, b)]
-    aug, pivots = _eliminate(aug, ctx)
-    n = len(rows[0])
-    if pivots != list(range(n)):
+    """Solve a square nonsingular system A x = b, in ``ctx``."""
+    A, ectx = _pairs(mat, ctx)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("solve needs a square system")
+    B, _ = _pairs([[x] for x in rhs], ctx)
+    X, ok = ext_solve_batch(A, B, ectx)
+    if not ok:
         raise ValueError("singular or inconsistent linear system")
-    return [FieldElement(ctx, aug[i][-1]) for i in range(n)]
+    return [FieldElement(ctx, int(x0) + int(x1) * ctx.p) for x0, x1 in X[:, 0]]
 
 
 # -- batched F_{p^2} kernels ------------------------------------------------

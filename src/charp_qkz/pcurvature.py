@@ -333,21 +333,20 @@ def _restrict_bilinear(M: np.ndarray, p: int) -> np.ndarray:
 
 
 def _d_a_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
-    """D_a evaluated on the batch -> (npts, 2)."""
-    p, delta = pctx.p, pctx.nonresidue
-    kap = params.kappa_pair
-    out = np.zeros((Z.shape[0], 2), dtype=np.int64)
-    out[:, 0] = 1
-    for j in range(1, params.n + 1):
-        if j == a:
-            continue
-        base = (Z[:, a - 1] - Z[:, j - 1]) % p
-        base[:, 0] = (base[:, 0] - 1) % p
-        f = base.copy()
-        for m in range(params.p):
-            if m:
-                f = (f - kap) % p
-            out = ext_mul(out, f, p, delta)
+    """D_a on a batch of F_{p^2} points (npts, n, 2) -> (npts, 2), by its
+    closed form prod_{j != a} (w_j^p - w_j), w_j = z_a - z_j (see
+    ``d_a_closed_form``).  Frobenius sends g to -g, so w^p - w = -2 w1 g for
+    w = w0 + w1 g, and D_a = (-2)^(n-1) g^(n-1) prod_j w1_j with g^2 =
+    delta.  Prime-field kappa only."""
+    if params.k is None:
+        raise ValueError("the closed form of D_a requires kappa in F_p^x")
+    p, m = pctx.p, params.n - 1
+    w1 = np.delete(Z[:, a - 1 : a, 1] - Z[:, :, 1], a - 1, axis=1)  # (npts, n-1)
+    c = np.full(len(Z), pow(-2, m, p) * pow(pctx.nonresidue, m // 2, p) % p, dtype=np.int64)
+    for col in w1.T:
+        c = c * col % p
+    out = np.zeros((len(Z), 2), dtype=np.int64)
+    out[:, m % 2] = c
     return out
 
 

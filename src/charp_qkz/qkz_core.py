@@ -3,8 +3,8 @@ equation verifiers.
 
 Operators act on K^n in the basis v^(i) (the i-th tensor slot carries the
 lowered vector); the singular-weight subspace V is the zero-coordinate-sum
-hyperplane.  Pointwise, K_a is evaluated at F_{p^2} points, one point
-(``k_operator_at``) or a batch (``k_matrix_batch``) at a time.
+hyperplane.  Pointwise, K_a is evaluated by ``k_matrix_batch`` on a batch
+of F_{p^2} points; ``k_operator_at`` is its one-point view.
 Symbolically, K_a is an ordered product of R-factors (u - P^(a,j))/(u - 1),
 and ``apply_r_factors`` multiplies one dense coefficient array by their
 denominators and another by their numerators, u given by the axes of its
@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dense import dense_shift_var, pad_to_shape, render_polynomials
-from .ffield import FieldCtx, FieldElement, make_field
+from .ffield import FieldCtx, FieldElement, elements, make_field
 from .linalg import ext_matmul
 
 __all__ = [
@@ -117,50 +117,17 @@ def _factor_order(n: int, a: int) -> list[int]:
 # -- pointwise evaluation ----------------------------------------------------
 
 
-def _hyperplane_name(a: int, j: int, diff: FieldElement) -> str:
-    i1, i2 = min(a, j), max(a, j)
-    m = diff if a < j else -diff
-    return f"H_{{{i1},{i2},{m}}}"
-
-
 def k_operator_at(params: QkzParams, a: int, z: Sequence[FieldElement]):
-    """K_a(z) as an exact matrix over the point's field.
+    """K_a(z) at one point of F_p^n or F_{p^2}^n, as a matrix of elements of
+    the point's field: the one-point view of :func:`k_matrix_batch`.
 
     Raises :class:`SingularPointError` on a pole (u = 1) or a degeneracy
-    (u = -1) of any R-factor, naming the offending hyperplane.
+    (u = -1) of any R-factor, naming the factor.
     """
-    n = params.n
-    if len(z) != n:
+    if len(z) != params.n:
         raise ValueError("point length mismatch")
-    pctx = z[0].ctx
-    one = pctx.element(1)
-    M = [[one if i == j else pctx.zero() for j in range(n)] for i in range(n)]
-    den = one
-    for j in _factor_order(n, a):
-        c = params.kappa if j < a else params.ctx.zero()
-        u = z[a - 1] - z[j - 1] - FieldElement(pctx, c.val)
-        if u == one:
-            raise SingularPointError(
-                f"pole of R at {_hyperplane_name(a, j, z[a - 1] - z[j - 1])}"
-            )
-        if u == -one:
-            raise SingularPointError(
-                f"degenerate R at {_hyperplane_name(a, j, z[a - 1] - z[j - 1])}"
-            )
-        ai, ji = a - 1, j - 1
-        um1 = u - one
-        rowa = [u * M[ai][col] - M[ji][col] for col in range(n)]
-        rowj = [u * M[ji][col] - M[ai][col] for col in range(n)]
-        for i in range(n):
-            if i == ai:
-                M[i] = rowa
-            elif i == ji:
-                M[i] = rowj
-            else:
-                M[i] = [um1 * M[i][col] for col in range(n)]
-        den = den * um1
-    dinv = den.inv()
-    return [[x * dinv for x in row] for row in M]
+    Z = np.array([[[x.a0, x.a1] for x in z]], dtype=np.int64)
+    return elements(k_matrix_batch(params, a, Z, make_field(params.p, 2))[0], z[0].ctx)
 
 
 def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:

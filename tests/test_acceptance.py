@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from charp_qkz import hypergeo
-from charp_qkz.dense import dense_eval_points, dense_to_mpoly, dense_top_degree_part, dense_total_degree
+from charp_qkz.dense import dense_eval_points, dense_to_mpoly, dense_top_degree_part, dense_total_degrees
 from charp_qkz.ffield import elements, make_field, sample_point
 from charp_qkz.hypergeo import (
     barq_solutions,
@@ -250,7 +250,7 @@ def test_criterion_12_symbolic_curvature():
                 Ctil, Da = (w_to_z(arr, a, 3, 5) for arr in curvature_symbolic(params, a))
                 assert dense_to_mpoly(Da, ctx, 3) == d_a_poly(params, a)
                 entries = Ctil.reshape((9,) + Ctil.shape[2:])
-                assert dense_total_degree(entries) <= 5
+                assert dense_total_degrees(entries[None])[0] <= 5
                 top = dense_top_degree_part(entries)
                 M = np.stack([dense_eval_points(e, Z, 5, pctx.nonresidue) for e in top], axis=1)
                 assert np.all(ext_rank_batch(M.reshape(5, 3, 3, 2), pctx) <= 1)

@@ -38,6 +38,34 @@ def test_parse_kappa_extension():
         parse_kappa(ctx, "2~g")
 
 
+def test_parse_kappa_accepted_spellings():
+    """Every spelling read so far still gives the same element, in F_p and
+    lifted to F_{p^2} from a prime-field context."""
+    ctx = make_field(5)
+    cases = {
+        "-2": (3, 0), " 4 ": (4, 0), "g": (0, 1), "3*g": (0, 3), "-1*g": (0, 4),
+        "1+g": (1, 1), "1+2*g": (1, 2), "1+2g": (1, 2), "-1+-2*g": (4, 3), "4 + 3 * g": (4, 3),
+    }
+    for text, (a0, a1) in cases.items():
+        got = parse_kappa(ctx, text)
+        assert (got.a0, got.a1) == (a0, a1), text
+        assert got.ctx.ext_degree == (2 if "g" in text else 1), text
+
+
+@pytest.mark.parametrize("text", ["1+g*2", "g+1", "1+*g", "1-2*g", "+g", "1+2+3*g", "x", ""])
+def test_parse_kappa_names_the_forms(text):
+    with pytest.raises(ValueError, match=r"^cannot parse kappa .*; use 'c' or 'a\+b\*g'$"):
+        parse_kappa(make_field(5), text)
+
+
+@pytest.mark.parametrize("text", ["1+g*2", "g+1", "1+*g"])
+def test_bad_kappa_spelling_exits_2_with_the_forms(text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", "5", "--n", "3", "--kappa", text, "--suites", "ext_kappa"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: cannot parse kappa {text!r}; use 'c' or 'a+b*g'\n"
+
+
 def test_solve_golden(capsys):
     code = main(["solve", "--p", "5", "--n", "2", "--kappa", "3", "--format", "json"])
     out = json.loads(capsys.readouterr().out)

@@ -5,7 +5,8 @@ coefficient arrays of ``SolutionSet.arrays``.  The sparse ``MPoly``
 implementations they superseded live on here as oracles: the
 denominator-cleared equations built from ``k_operator`` /
 ``gaudin_operator`` products, and quasi-sections from scalar
-``MPoly.eval`` calls.  Every report must agree with its oracle in verdict
+``MPoly.eval`` calls, K_a from ``k_operator`` and the scalar elimination
+of ``oracles.linalg``.  Every report must agree with its oracle in verdict
 and in the failure list, on the solutions and on single-coefficient
 perturbations of them.
 """
@@ -27,13 +28,12 @@ from charp_qkz.hypergeo import (
     verify_quasi_flatness,
 )
 from charp_qkz.mpoly import MPoly
-from charp_qkz import linalg
 from charp_qkz.qkz_core import (
-    k_operator_at,
     make_params,
     verify_kz_solution,
     verify_qkz_solution,
 )
+from oracles import linalg as scalar_linalg
 from oracles.operators import k_operator
 from oracles.solutions import sparse_solutions
 from oracles.vectors import shift_point
@@ -103,7 +103,7 @@ def scalar_quasi_sections_at(params, z):
     out = []
     for ell in range(len(minus)):
         rhs = [pctx.element(1) if m == ell else pctx.zero() for m in range(n)]
-        out.append(linalg.solve(rows, rhs, pctx))
+        out.append(scalar_linalg.solve(rows, rhs, pctx))
     return out
 
 
@@ -111,6 +111,7 @@ def scalar_quasi_flatness(params, points, perturb_control=False):
     """(passed, failures, details) of the per-point scalar quasi check."""
     n = params.n
     plus = sparse_solutions(extract_solutions(params))
+    ops = {a: k_operator(params, a) for a in range(1, n + 1)}
     failures, skipped, checked = [], [], 0
     for idx, z in enumerate(points):
         pctx = z[0].ctx
@@ -129,15 +130,15 @@ def scalar_quasi_flatness(params, points, perturb_control=False):
                 skipped.append((idx, a))
                 continue
             checked += 1
-            K = k_operator_at(params, a, z)
+            K = ops[a].eval_at(z)
             span = [s.eval(zs) for s in plus]
-            base_rank = linalg.rank(span, pctx) if span else 0
+            base_rank = scalar_linalg.rank(span, pctx) if span else 0
             for ell in range(len(T)):
                 v = [
                     sum((K[i][j] * T[ell][j] for j in range(n)), pctx.zero()) - Ts[ell][i]
                     for i in range(n)
                 ]
-                if any(v) and linalg.rank(span + [v], pctx) != base_rank:
+                if any(v) and scalar_linalg.rank(span + [v], pctx) != base_rank:
                     failures.append((idx, a, ell + 1))
     if not failures and checked == 0:
         failures = [("no checkable points", skipped)]

@@ -54,7 +54,10 @@ MOVED_TO_ORACLES = {
 # pair arrays, read back with ffield.elements), an uncalled report
 # serializer, exact division by linear forms (no caller outside its own
 # tests), the sparse D_a closed-form check (d_a_closed_form is its dense
-# replacement), and wrappers of make_params(...).k and .d.
+# replacement), wrappers of make_params(...).k and .d, the scalar
+# elimination and K_a loop (tests/oracles/linalg.py keeps the elimination;
+# rank, det, solve and k_operator_at are views of the batched kernels), and
+# the per-solution degree helpers (dense_total_degrees reads the stack).
 REMOVED = {
     "points_to_array",
     "_elements",
@@ -67,6 +70,11 @@ REMOVED = {
     "k_from_kappa",
     "k_from_kappa_int",
     "d_of_kappa",
+    "_eliminate",
+    "_to_rows",
+    "_hyperplane_name",
+    "_degrees",
+    "dense_total_degree",
 }
 
 
@@ -93,6 +101,7 @@ def test_sparse_layers_left_the_package():
         assert not REMOVED & set(vars(mod)), mod.__name__
     assert not hasattr(charp_qkz.hypergeo.SolutionSet, "solutions")
     assert not hasattr(charp_qkz.ffield, "inv") and not hasattr(charp_qkz.ffield, "fpow")
+    assert not hasattr(charp_qkz.ffield.FieldCtx, "elements")
 
 
 def _imported_modules(path: pathlib.Path) -> set[str]:

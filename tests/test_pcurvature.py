@@ -4,7 +4,7 @@ structure, duality, and nondegeneracy for steps outside the prime field."""
 import numpy as np
 import pytest
 
-from charp_qkz.dense import dense_eval_points, dense_to_mpoly, dense_top_degree_part, dense_total_degree
+from charp_qkz.dense import dense_eval_points, dense_to_mpoly, dense_top_degree_part, dense_total_degrees
 from charp_qkz.ffield import make_field, sample_point
 from charp_qkz.linalg import ext_mul, ext_rank_batch
 from charp_qkz.pcurvature import (
@@ -153,11 +153,11 @@ def test_symbolic_curvature_polynomial_structure(kv):
     Z = np.stack([sample_point(pctx, 3, 300 + seed) for seed in range(5)])
     for a in range(1, 4):
         Cw, Dw = curvature_symbolic(params, a)
-        assert dense_total_degree(Cw.reshape((9,) + Dw.shape)) <= 5
+        assert dense_total_degrees(Cw.reshape((1, 9) + Dw.shape))[0] <= 5
         Ctil, Da = w_to_z(Cw, a, 3, 5), w_to_z(Dw, a, 3, 5)
         assert dense_to_mpoly(Da, ctx, 3) == d_a_poly(params, a)
         entries = Ctil.reshape((9,) + Ctil.shape[2:])
-        assert dense_total_degree(entries) <= 5
+        assert dense_total_degrees(entries[None])[0] <= 5
         top = dense_top_degree_part(entries).reshape(Ctil.shape)
         assert np.all(ext_rank_batch(_entry_values(top, Z, pctx), pctx) <= 1)
 
@@ -213,7 +213,7 @@ def test_symbolic_curvature_closed_form_and_exact_degree(p, n):
             Ctil, Da = curvature_symbolic(params, a)
             assert np.array_equal(Da, d_a_closed_form(params, a)), (kv, a)
             if 0 < params.d < n - 1:
-                assert dense_total_degree(Ctil.reshape((n * n,) + Da.shape)) == (n - 2) * p, (kv, a)
+                assert dense_total_degrees(Ctil.reshape((1, n * n) + Da.shape))[0] == (n - 2) * p, (kv, a)
             else:
                 assert not Ctil.any(), (kv, a)
 
@@ -235,6 +235,36 @@ def test_symbolic_curvature_matches_pointwise(p, n):
             assert np.array_equal(_entry_values(Ctil, _w_points(Z, a, p), pctx), expect), (kv, a)
 
 
+def _slow_above_7(pairs):
+    return [(p, n) if p <= 7 else pytest.param(p, n, marks=pytest.mark.slow) for p, n in pairs]
+
+
+@pytest.mark.parametrize("p,n", _slow_above_7(SWEEP_PAIRS))
+def test_d_a_batch_matches_closed_form_array(p, n):
+    """The pointwise D_a equals the dense closed form prod_j (w_j^p - w_j)
+    evaluated at the w-coordinates, for every kappa and a, at the battery's
+    points and at random points of F_{p^2}^n (F_p points and points on
+    singular hyperplanes included)."""
+    ctx = make_field(p)
+    pctx = make_field(p, 2)
+    rng = np.random.default_rng(p * 10 + n)
+    rand = rng.integers(0, p, size=(16, n, 2))
+    rand[:4, :, 1] = 0
+    for kv in range(1, p):
+        params = make_params(ctx, n, kv)
+        Z = np.concatenate([_points_batch(params, 8, kv, pctx), rand])
+        for a in range(1, n + 1):
+            expect = dense_eval_points(d_a_closed_form(params, a), _w_points(Z, a, p), p, pctx.nonresidue)
+            assert np.array_equal(_d_a_batch(params, a, Z, pctx), expect), (kv, a)
+
+
+def test_d_a_batch_rejects_extension_kappa():
+    pctx = make_field(5, 2)
+    params = make_params(pctx, 3, pctx.element(1, 2))
+    with pytest.raises(ValueError, match="F_p"):
+        _d_a_batch(params, 1, _points_batch(params, 2, 0, pctx), pctx)
+
+
 @pytest.mark.parametrize("p,n", [(5, 3), (7, 4)])
 def test_symbolic_checks_fail_without_last_factor(p, n):
     """Negative control: the product in w with its last R-factor left out
@@ -247,7 +277,7 @@ def test_symbolic_checks_fail_without_last_factor(p, n):
             factors = [f for m in range(p) for f in r_factors(params, a, m * kv)]
             Ctil, Da = _w_product(params, a, factors[:-1])
             assert not np.array_equal(Da, d_a_closed_form(params, a)), (kv, a)
-            deg = dense_total_degree(Ctil.reshape((n * n,) + Ctil.shape[2:]))
+            deg = dense_total_degrees(Ctil.reshape((1, n * n) + Ctil.shape[2:]))[0]
             assert deg > (n - 2) * p, (kv, a, deg)
 
 

@@ -1,10 +1,12 @@
-"""Differential tests of the batched F_{p^2} pointwise layer against the
+"""Differential tests of the batched F_{p^2} pointwise layer against a
 scalar reference path on field-element matrices: the curvature as a
-product of p scalar ``k_operator_at`` matrices, ``linalg.det`` and
-``linalg.rank``.  The curvature battery's solution checks as a per-point
-loop on ``linalg.rank``, and ``kernel_image_ranks`` on the same scalar
-path, are the oracles for the batched ranks."""
+product of p matrices K_a evaluated from the sparse operator oracle, with
+determinants and ranks from the scalar elimination oracle.  The curvature
+battery's solution checks as a per-point loop on those ranks, and
+``kernel_image_ranks`` on the same scalar path, are the oracles for the
+batched ranks."""
 
+import functools
 import random
 
 import numpy as np
@@ -26,8 +28,9 @@ from charp_qkz.pcurvature import (
     verify_curvature_battery,
     verify_ext_kappa,
 )
-from charp_qkz.qkz_core import SingularPointError, k_operator_at, make_params
-from oracles.operators import singular_basis
+from charp_qkz.qkz_core import SingularPointError, _factor_order, make_params
+from oracles import linalg as scalar_linalg
+from oracles.operators import k_operator, singular_basis
 
 PN = [(p, n) for p in (5, 7, 11, 13) for n in range(2, 6) if n < p]
 
@@ -43,6 +46,19 @@ def _ext_kappas(p, count, seed):
     return out
 
 
+_k_operator = functools.cache(k_operator)
+
+
+def scalar_k_at(params, a, z):
+    """K_a(z) from the sparse operator oracle; SingularPointError where an
+    R-factor has a pole (u = 1) or degenerates (u = -1)."""
+    for j in _factor_order(params.n, a):
+        u = z[a - 1] - z[j - 1] - (params.kappa if j < a else 0)
+        if u == 1 or u == -1:
+            raise SingularPointError(f"u = {u} for the R-factor (a={a}, j={j})")
+    return _k_operator(params, a).eval_at(z)
+
+
 def scalar_curvature_at(params, a, z):
     """C_a(z) as the ordered product of the p scalar matrices K_a(z - m kappa e_a)."""
     n = params.n
@@ -50,7 +66,7 @@ def scalar_curvature_at(params, a, z):
     C = None
     pt = list(z)
     for _ in range(params.p):
-        K = k_operator_at(params, a, pt)
+        K = scalar_k_at(params, a, pt)
         if C is None:
             C = K
         else:
@@ -73,7 +89,7 @@ def scalar_reduced_curvature_at(params, a, z):
 
 def scalar_kernel_image_ranks(params, z):
     """kernel_image_ranks on the scalar path: images of the zero-sum basis
-    under scalar hat-C_a, ranks by ``linalg.rank``."""
+    under scalar hat-C_a, ranks by the scalar elimination."""
     n = params.n
     pctx = z[0].ctx
     basis = singular_basis(pctx, n)
@@ -85,10 +101,10 @@ def scalar_kernel_image_ranks(params, z):
             [sum((H[r][c] * e[c] for c in range(n)), pctx.zero()) for r in range(n)]
             for e in basis
         ]
-        rk = linalg.rank(images, pctx)
+        rk = scalar_linalg.rank(images, pctx)
         out[a] = {"rank": rk, "kernel_dim": (n - 1) - rk}
         all_images.extend(images)
-    out["sum_image_dim"] = linalg.rank(all_images, pctx)
+    out["sum_image_dim"] = scalar_linalg.rank(all_images, pctx)
     return out
 
 
@@ -118,7 +134,7 @@ def scalar_battery_span_checks(params, npoints, seed, perturb=False):
     basis = singular_basis(pctx, n)
     for i in range(npoints):
         span = elements(S[:, i], pctx)
-        span_rank = linalg.rank(span, pctx)
+        span_rank = scalar_linalg.rank(span, pctx)
         span_dims.append(span_rank)
         all_images = []
         for a in range(1, n + 1):
@@ -128,13 +144,13 @@ def scalar_battery_span_checks(params, npoints, seed, perturb=False):
                 for e in basis
             ]
             all_images.extend(images)
-            rk = linalg.rank(images, pctx)
+            rk = scalar_linalg.rank(images, pctx)
             if rk > d:
                 failures.append(("rank bound", a, i, rk))
-            if linalg.rank(span + images, pctx) != span_rank:
+            if scalar_linalg.rank(span + images, pctx) != span_rank:
                 failures.append(("image not in span", a, i))
             ranks[a].append(rk)
-        sum_image_dims.append(linalg.rank(all_images, pctx))
+        sum_image_dims.append(scalar_linalg.rank(all_images, pctx))
     details = {"span_dim": sorted(set(span_dims)), "sum_image_dim": sorted(set(sum_image_dims))}
     return failures, ranks, details
 
@@ -196,7 +212,7 @@ def _scalar_ext_kappa(params, npoints, seed):
             continue
         good += 1
         for a in range(1, n + 1):
-            dv = linalg.det(_scalar_restrict_to_v(mats[a], pctx), pctx)
+            dv = scalar_linalg.det(_scalar_restrict_to_v(mats[a], pctx), pctx)
             dets[a].append(dv)
             if not dv:
                 failures.append(("degenerate hatC", a, [str(x) for x in z]))
@@ -256,7 +272,7 @@ def test_det_batch_matches_scalar_det(p, k):
     for M in (rand, deficient, sparse, zero):
         got = ext_det_batch(M, pctx)
         for i in range(M.shape[0]):
-            assert elements(got[i], pctx) == linalg.det(elements(M[i], pctx), pctx)
+            assert elements(got[i], pctx) == scalar_linalg.det(elements(M[i], pctx), pctx)
     assert not ext_det_batch(deficient, pctx).any()
     assert not ext_det_batch(zero, pctx).any()
 

@@ -1,6 +1,8 @@
 """Difference operators: R-matrix identities, weight-space restriction
 consistency, discrete flatness, and pairing periodicity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,30 @@ def test_k_operator_at_singular_point_raises():
         k_operator_at(params, 1, z)
 
 
+def test_k_operator_at_on_prime_field_points():
+    """At F_p points K_a is a matrix over F_p equal to the sparse oracle's,
+    and exactly the points where an R-factor has u = 1 or u = -1 raise."""
+    ctx = make_field(7)
+    params = make_params(ctx, 3, 3)
+    ops = {a: k_operator(params, a) for a in range(1, 4)}
+    regular = 0
+    for vals in itertools.product([0], range(7), range(7)):
+        z = [ctx.element(v) for v in vals]
+        for a in range(1, 4):
+            us = [z[a - 1] - z[j - 1] - (params.kappa if j < a else 0) for j in range(1, 4) if j != a]
+            if any(u == 1 or u == -1 for u in us):
+                with pytest.raises(SingularPointError):
+                    k_operator_at(params, a, z)
+                continue
+            K = k_operator_at(params, a, z)
+            assert K == ops[a].eval_at(z)
+            assert all(x.ctx is ctx for row in K for x in row)
+            regular += 1
+    assert regular
+    with pytest.raises(ValueError, match="point length mismatch"):
+        k_operator_at(params, 1, z[:2])
+
+
 @pytest.mark.parametrize("p", [5, 7, 11])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_flatness_sweep(p, n):
@@ -145,7 +171,7 @@ def test_flatness_rejects_an_empty_batch():
 
 def test_flatness_definition_spot_check():
     """K_a(z - kappa e_b) K_b(z) = K_b(z - kappa e_a) K_a(z) re-derived
-    directly from the pointwise operators (independent of the batch path)."""
+    from the sparse operator oracle (independent of the batch path)."""
     ctx = make_field(7)
     pctx = make_field(7, 2)
     params = make_params(ctx, 3, 3)
@@ -153,10 +179,10 @@ def test_flatness_definition_spot_check():
     a, b = 1, 3
     za = shift_point(z, a, params.kappa)
     zb = shift_point(z, b, params.kappa)
-    Ka = k_operator_at(params, a, z)
-    Kb = k_operator_at(params, b, z)
-    Kab = k_operator_at(params, a, zb)
-    Kba = k_operator_at(params, b, za)
+    Ka = k_operator(params, a).eval_at(z)
+    Kb = k_operator(params, b).eval_at(z)
+    Kab = k_operator(params, a).eval_at(zb)
+    Kba = k_operator(params, b).eval_at(za)
 
     def matmul(A, B):
         n = len(A)
