@@ -10,15 +10,13 @@ The Shapovalov form pairs solutions of the two systems. Two facts fall out:
 Run:  python3 demos/02_orthogonality_and_quasi_sections.py
 """
 
-import numpy as np
-
 from charp_qkz import make_field, make_params
 from charp_qkz.ffield import elements, sample_point
 from charp_qkz.hypergeo import (
     evaluate_solutions,
     extract_solutions,
-    orthogonality_pairing,
     quasi_sections_at,
+    verify_orthogonality,
 )
 
 # -- orthogonality ------------------------------------------------------------
@@ -27,10 +25,12 @@ ctx = make_field(p)
 params = make_params(ctx, n, kv)
 print(f"p={p}, n={n}, kappa={kv}: d(kappa)={params.d}, d(-kappa)={params.minus().d}")
 
-# each entry is the dense coefficient array of a polynomial in z_1..z_n
-G = orthogonality_pairing(params)
-print(f"pairing matrix is {len(G)} x {len(G[0])}; all entries zero polynomials:")
-print(" ", not any(np.any(entry) for row in G for entry in row))
+# each entry is a polynomial in z_1..z_n, decided zero from its values on
+# the grid (F_p u {infinity})^n
+rep = verify_orthogonality(params)
+rows, cols = rep.details["shape"]
+print(f"pairing matrix is {rows} x {cols}; all entries zero polynomials:")
+print(" ", rep.passed)
 
 # -- quasi-sections at d(kappa) = 0 -------------------------------------------
 p, n, kv = 5, 2, 2

@@ -222,22 +222,25 @@ class SuiteRunner:
         return self._params_cache[key]
 
     def sweep(self):
-        """The (p, n, kappa_value) triples with n < p, and the skipped
-        (p, n) pairs as report entries {"p", "n", "reason"}."""
+        """The (p, n, kappa_value) triples with n < p, the (p, n) pairs with
+        n < p whatever the prime-field kappa values, and the skipped (p, n)
+        pairs as report entries {"p", "n", "reason"}."""
         skipped = []
+        pairs = []
         triples = []
         for p in self.cfg.primes:
             for n in self.cfg.n_range:
                 if n >= p:
                     skipped.append({"p": p, "n": n, "reason": "requires n < p"})
                     continue
+                pairs.append((p, n))
                 for kv in _kappa_values(self.cfg, p):
                     triples.append((p, n, kv))
-        return triples, skipped
+        return triples, pairs, skipped
 
     def run(self):
         cfg = self.cfg
-        triples, skipped = self.sweep()
+        triples, _, skipped = self.sweep()
         if skipped:
             self.results["skipped_pairs"] = skipped
         for suite in cfg.suites:
@@ -356,22 +359,14 @@ class SuiteRunner:
             self.record("curvature", f"duality,{key}", _report_entry(dual))
 
     def suite_ext_kappa(self, triples):
-        # pairs come from the sweep directly: this suite has its own kappa
-        # values, so an empty prime-field kappa list must not empty it
-        pairs = sorted(
-            {
-                (p, n)
-                for p in self.cfg.primes
-                for n in self.cfg.n_range
-                if n < p
-            }
-        )
+        # this suite has its own kappa values, so it reads the (p, n) pairs:
+        # an empty prime-field kappa list must not empty it
         if self.cfg.kappa_filter is not None and not any(
             "g" in s for s in self.cfg.kappa_filter
         ):
             # explicit prime-field-only kappa filter: nothing to do here
             return
-        for p, n in pairs:
+        for p, n in self.sweep()[1]:
             ctx = make_field(p, 2)
             for kap in _ext_kappas(self.cfg, p):
                 params = make_params(ctx, n, kap)
@@ -607,7 +602,7 @@ def cmd_suite(args) -> int:
 def cmd_report(args) -> int:
     cfg = _config_from_args(args)
     runner = SuiteRunner(cfg)
-    triples, skipped = runner.sweep()
+    triples, _, skipped = runner.sweep()
     rows = []
     for p, n, kv in triples:
         params = runner.params_for(p, n, kv)

@@ -5,14 +5,13 @@ z_n); these kernels build them (large products in t and z, Pochhammer-basis
 reduction), evaluate them, render them as text and convert them to and from
 sparse polynomials.  Everything here is exact arithmetic mod p: with
 p <= 101 and the accumulation patterns used below no int64 intermediate
-approaches 2^63, and the two float64 paths are exact by the bounds stated
-where they occur.
+approaches 2^63, and the one float64 path is exact by the bound stated
+where it occurs.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "build_product_tpoly",
     "pochhammer_scalar_coeffs",
     "dense_pochhammer_coeffs",
-    "fft_error_bound",
     "render_polynomials",
 ]
 
@@ -136,84 +134,15 @@ def dense_top_degree_part(F: np.ndarray) -> np.ndarray:
     return np.where(total == dense_total_degrees(F[None])[0], F, 0)
 
 
-# float64 unit roundoff, and the relative 2-norm error allowed per pass of
-# a transform (see dense_conv)
-_UNIT_ROUNDOFF = 2.0**-53
-_FFT_PASS_ERROR = 64 * _UNIT_ROUNDOFF
-
-
-def fft_error_bound(A: np.ndarray, B: np.ndarray) -> float:
-    """A bound on the largest error of any coefficient of the FFT product of
-    two arrays with integer entries (see ``dense_conv``)."""
-    out_shape = [a + b - 1 for a, b in zip(A.shape, B.shape)]
-    passes = sum(3 * math.ceil(math.log2(4 * s)) + 2 for s in out_shape)
-    delta = (1 + _FFT_PASS_ERROR) ** passes - 1
-    rho = 2**0.5 * 2 * _UNIT_ROUNDOFF / (1 - 2 * _UNIT_ROUNDOFF)
-    sigma = 2 * delta + delta**2 + rho * (1 + delta) ** 2
-    norms = math.sqrt(int(np.sum(A * A))) * math.sqrt(int(np.sum(B * B)))
-    return norms * (sigma + delta * math.sqrt(math.prod(out_shape)) * (1 + sigma))
-
-
 def dense_conv(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Exact full convolution (polynomial product) of two dense coefficient
-    arrays mod p.
-
-    Small products accumulate one shifted copy of B per nonzero entry of A.
-    Large ones go through a real FFT of the output shape (a cyclic
-    convolution of that shape is the linear one), when rounding its result
-    is exact by an a-priori bound.  Write u = 2^-53, N for the number of
-    output entries, a, b for A, B mod p (entries in [0, p)), c = a * b, and
-    X = Fa, Y = Fb for the unnormalised transforms, so ||X||_2 = sqrt(N)
-    ||a||_2 and c = F*(X Y) / N.
-
-    1. Model: every pass of a transform (one radix-r butterfly layer with
-       its twiddle products, or one pointwise chirp product) has relative
-       2-norm error at most e = 64u.  Higham (Accuracy and Stability of
-       Numerical Algorithms, Thm 24.2) gives about 7u for a radix-2 pass;
-       64u also covers radices up to about 40 summed directly.  An axis of
-       length s takes at most ceil(log2 s) mixed-radix passes, or, through
-       Bluestein's algorithm for large prime factors, three transforms of
-       a length below 4s and two chirp products; it is counted as
-       3 ceil(log2 4s) + 2 passes, which covers both.  With L the count
-       over all axes, the forward and inverse transforms have relative
-       2-norm error at most d = (1 + e)^L - 1.
-    2. Forward: X' = X + E, Y' = Y + G with ||E|| <= d sqrt(N) ||a||,
-       ||G|| <= d sqrt(N) ||b||.
-    3. Product: P' = X' Y' (1 + t) pointwise, |t| <= r = sqrt(2) 2u/(1-2u)
-       (Higham, Lemma 3.5).  P' - XY = EY + XG + EG + t X'Y'.  Mapped back
-       by F*/N, EY becomes the cyclic convolution of e = F*E/N with b, and
-       ||e|| = ||E|| / sqrt(N) <= d ||a||, so by Cauchy-Schwarz each entry
-       is at most d ||a|| ||b||; likewise XG and EG (<= d^2 ||a|| ||b||).
-       Each entry of F*(t X'Y')/N is at most r ||X'|| ||Y'|| / N
-       <= r (1 + d)^2 ||a|| ||b||.  So w = F*P'/N has
-       |w - c| <= s ||a|| ||b|| entrywise, s = 2d + d^2 + r (1 + d)^2.
-    4. Inverse: the computed result c' has ||c' - w|| <= d ||w||, and
-       ||w|| <= ||c|| + ||w - c|| <= sqrt(N) (1 + s) ||a|| ||b||, since
-       every |c_k| <= ||a|| ||b|| (Cauchy-Schwarz).
-    5. Together: |c' - c| <= ||a|| ||b|| (s + d sqrt(N) (1 + s)) entrywise,
-       which ``fft_error_bound`` evaluates.  Below 1/2, rounding c' gives c
-       (and every |c_k| <= ||a|| ||b|| is far below 2^53).
-
-    In ``verify_orthogonality`` the factors have shapes (k+1)^n and
-    (p-k+1)^n, so N = (p+1)^n; the largest case of the default sweep,
-    p = 13, n = 5, has N = 14^5, L = 100, d < 7.2e-13 and ||a|| ||b|| <=
-    144 * 56^(5/2) < 3.4e6, so the bound is below 2e-3.  A product whose
-    bound is not below 1/2 accumulates slices instead.
-    """
+    arrays mod p: one shifted copy of the denser operand is accumulated per
+    nonzero entry of the sparser one."""
     A = A % p
     B = B % p
-    out_shape = tuple(a + b - 1 for a, b in zip(A.shape, B.shape))
-    small = A.size * min(np.count_nonzero(A), np.count_nonzero(B)) <= (1 << 22)
-    if not small and fft_error_bound(A, B) < 0.5:
-        axes = tuple(range(A.ndim))
-        fa = np.fft.rfftn(A, s=out_shape, axes=axes)
-        fb = np.fft.rfftn(B, s=out_shape, axes=axes)
-        raw = np.fft.irfftn(fa * fb, s=out_shape, axes=axes)
-        return np.rint(raw).astype(np.int64) % p
-    # direct accumulation over the sparser operand
     if np.count_nonzero(A) > np.count_nonzero(B):
         A, B = B, A
-    out = np.zeros(out_shape, dtype=np.int64)
+    out = np.zeros(tuple(a + b - 1 for a, b in zip(A.shape, B.shape)), dtype=np.int64)
     for idx in zip(*np.nonzero(A)):
         sl = tuple(slice(i, i + s) for i, s in zip(idx, B.shape))
         out[sl] += int(A[idx]) * B
@@ -274,9 +203,12 @@ def dense_eval_points(arr: np.ndarray, Z: np.ndarray, p: int, delta: int) -> np.
     return np.stack([Y0, Y1], axis=-1)
 
 
+@functools.lru_cache(maxsize=1024)
 def _factor_table(p: int, kappa: int, m: int, shift: int, with_var: bool) -> np.ndarray:
     """Coefficient table of (t - w - shift; kappa)_m with w a single variable
-    (or w = 0 when ``with_var`` is false): F[dt, dw] mod p."""
+    (or w = 0 when ``with_var`` is false): F[dt, dw] mod p.  Cached and
+    read-only; callers pass ``shift`` reduced mod p and ``with_var`` by
+    keyword, so each table has one key."""
     F = np.zeros((m + 1, m + 1 if with_var else 1), dtype=np.int64)
     F[0, 0] = 1
     deg = 0
@@ -290,6 +222,7 @@ def _factor_table(p: int, kappa: int, m: int, shift: int, with_var: bool) -> np.
             new[: deg + 1, :] += c * F[: deg + 1, :]
         F = new % p
         deg += 1
+    F.flags.writeable = False
     return F
 
 
@@ -308,7 +241,7 @@ def build_product_tpoly(
     arr = np.ones((1,), dtype=np.int64)
     axes_vars: list[int] = []
     for var, c, m in factors:
-        F = _factor_table(p, kappa, m, c, with_var=var is not None)
+        F = _factor_table(p, kappa, m, c % p, with_var=var is not None)
         tlen = arr.shape[0]
         new_shape = (tlen + m,) + arr.shape[1:] + ((m + 1,) if var is not None else ())
         out = np.zeros(new_shape, dtype=np.int64)
@@ -381,7 +314,7 @@ def _row_functional(
     ``factor`` = (var, shift, m); M is the basis matrix of size tlen + m.
     Float64 with entries in [0, p), read-only."""
     var, shift, m = factor
-    F = _factor_table(p, kappa, m, shift, with_var=var is not None)
+    F = _factor_table(p, kappa, m, shift % p, with_var=var is not None)
     Mr = _pochhammer_basis_matrix(p, kappa, tlen + m)[list(rows)].astype(np.int64)
     G = np.zeros((len(rows), F.shape[1], tlen), dtype=np.int64)
     for dt in range(m + 1):

@@ -42,7 +42,6 @@ __all__ = [
     "verify_independence",
     "special_restriction_values",
     "verify_restrictions",
-    "orthogonality_pairing",
     "verify_orthogonality",
     "quasi_sections_at",
     "verify_quasi_flatness",
@@ -357,29 +356,38 @@ def _restriction_rows(params: QkzParams, I, a: int) -> np.ndarray:
 # -- orthogonality ---------------------------------------------------------------
 
 
-def orthogonality_pairing(params: QkzParams, negate: bool = True) -> list[list[np.ndarray]]:
-    """The pairing matrix G[ell-1][m-1] = sum_a Q^{m p-1}_a(-z;-kappa)
-    Q^{ell p-1}_a(z;kappa), ell = 1..d(kappa), m = 1..d(-kappa), as dense
-    coefficient arrays (with Q^{m p-1}_a(z;-kappa) when ``negate`` is off)."""
-    _require_prime_kappa(params)
-    n, p = params.n, params.p
-    plus = extract_solutions(params).arrays
-    minus = extract_solutions(params.minus()).arrays
-    return [
-        [
-            sum(
-                dense.dense_conv(sp[a], dense.dense_negate_vars(sm[a], p) if negate else sm[a], p)
-                for a in range(n)
-            ) % p
-            for sm in minus
-        ]
-        for sp in plus
-    ]
+def _grid_values(arr: np.ndarray, p: int) -> np.ndarray:
+    """The values of a dense coefficient array (axes z_1..z_n, axis size s
+    bounding that degree by s - 1) on the grid (F_p u {inf})^n, as an
+    array of shape (p+1,)^n with index p for infinity.  Each axis is
+    contracted in int64 with V[e, x] = x^e mod p (x in F_p) and
+    V[s-1, p] = 1, which reads the z^{s-1} coefficient at infinity; every
+    partial sum is below (p+1)(p-1)^2."""
+    out = arr % p
+    for s in arr.shape:
+        V = np.zeros((s, p + 1), dtype=np.int64)
+        V[:, :p] = [[pow(x, e, p) for x in range(p)] for e in range(s)]
+        V[s - 1, p] = 1
+        # each step contracts the leading axis and appends its grid axis
+        # last, so after n steps the axes are back in order
+        out = out.reshape(s, -1).T @ V % p
+    return out.reshape((p + 1,) * arr.ndim)
 
 
 def verify_orthogonality(params: QkzParams, unnegated_control: bool = False) -> CheckReport:
-    """Shapovalov orthogonality: every entry of the pairing matrix is the
-    zero polynomial when 0 < d(kappa) < n-1.
+    """Shapovalov orthogonality: every entry of the pairing matrix
+    G[ell-1][m-1] = sum_a Q^{ell p-1}_a(z;kappa) Q^{m p-1}_a(-z;-kappa),
+    ell = 1..d(kappa), m = 1..d(-kappa), is the zero polynomial when
+    0 < d(kappa) < n-1.
+
+    Decided exactly on the grid (F_p u {inf})^n.  Per axis, send a
+    polynomial of degree <= D <= p to its values at F_p and its z^D
+    coefficient at infinity; this map is injective (a zero z^D coefficient
+    leaves degree < p, and p roots force zero), so its tensor product over
+    the axes is too.  The value at infinity is multiplicative when the
+    bounds add: Q^{ell p-1} has box k+1 per axis and Q^{m p-1}(z;-kappa)
+    box p-k+1, so the bounds sum to p.  Hence G is zero exactly when
+    sum_a of the products of the factors' grid values is zero.
 
     ``unnegated_control`` pairs with Q^{m p-1}(z;-kappa) in place of
     Q^{m p-1}(-z;-kappa) (negative control).
@@ -387,18 +395,24 @@ def verify_orthogonality(params: QkzParams, unnegated_control: bool = False) -> 
     d = params.d
     if d is None or not 0 < d < params.n - 1:
         raise ValueError("orthogonality requires 0 < d(kappa) < n-1")
-    G = orthogonality_pairing(params, negate=not unnegated_control)
-    failures = [
-        (ell + 1, m + 1)
-        for ell, row in enumerate(G)
-        for m, g in enumerate(row)
-        if np.any(g)
-    ]
+    p = params.p
+    plus = extract_solutions(params).arrays
+    minus = extract_solutions(params.minus()).arrays
+    if any(sp + sm - 2 > p for sp, sm in zip(plus.shape[2:], minus.shape[2:])):
+        raise AssertionError("pairing degree exceeds p on an axis")
+    G = np.zeros((len(plus), len(minus)) + (p + 1,) * params.n, dtype=np.int64)
+    for a in range(params.n):
+        minus_a = minus[:, a] if unnegated_control else [dense.dense_negate_vars(sm[a], p) for sm in minus]
+        right = np.stack([_grid_values(g, p) for g in minus_a])
+        for ell, sp in enumerate(plus):
+            G[ell] += _grid_values(sp[a], p) * right
+    nonzero = np.any(G.reshape(G.shape[:2] + (-1,)) % p, axis=2)
+    failures = [(int(ell) + 1, int(m) + 1) for ell, m in np.argwhere(nonzero)]
     return CheckReport(
         name=f"orthogonality p={params.p} n={params.n} kappa={params.kappa}",
         passed=not failures,
         failures=failures,
-        details={"shape": (len(G), len(G[0]) if G else 0)},
+        details={"shape": G.shape[:2]},
     )
 
 

@@ -129,7 +129,7 @@ def pochhammer_identity_suite(
         if not np.array_equal(lhs, rhs):
             failures.append(("shift-down", m))
         # (t + kappa; kappa)_m * (t - (m-1) kappa) = (t; kappa)_m * (t + kappa)
-        shifted_up = dense._factor_table(p, kv, m, -kv, with_var=False)[:, 0]
+        shifted_up = dense._factor_table(p, kv, m, -kv % p, with_var=False)[:, 0]
         lhs = pmul(shifted_up, np.array([(-kv * (m - 1)) % p, 1], dtype=np.int64))
         rhs = pmul(pm, np.array([kv, 1], dtype=np.int64))
         if not np.array_equal(lhs, rhs):

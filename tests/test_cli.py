@@ -347,6 +347,18 @@ def test_record_refuses_repeated_key():
         runner.record("ext_kappa", "p=5,n=2,kappa=g", {"passed": True})
 
 
+def test_sweep_pairs_survive_an_extension_only_kappa_filter():
+    """The (p, n) pairs with n < p do not depend on the prime-field kappa
+    values, so an extension-field-only filter leaves them for ext_kappa."""
+    from charp_qkz.cli import RunConfig, SuiteRunner
+
+    runner = SuiteRunner(RunConfig(primes=[5, 7], n_range=[2, 5, 7], kappa_filter=["1+2*g"]))
+    triples, pairs, skipped = runner.sweep()
+    assert triples == []
+    assert pairs == [(5, 2), (7, 2), (7, 5)]
+    assert [(s["p"], s["n"]) for s in skipped] == [(5, 5), (5, 7), (7, 7)]
+
+
 def test_parser_built_once_without_shared_state():
     from charp_qkz import cli
 

@@ -57,7 +57,10 @@ MOVED_TO_ORACLES = {
 # replacement), wrappers of make_params(...).k and .d, the scalar
 # elimination and K_a loop (tests/oracles/linalg.py keeps the elimination;
 # rank, det, solve and k_operator_at are views of the batched kernels), and
-# the per-solution degree helpers (dense_total_degrees reads the stack).
+# the per-solution degree helpers (dense_total_degrees reads the stack), and
+# the FFT product's rounding bound and the coefficient-array pairing matrix
+# (orthogonality is decided on the grid (F_p u {inf})^n; the sparse
+# pairing_polynomial oracle is the reference).
 REMOVED = {
     "points_to_array",
     "_elements",
@@ -75,6 +78,8 @@ REMOVED = {
     "_hyperplane_name",
     "_degrees",
     "dense_total_degree",
+    "fft_error_bound",
+    "orthogonality_pairing",
 }
 
 

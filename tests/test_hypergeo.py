@@ -11,7 +11,6 @@ from charp_qkz.hypergeo import (
     gram_det,
     gram_matrix,
     leading_term_data,
-    orthogonality_pairing,
     quasi_sections_at,
     solution_set_to_json,
     special_restriction_values,
@@ -31,7 +30,7 @@ from oracles.solutions import (
     verify_q_product_formula,
 )
 from oracles.tpoly import to_pochhammer_basis
-from oracles.vectors import shapovalov
+from oracles.vectors import pairing_polynomial, shapovalov
 
 SWEEP = [
     (p, n, kv)
@@ -252,9 +251,10 @@ def test_orthogonality(p, n, kv):
     assert 0 < params.d < n - 1
     rep = verify_orthogonality(params)
     assert rep.passed, rep.failures[:3]
-    G = orthogonality_pairing(params)
+    minus = sparse_solutions(extract_solutions(params.minus()))
+    G = [[pairing_polynomial(f, g) for g in minus] for f in sparse_solutions(extract_solutions(params))]
     assert len(G) == params.d and all(len(row) == params.minus().d for row in G)
-    assert not any(np.any(entry) for row in G for entry in row)
+    assert all(entry.is_zero() for row in G for entry in row)
 
 
 def test_orthogonality_requires_intermediate_d():
