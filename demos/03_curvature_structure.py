@@ -27,7 +27,7 @@ for kv in range(1, p):
     rep = verify_curvature_battery(params, npoints=20, seed=0)
     shape = "0 < d < n-1" if 0 < params.d < n - 1 else "degenerate (hat-C = 0)"
     verdict = "PASS" if rep.passed else "FAIL"
-    print(f"kappa={kv}: d={params.d} [{shape}]  [{verdict}] at {rep.points} points")
+    print(f"kappa={kv}: d={params.d} [{shape}]  [{verdict}] at {rep.details['points']} points")
     assert rep.passed
 
 # rank/kernel structure at a sample point for an intermediate d

@@ -137,10 +137,10 @@ def _kappa_values(cfg: RunConfig, p: int) -> list[int]:
     return out
 
 
-def _ext_kappas(cfg: RunConfig, p: int, count: int = 3) -> list[FieldElement]:
+def _ext_kappas(cfg: RunConfig, p: int) -> list[FieldElement]:
     """Extension-field kappa values, each once in first-seen order: explicit
-    filter entries, else a seeded sample of elements of F_{p^2} outside F_p
-    drawn without replacement (a repeated draw is rejected and redrawn)."""
+    filter entries, else three seeded elements of F_{p^2} outside F_p drawn
+    without replacement (a repeated draw is rejected and redrawn)."""
     ctx = make_field(p, 2)
     out = []
     if cfg.kappa_filter is not None:
@@ -151,7 +151,7 @@ def _ext_kappas(cfg: RunConfig, p: int, count: int = 3) -> list[FieldElement]:
                     out.append(kap)
         return out
     rng = random.Random(_mix(cfg.seed, p, "ext"))
-    while len(out) < count:
+    while len(out) < 3:
         a, b = rng.randrange(p), rng.randrange(1, p)
         kap = ctx.element(a, b)
         if kap not in out:
@@ -193,33 +193,50 @@ def _skip_entry(reason: str) -> dict:
     return {"skipped": True, "reason": reason}
 
 
+def _entry(failures: list, details: Optional[dict] = None) -> dict:
+    """The entry of a key that combines several checks' ``failures``."""
+    out = {"passed": not failures}
+    if details:
+        out["details"] = details
+    if failures:
+        out["witnesses"] = _jsonable(failures)
+    return out
+
+
+def _params(triples):
+    """The parameters of each sweep triple (p, n, kappa_value), and its key."""
+    for p, n, kv in triples:
+        yield make_params(make_field(p), n, kv), f"p={p},n={n},kappa={kv}"
+
+
 class SuiteRunner:
     """Executes the selected suites over the configured sweep, collecting
-    results keyed suite -> parameter label -> entry."""
+    results keyed suite -> parameter label -> entry.
+
+    Each ``suite_<name>`` yields (key, outcome) pairs in sweep order: a
+    CheckReport, an entry dict, or the reason a check was skipped.  Checks
+    are read from the module globals at call time, so rebinding them works."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.results: dict = {}
         self.all_passed = True
         self.checks_run = 0
-        self._params_cache: dict = {}
 
-    def record(self, suite: str, key: str, entry: dict):
+    def record(self, suite: str, key: str, outcome):
+        if isinstance(outcome, CheckReport):
+            outcome = _report_entry(outcome)
+        elif isinstance(outcome, str):
+            outcome = _skip_entry(outcome)
         block = self.results.setdefault(suite, {})
         if key in block:
             raise ValueError(f"duplicate report key {key!r} in suite {suite!r}")
-        block[key] = entry
-        if entry.get("skipped"):
+        block[key] = outcome
+        if outcome.get("skipped"):
             return
         self.checks_run += 1
-        if not entry.get("passed", True):
+        if not outcome.get("passed", True):
             self.all_passed = False
-
-    def params_for(self, p: int, n: int, kv: int) -> QkzParams:
-        key = (p, n, kv)
-        if key not in self._params_cache:
-            self._params_cache[key] = make_params(make_field(p), n, kv)
-        return self._params_cache[key]
 
     def sweep(self):
         """The (p, n, kappa_value) triples with n < p, the (p, n) pairs with
@@ -239,13 +256,21 @@ class SuiteRunner:
         return triples, pairs, skipped
 
     def run(self):
-        cfg = self.cfg
         triples, _, skipped = self.sweep()
         if skipped:
             self.results["skipped_pairs"] = skipped
-        for suite in cfg.suites:
-            getattr(self, f"suite_{suite}")(triples)
+        for suite in self.cfg.suites:
+            for key, outcome in getattr(self, f"suite_{suite}")(triples):
+                self.record(suite, key, outcome)
         return self.results
+
+    def _points(self, params: QkzParams, label: str, count: int) -> np.ndarray:
+        """``count`` seeded F_{p^2} points (count, n, 2) for one triple."""
+        p, n, kv = params.p, params.n, params.kappa.val
+        pctx = make_field(p, 2)
+        return np.stack(
+            [sample_point(pctx, n, _mix(self.cfg.seed, label, p, n, kv, i)) for i in range(count)]
+        )
 
     # -- per-prime suites -------------------------------------------------
 
@@ -253,154 +278,104 @@ class SuiteRunner:
         for p in self.cfg.primes:
             ctx = make_field(p)
             for kv in _kappa_values(self.cfg, p):
-                rep = pochhammer_identity_suite(
+                yield f"p={p},kappa={kv}", pochhammer_identity_suite(
                     ctx, ctx.element(kv), mutate=self.cfg.sabotage
                 )
-                self.record("identities", f"p={p},kappa={kv}", _report_entry(rep))
 
     def suite_rmatrix(self, triples):
         for p in self.cfg.primes:
-            ctx = make_field(p)
-            rep = verify_rmatrix_identities(ctx, mutate=self.cfg.sabotage)
-            self.record("rmatrix", f"p={p}", _report_entry(rep))
+            yield f"p={p}", verify_rmatrix_identities(make_field(p), mutate=self.cfg.sabotage)
         # discrete flatness of the K-operators at extension-field points
-        npts = max(20, self.cfg.point_count)
-        for p, n, kv in triples:
-            params = self.params_for(p, n, kv)
-            pctx = make_field(p, 2)
-            Z = np.stack(
-                [sample_point(pctx, n, _mix(self.cfg.seed, "flat", p, n, kv, i)) for i in range(npts)]
+        for params, key in _params(triples):
+            Z = self._points(params, "flat", max(20, self.cfg.point_count))
+            yield f"flatness,{key}", verify_flatness(
+                params, Z, unshifted_control=self.cfg.sabotage
             )
-            rep = verify_flatness(params, Z, unshifted_control=self.cfg.sabotage)
-            self.record("rmatrix", f"flatness,p={p},n={n},kappa={kv}", _report_entry(rep))
 
     # -- per-triple suites --------------------------------------------------
 
     def suite_solutions(self, triples):
-        for p, n, kv in triples:
-            params = self.params_for(p, n, kv)
-            key = f"p={p},n={n},kappa={kv}"
+        for params, key in _params(triples):
             # p never divides n in-sweep (n < p), so the complement law applies
-            dsum_ok = params.d + params.minus().d == n - 1
+            dsum = [] if params.d + params.minus().d == params.n - 1 else [("d-sum", params.d)]
             if params.d == 0:
-                entry = {"passed": dsum_ok, "details": {"d": 0, "note": "empty solution set"}}
-                self.record("solutions", key, entry)
+                yield key, _entry(dsum, {"d": 0, "note": "empty solution set"})
                 continue
             ss = extract_solutions(params)
             failures = []
             for ell, F in enumerate(ss.arrays, start=1):
                 if self.cfg.sabotage:
-                    F = _perturbed(F, p)
+                    F = _perturbed(F, params.p)
                 rep = verify_qkz_solution(params, F)
                 if not rep.passed:
-                    failures.append(("qkz", ell, _jsonable(rep.failures[:3])))
+                    failures.append(("qkz", ell, rep.failures[:3]))
             ind = verify_independence(
                 params, seed=self.cfg.seed, duplicate_control=self.cfg.sabotage
             )
             if not ind.passed:
-                failures.append(("independence", _jsonable(ind.failures[:3])))
-            if not dsum_ok:
-                failures.append(("d-sum", params.d))
-            entry = {"passed": not failures, "details": {"d": ss.d, "degrees": ss.degrees()}}
-            if failures:
-                entry["witnesses"] = _jsonable(failures)
-            self.record("solutions", key, entry)
+                failures.append(("independence", ind.failures[:3]))
+            yield key, _entry(failures + dsum, {"d": ss.d, "degrees": ss.degrees()})
 
     def suite_leading(self, triples):
-        for p, n, kv in triples:
-            params = self.params_for(p, n, kv)
-            key = f"p={p},n={n},kappa={kv}"
+        for params, key in _params(triples):
             if params.d == 0:
-                self.record("leading", key, _skip_entry("d(kappa)=0"))
-                continue
-            rep = verify_leading_terms(params, permute_control=self.cfg.sabotage)
-            self.record("leading", key, _report_entry(rep))
+                yield key, "d(kappa)=0"
+            else:
+                yield key, verify_leading_terms(params, permute_control=self.cfg.sabotage)
 
     def suite_ortho(self, triples):
-        for p, n, kv in triples:
-            params = self.params_for(p, n, kv)
-            key = f"p={p},n={n},kappa={kv}"
-            if not 0 < params.d < n - 1:
-                self.record("ortho", key, _skip_entry(f"d={params.d} not in (0, n-1)"))
-                continue
-            rep = verify_orthogonality(params, unnegated_control=self.cfg.sabotage)
-            self.record("ortho", key, _report_entry(rep))
+        for params, key in _params(triples):
+            if not 0 < params.d < params.n - 1:
+                yield key, f"d={params.d} not in (0, n-1)"
+            else:
+                yield key, verify_orthogonality(params, unnegated_control=self.cfg.sabotage)
 
     def suite_restrict(self, triples):
-        for p, n, kv in triples:
-            params = self.params_for(p, n, kv)
-            key = f"p={p},n={n},kappa={kv}"
+        for params, key in _params(triples):
             if params.d == 0:
-                self.record("restrict", key, _skip_entry("d(kappa)=0"))
-                continue
-            rep = verify_restrictions(params, perturb_control=self.cfg.sabotage)
-            self.record("restrict", key, _report_entry(rep))
+                yield key, "d(kappa)=0"
+            else:
+                yield key, verify_restrictions(params, perturb_control=self.cfg.sabotage)
 
     def suite_curvature(self, triples):
-        for p, n, kv in triples:
-            params = self.params_for(p, n, kv)
-            key = f"p={p},n={n},kappa={kv}"
+        cfg = self.cfg
+        for params, key in _params(triples):
             rep = verify_curvature_battery(
-                params,
-                npoints=self.cfg.point_count,
-                seed=self.cfg.seed,
-                perturb_control=self.cfg.sabotage,
+                params, npoints=cfg.point_count, seed=cfg.seed, perturb_control=cfg.sabotage
             )
-            entry = {"passed": rep.passed, "per_axis": _jsonable(rep.per_axis)}
+            entry = {"passed": rep.passed, "per_axis": _jsonable(rep.details["per_axis"])}
             if rep.failures:
                 entry["witnesses"] = _jsonable(rep.failures[:10])
-            self.record("curvature", key, entry)
-            dual = verify_duality(
-                params,
-                npoints=self.cfg.point_count,
-                seed=self.cfg.seed,
-                flip_control=self.cfg.sabotage,
+            yield key, entry
+            yield f"duality,{key}", verify_duality(
+                params, npoints=cfg.point_count, seed=cfg.seed, flip_control=cfg.sabotage
             )
-            self.record("curvature", f"duality,{key}", _report_entry(dual))
 
     def suite_ext_kappa(self, triples):
         # this suite has its own kappa values, so it reads the (p, n) pairs:
         # an empty prime-field kappa list must not empty it
-        if self.cfg.kappa_filter is not None and not any(
-            "g" in s for s in self.cfg.kappa_filter
-        ):
-            # explicit prime-field-only kappa filter: nothing to do here
-            return
         for p, n in self.sweep()[1]:
-            ctx = make_field(p, 2)
             for kap in _ext_kappas(self.cfg, p):
-                params = make_params(ctx, n, kap)
                 rep = verify_ext_kappa(
-                    params,
+                    make_params(kap.ctx, n, kap),
                     npoints=self.cfg.point_count,
                     seed=self.cfg.seed,
                     full_space_control=self.cfg.sabotage,
                 )
-                self.record("ext_kappa", f"p={p},n={n},kappa={kap}", _report_entry(rep))
+                yield f"p={p},n={n},kappa={kap}", rep
 
     def suite_quasi(self, triples):
-        for p, n, kv in triples:
-            params = self.params_for(p, n, kv)
-            key = f"p={p},n={n},kappa={kv}"
+        for params, key in _params(triples):
             if params.d == 0 or params.minus().d == 0:
-                self.record("quasi", key, _skip_entry("no sections: d=0 on one side"))
+                yield key, "no sections: d=0 on one side"
                 continue
-            pctx = make_field(p, 2)
-            Z = np.stack(
-                [
-                    sample_point(pctx, n, _mix(self.cfg.seed, "quasi", p, n, kv, i))
-                    for i in range(min(self.cfg.point_count, 10))
-                ]
-            )
-            rep = verify_quasi_flatness(params, Z, perturb_control=self.cfg.sabotage)
-            self.record("quasi", key, _report_entry(rep))
+            Z = self._points(params, "quasi", min(self.cfg.point_count, 10))
+            yield key, verify_quasi_flatness(params, Z, perturb_control=self.cfg.sabotage)
 
     def suite_kz(self, triples):
-        for p, n, kv in triples:
-            params = self.params_for(p, n, kv)
-            key = f"p={p},n={n},kappa={kv}"
+        for params, key in _params(triples):
             if params.d == 0:
-                self.record("kz", key, _skip_entry("d(kappa)=0"))
+                yield key, "d(kappa)=0"
                 continue
             failures = []
             bars = barq_solutions(params)
@@ -409,20 +384,17 @@ class SuiteRunner:
             reports = [verify_kz_solution(params, B) for B in bars.arrays]
             for ell, (B, rep) in enumerate(zip(bars.arrays, reports), start=1):
                 if self.cfg.sabotage:
-                    rep = verify_kz_solution(params, _perturbed(B, p))
+                    rep = verify_kz_solution(params, _perturbed(B, params.p))
                 if not rep.passed:
-                    failures.append(("kz", ell, _jsonable(rep.failures[:3])))
+                    failures.append(("kz", ell, rep.failures[:3]))
             qkz = extract_solutions(params)
             for ell, (F, B, rep) in enumerate(zip(qkz.arrays, bars.arrays, reports), start=1):
                 if not np.array_equal(dense_top_degree_part(F), B):
                     failures.append(("top-degree-mismatch", ell))
                     continue
                 if not rep.passed:
-                    failures.append(("kz-top", ell, _jsonable(rep.failures[:3])))
-            entry = {"passed": not failures}
-            if failures:
-                entry["witnesses"] = _jsonable(failures)
-            self.record("kz", key, entry)
+                    failures.append(("kz-top", ell, rep.failures[:3]))
+            yield key, _entry(failures)
 
 
 # -- output ------------------------------------------------------------------
@@ -466,17 +438,14 @@ def render_text(payload: dict) -> str:
             for item in block:
                 lines.append(f"SKIP p={item['p']} n={item['n']}: {item['reason']}")
             continue
-        if isinstance(block, dict):
-            for key, entry in block.items():
-                if isinstance(entry, dict) and entry.get("skipped"):
-                    lines.append(f"[skip] {suite} {key}: {entry['reason']}")
-                elif isinstance(entry, dict):
-                    tag = "PASS" if entry.get("passed") else "FAIL"
-                    lines.append(f"[{tag}] {suite} {key}")
-                    for w in entry.get("witnesses", [])[:5]:
-                        lines.append(f"        witness: {w}")
-        else:
-            lines.append(f"{suite}: {block}")
+        for key, entry in block.items():
+            if entry.get("skipped"):
+                lines.append(f"[skip] {suite} {key}: {entry['reason']}")
+            else:
+                tag = "PASS" if entry.get("passed") else "FAIL"
+                lines.append(f"[{tag}] {suite} {key}")
+                for w in entry.get("witnesses", [])[:5]:
+                    lines.append(f"        witness: {w}")
     if "passed" in payload:
         lines.append("overall: " + ("PASS" if payload["passed"] else "FAIL"))
     return "\n".join(lines) + "\n"
@@ -530,7 +499,7 @@ def _config_from_args(args) -> RunConfig:
         bad = [s for s in args.suites if s not in ALL_SUITES]
         if bad:
             _usage_error(f"unknown suite(s): {', '.join(bad)}")
-        cfg.suites = list(args.suites)
+        cfg.suites = list(dict.fromkeys(args.suites))
     cfg.seed = args.seed
     cfg.point_count = args.points
     cfg.format = args.format
@@ -551,25 +520,25 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _finish(runner: SuiteRunner, payload: dict, cfg: RunConfig) -> int:
-    """Emit the report and return the exit code: 0 when every executed check
-    passed, 1 when one failed, 2 (without a report) when no check ran."""
-    if not runner.checks_run:
-        print(
-            "error: no check ran for this configuration "
-            "(every entry was skipped or filtered out)",
-            file=sys.stderr,
-        )
-        return 2
-    emit(payload, cfg.format, cfg.out_path)
-    return 0 if runner.all_passed else 1
+def _nothing_ran(what: str) -> int:
+    """Report a configuration that gave nothing to report, and return 2."""
+    print(
+        f"error: {what} for this configuration "
+        "(every entry was skipped or filtered out)",
+        file=sys.stderr,
+    )
+    return 2
 
 
 def cmd_verify(args) -> int:
+    """Run the selected suites (the curvature and ortho subcommands select
+    one).  Exit 0 when every check passed, 1 when one failed, 2 when none ran."""
     cfg = _config_from_args(args)
     start = time.time()
     runner = SuiteRunner(cfg)
     results = runner.run()
+    if not runner.checks_run:
+        return _nothing_ran("no check ran")
     payload = {
         "schema": SCHEMA,
         "config": {
@@ -587,25 +556,18 @@ def cmd_verify(args) -> int:
     # determinism: wall-clock info only in the text report
     if cfg.format == "text":
         payload["elapsed_seconds"] = round(time.time() - start, 2)
-    return _finish(runner, payload, cfg)
-
-
-def cmd_suite(args) -> int:
-    """The curvature and ortho subcommands: one suite over a sweep."""
-    cfg = _config_from_args(args)
-    runner = SuiteRunner(cfg)
-    results = runner.run()
-    payload = {"schema": SCHEMA, "passed": runner.all_passed, **results}
-    return _finish(runner, payload, cfg)
+    emit(payload, cfg.format, cfg.out_path)
+    return 0 if runner.all_passed else 1
 
 
 def cmd_report(args) -> int:
     cfg = _config_from_args(args)
-    runner = SuiteRunner(cfg)
-    triples, _, skipped = runner.sweep()
+    triples, _, skipped = SuiteRunner(cfg).sweep()
+    if not triples:
+        return _nothing_ran("no (p, n, kappa) row")
     rows = []
-    for p, n, kv in triples:
-        params = runner.params_for(p, n, kv)
+    for params, _ in _params(triples):
+        p, n, kv = params.p, params.n, params.kappa.val
         row = {
             "p": p,
             "n": n,
@@ -615,13 +577,8 @@ def cmd_report(args) -> int:
             "d_minus": params.minus().d,
             "gram_det_equals_n": gram_det(params.ctx, n).val == n % p,
         }
-        if params.d:
-            ss = extract_solutions(params)
-            row["degrees"] = ss.degrees()
-            row["ortho"] = "zero-pairing" if 0 < params.d < n - 1 else "not applicable"
-        else:
-            row["degrees"] = []
-            row["ortho"] = "not applicable"
+        row["degrees"] = extract_solutions(params).degrees() if params.d else []
+        row["ortho"] = "zero-pairing" if 0 < params.d < n - 1 else "not applicable"
         if 0 < params.d < n - 1:
             pctx = make_field(p, 2)
             z = sample_point(pctx, n, _mix(cfg.seed, "report", p, n, kv))
@@ -665,13 +622,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, multi_p=True):
-        if multi_p:
-            sp.add_argument("--p", type=int, action="append", help="prime(s) to sweep")
-            sp.add_argument("--n", type=int, action="append", help="tensor length(s)")
-            sp.add_argument(
-                "--kappa", action="append", help="step value(s): 'c' or 'a+b*g'"
-            )
+    def common(sp):
+        sp.add_argument("--p", type=int, action="append", help="prime(s) to sweep")
+        sp.add_argument("--n", type=int, action="append", help="tensor length(s)")
+        sp.add_argument("--kappa", action="append", help="step value(s): 'c' or 'a+b*g'")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--points", type=int, default=50, help="points per pointwise suite")
         sp.add_argument("--format", choices=("text", "json"), default="text")
@@ -703,11 +657,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("curvature", help="p-curvature battery over a sweep")
     common(sp)
     sp.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
-    sp.set_defaults(func=cmd_suite, suites=["curvature"])
+    sp.set_defaults(func=cmd_verify, suites=["curvature"])
 
     sp = sub.add_parser("ortho", help="orthogonality pairing over a sweep")
     common(sp)
-    sp.set_defaults(func=cmd_suite, suites=["ortho"])
+    sp.set_defaults(func=cmd_verify, suites=["ortho"])
 
     sp = sub.add_parser("report", help="summary table of invariants per (p, n, kappa)")
     common(sp)

@@ -15,8 +15,6 @@ qKZ check (``qkz_core.apply_r_factors``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .ffield import FieldCtx, FieldElement, elements, make_field, sample_point
@@ -33,7 +31,6 @@ from .qkz_core import (
 )
 
 __all__ = [
-    "CurvatureReport",
     "curvature_at",
     "curvature_batch",
     "reduced_curvature_at",
@@ -44,21 +41,6 @@ __all__ = [
     "kernel_image_ranks",
     "verify_curvature_battery",
 ]
-
-
-@dataclass
-class CurvatureReport:
-    """Aggregated outcome of the pointwise curvature battery."""
-
-    params: QkzParams
-    points: int
-    passed: bool
-    failures: list = field(default_factory=list)
-    per_axis: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
-
-    def __bool__(self):
-        return self.passed
 
 
 def curvature_at(params: QkzParams, a: int, z: np.ndarray) -> list[list[FieldElement]]:
@@ -157,7 +139,7 @@ def _points_batch(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) ->
 
 def verify_curvature_battery(
     params: QkzParams, npoints: int = 50, seed: int = 0, perturb_control: bool = False
-) -> CurvatureReport:
+) -> CheckReport:
     """Pointwise curvature properties at sampled nonsingular F_{p^2} points.
 
     For 0 < d < n-1: hat-C_a nonzero, nilpotency hat-C_a hat-C_b = 0,
@@ -168,6 +150,9 @@ def verify_curvature_battery(
     ``perturb_control`` adds 1 to the first coordinate of the first
     solution's value at every point (negative control: that value is no
     longer fixed by C_a, and the span it enters no longer holds the images).
+
+    ``details`` holds ``per_axis``, ``points`` and, for 0 < d < n-1, the
+    rank sets ``span_dim`` and ``sum_image_dim``.
     """
     if params.k is None:
         raise ValueError("battery requires kappa in F_p^x")
@@ -238,13 +223,11 @@ def verify_curvature_battery(
                 "span_dim": sorted(set(span_dims.tolist())),
                 "sum_image_dim": sorted(set(sum_image_dims.tolist())),
             }
-    return CurvatureReport(
-        params=params,
-        points=npoints,
+    return CheckReport(
+        name=f"curvature battery p={p} n={n} kappa={params.kappa}",
         passed=not failures,
         failures=failures,
-        per_axis=per_axis,
-        details=ranks,
+        details={"per_axis": per_axis, "points": npoints, **ranks},
     )
 
 

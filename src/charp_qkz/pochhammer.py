@@ -83,7 +83,7 @@ def _plus_var_table(p: int, kappa: int, m: int) -> np.ndarray:
 
 
 def pochhammer_identity_suite(
-    ctx: FieldCtx, kappa: FieldElement, max_len: int | None = None, mutate: bool = False
+    ctx: FieldCtx, kappa: FieldElement, mutate: bool = False
 ) -> CheckReport:
     """The full symbolic identity battery for one (p, kappa), on exact
     coefficient vectors over F_p:
@@ -92,8 +92,7 @@ def pochhammer_identity_suite(
     in a second formal variable, the product rule, Stirling expansions in
     both directions verified by expansion and against the basis matrix the
     solutions are built with, additivity at p, the (t; kappa)_p closed form,
-    and the quasi-constant law.  ``max_len`` defaults to 2p; all lengths
-    m, i, j up to it are covered.
+    and the quasi-constant law.  All lengths m, i, j up to 2p are covered.
 
     ``mutate`` perturbs the l = 1 product-rule coefficient (negative control).
     """
@@ -101,8 +100,7 @@ def pochhammer_identity_suite(
     kv = kappa.val
     if kappa.ctx is not ctx or not 0 < kv < p:
         raise ValueError("kappa must be a nonzero prime-field element")
-    if max_len is None:
-        max_len = 2 * p
+    max_len = 2 * p
     failures = []
 
     def pmul(a, b):

@@ -522,3 +522,87 @@ def test_cli_builds_no_mpoly(argv, monkeypatch):
 
     monkeypatch.setattr(MPoly, "__init__", refuse)
     assert run_cli(argv) == expected
+
+
+def test_repeated_suite_names_run_once():
+    """A suite named twice in --suites runs once, in first-seen order."""
+    args = ["verify", "--p", "5", "--n", "3", "--format", "json", "--suites"]
+    code, once = run_cli(args + ["leading"])
+    assert code == 0
+    assert run_cli(args + ["leading", "leading"]) == (0, once)
+    code, out = run_cli(args + ["ortho", "leading", "ortho"])
+    assert code == 0
+    assert list(json.loads(out)["config"]["suites"]) == ["ortho", "leading"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--p", "3", "--n", "3"],
+        ["report", "--p", "5", "--n", "3", "--kappa", "1+g", "--format", "json"],
+    ],
+)
+def test_empty_report_exits_2(argv, capsys):
+    """A report sweep without a (p, n, kappa) row prints no report."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: no (p, n, kappa) row")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("suite", ["curvature", "ortho"])
+def test_one_suite_subcommands_print_the_verify_report(suite, fmt):
+    args = ["--p", "5", "--n", "3", "--n", "4", "--points", "5", "--seed", "1", "--format", fmt]
+    expected = run_cli(["verify", "--suites", suite] + args)
+    assert expected[0] == 0
+    assert run_cli([suite] + args) == expected
+
+
+CLI_CHECKS = (
+    "barq_solutions",
+    "extract_solutions",
+    "gram_det",
+    "verify_independence",
+    "verify_leading_terms",
+    "verify_orthogonality",
+    "verify_quasi_flatness",
+    "verify_restrictions",
+    "kernel_image_ranks",
+    "verify_curvature_battery",
+    "verify_duality",
+    "verify_ext_kappa",
+    "pochhammer_identity_suite",
+    "verify_flatness",
+    "verify_kz_solution",
+    "verify_qkz_solution",
+    "verify_rmatrix_identities",
+)
+
+
+def test_checks_are_read_from_the_module_at_call_time(monkeypatch):
+    """Every check the CLI imports runs through the binding on the cli
+    module (the benchmark's tracer rebinds them there): with each replaced
+    by a counting spy, all ten suites and report call every spy, and print
+    what they print without it."""
+    from charp_qkz import cli
+
+    argvs = [
+        ["verify", "--p", "5", "--n", "4", "--points", "3", "--format", "json"],
+        ["report", "--p", "5", "--n", "4", "--format", "json"],
+    ]
+    expected = [run_cli(argv) for argv in argvs]
+    calls = dict.fromkeys(CLI_CHECKS, 0)
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in CLI_CHECKS:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    assert [run_cli(argv) for argv in argvs] == expected
+    assert [name for name, count in calls.items() if not count] == []

@@ -60,7 +60,9 @@ MOVED_TO_ORACLES = {
 # the per-solution degree helpers (dense_total_degrees reads the stack), and
 # the FFT product's rounding bound and the coefficient-array pairing matrix
 # (orthogonality is decided on the grid (F_p u {inf})^n; the sparse
-# pairing_polynomial oracle is the reference).
+# pairing_polynomial oracle is the reference), and the curvature battery's
+# own report type and the one-suite command (the battery returns a
+# CheckReport; curvature and ortho run the verify command).
 REMOVED = {
     "points_to_array",
     "_elements",
@@ -80,6 +82,8 @@ REMOVED = {
     "dense_total_degree",
     "fft_error_bound",
     "orthogonality_pairing",
+    "CurvatureReport",
+    "cmd_suite",
 }
 
 

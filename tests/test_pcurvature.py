@@ -87,9 +87,9 @@ def test_battery_reports_ranks():
     params = make_params(ctx, 4, 2)  # k=3, d=1, 0 < d < n-1
     rep = verify_curvature_battery(params, npoints=10, seed=3)
     assert rep.passed
-    assert rep.params.p == 7 and rep.points == 10
-    assert set(rep.per_axis) == {1, 2, 3, 4}
-    assert all(len(axis["ranks"]) == 10 for axis in rep.per_axis.values())
+    assert rep.details["points"] == 10
+    assert set(rep.details["per_axis"]) == {1, 2, 3, 4}
+    assert all(len(axis["ranks"]) == 10 for axis in rep.details["per_axis"].values())
 
 
 def test_kernel_image_ranks_bounds():

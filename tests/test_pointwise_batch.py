@@ -176,8 +176,9 @@ def test_battery_matches_per_point_loop(p, n, kv):
         rep = verify_curvature_battery(params, npoints=10, seed=kv, perturb_control=perturb)
         failures, ranks, details = scalar_battery_span_checks(params, 10, kv, perturb)
         assert [f for f in rep.failures if f[0] in SPAN_CHECKS] == failures
-        assert {a: v["ranks"] for a, v in rep.per_axis.items()} == ranks
-        assert rep.details == details
+        per_axis = rep.details["per_axis"]
+        assert {a: v["ranks"] for a, v in per_axis.items()} == ranks
+        assert rep.details == {"per_axis": per_axis, "points": 10, **details}
         assert rep.passed != perturb
     pctx = make_field(p, 2)
     z = sample_point(pctx, n, kv)
