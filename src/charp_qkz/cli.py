@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import hypergeo
+from . import hypergeo, pcurvature
 from .dense import dense_top_degree_part
 from .ffield import FieldCtx, FieldElement, make_field, sample_point
 from .hypergeo import (
@@ -654,14 +654,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("curvature", help="p-curvature battery over a sweep")
-    common(sp)
-    sp.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
-    sp.set_defaults(func=cmd_verify, suites=["curvature"])
-
-    sp = sub.add_parser("ortho", help="orthogonality pairing over a sweep")
-    common(sp)
-    sp.set_defaults(func=cmd_verify, suites=["ortho"])
+    # one-suite forms of verify, with its hidden --sabotage
+    for suite, what in (
+        ("curvature", "p-curvature battery over a sweep"),
+        ("ortho", "orthogonality pairing over a sweep"),
+    ):
+        sp = sub.add_parser(suite, help=what)
+        common(sp)
+        sp.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
+        sp.set_defaults(func=cmd_verify, suites=[suite])
 
     sp = sub.add_parser("report", help="summary table of invariants per (p, n, kappa)")
     common(sp)
@@ -678,15 +679,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  The solution cache lives for this call only, so a
-    long-lived process that calls main repeatedly does not grow with every
-    (p, n, kappa) it has seen."""
+    """Run one command.  The solution cache and the curvatures kept for the
+    duality check live for this call only, so a long-lived process that
+    calls main repeatedly does not grow with every (p, n, kappa) it has
+    seen."""
     try:
         args = _parser().parse_args(argv)
         _check_out(args.out)
         return args.func(args)
     finally:
         hypergeo._solution_cache.clear()
+        pcurvature._point_curvatures.clear()
 
 
 if __name__ == "__main__":

@@ -149,24 +149,54 @@ def dense_conv(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out % p
 
 
+# Print-order tables are cached per box shape.  A table holds about 85
+# bytes a monomial, mostly its suffix string: 1.4 MB for 7^5, the largest box
+# of the solve grid, whose 196 keys have 61 box shapes.  Boxes of more than
+# _CACHED_MONOMIALS monomials (2.8 MB a table) are built per call, so the
+# cache holds at most 64 x 2.8 MB.
+_CACHED_MONOMIALS = 1 << 15
+
+
+def _build_print_order(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The print order of a box of exponents (axes z_1, z_2, ...): the flat
+    indices of its monomials by descending (total degree, e_1, e_2, ...),
+    and each monomial's suffix text "*z1^e1*z2*..." in that order ("" for
+    the constant).  Both arrays are read-only."""
+    suffixes = np.array([""], dtype=object)
+    for i, size in enumerate(shape, start=1):
+        tokens = [""] + [f"*z{i}"] + [f"*z{i}^{x}" for x in range(2, size)]
+        suffixes = np.add.outer(suffixes, np.array(tokens[:size], dtype=object))
+    suffixes = suffixes.ravel()
+    # descending e_1, e_2, ... is descending flat index
+    order = np.lexsort((-np.arange(suffixes.size), -np.indices(shape).sum(axis=0).ravel()))
+    suffixes = suffixes[order]
+    order.flags.writeable = False
+    suffixes.flags.writeable = False
+    return order, suffixes
+
+
+_cached_print_order = functools.lru_cache(maxsize=64)(_build_print_order)
+
+
 def render_polynomials(arrays: np.ndarray, p: int) -> list[list[str]]:
     """Every polynomial of a (d, n, ...) stack of coefficient arrays
     (entries in [0, p); the axes after the first two are z_1, z_2, ...) as
     text, exactly as ``str(MPoly)`` prints it: terms "c*z1^e1*z2*..." by
     descending (total degree, e_1, e_2, ...), joined by " + "; "0" for the
-    zero polynomial.  Returns d lists of n strings."""
+    zero polynomial.  Returns d lists of n strings.
+
+    The stack is gathered into the print order of its box, so the nonzero
+    entries of each polynomial come out in print order."""
     d, n = arrays.shape[:2]
-    idx = np.nonzero(arrays)
-    exps = idx[2:]
-    order = np.lexsort(tuple(-e for e in reversed(exps)) + (-sum(exps), idx[1], idx[0]))
-    terms = np.array([str(c) for c in range(p)], dtype=object)[arrays[idx][order]]
-    for i, (e, size) in enumerate(zip(exps, arrays.shape[2:]), start=1):
-        tokens = np.array(
-            [""] + [f"*z{i}"] + [f"*z{i}^{x}" for x in range(2, size)], dtype=object
-        )
-        terms = terms + tokens[e[order]]
-    texts = terms.tolist()
-    ends = np.cumsum(np.bincount(idx[0] * n + idx[1], minlength=d * n)).tolist()
+    shape = arrays.shape[2:]
+    size = int(np.prod(shape))
+    table = _cached_print_order if size <= _CACHED_MONOMIALS else _build_print_order
+    order, suffixes = table(shape)
+    coeffs = arrays.reshape(d * n, size)[:, order]
+    rows, cols = np.nonzero(coeffs)
+    digits = np.array([str(c) for c in range(p)], dtype=object)
+    texts = (digits[coeffs[rows, cols]] + suffixes[cols]).tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=d * n)).tolist()
     starts = [0] + ends[:-1]
     polys = [" + ".join(texts[b:e]) or "0" for b, e in zip(starts, ends)]
     return [polys[ell * n : (ell + 1) * n] for ell in range(d)]
@@ -275,23 +305,42 @@ def pochhammer_scalar_coeffs(p: int, kappa: int, max_deg: int) -> list[list[int]
     return tables
 
 
+@functools.lru_cache(maxsize=64)
+def _stirling_table(kind: int, p: int, rows: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..rows of the signed Stirling triangle of the given kind, mod p:
+    s1(m+1, l) = s1(m, l-1) - m*s1(m, l), s2(m+1, l) = s2(m, l-1) + l*s2(m, l)."""
+    table = [(1,)]  # row for m=0
+    for mm in range(rows):
+        row = table[-1]
+        new = [0] * (mm + 2)
+        for ll in range(mm + 1):
+            if kind == 1:
+                new[ll + 1] = (new[ll + 1] + row[ll]) % p
+                new[ll] = (new[ll] - mm * row[ll]) % p
+            else:
+                new[ll + 1] = (new[ll + 1] + row[ll]) % p
+                new[ll] = (new[ll] + ll * row[ll]) % p
+        table.append(tuple(new))
+    return tuple(table)
+
+
 @functools.lru_cache(maxsize=256)
 def _pochhammer_basis_matrix(p: int, kappa: int, tlen: int) -> np.ndarray:
     """The tlen x tlen matrix taking monomial coefficients of a t-polynomial
     of degree < tlen to its coefficients in the basis (t; kappa)_i, as
     float64 with entries in [0, p).
 
-    Column i of the inverse map is (t; kappa)_i, a monic polynomial of degree
-    i, so the matrix is the inverse of a unit upper-triangular matrix and
-    comes out of one back substitution.
+    Column j is the expansion t^j = sum_i S2(j, i) kappa^{j-i} (t; kappa)_i,
+    read from the second-kind Stirling triangle; the triangle has at least
+    2p rows, so it is the one ``pochhammer.stirling`` reads.
     """
-    B = np.zeros((tlen, tlen), dtype=np.int64)
-    for i, coeffs in enumerate(pochhammer_scalar_coeffs(p, kappa, tlen - 1)):
-        B[: i + 1, i] = coeffs
-    M = np.eye(tlen, dtype=np.int64)
-    for i in range(tlen - 2, -1, -1):
-        M[i] = (M[i] - B[i, i + 1 :] @ M[i + 1 :]) % p
-    M = M.astype(np.float64)
+    S2 = _stirling_table(2, p, max(tlen - 1, 2 * p))
+    M = np.zeros((tlen, tlen), dtype=np.int64)
+    for j in range(tlen):
+        M[: j + 1, j] = S2[j]
+    kpow = np.array([pow(kappa, e, p) for e in range(tlen)], dtype=np.int64)
+    lag = np.arange(tlen)[None, :] - np.arange(tlen)[:, None]  # j - i
+    M = (M * kpow[np.maximum(lag, 0)] % p).astype(np.float64)
     M.flags.writeable = False
     return M
 

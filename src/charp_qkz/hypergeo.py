@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,11 +58,13 @@ class SolutionSet:
     coefficient vector at Pochhammer index ell*p - 1 (monomial index for the
     KZ kind), with array axes z_1..z_n.  Every check reads the arrays, and
     ``dense.render_polynomials`` prints them.  The arrays are read-only: a
-    cached set is shared by every caller."""
+    cached set is shared by every caller.  The total degree of each solution
+    is taken once, when first asked for, and kept."""
 
     params: QkzParams
     arrays: np.ndarray
     kind: str = "qkz"
+    _degrees: tuple[int, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.arrays.flags.writeable = False
@@ -72,7 +74,9 @@ class SolutionSet:
         return self.arrays.shape[0]
 
     def degrees(self) -> list[int]:
-        return dense.dense_total_degrees(self.arrays)
+        if self._degrees is None:
+            self._degrees = tuple(dense.dense_total_degrees(self.arrays))
+        return list(self._degrees)
 
 
 @dataclass(frozen=True)
@@ -151,13 +155,13 @@ def extract_solutions(params: QkzParams) -> SolutionSet:
         return _solution_cache[key]
     n, p, k = params.n, params.p, params.k
     sols = _solution_rows(params, params.kappa.val, functools.partial(_q_factors, params))
-    for ell, deg in enumerate(dense.dense_total_degrees(sols), start=1):
+    out = SolutionSet(params, sols, kind="qkz")
+    for ell, deg in enumerate(out.degrees(), start=1):
         if deg != n * k - ell * p:
             raise AssertionError(f"degree law violated for ell={ell}")
-    for ell, s in enumerate(sols, start=1):
+    for ell, s in enumerate(out.arrays, start=1):
         if np.any(s.sum(axis=0) % p):
             raise AssertionError(f"solution ell={ell} not in the zero-sum space")
-    out = SolutionSet(params, sols, kind="qkz")
     _cache_put(key, out)
     return out
 

@@ -137,6 +137,28 @@ def _points_batch(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) ->
     return np.stack([sample_point(pctx, params.n, seed * 10007 + i) for i in range(npoints)])
 
 
+# C_a at a batch of points, kept until its one reuse: the battery for kappa
+# and the duality check for -kappa take the same product at the same
+# points, in either order.  cli.main clears it after each command; past
+# 64 MiB the oldest products go (the default sweep keeps under 1 MiB).
+_POINT_CURVATURES_BYTES = 64 << 20
+_point_curvatures: dict = {}
+
+
+def _shared_curvature(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
+    """``curvature_batch(params, a, Z, pctx)``, read-only, made once for the
+    battery and the duality check together."""
+    key = (params.p, params.kappa.val, a, Z.shape, Z.tobytes())
+    C = _point_curvatures.pop(key, None)
+    if C is None:
+        C = curvature_batch(params, a, Z, pctx)
+        C.flags.writeable = False
+        _point_curvatures[key] = C
+        while sum(c.nbytes for c in _point_curvatures.values()) > _POINT_CURVATURES_BYTES:
+            _point_curvatures.pop(next(iter(_point_curvatures)))
+    return C
+
+
 def verify_curvature_battery(
     params: QkzParams, npoints: int = 50, seed: int = 0, perturb_control: bool = False
 ) -> CheckReport:
@@ -161,7 +183,7 @@ def verify_curvature_battery(
     delta = pctx.nonresidue
     Z = _points_batch(params, npoints, seed, pctx)
     kap = params.kappa_pair
-    C = {a: curvature_batch(params, a, Z, pctx) for a in range(1, n + 1)}
+    C = {a: _shared_curvature(params, a, Z, pctx) for a in range(1, n + 1)}
     H = {a: _reduce_batch(C[a], p) for a in range(1, n + 1)}
     K = {a: k_matrix_batch(params, a, Z, pctx) for a in range(1, n + 1)}
     failures = []
@@ -283,7 +305,7 @@ def verify_duality(params: QkzParams, npoints: int = 20, seed: int = 0, flip_con
     sgn = -1 if flip_control else 1
     failures = []
     for a in range(1, n + 1):
-        Hm = _reduce_batch(curvature_batch(pm, a, Z, pctx), p)  # hat-C_a(z; -kappa)
+        Hm = _reduce_batch(_shared_curvature(pm, a, Z, pctx), p)  # hat-C_a(z; -kappa)
         Hp = _reduce_batch(curvature_batch(params, a, Zneg, pctx), p)  # hat-C_a(-z; kappa)
         # bilinear residue on the zero-sum space: E^T (Hm^T + Hp) E = 0
         M = (np.swapaxes(Hm, 1, 2) + sgn * Hp) % p

@@ -3,19 +3,22 @@ Pochhammer polynomials (t; kappa)_m, on exact coefficient vectors over F_p.
 
 The battery reads the kernels the solutions are built with: the factor
 tables of ``dense.build_product_tpoly`` and the cached basis matrix of
-``dense.dense_pochhammer_coeffs``.  That basis change is a back substitution
-against the monic (t; kappa)_i; divided-difference or factorial-based
-routes are invalid here, since i! vanishes mod p as soon as i >= p.
+``dense.dense_pochhammer_coeffs``.  That basis change is the second-kind
+Stirling expansion t^j = sum_i S2(j, i) kappa^{j-i} (t; kappa)_i, from the
+triangle ``stirling`` reads; divided-difference or factorial-based routes
+are invalid here, since i! vanishes mod p as soon as i >= p.  The battery
+checks the matrix against the Pochhammer table, which does not read the
+triangle, by the round trip B M = I.
 """
 
 from __future__ import annotations
 
-import functools
 from math import comb
 
 import numpy as np
 
 from . import dense
+from .dense import _stirling_table
 from .ffield import FieldCtx, FieldElement
 from .qkz_core import CheckReport
 
@@ -55,24 +58,6 @@ def stirling(kind: int, m: int, l: int, ctx: FieldCtx) -> FieldElement:
     if l < 0 or l > m:
         raise ValueError(f"need 0 <= l <= m, got l={l}, m={m}")
     return ctx.element(_stirling_table(kind, ctx.p, max(m, 2 * ctx.p))[m][l])
-
-
-@functools.lru_cache(maxsize=64)
-def _stirling_table(kind: int, p: int, rows: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..rows of the Stirling triangle of the given kind, mod p."""
-    table = [(1,)]  # row for m=0
-    for mm in range(rows):
-        row = table[-1]
-        new = [0] * (mm + 2)
-        for ll in range(mm + 1):
-            if kind == 1:
-                new[ll + 1] = (new[ll + 1] + row[ll]) % p
-                new[ll] = (new[ll] - mm * row[ll]) % p
-            else:
-                new[ll + 1] = (new[ll + 1] + row[ll]) % p
-                new[ll] = (new[ll] + ll * row[ll]) % p
-        table.append(tuple(new))
-    return tuple(table)
 
 
 def _plus_var_table(p: int, kappa: int, m: int) -> np.ndarray:

@@ -1,14 +1,16 @@
 """The sparse t-polynomial layer: polynomials in t with ``MPoly``
 coefficients, (t - base; kappa)_m as such a polynomial, and conversion
-between the monomial and Pochhammer bases by triangular elimination.  The
-package computes all of this on dense arrays (``dense.build_product_tpoly``,
-``dense._pochhammer_basis_matrix``); these are the references it is
-compared with."""
+between the monomial and Pochhammer bases by triangular elimination, also
+as a dense back substitution.  The package computes all of this on dense
+arrays (``dense.build_product_tpoly``, ``dense._pochhammer_basis_matrix``
+from Stirling numbers); these are the references it is compared with."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from charp_qkz.dense import pochhammer_scalar_coeffs
 from charp_qkz.ffield import FieldCtx, FieldElement
@@ -250,3 +252,16 @@ def from_pochhammer_basis(pf: PochhammerForm) -> TPoly:
             if s:
                 out[l] = out[l] + c.scale(s)
     return TPoly(ctx, nvars, out)
+
+
+def basis_matrix_by_back_substitution(p: int, kappa: int, tlen: int) -> np.ndarray:
+    """The int64 matrix of ``dense._pochhammer_basis_matrix``: column i of
+    its inverse is the monic (t; kappa)_i, so it is the inverse of a unit
+    upper-triangular matrix and comes out of one back substitution."""
+    B = np.zeros((tlen, tlen), dtype=np.int64)
+    for i, coeffs in enumerate(pochhammer_scalar_coeffs(p, kappa, tlen - 1)):
+        B[: i + 1, i] = coeffs
+    M = np.eye(tlen, dtype=np.int64)
+    for i in range(tlen - 2, -1, -1):
+        M[i] = (M[i] - B[i, i + 1 :] @ M[i + 1 :]) % p
+    return M

@@ -560,6 +560,37 @@ def test_one_suite_subcommands_print_the_verify_report(suite, fmt):
     assert run_cli([suite] + args) == expected
 
 
+@pytest.mark.parametrize("suite", ["curvature", "ortho"])
+def test_one_suite_subcommands_take_sabotage(suite, capsys):
+    """Both one-suite subcommands take verify's hidden --sabotage and fail."""
+    code = main([suite, "--p", "5", "--n", "3", "--points", "5", "--sabotage", "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["config"]["sabotage"] is True
+    assert [key for key, entry in out[suite].items() if entry.get("passed") is False]
+
+
+def test_duality_reuses_the_battery_curvatures(monkeypatch):
+    """Each C_a at the battery's points is made once per verify call: the
+    duality check for kappa reads the battery's product for -kappa, and the
+    store is empty when main returns."""
+    from charp_qkz import pcurvature
+
+    argv = ["verify", "--p", "5", "--n", "3", "--suites", "curvature", "--points", "5", "--format", "json"]
+    expected = run_cli(argv)
+    keys = []
+    real = pcurvature.curvature_batch
+
+    def spy(params, a, Z, pctx):
+        keys.append((params.kappa.val, a, Z.tobytes()))
+        return real(params, a, Z, pctx)
+
+    monkeypatch.setattr(pcurvature, "curvature_batch", spy)
+    assert run_cli(argv) == expected
+    # per kappa: n products at the points, n(n-1) at shifted and n at negated points
+    assert len(keys) == len(set(keys)) == 4 * (3 + 6 + 3)
+    assert pcurvature._point_curvatures == {}
+
+
 CLI_CHECKS = (
     "barq_solutions",
     "extract_solutions",

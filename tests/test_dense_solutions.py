@@ -1,6 +1,7 @@
 """Dense solution sets: the cached Pochhammer basis matrix against the
-digit-plus-triangular elimination it replaced, the row fold against the
-full t-expansion it replaced, the array renderer against ``str(MPoly)``,
+digit-plus-triangular elimination and the back substitution it replaced,
+the row fold against the full t-expansion it replaced, the array renderer
+against ``str(MPoly)`` and the per-call lexsort renderer it replaced,
 ``SolutionSet.arrays`` against sparse constructions, and ``solve`` output
 against the recorded reference digests."""
 
@@ -34,8 +35,9 @@ from charp_qkz.hypergeo import (
 )
 from charp_qkz.mpoly import MPoly
 from charp_qkz.qkz_core import make_params
+from oracles.render import render_polynomials_lexsort
 from oracles.solutions import q_vector, sparse_solutions
-from oracles.tpoly import TPoly, poch_factor, to_pochhammer_basis
+from oracles.tpoly import TPoly, basis_matrix_by_back_substitution, poch_factor, to_pochhammer_basis
 
 REFERENCE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -93,6 +95,19 @@ def test_pochhammer_matrix_matches_elimination(p):
                 assert np.array_equal(got, _elimination_oracle(arr, p, kappa)), (
                     p, kappa, tlen, extra,
                 )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+def test_basis_matrix_matches_back_substitution(p):
+    """The Stirling closed form M[i, j] = S2(j, i) kappa^{j-i} is the matrix
+    the back substitution against the monic (t; kappa)_i gives."""
+    for kappa in range(p):
+        for tlen in (1, 2, 5, p, 2 * p + 3, 40):
+            M = dense._pochhammer_basis_matrix(p, kappa, tlen)
+            assert M.dtype == np.float64 and not M.flags.writeable
+            assert np.array_equal(M.astype(np.int64), basis_matrix_by_back_substitution(p, kappa, tlen)), (
+                p, kappa, tlen,
+            )
 
 
 def test_pochhammer_blocks_agree(monkeypatch):
@@ -225,6 +240,69 @@ def test_renderer_zero_polynomials():
     expected = str(MPoly(make_field(7), 3, {(3, 0, 1): 5, (0, 0, 0): 1}))
     assert render_polynomials(arr, 7) == [["0"] * 3, ["0", "0", expected]]
     assert render_polynomials(np.zeros((0, 2, 3, 3), dtype=np.int64), 5) == []
+
+
+def test_degrees_taken_once_per_set(monkeypatch):
+    """The degree law in extract_solutions and solve's JSON read one
+    total-degree pass of the set."""
+    from charp_qkz import hypergeo
+
+    calls = []
+    real = dense.dense_total_degrees
+    monkeypatch.setattr(hypergeo, "_solution_cache", {})
+    monkeypatch.setattr(dense, "dense_total_degrees", lambda S: calls.append(S.shape) or real(S))
+    ss = extract_solutions(make_params(make_field(7), 4, 2))
+    payload = solution_set_to_json(ss)
+    assert payload["degrees"] == ss.degrees() == [4 * 3 - 7]
+    assert len(calls) == 1
+
+
+def _random_stacks():
+    """Random (d, n, box) stacks with p in {2, ..., 29} and 1 <= n <= 5
+    variables: cube and (2, 2, ...) boxes as ``_entry_failures`` passes,
+    d = 0, all-zero coordinates, and coefficients biased to 0 and 1."""
+    rng = np.random.default_rng(15)
+    for p in (2, 3, 5, 7, 11, 13, 29):
+        for nvars in range(1, 6):
+            for box in (
+                (2,) * nvars,
+                (int(rng.integers(1, 6)),) * nvars,
+                tuple(int(s) for s in rng.integers(1, 6, size=nvars)),
+            ):
+                d, n = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+                arr = rng.integers(0, p, size=(d, n) + box)
+                arr[rng.random(arr.shape) < 0.4] = 1 % p
+                arr[rng.random(arr.shape) < 0.4] = 0
+                if d:
+                    arr[rng.integers(d), rng.integers(n)] = 0
+                yield p, arr
+
+
+def test_renderer_matches_lexsort_oracle():
+    for p, arr in _random_stacks():
+        assert render_polynomials(arr, p) == render_polynomials_lexsort(arr, p), (p, arr.shape)
+        # a strided view, as _entry_failures passes after moveaxis
+        view = np.moveaxis(np.moveaxis(arr, 0, -1).copy(), -1, 0)
+        assert render_polynomials(view, p) == render_polynomials_lexsort(arr, p)
+
+
+def test_print_order_tables_are_read_only_and_bounded():
+    dense._cached_print_order.cache_clear()
+    big = (2,) * 16  # 2^16 monomials, past the cached size
+    assert np.prod(big) > dense._CACHED_MONOMIALS
+    render_polynomials(np.zeros((1, 1) + big, dtype=np.int64), 5)
+    assert dense._cached_print_order.cache_info().currsize == 0
+    for s in range(1, 70):
+        render_polynomials(np.zeros((1, 1, s), dtype=np.int64), 5)
+    info = dense._cached_print_order.cache_info()
+    assert info.maxsize == 64 and info.currsize == 64
+    order, suffixes = dense._cached_print_order((3, 4))
+    assert not order.flags.writeable and not suffixes.flags.writeable
+    assert suffixes[:3].tolist() == ["*z1^2*z2^3", "*z1^2*z2^2", "*z1*z2^3"]
+    assert suffixes[-1] == "" and order[-1] == 0
+    with pytest.raises(ValueError):
+        order[0] = 1
+    dense._cached_print_order.cache_clear()
 
 
 def _boxed(f: MPoly, box: tuple) -> np.ndarray:
