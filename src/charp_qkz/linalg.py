@@ -13,6 +13,7 @@ import numpy as np
 from .ffield import FieldCtx, FieldElement, make_field
 
 __all__ = [
+    "mod",
     "rank",
     "det",
     "solve",
@@ -23,6 +24,15 @@ __all__ = [
     "ext_rank_batch",
     "ext_solve_batch",
 ]
+
+
+def mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in [0, p) for an integer array and p > 0, in x's dtype: equal
+    to ``x % p``, but numpy divides by a scalar through a fast path for
+    ``//`` and not for ``%``.  The product (x // p) * p may wrap near the
+    ends of the dtype; the difference is then still exact, since the true
+    result is in [0, p) and the arithmetic is modulo 2^bits."""
+    return x - x // p * p
 
 
 def _pairs(mat, ctx: FieldCtx) -> tuple[np.ndarray, FieldCtx]:
@@ -68,8 +78,8 @@ def solve(mat, rhs, ctx: FieldCtx) -> list[FieldElement]:
 def ext_mul(x: np.ndarray, y: np.ndarray, p: int, delta: int) -> np.ndarray:
     """Elementwise product of F_{p^2} arrays shaped (..., 2), broadcasting
     over the leading axes."""
-    c0 = (x[..., 0] * y[..., 0] + delta * x[..., 1] * y[..., 1]) % p
-    c1 = (x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0]) % p
+    c0 = mod(x[..., 0] * y[..., 0] + delta * x[..., 1] * y[..., 1], p)
+    c1 = mod(x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0], p)
     return np.stack([c0, c1], axis=-1)
 
 
@@ -77,8 +87,8 @@ def ext_matmul(A: np.ndarray, B: np.ndarray, p: int, delta: int) -> np.ndarray:
     """Matrix product of stacked F_{p^2} matrices shaped (..., n, n, 2)."""
     a0, a1 = A[..., 0], A[..., 1]
     b0, b1 = B[..., 0], B[..., 1]
-    c0 = (a0 @ b0 + delta * (a1 @ b1)) % p
-    c1 = (a0 @ b1 + a1 @ b0) % p
+    c0 = mod(a0 @ b0 + delta * (a1 @ b1), p)
+    c1 = mod(a0 @ b1 + a1 @ b0, p)
     return np.stack([c0, c1], axis=-1)
 
 
@@ -86,13 +96,13 @@ def ext_inv(x: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Componentwise inverse of stacked F_{p^2} scalars shaped (..., 2)."""
     p = ctx.p
     delta = ctx.nonresidue
-    a0, a1 = x[..., 0] % p, x[..., 1] % p
-    norm = (a0 * a0 - delta * a1 * a1) % p
+    a0, a1 = mod(x[..., 0], p), mod(x[..., 1], p)
+    norm = mod(a0 * a0 - delta * a1 * a1, p)
     if np.any(norm == 0):
         raise ZeroDivisionError("inverse of zero in F_{p^2}")
     inv_tab = np.asarray(ctx._inv_table, dtype=np.int64)
     ninv = inv_tab[norm]
-    return np.stack([(a0 * ninv) % p, (-a1 * ninv) % p], axis=-1)
+    return np.stack([mod(a0 * ninv, p), mod(-a1 * ninv, p)], axis=-1)
 
 
 def _eliminate_batch(A: np.ndarray, ctx: FieldCtx, ncols: int | None = None):
@@ -107,7 +117,7 @@ def _eliminate_batch(A: np.ndarray, ctx: FieldCtx, ncols: int | None = None):
     """
     p, delta = ctx.p, ctx.nonresidue
     lead = A.shape[:-3]
-    A = A.reshape((math.prod(lead),) + A.shape[-3:]) % p
+    A = mod(A.reshape((math.prod(lead),) + A.shape[-3:]), p)
     npts, nrows = A.shape[:2]
     pts = np.arange(npts)
     rank = np.zeros(npts, dtype=np.int64)
@@ -124,13 +134,13 @@ def _eliminate_batch(A: np.ndarray, ctx: FieldCtx, ncols: int | None = None):
         row_r = A[pts, r].copy()
         A[pts, r] = A[pts, pr]
         A[pts, pr] = row_r
-        det = np.where((has & (pr != r))[:, None], -det % p, det * has[:, None])
+        det = np.where((has & (pr != r))[:, None], mod(-det, p), det * has[:, None])
         piv = np.where(has[:, None], A[pts, r, c], one)
         det = ext_mul(det, piv, p, delta)
         A[pts, r] = ext_mul(A[pts, r], ext_inv(piv, ctx)[:, None], p, delta)
         f = A[:, :, c] * has[:, None, None]
         f[pts, r] = 0
-        A = (A - ext_mul(f[:, :, None], A[pts, r][:, None], p, delta)) % p
+        A = mod(A - ext_mul(f[:, :, None], A[pts, r][:, None], p, delta), p)
         rank += has
     return A.reshape(lead + A.shape[1:]), rank.reshape(lead), det.reshape(lead + (2,))
 

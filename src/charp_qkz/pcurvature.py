@@ -6,11 +6,15 @@ polynomial form is tilde-C_a = D_a (C_a - Id) with
 D_a = prod_{j != a} (z_a - z_j - 1; kappa)_p.
 
 Pointwise properties (ranks, kernels, duality, nondegeneracy for kappa
-outside the prime field) run batched over F_{p^2} points.  The symbolic
-form, for the denominator-cancellation and degree-bound claims, is built
-in the n - 1 variables w_j = z_a - z_j, where D_a = prod_{j != a}
-(w_j^p - w_j), on dense coefficient arrays by the R-factor kernel of the
-qKZ check (``qkz_core.apply_r_factors``).
+outside the prime field) run batched over F_{p^2} points.  C_a at a batch
+is one run of the R-factor kernel ``qkz_core.k_product_batch``: its p(n-1)
+factors each rewrite two rows of one running matrix.  The cost of a call
+barely depends on the batch size, so per axis one call covers every point
+set that the battery and the duality checks for kappa and -kappa read.
+The symbolic form, for the denominator-cancellation and degree-bound
+claims, is built in the n - 1 variables w_j = z_a - z_j, where D_a =
+prod_{j != a} (w_j^p - w_j), on dense coefficient arrays by the R-factor
+kernel of the qKZ check (``qkz_core.apply_r_factors``).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .ffield import FieldCtx, FieldElement, elements, make_field, sample_point
 from .hypergeo import evaluate_solutions, extract_solutions
-from .linalg import ext_det_batch, ext_matmul, ext_mul, ext_rank_batch
+from .linalg import ext_det_batch, ext_matmul, ext_mul, ext_rank_batch, mod
 from .qkz_core import (
     CheckReport,
     QkzParams,
@@ -27,6 +31,7 @@ from .qkz_core import (
     apply_r_factors,
     k_matrix_batch,
     k_operator_at,  # noqa: F401  (a binding perfbench/tracer.py rebinds)
+    k_product_batch,
     r_factors,
 )
 
@@ -56,30 +61,17 @@ def reduced_curvature_at(params: QkzParams, a: int, z: np.ndarray) -> list[list[
 
 
 def curvature_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
-    """C_a over a batch of points (npts, n, 2) -> (npts, n, n, 2).
-
-    One ``k_matrix_batch`` call evaluates K_a at all p shifted copies
-    z - m kappa e_a (m = 0..p-1) of the batch; the ordered product
-    K_{p-1} ... K_0 is then taken as a pairwise tree, exact by
-    associativity. Raises :class:`SingularPointError` if any shifted point
-    is singular.
-    """
-    p = pctx.p
-    shifts = np.arange(params.p)[:, None] * params.kappa_pair  # (p, 2)
-    Zs = np.broadcast_to(Z, (params.p,) + Z.shape).copy()
-    Zs[:, :, a - 1] = (Zs[:, :, a - 1] - shifts[:, None]) % p
-    K = k_matrix_batch(params, a, Zs.reshape((-1,) + Z.shape[1:]), pctx)
-    K = K.reshape((params.p,) + Z.shape[:1] + K.shape[1:])  # K[m] = K_a(z - m kappa e_a)
-    while K.shape[0] > 1:
-        top = K[-1:] if K.shape[0] % 2 else K[:0]
-        K = np.concatenate([ext_matmul(K[1::2], K[0:-1:2], p, pctx.nonresidue), top])
-    return K[0]
+    """C_a over a batch of points (npts, n, 2) -> (npts, n, n, 2): the
+    p-shift product of ``k_product_batch``, its p(n-1) R-factors applied as
+    two-row updates of one running matrix.  Raises
+    :class:`SingularPointError` if any shifted point is singular."""
+    return k_product_batch(params, a, Z, pctx, params.p)
 
 
 def _reduce_batch(C: np.ndarray, p: int) -> np.ndarray:
     n = C.shape[1]
     H = C.copy()
-    H[:, range(n), range(n), 0] = (H[:, range(n), range(n), 0] - 1) % p
+    H[:, range(n), range(n), 0] = mod(H[:, range(n), range(n), 0] - 1, p)
     return H
 
 
@@ -137,26 +129,56 @@ def _points_batch(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) ->
     return np.stack([sample_point(pctx, params.n, seed * 10007 + i) for i in range(npoints)])
 
 
-# C_a at a batch of points, kept until its one reuse: the battery for kappa
-# and the duality check for -kappa take the same product at the same
-# points, in either order.  cli.main clears it after each command; past
-# 64 MiB the oldest products go (the default sweep keeps under 1 MiB).
+# Per (kappa, axis, points): C_a(.; kappa) at the point sets Z, Z - kappa
+# e_b for each b != a, and -Z, made by one curvature_batch call.  The
+# battery for kappa reads the first two parts, the duality check for kappa
+# reads -Z and the one for -kappa reads Z; each part goes after its last
+# reader.  Parts are held in the narrowest unsigned dtype that holds F_p
+# (uint8 up to p = 251), and each read gets its own int64 copy.  cli.main
+# clears what is left after each command (the parts of a kappa whose
+# partner is not swept); past 64 MiB the oldest stacks go.
 _POINT_CURVATURES_BYTES = 64 << 20
 _point_curvatures: dict = {}
 
 
-def _shared_curvature(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
-    """``curvature_batch(params, a, Z, pctx)``, read-only, made once for the
-    battery and the duality check together."""
+def _axis_curvatures(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx, part: str) -> np.ndarray:
+    """One part of the curvatures of ``_point_curvatures``: "points"
+    C_a(Z), "shifted" C_a(Z - kappa e_b) stacked over b != a in increasing
+    order (n-1, npts, n, n, 2), or "negated" C_a(-Z)."""
     key = (params.p, params.kappa.val, a, Z.shape, Z.tobytes())
-    C = _point_curvatures.pop(key, None)
-    if C is None:
-        C = curvature_batch(params, a, Z, pctx)
-        C.flags.writeable = False
-        _point_curvatures[key] = C
-        while sum(c.nbytes for c in _point_curvatures.values()) > _POINT_CURVATURES_BYTES:
+    parts = _point_curvatures.get(key)
+    if parts is None or part not in parts:  # first reader, or a repeated one
+        parts = _point_curvatures[key] = _curvature_parts(params, a, Z, pctx)
+        while _stored_bytes() > _POINT_CURVATURES_BYTES:
             _point_curvatures.pop(next(iter(_point_curvatures)))
-    return C
+    C, readers = parts.pop(part)
+    if readers > 1:
+        parts[part] = (C, readers - 1)
+    elif not parts:
+        _point_curvatures.pop(key, None)
+    return C.astype(np.int64)
+
+
+def _stored_bytes() -> int:
+    return sum(C.nbytes for parts in _point_curvatures.values() for C, _ in parts.values())
+
+
+def _curvature_parts(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> dict:
+    """The parts of ``_axis_curvatures``, each with its number of readers."""
+    p, n, npts = pctx.p, params.n, len(Z)
+    sets = [Z]
+    for b in range(1, n + 1):
+        if b != a:
+            Zb = Z.copy()
+            Zb[:, b - 1] = mod(Zb[:, b - 1] - params.kappa_pair, p)
+            sets.append(Zb)
+    sets.append(mod(-Z, p))
+    C = curvature_batch(params, a, np.concatenate(sets), pctx).astype(np.min_scalar_type(p - 1))
+    return {
+        "points": (C[:npts].copy(), 2),
+        "shifted": (C[npts : n * npts].reshape((n - 1, npts) + C.shape[1:]).copy(), 1),
+        "negated": (C[n * npts :].copy(), 1),
+    }
 
 
 def verify_curvature_battery(
@@ -182,8 +204,7 @@ def verify_curvature_battery(
     pctx = make_field(p, 2)
     delta = pctx.nonresidue
     Z = _points_batch(params, npoints, seed, pctx)
-    kap = params.kappa_pair
-    C = {a: _shared_curvature(params, a, Z, pctx) for a in range(1, n + 1)}
+    C = {a: _axis_curvatures(params, a, Z, pctx, "points") for a in range(1, n + 1)}
     H = {a: _reduce_batch(C[a], p) for a in range(1, n + 1)}
     K = {a: k_matrix_batch(params, a, Z, pctx) for a in range(1, n + 1)}
     failures = []
@@ -204,18 +225,15 @@ def verify_curvature_battery(
                 failures.append(("nilpotency", a, b))
     # endomorphism and commutativity
     for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if b == a:
-                continue
-            Zb = Z.copy()
-            Zb[:, b - 1] = (Zb[:, b - 1] - kap) % p
-            Cshift = curvature_batch(params, a, Zb, pctx)
-            lhs = ext_matmul(K[b], C[a], p, delta)
-            rhs = ext_matmul(Cshift, K[b], p, delta)
-            if np.any((lhs - rhs) % p):
-                failures.append(("endomorphism", a, b))
+        # K_b(z) C_a(z) = C_a(z - kappa e_b) K_b(z) for every b != a at once
+        others = [b for b in range(1, n + 1) if b != a]
+        Kb = np.stack([K[b] for b in others])
+        lhs = ext_matmul(Kb, C[a], p, delta)
+        rhs = ext_matmul(_axis_curvatures(params, a, Z, pctx, "shifted"), Kb, p, delta)
+        moved = np.any(mod(lhs - rhs, p).reshape(len(others), -1), axis=1)
+        failures += [("endomorphism", a, b) for b, bad in zip(others, moved) if bad]
         for b in range(a + 1, n + 1):
-            comm = (ext_matmul(C[a], C[b], p, delta) - ext_matmul(C[b], C[a], p, delta)) % p
+            comm = mod(ext_matmul(C[a], C[b], p, delta) - ext_matmul(C[b], C[a], p, delta), p)
             if np.any(comm):
                 failures.append(("commutativity", a, b))
     # solutions fixed by C_a; image and kernel versus the span
@@ -259,7 +277,7 @@ def _curvature_ranks(H: np.ndarray, span: np.ndarray, pctx: FieldCtx):
     span plus each image, and of the sum of the images: (npts,), (n, npts),
     (n, npts), (npts,).  The image of hat-C_a(V) is spanned by the images of
     the basis e_i = v^(i) - v^(i+1), the differences of adjacent columns."""
-    images = np.swapaxes((H[..., :-1, :] - H[..., 1:, :]) % pctx.p, -3, -2)  # rows
+    images = np.swapaxes(mod(H[..., :-1, :] - H[..., 1:, :], pctx.p), -3, -2)  # rows
     joint = np.concatenate([np.broadcast_to(span, (len(H),) + span.shape), images], axis=2)
     return (
         ext_rank_batch(span, pctx),
@@ -300,15 +318,15 @@ def verify_duality(params: QkzParams, npoints: int = 20, seed: int = 0, flip_con
     pctx = make_field(p, 2)
     delta = pctx.nonresidue
     Z = _points_batch(params, npoints, seed, pctx)
-    Zneg = (-Z) % p
+    Zneg = mod(-Z, p)
     pm = params.minus()
     sgn = -1 if flip_control else 1
     failures = []
     for a in range(1, n + 1):
-        Hm = _reduce_batch(_shared_curvature(pm, a, Z, pctx), p)  # hat-C_a(z; -kappa)
-        Hp = _reduce_batch(curvature_batch(params, a, Zneg, pctx), p)  # hat-C_a(-z; kappa)
+        Hm = _reduce_batch(_axis_curvatures(pm, a, Z, pctx, "points"), p)  # hat-C_a(z; -kappa)
+        Hp = _reduce_batch(_axis_curvatures(params, a, Z, pctx, "negated"), p)  # hat-C_a(-z; kappa)
         # bilinear residue on the zero-sum space: E^T (Hm^T + Hp) E = 0
-        M = (np.swapaxes(Hm, 1, 2) + sgn * Hp) % p
+        M = mod(np.swapaxes(Hm, 1, 2) + sgn * Hp, p)
         res = _restrict_bilinear(M, p)
         if np.any(res):
             failures.append(("hatC duality", a, int(np.nonzero(np.any(res.reshape(npoints, -1) != 0, axis=1))[0][0])))
@@ -318,7 +336,7 @@ def verify_duality(params: QkzParams, npoints: int = 20, seed: int = 0, flip_con
         Tm = ext_mul(da_m[:, None, None], Hm, p, delta)
         Tp = ext_mul(da_p[:, None, None], Hp, p, delta)
         sign_n = 1 if n % 2 == 0 else p - 1
-        M2 = (np.swapaxes(Tm, 1, 2) - sgn * sign_n * Tp) % p
+        M2 = mod(np.swapaxes(Tm, 1, 2) - sgn * sign_n * Tp, p)
         res2 = _restrict_bilinear(M2, p)
         if np.any(res2):
             failures.append(("tildeC duality", a))
@@ -333,8 +351,8 @@ def verify_duality(params: QkzParams, npoints: int = 20, seed: int = 0, flip_con
 def _restrict_bilinear(M: np.ndarray, p: int) -> np.ndarray:
     """E^T M E where E is the e_i = v^(i) - v^(i+1) basis of the zero-sum
     space; batched over leading axes and the component axis."""
-    D = (M[:, :-1, :, :] - M[:, 1:, :, :]) % p
-    return (D[:, :, :-1, :] - D[:, :, 1:, :]) % p
+    D = mod(M[:, :-1, :, :] - M[:, 1:, :, :], p)
+    return mod(D[:, :, :-1, :] - D[:, :, 1:, :], p)
 
 
 def _d_a_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
@@ -377,7 +395,7 @@ def _singular_mask(params: QkzParams, Z: np.ndarray, p: int) -> np.ndarray:
             if j == a:
                 continue
             u = Z[:, a - 1] - Z[:, j - 1] - (kap if j < a else 0)
-            us = (u[:, None] - shifts) % p  # (npts, p, 2)
+            us = mod(u[:, None] - shifts, p)  # (npts, p, 2)
             hit = (us[..., 1] == 0) & ((us[..., 0] == 1) | (us[..., 0] == p - 1))
             mask |= hit.any(axis=1)
     return mask
@@ -386,15 +404,21 @@ def _singular_mask(params: QkzParams, Z: np.ndarray, p: int) -> np.ndarray:
 def _nonsingular_points(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) -> np.ndarray:
     """The first ``npoints`` nonsingular points (at most npoints, n, 2) among
     the attempts ``sample_point(pctx, n, seed * 65537 + t)``, t < 40 *
-    npoints, drawn in chunks no larger than the number still missing."""
+    npoints, in attempt order.  A round draws as many attempts as points
+    are missing, or, when that is more, half the attempts they need at the
+    rate of nonsingular attempts seen so far (as many again as were drawn
+    while none was), within the budget.  Half, so that few draws fall past
+    the last attempt kept: ``sample_point`` keeps every draw it makes."""
     Z = np.zeros((0, params.n, 2), dtype=np.int64)
     attempt, budget = 0, npoints * 40
     while len(Z) < npoints and attempt < budget:
-        chunk = min(npoints - len(Z), budget - attempt)
+        missing = npoints - len(Z)
+        want = -(-missing * attempt // (2 * len(Z))) if len(Z) else attempt
+        chunk = min(max(want, missing), budget - attempt)
         draws = np.stack([sample_point(pctx, params.n, seed * 65537 + attempt + t) for t in range(chunk)])
         attempt += chunk
         Z = np.concatenate([Z, draws[~_singular_mask(params, draws, pctx.p)]])
-    return Z
+    return Z[:npoints]
 
 
 def verify_ext_kappa(

@@ -3,8 +3,10 @@ equation verifiers.
 
 Operators act on K^n in the basis v^(i) (the i-th tensor slot carries the
 lowered vector); the singular-weight subspace V is the zero-coordinate-sum
-hyperplane.  Pointwise, K_a is evaluated by ``k_matrix_batch`` on a batch
-of F_{p^2} points; ``k_operator_at`` is its one-point view.
+hyperplane.  Pointwise, ``k_product_batch`` evaluates the product of s
+shifted copies of K_a on a batch of F_{p^2} points, R-factor by R-factor
+on one running matrix: K_a itself (``k_matrix_batch``, s = 1, with
+``k_operator_at`` its one-point view) and the p-curvature (s = p).
 Symbolically, K_a is an ordered product of R-factors (u - P^(a,j))/(u - 1),
 and ``apply_r_factors`` multiplies one dense coefficient array by their
 denominators and another by their numerators, u given by the axes of its
@@ -21,7 +23,7 @@ import numpy as np
 
 from .dense import dense_shift_var, pad_to_shape, render_polynomials
 from .ffield import FieldCtx, FieldElement, elements, make_field
-from .linalg import ext_matmul
+from .linalg import ext_matmul, mod
 
 __all__ = [
     "QkzParams",
@@ -30,6 +32,7 @@ __all__ = [
     "SingularPointError",
     "k_operator_at",
     "k_matrix_batch",
+    "k_product_batch",
     "verify_rmatrix_identities",
     "verify_flatness",
     "r_factors",
@@ -131,54 +134,71 @@ def k_operator_at(params: QkzParams, a: int, z: Sequence[FieldElement]):
 
 
 def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
-    """K_a evaluated on a batch of extension-field points (npts, n, 2).
+    """K_a evaluated on a batch of extension-field points (npts, n, 2) ->
+    (npts, n, n, 2): the one-shift case of :func:`k_product_batch`."""
+    return k_product_batch(params, a, Z, pctx, 1)
 
-    Each R-factor (u - P)/(u - 1) is applied as it comes, with no deferred
-    denominator: for c = 1/(u - 1) and w = u*c = 1 + c it sends row a to
-    w*row_a - c*row_j and row j to w*row_j - c*row_a, and fixes every other
-    row.  The running matrix is held as two component planes M0 + g*M1
-    indexed [row, column, point], so that a row is one contiguous slice.
+
+def k_product_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx, shifts: int) -> np.ndarray:
+    """K_a(z - (s-1) kappa e_a) ... K_a(z - kappa e_a) K_a(z) for s =
+    ``shifts`` on a batch of extension-field points (npts, n, 2) -> (npts,
+    n, n, 2); s = p gives the p-curvature C_a.
+
+    The s(n-1) R-factors (u - P^(a,j))/(u - 1), u = z_a - m kappa - z_j
+    (- kappa if j < a) for the shift m, are applied in turn to one running
+    matrix from Id.  With c = 1/(u - 1) a factor rewrites rows a and j
+    only: for D = row_a - row_j and t = c*D, row_a += t and row_j -= t.
+    Every c comes from one vectorised pass over (m, j, point).  t is
+    reduced before it is added, so the rows drift by less than p per factor
+    and are reduced once at the end.  The matrix is held [row, component,
+    column, point], so that a row is one contiguous slice.
+
+    Raises :class:`SingularPointError` if some factor at some point has a
+    pole (u = 1) or degenerates (u = -1), naming the first such factor in
+    application order of K_a, the pole first.
     """
-    p = pctx.p
-    delta = pctx.nonresidue
-    inv_tab = np.asarray(pctx._inv_table, dtype=np.int64)
-    n = params.n
-    k0, k1 = params.kappa_pair
+    p, delta = pctx.p, pctx.nonresidue
+    n, ai = params.n, a - 1
+    order = [j - 1 for j in _factor_order(n, a)]
+    kap = params.kappa_pair[:, None]
     Zt = np.moveaxis(Z, 0, -1)  # [slot, component, point]
-    M0 = np.zeros((n, n, Z.shape[0]), dtype=np.int64)
-    M0[range(n), range(n)] = 1
-    M1 = np.zeros_like(M0)
-    ai = a - 1
-    for j in _factor_order(n, a):
-        ji = j - 1
-        u0 = Zt[ai, 0] - Zt[ji, 0]
-        u1 = Zt[ai, 1] - Zt[ji, 1]
-        if j < a:
-            u0, u1 = u0 - k0, u1 - k1
-        u0, u1 = u0 % p, u1 % p
-        prime = u1 == 0
-        if np.any(prime & (u0 == 1)):
-            raise SingularPointError(f"pole of R-factor (a={a}, j={j}) in the batch")
-        if np.any(prime & (u0 == p - 1)):
-            raise SingularPointError(f"degenerate R-factor (a={a}, j={j}) in the batch")
-        # c = 1/(u - 1) through the norm of u - 1, left unreduced: |c| < p^2
-        # and |t| < 2p^4 below, far inside int64
-        v0 = u0 - 1
-        ninv = inv_tab[(v0 * v0 - delta * u1 * u1) % p]
-        c0, c1 = v0 * ninv, -u1 * ninv
-        # Row j is still e_j here: M starts at Id and each j != a is touched
-        # by its own factor only.  So with t = c*(row_a - e_j) the new rows
-        # are row_a + t and e_j - t.
-        a0, a1 = M0[ai], M1[ai]
-        d0 = a0.copy()
-        d0[ji] -= 1
-        t0 = c0 * d0 + delta * c1 * a1
-        t1 = c0 * a1 + c1 * d0
-        new_j0 = -t0
-        new_j0[ji] += 1
-        M0[ai], M1[ai] = (a0 + t0) % p, (a1 + t1) % p
-        M0[ji], M1[ji] = new_j0 % p, -t1 % p
-    return np.stack([M0, M1], axis=-1).transpose(2, 0, 1, 3).copy()
+    w = Zt[ai] - Zt[order]  # (n-1, 2, npts)
+    w -= np.array([j < ai for j in order])[:, None, None] * kap
+    u = w - np.arange(shifts)[:, None, None, None] * kap  # (s, n-1, 2, npts)
+    u -= u // p * p
+    u0, u1 = u[:, :, 0], u[:, :, 1]
+    prime = u1 == 0
+    poles = np.any(prime & (u0 == 1), axis=(0, 2))
+    degenerate = np.any(prime & (u0 == p - 1), axis=(0, 2))
+    for j, pole, degen in zip(order, poles, degenerate):
+        if pole:
+            raise SingularPointError(f"pole of R-factor (a={a}, j={j + 1}) in the batch")
+        if degen:
+            raise SingularPointError(f"degenerate R-factor (a={a}, j={j + 1}) in the batch")
+    # c = 1/(u - 1) through the norm of u - 1.  t = c*D is c0*D + cross*D'
+    # for D' = D with its components swapped and cross = (delta c1, c1),
+    # written over u, so that no more than two (s, n-1, 2, npts) arrays
+    # are alive at once.
+    c0 = u0 - 1
+    ninv = np.asarray(pctx._inv_table, dtype=np.int64)[mod(c0 * c0 - delta * u1 * u1, p)]
+    c0 = mod(c0 * ninv, p)
+    u1 *= -ninv
+    del ninv
+    u1 -= u1 // p * p
+    np.multiply(u1, delta, out=u0)
+    u0 -= u0 // p * p
+    cross = u[:, :, :, None]  # (s, n-1, 2, 1, npts)
+    M = np.zeros((n, 2, n, Z.shape[0]), dtype=np.int64)
+    M[range(n), 0, range(n)] = 1
+    for m in range(shifts):
+        for f, j in enumerate(order):
+            D = M[ai] - M[j]
+            t = c0[m, f] * D
+            t += cross[m, f] * D[::-1]
+            t -= t // p * p
+            M[ai] += t
+            M[j] -= t
+    return np.ascontiguousarray(mod(M, p).transpose(3, 0, 2, 1))
 
 
 # -- symbolic R-matrix identities ---------------------------------------------

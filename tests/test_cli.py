@@ -570,22 +570,27 @@ def test_one_suite_subcommands_take_sabotage(suite, capsys):
 
 
 def test_duality_reuses_the_battery_curvatures(monkeypatch):
-    """Each C_a at the battery's points is made once per verify call: the
-    duality check for kappa reads the battery's product for -kappa, and the
+    """Each C_a at each of the battery's point sets is made once per verify
+    call, by one call per (kappa, a) over the stacked sets: the points, the
+    points shifted by -kappa e_b for each b != a, and the negated points.
+    The duality checks for kappa and -kappa read the same stacks, and the
     store is empty when main returns."""
     from charp_qkz import pcurvature
 
-    argv = ["verify", "--p", "5", "--n", "3", "--suites", "curvature", "--points", "5", "--format", "json"]
+    npts, n = 5, 3
+    argv = ["verify", "--p", "5", "--n", str(n), "--suites", "curvature", "--points", str(npts), "--format", "json"]
     expected = run_cli(argv)
-    keys = []
+    calls, keys = [], []
     real = pcurvature.curvature_batch
 
     def spy(params, a, Z, pctx):
-        keys.append((params.kappa.val, a, Z.tobytes()))
+        calls.append((params.kappa.val, a))
+        keys.extend((params.kappa.val, a, S.tobytes()) for S in Z.reshape((-1, npts) + Z.shape[1:]))
         return real(params, a, Z, pctx)
 
     monkeypatch.setattr(pcurvature, "curvature_batch", spy)
     assert run_cli(argv) == expected
+    assert len(calls) == len(set(calls)) == 4 * n
     # per kappa: n products at the points, n(n-1) at shifted and n at negated points
     assert len(keys) == len(set(keys)) == 4 * (3 + 6 + 3)
     assert pcurvature._point_curvatures == {}
