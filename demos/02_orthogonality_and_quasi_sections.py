@@ -12,12 +12,7 @@ Run:  python3 demos/02_orthogonality_and_quasi_sections.py
 
 from charp_qkz import make_field, make_params
 from charp_qkz.ffield import elements, sample_point
-from charp_qkz.hypergeo import (
-    evaluate_solutions,
-    extract_solutions,
-    quasi_sections_at,
-    verify_orthogonality,
-)
+from charp_qkz.hypergeo import quasi_sections_at, solution_values, verify_orthogonality
 
 # -- orthogonality ------------------------------------------------------------
 p, n, kv = 7, 4, 5
@@ -39,7 +34,7 @@ pctx = make_field(p, 2)
 params = make_params(ctx, n, kv)
 print(f"\np={p}, n={n}, kappa={kv}: d(kappa)={params.d} (no polynomial solutions)")
 
-dual = extract_solutions(params.minus())
+dual = params.minus()
 print(f"the step-(-kappa) system has d(-kappa)={dual.d} solution(s)")
 
 # a point is an (n, 2) array of (a0, a1) pairs, read back as a0 + a1*g
@@ -49,8 +44,9 @@ print(f"at z = {[str(v) for v in elements(z, pctx)]}:")
 print(f"  T^1(z) = {[str(v) for v in T]}")
 
 # duality normalization: S(Q(-z; -kappa), T^1(z)) = 1, with the dual
-# solution evaluated at -z
-values = evaluate_solutions(dual.arrays, -z[None] % p, pctx)
+# solution evaluated at -z (straight from the master product, without
+# building its coefficient arrays)
+values = solution_values(dual, -z[None] % p)
 qdual = elements(values[0, 0], pctx)
 val = sum((q * t for q, t in zip(qdual, T)), pctx.zero())
 print(f"  pairing with the dual solution: {val}")

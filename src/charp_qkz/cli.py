@@ -23,13 +23,14 @@ from typing import Optional
 import numpy as np
 
 from . import hypergeo, pcurvature
-from .dense import dense_top_degree_part
-from .ffield import FieldCtx, FieldElement, make_field, sample_point
+from .dense import dense_eval_points, dense_top_degree_part
+from .ffield import FieldCtx, FieldElement, make_field, sample_point, sample_points
 from .hypergeo import (
     barq_solutions,
     extract_solutions,
     gram_det,
     solution_set_to_json,
+    solution_values,
     verify_independence,
     verify_leading_terms,
     verify_orthogonality,
@@ -267,10 +268,7 @@ class SuiteRunner:
     def _points(self, params: QkzParams, label: str, count: int) -> np.ndarray:
         """``count`` seeded F_{p^2} points (count, n, 2) for one triple."""
         p, n, kv = params.p, params.n, params.kappa.val
-        pctx = make_field(p, 2)
-        return np.stack(
-            [sample_point(pctx, n, _mix(self.cfg.seed, label, p, n, kv, i)) for i in range(count)]
-        )
+        return sample_points(make_field(p, 2), n, [_mix(self.cfg.seed, label, p, n, kv, i) for i in range(count)])
 
     # -- per-prime suites -------------------------------------------------
 
@@ -314,6 +312,12 @@ class SuiteRunner:
             )
             if not ind.passed:
                 failures.append(("independence", ind.failures[:3]))
+            # the printed arrays take the values the pointwise checks read
+            pctx = make_field(params.p, 2)
+            z = sample_point(pctx, params.n, self.cfg.seed)
+            printed = [[dense_eval_points(c, z[None], params.p, pctx.nonresidue)[0] for c in F] for F in ss.arrays]
+            moved = np.any(np.array(printed) != solution_values(params, z[None])[:, 0], axis=-1)
+            failures += [("values", int(ell) + 1, int(a) + 1) for ell, a in np.argwhere(moved)]
             yield key, _entry(failures + dsum, {"d": ss.d, "degrees": ss.degrees()})
 
     def suite_leading(self, triples):

@@ -5,7 +5,8 @@ Elements are stored in an encoded integer form ``a0 + a1*p`` with
 object owns all arithmetic on encoded values; :class:`FieldElement` is a thin
 operator-overloading wrapper used at API boundaries.  Polynomial code works
 on encoded integers directly for speed.  A point of F_{p^2}^n, as
-:func:`sample_point` draws it, is an (n, 2) int64 array of (a0, a1) pairs;
+:func:`sample_point` draws it, is an (n, 2) int64 array of (a0, a1) pairs,
+and :func:`sample_points` draws a batch of them as one (npts, n, 2) array;
 :func:`elements` reads such arrays back as field elements.
 """
 
@@ -21,6 +22,7 @@ __all__ = [
     "FieldElement",
     "make_field",
     "sample_point",
+    "sample_points",
     "elements",
     "SamplingError",
 ]
@@ -79,10 +81,6 @@ class FieldCtx:
         raise ValueError(f"no quadratic nonresidue mod {p}")  # unreachable for p>2
 
     # -- encoded arithmetic ------------------------------------------------
-
-    def split(self, x: int) -> tuple[int, int]:
-        """Encoded value -> (a0, a1)."""
-        return x % self.p, x // self.p
 
     def encode(self, a0: int, a1: int = 0) -> int:
         if a1 % self.p and self.ext_degree == 1:
@@ -277,32 +275,45 @@ def make_field(p: int, ext_degree: int = 1) -> FieldCtx:
     return FieldCtx(p, ext_degree)
 
 
-@functools.lru_cache(maxsize=1 << 14)
 def sample_point(ctx: FieldCtx, n: int, rng_seed: int, max_tries: int = 10000) -> np.ndarray:
-    """Sample z in F_{p^2}^n with z_i - z_j outside F_p for all i < j, as a
-    read-only (n, 2) int64 array of (a0, a1) pairs.
+    """The point of one seed of :func:`sample_points`, read-only."""
+    z = sample_points(ctx, n, (rng_seed,), max_tries)[0]
+    z.flags.writeable = False
+    return z
 
-    Such points avoid every hyperplane z_i - z_j - m = 0 with m in F_p,
-    which is exactly where the qKZ operators have poles or degenerate.
-    Deterministic for a fixed seed; each point is drawn once per process
-    and shared by every caller (a :class:`SamplingError` is not stored).
-    The cache key holds ``ctx`` itself: pass the shared context of
-    :func:`make_field`, and the arguments positionally, so that equal draws
-    share one entry.
-    """
+
+def sample_points(ctx: FieldCtx, n: int, seeds, max_tries: int = 10000) -> np.ndarray:
+    """Per seed a point z in F_{p^2}^n with z_i - z_j outside F_p for all
+    i < j, as one (len(seeds), n, 2) int64 array of (a0, a1) pairs.  Such
+    points avoid every hyperplane z_i - z_j - m = 0 with m in F_p, where the
+    qKZ operators have poles or degenerate.  A seed's point is the same in
+    every batch; each is drawn once per process (a :class:`SamplingError`
+    is not stored)."""
     if ctx.ext_degree != 2:
         raise ValueError("nonsingular points require an extension-field context")
     if n < 1:
         raise ValueError("n must be positive")
-    p = ctx.p
-    rng = random.Random(rng_seed)
+    vals = np.array([_seed_draw(ctx.p, n, s, max_tries) for s in seeds], dtype=np.int64).reshape(-1, n)
+    return np.stack([vals % ctx.p, vals // ctx.p], axis=-1)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _seed_draw(p: int, n: int, seed: int, max_tries: int) -> tuple[int, ...]:
+    """The encoded values of one seed's point: ``random.Random(seed)`` draws
+    n values ``randrange(p * p)`` until their g-components v // p are
+    distinct (z_i - z_j lies in F_p iff they coincide).  ``randrange(q)``
+    redraws ``getrandbits(q.bit_length())`` while it is at least q."""
+    q, draw = p * p, random.Random(seed).getrandbits
+    bits = q.bit_length()
     for _ in range(max_tries):
-        vals = [rng.randrange(p * p) for _ in range(n)]
-        # z_i - z_j in F_p iff the g-components coincide
+        vals = []
+        for _ in range(n):
+            v = draw(bits)
+            while v >= q:
+                v = draw(bits)
+            vals.append(v)
         if len({v // p for v in vals}) == n:
-            z = np.array([ctx.split(v) for v in vals], dtype=np.int64)
-            z.flags.writeable = False
-            return z
+            return tuple(vals)
     raise SamplingError(f"could not find a nonsingular point for p={p}, n={n}")
 
 

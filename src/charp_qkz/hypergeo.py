@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dense, linalg
 from .ffield import FieldCtx, FieldElement, elements, make_field, sample_point
-from .linalg import ext_det_batch, ext_matmul, ext_solve_batch
+from .linalg import ext_det_batch, ext_matmul, ext_solve_batch, mod
 from .pochhammer import binomial_mod
 from .qkz_core import (
     CheckReport,
@@ -36,7 +36,7 @@ __all__ = [
     "LeadingTermData",
     "extract_solutions",
     "barq_solutions",
-    "evaluate_solutions",
+    "solution_values",
     "leading_term_data",
     "verify_leading_terms",
     "verify_independence",
@@ -179,17 +179,41 @@ def barq_solutions(params: QkzParams) -> SolutionSet:
     return SolutionSet(params, _solution_rows(params, 0, factors_of), kind="kz")
 
 
-def evaluate_solutions(arrays: np.ndarray, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
-    """Values of every solution in a (d, n, ...) stack at a batch of
-    F_{p^2} points Z (npts, n, 2), as (d, npts, n, 2) (a0, a1) pairs; one
-    ``dense_eval_points`` call per (solution, coordinate)."""
-    p, delta = pctx.p, pctx.nonresidue
-    d, n = arrays.shape[:2]
-    out = np.zeros((d, Z.shape[0], n, 2), dtype=np.int64)
-    for s_idx, sol in enumerate(arrays):
-        for c_idx, coord in enumerate(sol):
-            out[s_idx, :, c_idx] = dense.dense_eval_points(coord, Z, p, delta)
-    return out
+def solution_values(params: QkzParams, Z: np.ndarray) -> np.ndarray:
+    """Every solution Q^{ell*p-1}, ell = 1..d, at a batch of F_{p^2} points
+    Z (npts, n, 2), as (d, npts, n, 2) (a0, a1) pairs, from the master
+    product: Q_a(t, z) is a product of nk - 1 factors t - r over F_{p^2},
+    multiplied in for every point and coordinate at once, one per pass, and
+    rows ell*p - 1 of the basis matrix read the values off its
+    t-coefficients.  A pass takes entries at most b to at most
+    b (1 + (p-1)(1+delta)), so they are reduced only before that reaches 2^63."""
+    _require_prime_kappa(params)
+    n, p, kv = params.n, params.p, params.kappa.val
+    delta = make_field(p, 2).nonresidue
+    # roots[f, a-1] = (j - 1, c): factor f of Q_a is t - z_j - c
+    roots = np.array(
+        [[(j - 1, (c + s * kv) % p) for j, c, m in _q_factors(params, a) for s in range(m)] for a in range(1, n + 1)]
+    ).swapaxes(0, 1)
+    negz = mod(-Z, p)
+    P0 = np.zeros((len(roots) + 1, len(Z), n), dtype=np.int64)  # [t-degree, point, coordinate]
+    P1 = np.zeros_like(P0)
+    P0[0], bound, growth = 1, 1, 1 + (p - 1) * (1 + delta)
+    for f, (j, c) in enumerate(roots.transpose(0, 2, 1)):
+        if bound * growth >= 1 << 63:
+            P0, P1, bound = mod(P0, p), mod(P1, p), p - 1
+        s0, s1 = mod(negz[:, j, 0] - c, p), negz[:, j, 1]  # -(z_j + c) per point and coordinate
+        A0, A1 = P0[: f + 1], P1[: f + 1]
+        T0, T1 = A0 * s0, A0 * s1
+        T0 += A1 * (delta * s1)
+        T1 += A1 * s0
+        T0[1:] += A0[:-1]
+        T1[1:] += A1[:-1]
+        P0[f + 1], P1[f + 1] = A0[f], A1[f]
+        P0[: f + 1], P1[: f + 1], bound = T0, T1, bound * growth
+    rows = [ell * p - 1 for ell in range(1, params.d + 1)]
+    M = dense._pochhammer_basis_matrix(p, kv, len(P0))[rows].astype(np.int64)
+    values = [M @ mod(P, p).reshape(len(P), -1) for P in (P0, P1)]
+    return mod(np.stack(values, axis=-1), p).reshape(len(rows), len(Z), n, 2)
 
 
 # -- leading terms and independence -------------------------------------------
@@ -269,27 +293,22 @@ def verify_independence(
     Reports every index set whose minor evaluates nonzero; the predicted
     pivot set {r(ell)+1} is recorded separately.
     """
-    sols = extract_solutions(params).arrays
-    d = len(sols)
-    if duplicate_control and d >= 2:
-        sols = sols[[0, 0, *range(2, d)]]
+    d, name = params.d, f"independence p={params.p} n={params.n} kappa={params.kappa}"
     if d == 0:
-        return CheckReport(
-            name=f"independence p={params.p} n={params.n} kappa={params.kappa}",
-            passed=True,
-            details={"d": 0},
-        )
+        return CheckReport(name=name, passed=True, details={"d": 0})
     ectx = make_field(params.p, 2)
     z = sample_point(ectx, params.n, seed)
-    # row i-1: coordinate i of every solution at z
-    rows = np.swapaxes(evaluate_solutions(sols, z[None], ectx)[:, 0], 0, 1)
+    vals = solution_values(params, z[None])[:, 0]
+    if duplicate_control and d >= 2:
+        vals = vals[[0, 0, *range(2, d)]]
+    rows = np.swapaxes(vals, 0, 1)  # row i-1: coordinate i of every solution at z
     index_sets = list(itertools.combinations(range(1, params.n + 1), d))
     dets = ext_det_batch(rows[np.array(index_sets) - 1], ectx)
     nonzero_sets = [I for I, dv in zip(index_sets, dets) if dv.any()]
     rs = [leading_term_data(params, ell).r for ell in range(1, d + 1)] if params.n % params.p else []
     pivot_guess = tuple(sorted(r + 1 for r in rs)) if len(set(rs)) == d else None
     return CheckReport(
-        name=f"independence p={params.p} n={params.n} kappa={params.kappa}",
+        name=name,
         passed=bool(nonzero_sets),
         failures=[] if nonzero_sets else [("no nonzero minor", str(elements(z, ectx)))],
         details={
@@ -432,8 +451,8 @@ def _section_systems(params: QkzParams, Z: np.ndarray, pctx: FieldCtx) -> tuple[
     n = params.n
     if n % params.p == 0:
         raise ValueError("quasi-sections need p not dividing n")
-    minus = evaluate_solutions(extract_solutions(params.minus()).arrays, -Z % pctx.p, pctx)
-    plus = evaluate_solutions(extract_solutions(params).arrays, Z, pctx)
+    minus = solution_values(params.minus(), mod(-Z, pctx.p))
+    plus = solution_values(params, Z)
     ones = np.broadcast_to(np.array([1, 0], dtype=np.int64), (1,) + plus.shape[1:])
     return np.concatenate([minus, ones, plus]).swapaxes(0, 1), minus.shape[0]
 

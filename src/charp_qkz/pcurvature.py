@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ffield import FieldCtx, FieldElement, elements, make_field, sample_point
-from .hypergeo import evaluate_solutions, extract_solutions
+from .ffield import FieldCtx, FieldElement, elements, make_field, sample_points
+from .hypergeo import (
+    extract_solutions,  # noqa: F401  (a binding perfbench/tracer.py rebinds)
+    solution_values,
+)
 from .linalg import ext_det_batch, ext_matmul, ext_mul, ext_rank_batch, mod
 from .qkz_core import (
     CheckReport,
@@ -126,7 +129,7 @@ def d_a_closed_form(params: QkzParams, a: int) -> np.ndarray:
 
 def _points_batch(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) -> np.ndarray:
     """The points (npts, n, 2) of the battery and the duality check."""
-    return np.stack([sample_point(pctx, params.n, seed * 10007 + i) for i in range(npoints)])
+    return sample_points(pctx, params.n, range(seed * 10007, seed * 10007 + npoints))
 
 
 # Per (kappa, axis, points): C_a(.; kappa) at the point sets Z, Z - kappa
@@ -239,7 +242,7 @@ def verify_curvature_battery(
     # solutions fixed by C_a; image and kernel versus the span
     ranks = {}
     if d > 0:
-        S = evaluate_solutions(extract_solutions(params).arrays, Z, pctx)  # (d, npts, n, 2)
+        S = solution_values(params, Z)  # (d, npts, n, 2)
         if perturb_control:
             S[0, :, 0, 0] = (S[0, :, 0, 0] + 1) % p
         for a in range(1, n + 1):
@@ -403,19 +406,20 @@ def _singular_mask(params: QkzParams, Z: np.ndarray, p: int) -> np.ndarray:
 
 def _nonsingular_points(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) -> np.ndarray:
     """The first ``npoints`` nonsingular points (at most npoints, n, 2) among
-    the attempts ``sample_point(pctx, n, seed * 65537 + t)``, t < 40 *
-    npoints, in attempt order.  A round draws as many attempts as points
-    are missing, or, when that is more, half the attempts they need at the
-    rate of nonsingular attempts seen so far (as many again as were drawn
-    while none was), within the budget.  Half, so that few draws fall past
-    the last attempt kept: ``sample_point`` keeps every draw it makes."""
+    the points of the seeds seed * 65537 + t, t < 40 * npoints, in attempt
+    order.  A round draws as many attempts as points are missing, or, when
+    that is more, half the attempts they need at the rate of nonsingular
+    attempts seen so far (as many again as were drawn while none was),
+    within the budget, as one ``sample_points`` batch.  Half, so that few
+    draws fall past the last attempt kept: the sampler keeps every seed's
+    draw it makes."""
     Z = np.zeros((0, params.n, 2), dtype=np.int64)
     attempt, budget = 0, npoints * 40
     while len(Z) < npoints and attempt < budget:
         missing = npoints - len(Z)
         want = -(-missing * attempt // (2 * len(Z))) if len(Z) else attempt
         chunk = min(max(want, missing), budget - attempt)
-        draws = np.stack([sample_point(pctx, params.n, seed * 65537 + attempt + t) for t in range(chunk)])
+        draws = sample_points(pctx, params.n, range(seed * 65537 + attempt, seed * 65537 + attempt + chunk))
         attempt += chunk
         Z = np.concatenate([Z, draws[~_singular_mask(params, draws, pctx.p)]])
     return Z[:npoints]

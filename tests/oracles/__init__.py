@@ -4,6 +4,7 @@ the sparse symbolic curvature and the K_a that the scalar pointwise checks
 evaluate), the whole-matrix rescaling K_a kernel, the p-curvature as a
 pairwise tree of K_a products, the dense symbolic curvature on the z-box,
 the scalar row elimination behind rank, det and solve, the back
-substitution behind the Pochhammer basis matrix, the sampling loop of
+substitution behind the Pochhammer basis matrix, the solution values
+contracted from the coefficient arrays, the sampling loop of
 the ``ext_kappa`` points, and the per-call lexsort renderer.  Tests
 compare the production paths with them."""

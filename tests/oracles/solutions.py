@@ -1,15 +1,19 @@
 """Sparse views and constructions of the solutions: ``MPoly`` coordinates
 of a solution set, the master-product vector Q(t, z; kappa) as sparse
 t-polynomials, minors of the solution matrix, substitution of the special
-values, and the randomized check of the product formula against the
-rational definition Phi * eta_a.  The package builds and checks the
-solutions on dense arrays; these are the references it is compared with."""
+values, the randomized check of the product formula against the
+rational definition Phi * eta_a, and the values of a coefficient-array
+stack at points, contracted from the arrays.  The package builds and checks
+the solutions on dense arrays, and takes their values at points from the
+master product; these are the references it is compared with."""
 
 from __future__ import annotations
 
 import itertools
 
-from charp_qkz.dense import dense_to_mpoly
+import numpy as np
+
+from charp_qkz.dense import dense_eval_points, dense_to_mpoly
 from charp_qkz.ffield import FieldCtx, elements, sample_point
 from charp_qkz.hypergeo import (
     SolutionSet,
@@ -28,6 +32,19 @@ def sparse_solutions(ss: SolutionSet) -> list[VectorPoly]:
     """The solutions of a set with one ``MPoly`` per coordinate."""
     ctx, n = ss.params.ctx, ss.params.n
     return [VectorPoly([dense_to_mpoly(coord, ctx, n) for coord in sol]) for sol in ss.arrays]
+
+
+def evaluate_solutions(arrays: np.ndarray, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
+    """Values of every solution in a (d, n, ...) stack at a batch of
+    F_{p^2} points Z (npts, n, 2), as (d, npts, n, 2) (a0, a1) pairs; one
+    ``dense_eval_points`` call per (solution, coordinate)."""
+    p, delta = pctx.p, pctx.nonresidue
+    d, n = arrays.shape[:2]
+    out = np.zeros((d, Z.shape[0], n, 2), dtype=np.int64)
+    for s_idx, sol in enumerate(arrays):
+        for c_idx, coord in enumerate(sol):
+            out[s_idx, :, c_idx] = dense_eval_points(coord, Z, p, delta)
+    return out
 
 
 def q_vector(params: QkzParams) -> list[TPoly]:

@@ -434,6 +434,40 @@ def test_verify_sabotage_fails_rewritten_checks(suite, names_check, capsys):
         assert any(names_check(w) for w in entry["witnesses"])
 
 
+def test_solutions_entry_ties_the_arrays_to_the_pointwise_values(monkeypatch):
+    """The solutions entry evaluates its printed arrays at the independence
+    point and requires the values the pointwise suites read: with
+    ``solution_values`` off by one there, every entry with solutions fails,
+    naming each (ell, a) as a "values" witness; otherwise the report is
+    unchanged."""
+    from charp_qkz import cli
+
+    argv = ["verify", "--p", "7", "--n", "3", "--suites", "solutions", "--format", "json"]
+    code, out = run_cli(argv)
+    assert code == 0
+    real = cli.solution_values
+
+    def off_by_one(params, Z):
+        vals = real(params, Z)
+        vals[..., 0] = (vals[..., 0] + 1) % params.p
+        return vals
+
+    monkeypatch.setattr(cli, "solution_values", off_by_one)
+    code, bad = run_cli(argv)
+    assert code == 1
+    checked = 0
+    for key, entry in json.loads(bad)["solutions"].items():
+        good = json.loads(out)["solutions"][key]
+        d = good["details"]["d"]
+        if d == 0:
+            assert entry == good
+            continue
+        assert entry["passed"] is False and entry["details"] == good["details"]
+        assert entry["witnesses"] == [["values", ell, a] for ell in range(1, d + 1) for a in range(1, 4)]
+        checked += 1
+    assert checked
+
+
 def test_verify_sabotage_fails_restrict(capsys):
     """Negative control: 1 added to the t^0 coefficient of each restricted
     product shows up at Pochhammer index 0 and fails every checked entry."""

@@ -22,7 +22,6 @@ from charp_qkz.ffield import elements, make_field, sample_point
 from charp_qkz.hypergeo import (
     _leading_term,
     barq_solutions,
-    evaluate_solutions,
     extract_solutions,
     quasi_sections_at,
     verify_quasi_flatness,
@@ -35,7 +34,7 @@ from charp_qkz.qkz_core import (
 )
 from oracles import linalg as scalar_linalg
 from oracles.operators import k_operator
-from oracles.solutions import sparse_solutions
+from oracles.solutions import evaluate_solutions, sparse_solutions
 from oracles.vectors import shift_point
 from oracles.vectors import VectorPoly, gaudin_operator
 

@@ -1,6 +1,7 @@
 """The package surface: every exported name resolves, the sparse
-t-polynomial, vector, solution and operator layers and the z-box symbolic
-curvature live only in tests/oracles, the field-element point helpers and
+t-polynomial, vector, solution and operator layers, the z-box symbolic
+curvature and the solution values contracted from the arrays live only in
+tests/oracles, the field-element point helpers and
 duplicate entry points are gone, and only the dense kernels import the
 sparse polynomials."""
 
@@ -48,6 +49,7 @@ MOVED_TO_ORACLES = {
     "singular_basis",
     "_symbolic_box",
     "_symbolic_product",
+    "evaluate_solutions",
 }
 
 # Deleted: the helpers of the field-element point form (points are (n, 2)

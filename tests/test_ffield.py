@@ -121,8 +121,23 @@ def test_sample_point_matches_uncached_draws(p):
                 assert z.tolist() == want
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 29, 101])
+def test_sample_points_matches_uncached_draws(p):
+    """A batch holds, seed by seed, the points of the uncached loop on
+    ``random.Random(seed).randrange``, also for a seed repeated within the
+    batch; an empty seed list gives an empty batch."""
+    ctx = make_field(p, 2)
+    for n in range(1, min(p, 6) + 1):
+        seeds = [3, 10007 * 2 + 1, 3, 65537 * 5 + 9, 0] + list(range(100, 120))
+        Z = ffield.sample_points(ctx, n, seeds)
+        assert Z.shape == (len(seeds), n, 2) and Z.dtype == np.int64
+        assert Z.tolist() == [_uncached_sample(p, n, seed) for seed in seeds]
+        assert ffield.sample_points(ctx, n, []).shape == (0, n, 2)
+        assert sample_point(ctx, n, seeds[1]).tolist() == Z[1].tolist()
+
+
 def test_sample_point_cache_is_bounded():
-    assert sample_point.cache_info().maxsize == 1 << 14
+    assert ffield._seed_draw.cache_info().maxsize == 1 << 14
 
 
 def test_sample_point_returns_read_only_array():
@@ -143,11 +158,11 @@ def test_sampling_error_propagates_uncached():
     """n > p leaves no nonsingular point; the error reaches the caller on
     every call and is never stored."""
     ctx = make_field(3, 2)
-    before = sample_point.cache_info()
+    before = ffield._seed_draw.cache_info()
     for _ in range(2):
         with pytest.raises(SamplingError):
             sample_point(ctx, 4, 5, 20)
-    after = sample_point.cache_info()
+    after = ffield._seed_draw.cache_info()
     assert after.misses - before.misses == 2
     assert after.hits == before.hits
     assert after.currsize == before.currsize

@@ -14,7 +14,7 @@ import pytest
 
 from charp_qkz import linalg
 from charp_qkz.ffield import FieldElement, elements, make_field, sample_point
-from charp_qkz.hypergeo import evaluate_solutions, extract_solutions
+from charp_qkz.hypergeo import extract_solutions
 from charp_qkz.linalg import ext_det_batch
 from charp_qkz.pcurvature import (
     _nonsingular_points,
@@ -31,6 +31,7 @@ from charp_qkz.pcurvature import (
 from charp_qkz.qkz_core import SingularPointError, _factor_order, make_params
 from oracles import linalg as scalar_linalg
 from oracles.operators import k_operator, singular_basis
+from oracles.solutions import evaluate_solutions
 
 PN = [(p, n) for p in (5, 7, 11, 13) for n in range(2, 6) if n < p]
 
