@@ -517,7 +517,10 @@ def _config_from_args(args) -> RunConfig:
         try:
             ctx = make_field(p)
             for s in cfg.kappa_filter or ():
-                if parse_kappa(ctx, s).in_prime_field and "g" in s:
+                kappa = parse_kappa(ctx, s)
+                if not kappa:
+                    raise ValueError(f"kappa must be nonzero, but {s!r} is 0 mod p={p}")
+                if kappa.in_prime_field and "g" in s:
                     raise ValueError(f"kappa {s!r} lies in F_{p}; give it as 'c'")
         except ValueError as exc:
             _usage_error(str(exc))

@@ -21,6 +21,7 @@ __all__ = [
     "FieldCtx",
     "FieldElement",
     "make_field",
+    "inverse_table",
     "sample_point",
     "sample_points",
     "elements",
@@ -273,6 +274,21 @@ def make_field(p: int, ext_degree: int = 1) -> FieldCtx:
     the nonresidue for ext_degree=2 is the smallest quadratic nonresidue
     mod p, so results are reproducible."""
     return FieldCtx(p, ext_degree)
+
+
+@functools.lru_cache(maxsize=None)
+def inverse_table(p: int) -> np.ndarray:
+    """The inverse of every element x = a0 + a1 g of F_{p^2}, by its encoded
+    value a0 + a1 p: a read-only (3, p^2) int32 array whose column x holds
+    (c0, c1, delta c1 mod p) for 1/x = c0 + c1 g, and zeros for x = 0.  It
+    has at most 10,201 columns, since p <= MAX_PRIME."""
+    ctx = make_field(p, 2)
+    a1, a0 = np.divmod(np.arange(p * p), p)
+    ninv = np.array(ctx._inv_table)[(a0 * a0 - ctx.nonresidue * a1 * a1) % p]  # 1/norm, 0 at x = 0
+    c1 = -a1 * ninv % p
+    table = np.stack([a0 * ninv % p, c1, ctx.nonresidue * c1 % p]).astype(np.int32)
+    table.flags.writeable = False
+    return table
 
 
 def sample_point(ctx: FieldCtx, n: int, rng_seed: int, max_tries: int = 10000) -> np.ndarray:

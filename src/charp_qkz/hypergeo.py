@@ -504,13 +504,13 @@ def verify_quasi_flatness(params: QkzParams, Z: np.ndarray, perturb_control: boo
     if perturb_control:
         T[:, 0, 0, 0] = (T[:, 0, 0, 0] + 1) % p
     outside = np.zeros((len(Z), n, dq), dtype=bool)  # [idx, a-1, ell-1]
-    for a in range(1, n + 1):
-        rows = ok[:, 0] & ok[:, a]
-        Xs = X[rows, a]
-        K = k_matrix_batch(params, a, Z[rows], pctx)
-        v = ext_matmul(K, T[rows], p, pctx.nonresidue) - Xs[:, :, :dq]
-        coef = ext_matmul(np.swapaxes(v % p, 1, 2), Xs, p, pctx.nonresidue)
-        outside[rows, a - 1] = np.any(coef != 0, axis=(2, 3))
+    # every (point, a) with both systems solvable, in one kernel call
+    idx, ax = np.nonzero(ok[:, :1] & ok[:, 1:])
+    Xs = X[idx, ax + 1]
+    K = k_matrix_batch(params, ax + 1, Z[idx], pctx)
+    v = ext_matmul(K, T[idx], p, pctx.nonresidue) - Xs[:, :, :dq]
+    coef = ext_matmul(np.swapaxes(v % p, 1, 2), Xs, p, pctx.nonresidue)
+    outside[idx, ax] = np.any(coef != 0, axis=(2, 3))
     skipped = []
     for idx in range(len(Z)):
         if not ok[idx, 0]:

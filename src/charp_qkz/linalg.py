@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .ffield import FieldCtx, FieldElement, make_field
+from .ffield import FieldCtx, FieldElement, inverse_table, make_field
 
 __all__ = [
     "mod",
@@ -84,25 +84,38 @@ def ext_mul(x: np.ndarray, y: np.ndarray, p: int, delta: int) -> np.ndarray:
 
 
 def ext_matmul(A: np.ndarray, B: np.ndarray, p: int, delta: int) -> np.ndarray:
-    """Matrix product of stacked F_{p^2} matrices shaped (..., n, n, 2)."""
+    """Matrix product of stacked F_{p^2} matrices shaped (..., n, n, 2).
+    Each component is reduced into the result before the next is made, so
+    no more than two products of the batch's size are alive besides it."""
     a0, a1 = A[..., 0], A[..., 1]
     b0, b1 = B[..., 0], B[..., 1]
-    c0 = mod(a0 @ b0 + delta * (a1 @ b1), p)
-    c1 = mod(a0 @ b1 + a1 @ b0, p)
-    return np.stack([c0, c1], axis=-1)
+    c = a1 @ b1
+    c *= delta
+    c += a0 @ b0
+    out = np.empty(c.shape + (2,), dtype=c.dtype)
+    _reduce_into(c, p, out[..., 0])
+    c = a0 @ b1
+    c += a1 @ b0
+    _reduce_into(c, p, out[..., 1])
+    return out
+
+
+def _reduce_into(x: np.ndarray, p: int, out: np.ndarray) -> None:
+    """``mod(x, p)`` written into ``out``, with one temporary."""
+    q = x // p
+    q *= p
+    np.subtract(x, q, out=out)
 
 
 def ext_inv(x: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Componentwise inverse of stacked F_{p^2} scalars shaped (..., 2)."""
+    """Componentwise inverse of stacked F_{p^2} scalars shaped (..., 2), read
+    from the table of every inverse in F_{p^2}."""
     p = ctx.p
-    delta = ctx.nonresidue
-    a0, a1 = mod(x[..., 0], p), mod(x[..., 1], p)
-    norm = mod(a0 * a0 - delta * a1 * a1, p)
-    if np.any(norm == 0):
+    enc = mod(x[..., 0], p) + p * mod(x[..., 1], p)
+    if np.any(enc == 0):
         raise ZeroDivisionError("inverse of zero in F_{p^2}")
-    inv_tab = np.asarray(ctx._inv_table, dtype=np.int64)
-    ninv = inv_tab[norm]
-    return np.stack([mod(a0 * ninv, p), mod(-a1 * ninv, p)], axis=-1)
+    table = inverse_table(p)
+    return np.stack([table[0][enc], table[1][enc]], axis=-1).astype(np.int64)
 
 
 def _eliminate_batch(A: np.ndarray, ctx: FieldCtx, ncols: int | None = None):

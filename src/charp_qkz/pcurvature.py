@@ -8,9 +8,10 @@ D_a = prod_{j != a} (z_a - z_j - 1; kappa)_p.
 Pointwise properties (ranks, kernels, duality, nondegeneracy for kappa
 outside the prime field) run batched over F_{p^2} points.  C_a at a batch
 is one run of the R-factor kernel ``qkz_core.k_product_batch``: its p(n-1)
-factors each rewrite two rows of one running matrix.  The cost of a call
-barely depends on the batch size, so per axis one call covers every point
-set that the battery and the duality checks for kappa and -kappa read.
+factors each rewrite two rows of one running matrix, and each point carries
+its own axis a.  The cost of a call barely depends on the batch size, so
+per kappa one call covers every axis and every point set that the battery
+and the duality checks for kappa and -kappa read.
 The symbolic form, for the denominator-cancellation and degree-bound
 claims, is built in the n - 1 variables w_j = z_a - z_j, where D_a =
 prod_{j != a} (w_j^p - w_j), on dense coefficient arrays by the R-factor
@@ -32,10 +33,13 @@ from .qkz_core import (
     QkzParams,
     SingularPointError,
     apply_r_factors,
+    every_axis,
     k_matrix_batch,
     k_operator_at,  # noqa: F401  (a binding perfbench/tracer.py rebinds)
     k_product_batch,
     r_factors,
+    singular_factors,
+    stack_groups,
 )
 
 __all__ = [
@@ -63,19 +67,39 @@ def reduced_curvature_at(params: QkzParams, a: int, z: np.ndarray) -> list[list[
     return elements(_reduce_batch(curvature_batch(params, a, z[None], pctx), pctx.p)[0], pctx)
 
 
-def curvature_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
-    """C_a over a batch of points (npts, n, 2) -> (npts, n, n, 2): the
-    p-shift product of ``k_product_batch``, its p(n-1) R-factors applied as
-    two-row updates of one running matrix.  Raises
-    :class:`SingularPointError` if any shifted point is singular."""
+def curvature_batch(params: QkzParams, a, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
+    """C_a over a batch of points (npts, n, 2) -> (npts, n, n, 2), one axis a
+    for all points or one per point: the p-shift product of
+    ``k_product_batch``, its p(n-1) R-factors applied as two-row updates of
+    one running matrix.  Raises :class:`SingularPointError` if any shifted
+    point is singular."""
     return k_product_batch(params, a, Z, pctx, params.p)
 
 
 def _reduce_batch(C: np.ndarray, p: int) -> np.ndarray:
-    n = C.shape[1]
+    """C - Id for stacked matrices (..., n, n, 2)."""
+    n = C.shape[-2]
     H = C.copy()
-    H[:, range(n), range(n), 0] = mod(H[:, range(n), range(n), 0] - 1, p)
+    H[..., range(n), range(n), 0] = mod(H[..., range(n), range(n), 0] - 1, p)
     return H
+
+
+def _pair_products(H: np.ndarray, p: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the reduced curvatures H (n, npts, n, n, 2), from the products of
+    every ordered pair: whether hat-C_a hat-C_b is nonzero at some point,
+    and whether it equals hat-C_b hat-C_a at every point, as (n, n) arrays.
+    C_a C_b - C_b C_a = hat-C_a hat-C_b - hat-C_b hat-C_a, so the second
+    is the commutativity of the C_a.  One product per group of rows a of
+    ``stack_groups``; a group short of all rows also takes the products
+    hat-C_b hat-C_a of its columns."""
+    n = len(H)
+    nonzero, commute = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+    for g in stack_groups(n, H.size):
+        rows = ext_matmul(H[g, None], H[None, :], p, delta)  # [a, b]: hat-C_a hat-C_b, a in g
+        cols = rows.swapaxes(0, 1) if len(rows) == n else ext_matmul(H[None, :], H[g, None], p, delta)
+        nonzero[g] = np.any(rows.reshape(len(rows), n, -1), axis=2)
+        commute[g] = ~np.any((rows != cols).reshape(len(rows), n, -1), axis=2)
+    return nonzero, commute
 
 
 def _w_product(params: QkzParams, a: int, factors) -> tuple[np.ndarray, np.ndarray]:
@@ -132,14 +156,15 @@ def _points_batch(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) ->
     return sample_points(pctx, params.n, range(seed * 10007, seed * 10007 + npoints))
 
 
-# Per (kappa, axis, points): C_a(.; kappa) at the point sets Z, Z - kappa
-# e_b for each b != a, and -Z, made by one curvature_batch call.  The
-# battery for kappa reads the first two parts, the duality check for kappa
-# reads -Z and the one for -kappa reads Z; each part goes after its last
-# reader.  Parts are held in the narrowest unsigned dtype that holds F_p
-# (uint8 up to p = 251), and each read gets its own int64 copy.  cli.main
-# clears what is left after each command (the parts of a kappa whose
-# partner is not swept); past 64 MiB the oldest stacks go.
+# Per (kappa, points): C_a(.; kappa) for every axis a at the point sets
+# Z, Z - kappa e_b for each b != a, and -Z, made by one curvature_batch
+# call with one axis per point.  The battery for kappa reads the first two
+# parts, the duality check for kappa reads -Z and the one for -kappa reads
+# Z; each part of each axis goes after its last reader.  Parts are held in
+# the narrowest unsigned dtype that holds F_p (uint8 up to p = 251), and
+# each read gets its own int64 copy.  cli.main clears what is left after
+# each command (the parts of a kappa whose partner is not swept); past 64
+# MiB the oldest stacks go.
 _POINT_CURVATURES_BYTES = 64 << 20
 _point_curvatures: dict = {}
 
@@ -148,39 +173,46 @@ def _axis_curvatures(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx, p
     """One part of the curvatures of ``_point_curvatures``: "points"
     C_a(Z), "shifted" C_a(Z - kappa e_b) stacked over b != a in increasing
     order (n-1, npts, n, n, 2), or "negated" C_a(-Z)."""
-    key = (params.p, params.kappa.val, a, Z.shape, Z.tobytes())
+    key = (params.p, params.kappa.val, Z.shape, Z.tobytes())
     parts = _point_curvatures.get(key)
-    if parts is None or part not in parts:  # first reader, or a repeated one
-        parts = _point_curvatures[key] = _curvature_parts(params, a, Z, pctx)
+    if parts is None or a not in parts.get(part, ()):  # first reader, or a repeated one
+        parts = _point_curvatures[key] = _curvature_parts(params, Z, pctx)
         while _stored_bytes() > _POINT_CURVATURES_BYTES:
             _point_curvatures.pop(next(iter(_point_curvatures)))
-    C, readers = parts.pop(part)
+    axes = parts[part]
+    C, readers = axes.pop(a)
     if readers > 1:
-        parts[part] = (C, readers - 1)
-    elif not parts:
-        _point_curvatures.pop(key, None)
+        axes[a] = (C, readers - 1)
+    elif not axes:
+        del parts[part]
+        if not parts:
+            _point_curvatures.pop(key, None)
     return C.astype(np.int64)
 
 
 def _stored_bytes() -> int:
-    return sum(C.nbytes for parts in _point_curvatures.values() for C, _ in parts.values())
+    return sum(C.nbytes for parts in _point_curvatures.values() for axes in parts.values() for C, _ in axes.values())
 
 
-def _curvature_parts(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> dict:
-    """The parts of ``_axis_curvatures``, each with its number of readers."""
+def _curvature_parts(params: QkzParams, Z: np.ndarray, pctx: FieldCtx) -> dict:
+    """The parts of ``_axis_curvatures`` as part -> axis -> (stack, number
+    of readers), from one ``curvature_batch`` call over every axis and
+    point set (per group of axes of ``stack_groups``)."""
     p, n, npts = pctx.p, params.n, len(Z)
-    sets = [Z]
-    for b in range(1, n + 1):
-        if b != a:
-            Zb = Z.copy()
-            Zb[:, b - 1] = mod(Zb[:, b - 1] - params.kappa_pair, p)
-            sets.append(Zb)
-    sets.append(mod(-Z, p))
-    C = curvature_batch(params, a, np.concatenate(sets), pctx).astype(np.min_scalar_type(p - 1))
+    shifted = np.repeat(Z[None], n, axis=0)  # shifted[b - 1] = Z - kappa e_b
+    shifted[range(n), :, range(n)] = mod(shifted[range(n), :, range(n)] - params.kappa_pair, p)
+    negated = mod(-Z, p)
+    dtype = np.min_scalar_type(p - 1)
+    C = []
+    for g in stack_groups(n, (n + 1) * npts * n * n * 2):
+        axes = np.arange(n)[g]
+        sets = [S for a in axes for S in [Z, *np.delete(shifted, a, axis=0), negated]]
+        C.append(curvature_batch(params, np.repeat(axes + 1, (n + 1) * npts), np.concatenate(sets), pctx).astype(dtype))
+    C = np.concatenate(C).reshape((n, n + 1, npts, n, n, 2))
     return {
-        "points": (C[:npts].copy(), 2),
-        "shifted": (C[npts : n * npts].reshape((n - 1, npts) + C.shape[1:]).copy(), 1),
-        "negated": (C[n * npts :].copy(), 1),
+        "points": {a: (C[a - 1, 0].copy(), 2) for a in range(1, n + 1)},
+        "shifted": {a: (C[a - 1, 1:n].copy(), 1) for a in range(1, n + 1)},
+        "negated": {a: (C[a - 1, n].copy(), 1) for a in range(1, n + 1)},
     }
 
 
@@ -207,52 +239,44 @@ def verify_curvature_battery(
     pctx = make_field(p, 2)
     delta = pctx.nonresidue
     Z = _points_batch(params, npoints, seed, pctx)
-    C = {a: _axis_curvatures(params, a, Z, pctx, "points") for a in range(1, n + 1)}
-    H = {a: _reduce_batch(C[a], p) for a in range(1, n + 1)}
-    K = {a: k_matrix_batch(params, a, Z, pctx) for a in range(1, n + 1)}
+    C = np.stack([_axis_curvatures(params, a, Z, pctx, "points") for a in range(1, n + 1)])
+    H = _reduce_batch(C, p)  # C and H: (n, npts, n, n, 2), axis a at a - 1
+    K = k_matrix_batch(params, *every_axis(n, Z), pctx).reshape(C.shape)
     failures = []
     per_axis = {}
     degenerate = d in (0, n - 1)
     for a in range(1, n + 1):
-        nz = np.any(H[a].reshape(npoints, -1) != 0, axis=1)
+        nz = np.any(H[a - 1].reshape(npoints, -1) != 0, axis=1)
         per_axis[a] = {"nonzero_points": int(nz.sum())}
         if degenerate and np.any(nz):
             failures.append(("hatC nonzero in degenerate case", a, int(np.nonzero(nz)[0][0])))
         elif not degenerate and not np.all(nz):
             failures.append(("hatC vanished", a, int(np.nonzero(~nz)[0][0])))
-    # nilpotency: hat-C_a hat-C_b = 0 for all pairs (includes a = b)
+    # nilpotency: hat-C_a hat-C_b = 0 for all pairs (includes a = b); the
+    # same products give the commutativity of the C_a
+    nonzero, commute = _pair_products(H, p, delta)
+    failures += [("nilpotency", a + 1, b + 1) for a, b in zip(*np.triu_indices(n)) if nonzero[a, b]]
     for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            prod = ext_matmul(H[a], H[b], p, delta)
-            if np.any(prod):
-                failures.append(("nilpotency", a, b))
-    # endomorphism and commutativity
-    for a in range(1, n + 1):
-        # K_b(z) C_a(z) = C_a(z - kappa e_b) K_b(z) for every b != a at once
+        # endomorphism: K_b(z) C_a(z) = C_a(z - kappa e_b) K_b(z) for every b != a at once
         others = [b for b in range(1, n + 1) if b != a]
-        Kb = np.stack([K[b] for b in others])
-        lhs = ext_matmul(Kb, C[a], p, delta)
+        Kb = K[np.array(others) - 1]
+        lhs = ext_matmul(Kb, C[a - 1], p, delta)
         rhs = ext_matmul(_axis_curvatures(params, a, Z, pctx, "shifted"), Kb, p, delta)
-        moved = np.any(mod(lhs - rhs, p).reshape(len(others), -1), axis=1)
+        moved = np.any((lhs != rhs).reshape(len(others), -1), axis=1)
         failures += [("endomorphism", a, b) for b, bad in zip(others, moved) if bad]
-        for b in range(a + 1, n + 1):
-            comm = mod(ext_matmul(C[a], C[b], p, delta) - ext_matmul(C[b], C[a], p, delta), p)
-            if np.any(comm):
-                failures.append(("commutativity", a, b))
+        failures += [("commutativity", a, b) for b in range(a + 1, n + 1) if not commute[a - 1, b - 1]]
+    del lhs, rhs  # not held while the solution values are made
     # solutions fixed by C_a; image and kernel versus the span
     ranks = {}
     if d > 0:
         S = solution_values(params, Z)  # (d, npts, n, 2)
         if perturb_control:
             S[0, :, 0, 0] = (S[0, :, 0, 0] + 1) % p
-        for a in range(1, n + 1):
-            # C_a s = s  <=>  hat-C_a s = 0, for the solutions as columns
-            moved = np.any(ext_matmul(H[a], np.moveaxis(S, 0, -2), p, delta), axis=(0, 1, 3))
-            failures += [("solution not fixed", a, int(s) + 1) for s in np.nonzero(moved)[0]]
+        # C_a s = s  <=>  hat-C_a s = 0, for the solutions as columns
+        moved = np.any(ext_matmul(H, np.moveaxis(S, 0, -2), p, delta), axis=(1, 2, 4))  # (n, d)
+        failures += [("solution not fixed", int(a) + 1, int(s) + 1) for a, s in np.argwhere(moved)]
         if not degenerate:
-            span_dims, image, joint, sum_image_dims = _curvature_ranks(
-                np.stack(list(H.values())), np.swapaxes(S, 0, 1), pctx
-            )
+            span_dims, image, joint, sum_image_dims = _curvature_ranks(H, np.swapaxes(S, 0, 1), pctx)
             for i in range(npoints):
                 for a in range(1, n + 1):
                     rk = int(image[a - 1, i])
@@ -297,7 +321,7 @@ def kernel_image_ranks(params: QkzParams, z: np.ndarray) -> dict:
         raise ValueError("kernel/image structure requires 0 < d(kappa) < n-1")
     n = params.n
     pctx = make_field(params.p, 2)
-    H = np.stack([_reduce_batch(curvature_batch(params, a, z[None], pctx), pctx.p) for a in range(1, n + 1)])
+    H = _reduce_batch(curvature_batch(params, *every_axis(n, z[None]), pctx), pctx.p)[:, None]
     _, image, _, total = _curvature_ranks(H, np.zeros((1, 0, n, 2), dtype=np.int64), pctx)
     out = {}
     for a in range(1, n + 1):
@@ -385,23 +409,12 @@ def _restrict_to_v(M: np.ndarray, p: int) -> np.ndarray:
     return np.cumsum(W[:, :-1], axis=1) % p
 
 
-def _singular_mask(params: QkzParams, Z: np.ndarray, p: int) -> np.ndarray:
-    """Points (npts, n, 2) at which some C_a is undefined: for some a, some
-    shift m in 0..p-1 and some R-factor j of K_a, the factor's
-    u = z_a - m kappa - z_j (- kappa if j < a) equals 1 (a pole) or -1 (a
-    degeneracy)."""
-    kap = params.kappa_pair
-    shifts = np.arange(params.p)[:, None] * kap  # (p, 2)
-    mask = np.zeros(Z.shape[0], dtype=bool)
-    for a in range(1, params.n + 1):
-        for j in range(1, params.n + 1):
-            if j == a:
-                continue
-            u = Z[:, a - 1] - Z[:, j - 1] - (kap if j < a else 0)
-            us = mod(u[:, None] - shifts, p)  # (npts, p, 2)
-            hit = (us[..., 1] == 0) & ((us[..., 0] == 1) | (us[..., 0] == p - 1))
-            mask |= hit.any(axis=1)
-    return mask
+def _singular_mask(params: QkzParams, Z: np.ndarray) -> np.ndarray:
+    """Points (npts, n, 2) at which some C_a is undefined: some R-factor of
+    some shift of K_a has a pole or degenerates there, by the kernel's own
+    test (``qkz_core.singular_factors``), every axis in one call."""
+    codes = singular_factors(params, *every_axis(params.n, Z), params.p)
+    return np.any(codes.reshape(params.n, len(Z)) >= 0, axis=0)
 
 
 def _nonsingular_points(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) -> np.ndarray:
@@ -421,7 +434,7 @@ def _nonsingular_points(params: QkzParams, npoints: int, seed: int, pctx: FieldC
         chunk = min(max(want, missing), budget - attempt)
         draws = sample_points(pctx, params.n, range(seed * 65537 + attempt, seed * 65537 + attempt + chunk))
         attempt += chunk
-        Z = np.concatenate([Z, draws[~_singular_mask(params, draws, pctx.p)]])
+        Z = np.concatenate([Z, draws[~_singular_mask(params, draws)]])
     return Z[:npoints]
 
 
@@ -448,12 +461,11 @@ def verify_ext_kappa(
     failures = []
     sample_dets = {}
     if good:
-        zero = np.zeros((good, n), dtype=bool)  # zero[i, a-1]: det of hat-C_a vanishes at point i
+        H = _reduce_batch(curvature_batch(params, *every_axis(n, Z), pctx), p)
+        dets = ext_det_batch(H if full_space_control else _restrict_to_v(H, p), pctx).reshape((n, good, 2))
         for a in range(1, n + 1):
-            H = _reduce_batch(curvature_batch(params, a, Z, pctx), p)
-            dets = ext_det_batch(H if full_space_control else _restrict_to_v(H, p), pctx)
-            zero[:, a - 1] = np.all(dets == 0, axis=-1)
-            sample_dets[a] = str(elements(dets[0], pctx))
+            sample_dets[a] = str(elements(dets[a - 1, 0], pctx))
+        zero = np.all(dets == 0, axis=-1).T  # zero[i, a-1]: det of hat-C_a vanishes at point i
         for i, a in zip(*np.nonzero(zero)):
             failures.append(("degenerate hatC", int(a) + 1, [str(x) for x in elements(Z[i], pctx)]))
     if good < npoints:

@@ -1,9 +1,11 @@
 """Reference implementations that the package no longer uses: the sparse
 ``MPoly`` t-polynomial, vector, solution and operator layers (the last with
 the sparse symbolic curvature and the K_a that the scalar pointwise checks
-evaluate), the whole-matrix rescaling K_a kernel, the p-curvature as a
-pairwise tree of K_a products, the dense symbolic curvature on the z-box,
-the scalar row elimination behind rank, det and solve, the back
+evaluate), the whole-matrix rescaling K_a kernel and the pair-by-pair
+flatness loop over it, the p-curvature as a pairwise tree of K_a
+products and the singular-point mask as a loop over R-factors, the
+dense symbolic curvature on the z-box, the scalar row elimination
+behind rank, det and solve, the back
 substitution behind the Pochhammer basis matrix, the solution values
 contracted from the coefficient arrays, the sampling loop of
 the ``ext_kappa`` points, and the per-call lexsort renderer.  Tests

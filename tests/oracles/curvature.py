@@ -4,8 +4,11 @@ of the batch (by the whole-matrix rescaling kernel of ``oracles.kmatrix``),
 then the ordered product K_{p-1} ... K_0 taken as a pairwise tree of
 ``linalg.ext_matmul`` calls, exact by associativity.  Also the sampling
 loop of the ``ext_kappa`` points as it was before it drew larger chunks.
-The production ``pcurvature.curvature_batch`` and
-``pcurvature._nonsingular_points`` are compared with them."""
+And the singular-point mask as a loop over the
+n(n-1) R-factors (a, j) before it became the kernel's own per-(factor,
+point) test.  The production ``pcurvature.curvature_batch``,
+``pcurvature._nonsingular_points`` and ``pcurvature._singular_mask`` are
+compared with them."""
 
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import numpy as np
 
 from charp_qkz import pcurvature
 from charp_qkz.ffield import FieldCtx, sample_point
-from charp_qkz.linalg import ext_matmul
+from charp_qkz.linalg import ext_matmul, mod
 from charp_qkz.qkz_core import QkzParams
 from oracles.kmatrix import k_matrix_batch
 
@@ -46,5 +49,25 @@ def nonsingular_points(params: QkzParams, npoints: int, seed: int, pctx: FieldCt
         chunk = min(npoints - len(Z), budget - attempt)
         draws = np.stack([sample_point(pctx, params.n, seed * 65537 + attempt + t) for t in range(chunk)])
         attempt += chunk
-        Z = np.concatenate([Z, draws[~pcurvature._singular_mask(params, draws, pctx.p)]])
+        Z = np.concatenate([Z, draws[~pcurvature._singular_mask(params, draws)]])
     return Z
+
+
+def singular_mask(params: QkzParams, Z: np.ndarray) -> np.ndarray:
+    """Points (npts, n, 2) at which some C_a is undefined: for some a, some
+    shift m in 0..p-1 and some R-factor j of K_a, the factor's
+    u = z_a - m kappa - z_j (- kappa if j < a) equals 1 (a pole) or -1 (a
+    degeneracy)."""
+    p = params.p
+    kap = params.kappa_pair
+    shifts = np.arange(p)[:, None] * kap  # (p, 2)
+    mask = np.zeros(Z.shape[0], dtype=bool)
+    for a in range(1, params.n + 1):
+        for j in range(1, params.n + 1):
+            if j == a:
+                continue
+            u = Z[:, a - 1] - Z[:, j - 1] - (kap if j < a else 0)
+            us = mod(u[:, None] - shifts, p)  # (npts, p, 2)
+            hit = (us[..., 1] == 0) & ((us[..., 0] == 1) | (us[..., 0] == p - 1))
+            mask |= hit.any(axis=1)
+    return mask

@@ -1,15 +1,19 @@
 """The batched K_a kernel as it was before it moved to two-row updates: it
 rescales the whole running matrix by u - 1 at every R-factor and divides
 by the accumulated denominator once at the end.  The production
-``qkz_core.k_matrix_batch`` is compared with it."""
+``qkz_core.k_matrix_batch`` is compared with it.  Also the flatness check
+as it was before its K_a products became one kernel call per point set:
+a loop over the pairs a < b with one-axis kernel calls, which
+``qkz_core.verify_flatness`` is compared with."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from charp_qkz.ffield import FieldCtx
-from charp_qkz.linalg import ext_inv, ext_mul
-from charp_qkz.qkz_core import QkzParams, SingularPointError, _factor_order
+from charp_qkz import qkz_core
+from charp_qkz.ffield import FieldCtx, make_field
+from charp_qkz.linalg import ext_inv, ext_matmul, ext_mul
+from charp_qkz.qkz_core import CheckReport, QkzParams, SingularPointError, _factor_order
 
 
 def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
@@ -44,3 +48,40 @@ def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> 
         den = ext_mul(den, um1, p, delta)
     dinv = ext_inv(den, pctx)
     return ext_mul(dinv[:, None, None], M, p, delta)
+
+
+def verify_flatness(params: QkzParams, Z: np.ndarray, unshifted_control: bool = False) -> CheckReport:
+    """K_a(z - kappa e_b) K_b(z) = K_b(z - kappa e_a) K_a(z) pair by pair,
+    each K_a from its own one-axis call of ``qkz_core.k_matrix_batch``; a
+    pair whose shifted factor raises is skipped with the error's text."""
+    if not len(Z):
+        raise ValueError("flatness needs at least one point")
+    pctx = make_field(params.p, 2)
+    p, delta = pctx.p, pctx.nonresidue
+    n = params.n
+    kap = params.kappa_pair
+    failures = []
+    skipped = []
+    K = {a: qkz_core.k_matrix_batch(params, a, Z, pctx) for a in range(1, n + 1)}
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            Za = Z.copy()
+            Za[:, a - 1] = (Za[:, a - 1] - kap) % p
+            Zb = Z.copy()
+            Zb[:, b - 1] = (Zb[:, b - 1] - kap) % p
+            try:
+                Kab = K[a] if unshifted_control else qkz_core.k_matrix_batch(params, a, Zb, pctx)
+                Kba = qkz_core.k_matrix_batch(params, b, Za, pctx)
+            except SingularPointError as exc:
+                skipped.append((a, b, str(exc)))
+                continue
+            lhs = ext_matmul(Kab, K[b], p, delta)
+            rhs = ext_matmul(Kba, K[a], p, delta)
+            for i in np.nonzero(np.any(lhs != rhs, axis=(1, 2, 3)))[0]:
+                failures.append((a, b, int(i)))
+    return CheckReport(
+        name=f"discrete flatness p={params.p} n={n} kappa={params.kappa}",
+        passed=not failures,
+        failures=failures,
+        details={"skipped": skipped, "points": len(Z)},
+    )

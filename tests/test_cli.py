@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from charp_qkz.cli import ALL_SUITES, main, parse_kappa
@@ -239,11 +240,34 @@ def test_verify_sabotage_fails_ext_kappa(capsys):
 
 
 def test_verify_without_checks_exits_2(capsys):
-    code = main(["verify", "--p", "7", "--n", "3", "--kappa", "7", "--suites", "solutions"])
+    """An extension-field kappa leaves the per-triple suites no triple."""
+    code = main(["verify", "--p", "7", "--n", "3", "--kappa", "1+g", "--suites", "solutions"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "no check ran" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "5", "--n", "3", "--kappa", "0"],
+        ["verify", "--p", "5", "--n", "3", "--kappa", "5"],
+        ["verify", "--p", "5", "--p", "7", "--n", "3", "--kappa", "2", "--kappa", "14", "--suites", "rmatrix"],
+        ["verify", "--p", "7", "--n", "3", "--kappa", "0*g", "--suites", "ext_kappa"],
+        ["report", "--p", "5", "--n", "3", "--kappa", "10"],
+    ],
+)
+def test_kappa_zero_mod_a_swept_prime_exits_2(argv, capsys):
+    """A --kappa entry that is 0 mod one of the primes is a usage error, as
+    solve --kappa 0 is, not a filter that drops to no kappa and lets only
+    the per-prime suites run."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: kappa must be nonzero")
 
 
 def test_solve_above_prime_cap_exits_2(capsys):
@@ -605,10 +629,10 @@ def test_one_suite_subcommands_take_sabotage(suite, capsys):
 
 def test_duality_reuses_the_battery_curvatures(monkeypatch):
     """Each C_a at each of the battery's point sets is made once per verify
-    call, by one call per (kappa, a) over the stacked sets: the points, the
-    points shifted by -kappa e_b for each b != a, and the negated points.
-    The duality checks for kappa and -kappa read the same stacks, and the
-    store is empty when main returns."""
+    call, by one call per kappa over every axis a and the stacked sets: the
+    points, the points shifted by -kappa e_b for each b != a, and the
+    negated points.  The duality checks for kappa and -kappa read the same
+    stacks, and the store is empty when main returns."""
     from charp_qkz import pcurvature
 
     npts, n = 5, 3
@@ -618,13 +642,16 @@ def test_duality_reuses_the_battery_curvatures(monkeypatch):
     real = pcurvature.curvature_batch
 
     def spy(params, a, Z, pctx):
-        calls.append((params.kappa.val, a))
-        keys.extend((params.kappa.val, a, S.tobytes()) for S in Z.reshape((-1, npts) + Z.shape[1:]))
+        calls.append(params.kappa.val)
+        axes = np.broadcast_to(a, len(Z)).reshape(-1, npts)
+        assert np.all(axes == axes[:, :1])  # each point set lies on one axis
+        sets = Z.reshape((-1, npts) + Z.shape[1:])
+        keys.extend((params.kappa.val, int(ax[0]), S.tobytes()) for ax, S in zip(axes, sets))
         return real(params, a, Z, pctx)
 
     monkeypatch.setattr(pcurvature, "curvature_batch", spy)
     assert run_cli(argv) == expected
-    assert len(calls) == len(set(calls)) == 4 * n
+    assert len(calls) == len(set(calls)) == 4
     # per kappa: n products at the points, n(n-1) at shifted and n at negated points
     assert len(keys) == len(set(keys)) == 4 * (3 + 6 + 3)
     assert pcurvature._point_curvatures == {}

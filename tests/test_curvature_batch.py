@@ -70,7 +70,7 @@ def _singular_point(params, z, pctx):
     t = 0
     while True:
         cand = sample_point(pctx, params.n, 7919 + t)[None]
-        if pcurvature._singular_mask(params, cand, pctx.p)[0]:
+        if pcurvature._singular_mask(params, cand)[0]:
             return cand[0]
         t += 1
 
@@ -129,9 +129,9 @@ def _count_rounds(monkeypatch):
     rounds = []
     real = pcurvature._singular_mask
 
-    def spy(params, Z, p):
+    def spy(params, Z):
         rounds.append(len(Z))
-        return real(params, Z, p)
+        return real(params, Z)
 
     monkeypatch.setattr(pcurvature, "_singular_mask", spy)
     return rounds
@@ -163,10 +163,10 @@ def test_nonsingular_points_exhaust_the_budget(accept, monkeypatch):
     attempts with the same (too few) points."""
     real = pcurvature._singular_mask
 
-    def mask(params, Z, p):
+    def mask(params, Z):
         if accept == "none":
             return np.ones(len(Z), dtype=bool)
-        return real(params, Z, p) | np.any(Z[:, 0] != 0, axis=1)  # z_1 = 0 only: ~1/p^2 of attempts
+        return real(params, Z) | np.any(Z[:, 0] != 0, axis=1)  # z_1 = 0 only: ~1/p^2 of attempts
 
     monkeypatch.setattr(pcurvature, "_singular_mask", mask)
     pctx = make_field(5, 2)

@@ -140,3 +140,19 @@ def test_one_matrix_view_edge_cases():
     with pytest.raises(ValueError, match="square"):
         linalg.solve([[1, 2, 3], [0, 1, 1]], [1, 1], ctx)
     assert linalg.solve([[2, 0], [0, 3]], [1, 1], ctx) == [ctx.element(4), ctx.element(5)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
+def test_ext_inv_matches_the_field_inverse(p):
+    """Every nonzero element of F_{p^2}, given reduced or shifted by p in
+    both components, against ``FieldElement.inv``; zero raises."""
+    pctx = make_field(p, 2)
+    vals = np.arange(1, p * p)
+    x = np.stack([vals % p, vals // p], axis=-1)
+    want = [FieldElement(pctx, int(v)).inv().val for v in vals]
+    for shift in (0, p):
+        got = linalg.ext_inv(x + shift, pctx)
+        assert got.dtype == np.int64 and got.shape == x.shape
+        assert (got[:, 0] + p * got[:, 1]).tolist() == want
+    with pytest.raises(ZeroDivisionError):
+        linalg.ext_inv(np.array([[1, 2], [p, 0]]), pctx)

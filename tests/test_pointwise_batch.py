@@ -247,7 +247,7 @@ def test_singular_mask_matches_scalar_loop():
             expected.append(False)
         except SingularPointError:
             expected.append(True)
-    mask = _singular_mask(params, Z, p)
+    mask = _singular_mask(params, Z)
     assert 0 < sum(expected) < len(Z)
     assert mask.tolist() == expected
     kept = _nonsingular_points(params, 10, 1, pctx)
@@ -301,7 +301,7 @@ def test_curvature_batch_raises_on_singular_shift():
     pctx = make_field(p, 2)
     params = make_params(pctx, n, pctx.element(2, 3))
     Z = np.stack([sample_point(pctx, n, 65537 + t) for t in range(60)])
-    mask = _singular_mask(params, Z, p)
+    mask = _singular_mask(params, Z)
     with pytest.raises(SingularPointError):
         for a in range(1, n + 1):
             curvature_batch(params, a, Z[mask], pctx)
