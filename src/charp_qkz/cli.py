@@ -24,7 +24,7 @@ import numpy as np
 
 from . import hypergeo, pcurvature
 from .dense import dense_eval_points, dense_top_degree_part
-from .ffield import FieldCtx, FieldElement, make_field, sample_point, sample_points
+from .ffield import FieldCtx, FieldElement, SamplingError, make_field, sample_point, sample_points
 from .hypergeo import (
     barq_solutions,
     extract_solutions,
@@ -313,9 +313,8 @@ class SuiteRunner:
             if not ind.passed:
                 failures.append(("independence", ind.failures[:3]))
             # the printed arrays take the values the pointwise checks read
-            pctx = make_field(params.p, 2)
-            z = sample_point(pctx, params.n, self.cfg.seed)
-            printed = [[dense_eval_points(c, z[None], params.p, pctx.nonresidue)[0] for c in F] for F in ss.arrays]
+            z = sample_point(make_field(params.p, 2), params.n, self.cfg.seed)
+            printed = [[dense_eval_points(c, z[None], params.p)[0] for c in F] for F in ss.arrays]
             moved = np.any(np.array(printed) != solution_values(params, z[None])[:, 0], axis=-1)
             failures += [("values", int(ell) + 1, int(a) + 1) for ell, a in np.argwhere(moved)]
             yield key, _entry(failures + dsum, {"d": ss.d, "degrees": ss.degrees()})
@@ -689,11 +688,15 @@ def main(argv=None) -> int:
     """Run one command.  The solution cache and the curvatures kept for the
     duality check live for this call only, so a long-lived process that
     calls main repeatedly does not grow with every (p, n, kappa) it has
-    seen."""
+    seen.  A sweep that asks for sample points the sampler cannot find (n
+    near p) is a user error: exit 2 with the message."""
     try:
         args = _parser().parse_args(argv)
         _check_out(args.out)
         return args.func(args)
+    except SamplingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         hypergeo._solution_cache.clear()
         pcurvature._point_curvatures.clear()

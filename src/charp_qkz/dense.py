@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .ffield import FieldCtx
+from .ffield import FieldCtx, make_field
 from .mpoly import MPoly
 
 __all__ = [
@@ -77,16 +77,16 @@ def dense_mul(f: MPoly, g: MPoly) -> MPoly:
     return dense_to_mpoly(out, f.ctx, f.nvars)
 
 
-def dense_shift_var(arr: np.ndarray, axis: int, delta: int, p: int) -> np.ndarray:
-    """Substitute z -> z + delta along one axis of a dense array, exactly:
-    coefficient transport by the binomial matrix S[e, m] = C(e, m) delta^{e-m}."""
+def dense_shift_var(arr: np.ndarray, axis: int, shift: int, p: int) -> np.ndarray:
+    """Substitute z -> z + shift along one axis of a dense array, exactly:
+    coefficient transport by the binomial matrix S[e, m] = C(e, m) shift^{e-m}."""
     d = arr.shape[axis]
-    if delta % p == 0 or d == 1:
+    if shift % p == 0 or d == 1:
         return arr % p
     S = np.zeros((d, d), dtype=np.int64)
     dpow = [1]
     for _ in range(d):
-        dpow.append(dpow[-1] * delta % p)
+        dpow.append(dpow[-1] * shift % p)
     row = [1]
     for e in range(d):
         for m, b in enumerate(row):
@@ -202,7 +202,7 @@ def render_polynomials(arrays: np.ndarray, p: int) -> list[list[str]]:
     return [polys[ell * n : (ell + 1) * n] for ell in range(d)]
 
 
-def dense_eval_points(arr: np.ndarray, Z: np.ndarray, p: int, delta: int) -> np.ndarray:
+def dense_eval_points(arr: np.ndarray, Z: np.ndarray, p: int) -> np.ndarray:
     """Evaluate a dense prime-field coefficient array (axes = z_1..z_n) at a
     batch of F_{p^2} points Z (npts, n, 2); returns (npts, 2).
 
@@ -211,6 +211,7 @@ def dense_eval_points(arr: np.ndarray, Z: np.ndarray, p: int, delta: int) -> np.
     """
     npts = Z.shape[0]
     n = arr.ndim
+    delta = make_field(p, 2).nonresidue
 
     def powers(var: int, s: int):
         pw0 = np.empty((s, npts), dtype=np.int64)
@@ -256,20 +257,17 @@ def _factor_table(p: int, kappa: int, m: int, shift: int, with_var: bool) -> np.
     return F
 
 
-def build_product_tpoly(
-    ctx: FieldCtx, kappa: int, factors: list[tuple[int | None, int, int]]
-) -> tuple[np.ndarray, list[int]]:
+def build_product_tpoly(ctx: FieldCtx, kappa: int, factors: list[tuple[int | None, int, int]]) -> np.ndarray:
     """Dense coefficients of prod_j (t - w_j - c_j; kappa)_{m_j}.
 
     Each factor is (var, c, m) with ``var`` a 1-based z-index or None for a
-    pure constant shift.  Returns (array, axes_vars): axis 0 of the array is
-    the t-degree, the remaining axes follow ``axes_vars``.
+    pure constant shift.  Axis 0 of the array is the t-degree; then comes
+    one axis per factor with a variable, in the order of the factors.
     """
     if ctx.ext_degree != 1:
         raise ValueError("dense kernels are prime-field only")
     p = ctx.p
     arr = np.ones((1,), dtype=np.int64)
-    axes_vars: list[int] = []
     for var, c, m in factors:
         F = _factor_table(p, kappa, m, c % p, with_var=var is not None)
         tlen = arr.shape[0]
@@ -282,13 +280,12 @@ def build_product_tpoly(
                 nz = np.nonzero(row)[0]
                 if nz.size:
                     out[dt : dt + tlen] += src * row
-            axes_vars.append(var)
         else:
             for dt in range(m + 1):
                 if F[dt, 0]:
                     out[dt : dt + tlen] += F[dt, 0] * arr
         arr = out % p
-    return arr, axes_vars
+    return arr
 
 
 def pochhammer_scalar_coeffs(p: int, kappa: int, max_deg: int) -> list[list[int]]:

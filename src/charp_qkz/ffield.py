@@ -32,6 +32,9 @@ __all__ = [
 # comfortably in 64 bits.
 MAX_PRIME = 101
 
+# Draws of n values per seed before sampling gives up on a point.
+MAX_TRIES = 10000
+
 
 class SamplingError(RuntimeError):
     """Rejection sampling exhausted its retry budget."""
@@ -138,9 +141,6 @@ class FieldCtx:
             base = self.mul(base, base)
             e >>= 1
         return acc
-
-    def in_prime_field(self, x: int) -> bool:
-        return x // self.p == 0
 
     # -- element factories -------------------------------------------------
 
@@ -291,14 +291,14 @@ def inverse_table(p: int) -> np.ndarray:
     return table
 
 
-def sample_point(ctx: FieldCtx, n: int, rng_seed: int, max_tries: int = 10000) -> np.ndarray:
+def sample_point(ctx: FieldCtx, n: int, rng_seed: int) -> np.ndarray:
     """The point of one seed of :func:`sample_points`, read-only."""
-    z = sample_points(ctx, n, (rng_seed,), max_tries)[0]
+    z = sample_points(ctx, n, (rng_seed,))[0]
     z.flags.writeable = False
     return z
 
 
-def sample_points(ctx: FieldCtx, n: int, seeds, max_tries: int = 10000) -> np.ndarray:
+def sample_points(ctx: FieldCtx, n: int, seeds) -> np.ndarray:
     """Per seed a point z in F_{p^2}^n with z_i - z_j outside F_p for all
     i < j, as one (len(seeds), n, 2) int64 array of (a0, a1) pairs.  Such
     points avoid every hyperplane z_i - z_j - m = 0 with m in F_p, where the
@@ -309,19 +309,20 @@ def sample_points(ctx: FieldCtx, n: int, seeds, max_tries: int = 10000) -> np.nd
         raise ValueError("nonsingular points require an extension-field context")
     if n < 1:
         raise ValueError("n must be positive")
-    vals = np.array([_seed_draw(ctx.p, n, s, max_tries) for s in seeds], dtype=np.int64).reshape(-1, n)
+    vals = np.array([_seed_draw(ctx.p, n, s) for s in seeds], dtype=np.int64).reshape(-1, n)
     return np.stack([vals % ctx.p, vals // ctx.p], axis=-1)
 
 
 @functools.lru_cache(maxsize=1 << 14)
-def _seed_draw(p: int, n: int, seed: int, max_tries: int) -> tuple[int, ...]:
+def _seed_draw(p: int, n: int, seed: int) -> tuple[int, ...]:
     """The encoded values of one seed's point: ``random.Random(seed)`` draws
     n values ``randrange(p * p)`` until their g-components v // p are
-    distinct (z_i - z_j lies in F_p iff they coincide).  ``randrange(q)``
+    distinct (z_i - z_j lies in F_p iff they coincide), at most
+    ``MAX_TRIES`` times.  ``randrange(q)``
     redraws ``getrandbits(q.bit_length())`` while it is at least q."""
     q, draw = p * p, random.Random(seed).getrandbits
     bits = q.bit_length()
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         vals = []
         for _ in range(n):
             v = draw(bits)

@@ -29,6 +29,7 @@ from .qkz_core import (
     QkzParams,
     k_matrix_batch,
     k_operator_at,  # noqa: F401  (a binding perfbench/tracer.py rebinds)
+    kappa_shifts,
 )
 
 __all__ = [
@@ -134,7 +135,7 @@ def _solution_rows(params: QkzParams, kappa: int, factors_of) -> np.ndarray:
     rows = tuple(ell * p - 1 for ell in range(1, params.d + 1))
     for a in range(1, params.n + 1):
         factors = factors_of(a)
-        arr, _ = dense.build_product_tpoly(params.ctx, kappa, factors[1:])
+        arr = dense.build_product_tpoly(params.ctx, kappa, factors[1:])
         out = dense.dense_pochhammer_coeffs(arr, p, kappa, rows=rows, factor=factors[0])
         sols[(slice(None), a - 1) + tuple(slice(s) for s in out.shape[1:])] = out
     return sols
@@ -303,7 +304,7 @@ def verify_independence(
         vals = vals[[0, 0, *range(2, d)]]
     rows = np.swapaxes(vals, 0, 1)  # row i-1: coordinate i of every solution at z
     index_sets = list(itertools.combinations(range(1, params.n + 1), d))
-    dets = ext_det_batch(rows[np.array(index_sets) - 1], ectx)
+    dets = ext_det_batch(rows[np.array(index_sets) - 1], params.p)
     nonzero_sets = [I for I, dv in zip(index_sets, dets) if dv.any()]
     rs = [leading_term_data(params, ell).r for ell in range(1, d + 1)] if params.n % params.p else []
     pivot_guess = tuple(sorted(r + 1 for r in rs)) if len(set(rs)) == d else None
@@ -371,7 +372,7 @@ def _restriction_rows(params: QkzParams, I, a: int) -> np.ndarray:
         (None, (vals[var].val + shift) % p, m) if var in vals else (var, shift, m)
         for var, shift, m in _q_factors(params, a)
     ]
-    arr, _ = dense.build_product_tpoly(params.ctx, kappa, factors[1:])
+    arr = dense.build_product_tpoly(params.ctx, kappa, factors[1:])
     rows = range(min(len(I) * params.k - 1, params.n * params.k))  # deg_t Q_a = nk - 1
     return dense.dense_pochhammer_coeffs(arr, p, kappa, rows=rows, factor=factors[0])
 
@@ -442,7 +443,7 @@ def verify_orthogonality(params: QkzParams, unnegated_control: bool = False) -> 
 # -- quasi-hypergeometric sections ------------------------------------------------
 
 
-def _section_systems(params: QkzParams, Z: np.ndarray, pctx: FieldCtx) -> tuple[np.ndarray, int]:
+def _section_systems(params: QkzParams, Z: np.ndarray) -> tuple[np.ndarray, int]:
     """The quasi-section systems at a batch of F_{p^2} points Z (npts, n, 2)
     as (npts, rows, n, 2): rows Q^{m p-1}(-z; -kappa) for m = 1..d(-kappa),
     then (1, ..., 1), then Q^{ell' p-1}(z; kappa) for ell' = 1..d(kappa);
@@ -451,13 +452,13 @@ def _section_systems(params: QkzParams, Z: np.ndarray, pctx: FieldCtx) -> tuple[
     n = params.n
     if n % params.p == 0:
         raise ValueError("quasi-sections need p not dividing n")
-    minus = solution_values(params.minus(), mod(-Z, pctx.p))
+    minus = solution_values(params.minus(), mod(-Z, params.p))
     plus = solution_values(params, Z)
     ones = np.broadcast_to(np.array([1, 0], dtype=np.int64), (1,) + plus.shape[1:])
     return np.concatenate([minus, ones, plus]).swapaxes(0, 1), minus.shape[0]
 
 
-def _invert_sections(systems: np.ndarray, dq: int, pctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+def _invert_sections(systems: np.ndarray, dq: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The first dq + 1 columns of the inverse of every section system
     (..., n, n, 2), and the mask of the invertible ones.  Column ell - 1 is
     T^ell (ell <= dq); a vector lies in the span of the plus solutions (the
@@ -465,7 +466,7 @@ def _invert_sections(systems: np.ndarray, dq: int, pctx: FieldCtx) -> tuple[np.n
     n = systems.shape[-2]
     eye = np.zeros((n, dq + 1, 2), dtype=np.int64)
     eye[range(dq + 1), range(dq + 1), 0] = 1
-    return ext_solve_batch(systems, eye, pctx)
+    return ext_solve_batch(systems, eye, p)
 
 
 def quasi_sections_at(params: QkzParams, z: np.ndarray) -> list[list[FieldElement]]:
@@ -473,12 +474,11 @@ def quasi_sections_at(params: QkzParams, z: np.ndarray) -> list[list[FieldElemen
     (n, 2): the unique solutions of S(Q^{m p-1}(-z;-kappa), T) =
     delta_{ell m} subject to sum(T) = 0 and the gauge
     S(Q^{ell' p-1}(z;kappa), T) = 0."""
-    pctx = make_field(params.p, 2)
-    systems, dq = _section_systems(params, z[None], pctx)
-    X, ok = _invert_sections(systems, dq, pctx)
+    systems, dq = _section_systems(params, z[None])
+    X, ok = _invert_sections(systems, dq, params.p)
     if not ok[0]:
         raise ValueError("singular quasi-section system")
-    return elements(np.swapaxes(X[0], 0, 1)[:dq], pctx)
+    return elements(np.swapaxes(X[0], 0, 1)[:dq], make_field(params.p, 2))
 
 
 def verify_quasi_flatness(params: QkzParams, Z: np.ndarray, perturb_control: bool = False) -> CheckReport:
@@ -493,13 +493,10 @@ def verify_quasi_flatness(params: QkzParams, Z: np.ndarray, perturb_control: boo
     """
     _require_prime_kappa(params)
     n, p = params.n, params.p
-    pctx = make_field(p, 2)
     # batch row idx*(n+1) is point idx, row idx*(n+1) + a its shift by -kappa e_a
-    batch = np.repeat(Z[:, None], n + 1, axis=1)
-    for a in range(1, n + 1):
-        batch[:, a, a - 1] = (batch[:, a, a - 1] - params.kappa_pair) % p
-    systems, dq = _section_systems(params, batch.reshape(-1, n, 2), pctx)
-    X, ok = _invert_sections(systems.reshape(batch.shape[:2] + systems.shape[1:]), dq, pctx)
+    batch = np.concatenate([Z[None], kappa_shifts(params, Z)]).swapaxes(0, 1)
+    systems, dq = _section_systems(params, batch.reshape(-1, n, 2))
+    X, ok = _invert_sections(systems.reshape(batch.shape[:2] + systems.shape[1:]), dq, p)
     T = X[:, 0, :, :dq]  # T^ell(z) as columns
     if perturb_control:
         T[:, 0, 0, 0] = (T[:, 0, 0, 0] + 1) % p
@@ -507,9 +504,9 @@ def verify_quasi_flatness(params: QkzParams, Z: np.ndarray, perturb_control: boo
     # every (point, a) with both systems solvable, in one kernel call
     idx, ax = np.nonzero(ok[:, :1] & ok[:, 1:])
     Xs = X[idx, ax + 1]
-    K = k_matrix_batch(params, ax + 1, Z[idx], pctx)
-    v = ext_matmul(K, T[idx], p, pctx.nonresidue) - Xs[:, :, :dq]
-    coef = ext_matmul(np.swapaxes(v % p, 1, 2), Xs, p, pctx.nonresidue)
+    K = k_matrix_batch(params, ax + 1, Z[idx])
+    v = ext_matmul(K, T[idx], p) - Xs[:, :, :dq]
+    coef = ext_matmul(np.swapaxes(v % p, 1, 2), Xs, p)
     outside[idx, ax] = np.any(coef != 0, axis=(2, 3))
     skipped = []
     for idx in range(len(Z)):

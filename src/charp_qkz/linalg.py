@@ -35,38 +35,35 @@ def mod(x: np.ndarray, p: int) -> np.ndarray:
     return x - x // p * p
 
 
-def _pairs(mat, ctx: FieldCtx) -> tuple[np.ndarray, FieldCtx]:
-    """A matrix of field elements or integers as an (r, c, 2) pair array,
-    with the F_{p^2} context the batched kernels compute in (F_p sits in
-    it as the pairs (a0, 0))."""
-    p = ctx.p
+def _pairs(mat, p: int) -> np.ndarray:
+    """A matrix of field elements or integers as an (r, c, 2) pair array
+    over F_{p^2} (F_p sits in it as the pairs (a0, 0))."""
     vals = np.array(
         [[x.val if isinstance(x, FieldElement) else x % p for x in row] for row in mat],
         dtype=np.int64,
     )
     if vals.ndim < 2:  # no rows
         vals = vals.reshape(0, 0)
-    return np.stack([vals % p, vals // p], axis=-1), make_field(p, 2)
+    return np.stack([vals % p, vals // p], axis=-1)
 
 
 def rank(mat, ctx: FieldCtx) -> int:
     """Rank of one matrix; an empty matrix has rank 0."""
-    return int(ext_rank_batch(*_pairs(mat, ctx)))
+    return int(ext_rank_batch(_pairs(mat, ctx.p), ctx.p))
 
 
 def det(mat, ctx: FieldCtx) -> FieldElement:
     """Determinant of one square matrix, in ``ctx``."""
-    d = ext_det_batch(*_pairs(mat, ctx))
+    d = ext_det_batch(_pairs(mat, ctx.p), ctx.p)
     return FieldElement(ctx, int(d[0]) + int(d[1]) * ctx.p)
 
 
 def solve(mat, rhs, ctx: FieldCtx) -> list[FieldElement]:
     """Solve a square nonsingular system A x = b, in ``ctx``."""
-    A, ectx = _pairs(mat, ctx)
+    A = _pairs(mat, ctx.p)
     if A.shape[0] != A.shape[1]:
         raise ValueError("solve needs a square system")
-    B, _ = _pairs([[x] for x in rhs], ctx)
-    X, ok = ext_solve_batch(A, B, ectx)
+    X, ok = ext_solve_batch(A, _pairs([[x] for x in rhs], ctx.p), ctx.p)
     if not ok:
         raise ValueError("singular or inconsistent linear system")
     return [FieldElement(ctx, int(x0) + int(x1) * ctx.p) for x0, x1 in X[:, 0]]
@@ -75,22 +72,23 @@ def solve(mat, rhs, ctx: FieldCtx) -> list[FieldElement]:
 # -- batched F_{p^2} kernels ------------------------------------------------
 
 
-def ext_mul(x: np.ndarray, y: np.ndarray, p: int, delta: int) -> np.ndarray:
+def ext_mul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """Elementwise product of F_{p^2} arrays shaped (..., 2), broadcasting
     over the leading axes."""
+    delta = make_field(p, 2).nonresidue
     c0 = mod(x[..., 0] * y[..., 0] + delta * x[..., 1] * y[..., 1], p)
     c1 = mod(x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0], p)
     return np.stack([c0, c1], axis=-1)
 
 
-def ext_matmul(A: np.ndarray, B: np.ndarray, p: int, delta: int) -> np.ndarray:
+def ext_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Matrix product of stacked F_{p^2} matrices shaped (..., n, n, 2).
     Each component is reduced into the result before the next is made, so
     no more than two products of the batch's size are alive besides it."""
     a0, a1 = A[..., 0], A[..., 1]
     b0, b1 = B[..., 0], B[..., 1]
     c = a1 @ b1
-    c *= delta
+    c *= make_field(p, 2).nonresidue
     c += a0 @ b0
     out = np.empty(c.shape + (2,), dtype=c.dtype)
     _reduce_into(c, p, out[..., 0])
@@ -107,10 +105,9 @@ def _reduce_into(x: np.ndarray, p: int, out: np.ndarray) -> None:
     np.subtract(x, q, out=out)
 
 
-def ext_inv(x: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+def ext_inv(x: np.ndarray, p: int) -> np.ndarray:
     """Componentwise inverse of stacked F_{p^2} scalars shaped (..., 2), read
     from the table of every inverse in F_{p^2}."""
-    p = ctx.p
     enc = mod(x[..., 0], p) + p * mod(x[..., 1], p)
     if np.any(enc == 0):
         raise ZeroDivisionError("inverse of zero in F_{p^2}")
@@ -118,7 +115,7 @@ def ext_inv(x: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     return np.stack([table[0][enc], table[1][enc]], axis=-1).astype(np.int64)
 
 
-def _eliminate_batch(A: np.ndarray, ctx: FieldCtx, ncols: int | None = None):
+def _eliminate_batch(A: np.ndarray, p: int, ncols: int | None = None):
     """Gauss-Jordan elimination of stacked F_{p^2} matrices (..., r, c, 2) on
     their first ``ncols`` columns (all by default; later columns ride along).
 
@@ -128,7 +125,6 @@ def _eliminate_batch(A: np.ndarray, ctx: FieldCtx, ncols: int | None = None):
     such row. Returns (reduced matrices, ranks, dets (..., 2)); det is the
     signed product of the pivots, zero once a column has none.
     """
-    p, delta = ctx.p, ctx.nonresidue
     lead = A.shape[:-3]
     A = mod(A.reshape((math.prod(lead),) + A.shape[-3:]), p)
     npts, nrows = A.shape[:2]
@@ -149,26 +145,26 @@ def _eliminate_batch(A: np.ndarray, ctx: FieldCtx, ncols: int | None = None):
         A[pts, pr] = row_r
         det = np.where((has & (pr != r))[:, None], mod(-det, p), det * has[:, None])
         piv = np.where(has[:, None], A[pts, r, c], one)
-        det = ext_mul(det, piv, p, delta)
-        A[pts, r] = ext_mul(A[pts, r], ext_inv(piv, ctx)[:, None], p, delta)
+        det = ext_mul(det, piv, p)
+        A[pts, r] = ext_mul(A[pts, r], ext_inv(piv, p)[:, None], p)
         f = A[:, :, c] * has[:, None, None]
         f[pts, r] = 0
-        A = mod(A - ext_mul(f[:, :, None], A[pts, r][:, None], p, delta), p)
+        A = mod(A - ext_mul(f[:, :, None], A[pts, r][:, None], p), p)
         rank += has
     return A.reshape(lead + A.shape[1:]), rank.reshape(lead), det.reshape(lead + (2,))
 
 
-def ext_det_batch(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+def ext_det_batch(M: np.ndarray, p: int) -> np.ndarray:
     """Determinants of stacked square F_{p^2} matrices (..., k, k, 2) -> (..., 2)."""
-    return _eliminate_batch(M, ctx)[2]
+    return _eliminate_batch(M, p)[2]
 
 
-def ext_rank_batch(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+def ext_rank_batch(M: np.ndarray, p: int) -> np.ndarray:
     """Ranks of stacked F_{p^2} matrices (..., r, c, 2) -> (...)."""
-    return _eliminate_batch(M, ctx)[1]
+    return _eliminate_batch(M, p)[1]
 
 
-def ext_solve_batch(A: np.ndarray, B: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+def ext_solve_batch(A: np.ndarray, B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Solve A X = B for stacked square F_{p^2} systems, A (..., n, n, 2) and
     B (..., n, m, 2) (B broadcasts over the leading axes).
 
@@ -177,6 +173,6 @@ def ext_solve_batch(A: np.ndarray, B: np.ndarray, ctx: FieldCtx) -> tuple[np.nda
     """
     n = A.shape[-2]
     B = np.broadcast_to(B, A.shape[:-3] + B.shape[-3:])
-    R, rank, _ = _eliminate_batch(np.concatenate([A, B], axis=-2), ctx, ncols=n)
+    R, rank, _ = _eliminate_batch(np.concatenate([A, B], axis=-2), p, ncols=n)
     ok = rank == n
     return R[..., n:, :] * ok[..., None, None, None], ok

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ffield import FieldCtx, FieldElement, elements, make_field, sample_points
+from .ffield import FieldElement, elements, make_field, sample_points
 from .hypergeo import (
     extract_solutions,  # noqa: F401  (a binding perfbench/tracer.py rebinds)
     solution_values,
@@ -37,6 +37,7 @@ from .qkz_core import (
     k_matrix_batch,
     k_operator_at,  # noqa: F401  (a binding perfbench/tracer.py rebinds)
     k_product_batch,
+    kappa_shifts,
     r_factors,
     singular_factors,
     stack_groups,
@@ -57,23 +58,21 @@ __all__ = [
 
 def curvature_at(params: QkzParams, a: int, z: np.ndarray) -> list[list[FieldElement]]:
     """C_a(z) at one F_{p^2} point z (n, 2), as a matrix of field elements."""
-    pctx = make_field(params.p, 2)
-    return elements(curvature_batch(params, a, z[None], pctx)[0], pctx)
+    return elements(curvature_batch(params, a, z[None])[0], make_field(params.p, 2))
 
 
 def reduced_curvature_at(params: QkzParams, a: int, z: np.ndarray) -> list[list[FieldElement]]:
     """hat-C_a(z) = C_a(z) - Id at one F_{p^2} point z (n, 2)."""
-    pctx = make_field(params.p, 2)
-    return elements(_reduce_batch(curvature_batch(params, a, z[None], pctx), pctx.p)[0], pctx)
+    return elements(_reduce_batch(curvature_batch(params, a, z[None]), params.p)[0], make_field(params.p, 2))
 
 
-def curvature_batch(params: QkzParams, a, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
+def curvature_batch(params: QkzParams, a, Z: np.ndarray) -> np.ndarray:
     """C_a over a batch of points (npts, n, 2) -> (npts, n, n, 2), one axis a
     for all points or one per point: the p-shift product of
     ``k_product_batch``, its p(n-1) R-factors applied as two-row updates of
     one running matrix.  Raises :class:`SingularPointError` if any shifted
     point is singular."""
-    return k_product_batch(params, a, Z, pctx, params.p)
+    return k_product_batch(params, a, Z, params.p)
 
 
 def _reduce_batch(C: np.ndarray, p: int) -> np.ndarray:
@@ -84,7 +83,7 @@ def _reduce_batch(C: np.ndarray, p: int) -> np.ndarray:
     return H
 
 
-def _pair_products(H: np.ndarray, p: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_products(H: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """For the reduced curvatures H (n, npts, n, n, 2), from the products of
     every ordered pair: whether hat-C_a hat-C_b is nonzero at some point,
     and whether it equals hat-C_b hat-C_a at every point, as (n, n) arrays.
@@ -95,8 +94,8 @@ def _pair_products(H: np.ndarray, p: int, delta: int) -> tuple[np.ndarray, np.nd
     n = len(H)
     nonzero, commute = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
     for g in stack_groups(n, H.size):
-        rows = ext_matmul(H[g, None], H[None, :], p, delta)  # [a, b]: hat-C_a hat-C_b, a in g
-        cols = rows.swapaxes(0, 1) if len(rows) == n else ext_matmul(H[None, :], H[g, None], p, delta)
+        rows = ext_matmul(H[g, None], H[None, :], p)  # [a, b]: hat-C_a hat-C_b, a in g
+        cols = rows.swapaxes(0, 1) if len(rows) == n else ext_matmul(H[None, :], H[g, None], p)
         nonzero[g] = np.any(rows.reshape(len(rows), n, -1), axis=2)
         commute[g] = ~np.any((rows != cols).reshape(len(rows), n, -1), axis=2)
     return nonzero, commute
@@ -151,9 +150,9 @@ def d_a_closed_form(params: QkzParams, a: int) -> np.ndarray:
     return D
 
 
-def _points_batch(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) -> np.ndarray:
+def _points_batch(params: QkzParams, npoints: int, seed: int) -> np.ndarray:
     """The points (npts, n, 2) of the battery and the duality check."""
-    return sample_points(pctx, params.n, range(seed * 10007, seed * 10007 + npoints))
+    return sample_points(make_field(params.p, 2), params.n, range(seed * 10007, seed * 10007 + npoints))
 
 
 # Per (kappa, points): C_a(.; kappa) for every axis a at the point sets
@@ -169,14 +168,14 @@ _POINT_CURVATURES_BYTES = 64 << 20
 _point_curvatures: dict = {}
 
 
-def _axis_curvatures(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx, part: str) -> np.ndarray:
+def _axis_curvatures(params: QkzParams, a: int, Z: np.ndarray, part: str) -> np.ndarray:
     """One part of the curvatures of ``_point_curvatures``: "points"
     C_a(Z), "shifted" C_a(Z - kappa e_b) stacked over b != a in increasing
     order (n-1, npts, n, n, 2), or "negated" C_a(-Z)."""
     key = (params.p, params.kappa.val, Z.shape, Z.tobytes())
     parts = _point_curvatures.get(key)
     if parts is None or a not in parts.get(part, ()):  # first reader, or a repeated one
-        parts = _point_curvatures[key] = _curvature_parts(params, Z, pctx)
+        parts = _point_curvatures[key] = _curvature_parts(params, Z)
         while _stored_bytes() > _POINT_CURVATURES_BYTES:
             _point_curvatures.pop(next(iter(_point_curvatures)))
     axes = parts[part]
@@ -194,20 +193,19 @@ def _stored_bytes() -> int:
     return sum(C.nbytes for parts in _point_curvatures.values() for axes in parts.values() for C, _ in axes.values())
 
 
-def _curvature_parts(params: QkzParams, Z: np.ndarray, pctx: FieldCtx) -> dict:
+def _curvature_parts(params: QkzParams, Z: np.ndarray) -> dict:
     """The parts of ``_axis_curvatures`` as part -> axis -> (stack, number
     of readers), from one ``curvature_batch`` call over every axis and
     point set (per group of axes of ``stack_groups``)."""
-    p, n, npts = pctx.p, params.n, len(Z)
-    shifted = np.repeat(Z[None], n, axis=0)  # shifted[b - 1] = Z - kappa e_b
-    shifted[range(n), :, range(n)] = mod(shifted[range(n), :, range(n)] - params.kappa_pair, p)
+    p, n, npts = params.p, params.n, len(Z)
+    shifted = kappa_shifts(params, Z)
     negated = mod(-Z, p)
     dtype = np.min_scalar_type(p - 1)
     C = []
     for g in stack_groups(n, (n + 1) * npts * n * n * 2):
         axes = np.arange(n)[g]
         sets = [S for a in axes for S in [Z, *np.delete(shifted, a, axis=0), negated]]
-        C.append(curvature_batch(params, np.repeat(axes + 1, (n + 1) * npts), np.concatenate(sets), pctx).astype(dtype))
+        C.append(curvature_batch(params, np.repeat(axes + 1, (n + 1) * npts), np.concatenate(sets)).astype(dtype))
     C = np.concatenate(C).reshape((n, n + 1, npts, n, n, 2))
     return {
         "points": {a: (C[a - 1, 0].copy(), 2) for a in range(1, n + 1)},
@@ -236,12 +234,10 @@ def verify_curvature_battery(
     if params.k is None:
         raise ValueError("battery requires kappa in F_p^x")
     n, p, d = params.n, params.p, params.d
-    pctx = make_field(p, 2)
-    delta = pctx.nonresidue
-    Z = _points_batch(params, npoints, seed, pctx)
-    C = np.stack([_axis_curvatures(params, a, Z, pctx, "points") for a in range(1, n + 1)])
+    Z = _points_batch(params, npoints, seed)
+    C = np.stack([_axis_curvatures(params, a, Z, "points") for a in range(1, n + 1)])
     H = _reduce_batch(C, p)  # C and H: (n, npts, n, n, 2), axis a at a - 1
-    K = k_matrix_batch(params, *every_axis(n, Z), pctx).reshape(C.shape)
+    K = k_matrix_batch(params, *every_axis(n, Z)).reshape(C.shape)
     failures = []
     per_axis = {}
     degenerate = d in (0, n - 1)
@@ -254,14 +250,14 @@ def verify_curvature_battery(
             failures.append(("hatC vanished", a, int(np.nonzero(~nz)[0][0])))
     # nilpotency: hat-C_a hat-C_b = 0 for all pairs (includes a = b); the
     # same products give the commutativity of the C_a
-    nonzero, commute = _pair_products(H, p, delta)
+    nonzero, commute = _pair_products(H, p)
     failures += [("nilpotency", a + 1, b + 1) for a, b in zip(*np.triu_indices(n)) if nonzero[a, b]]
     for a in range(1, n + 1):
         # endomorphism: K_b(z) C_a(z) = C_a(z - kappa e_b) K_b(z) for every b != a at once
         others = [b for b in range(1, n + 1) if b != a]
         Kb = K[np.array(others) - 1]
-        lhs = ext_matmul(Kb, C[a - 1], p, delta)
-        rhs = ext_matmul(_axis_curvatures(params, a, Z, pctx, "shifted"), Kb, p, delta)
+        lhs = ext_matmul(Kb, C[a - 1], p)
+        rhs = ext_matmul(_axis_curvatures(params, a, Z, "shifted"), Kb, p)
         moved = np.any((lhs != rhs).reshape(len(others), -1), axis=1)
         failures += [("endomorphism", a, b) for b, bad in zip(others, moved) if bad]
         failures += [("commutativity", a, b) for b in range(a + 1, n + 1) if not commute[a - 1, b - 1]]
@@ -273,10 +269,10 @@ def verify_curvature_battery(
         if perturb_control:
             S[0, :, 0, 0] = (S[0, :, 0, 0] + 1) % p
         # C_a s = s  <=>  hat-C_a s = 0, for the solutions as columns
-        moved = np.any(ext_matmul(H, np.moveaxis(S, 0, -2), p, delta), axis=(1, 2, 4))  # (n, d)
+        moved = np.any(ext_matmul(H, np.moveaxis(S, 0, -2), p), axis=(1, 2, 4))  # (n, d)
         failures += [("solution not fixed", int(a) + 1, int(s) + 1) for a, s in np.argwhere(moved)]
         if not degenerate:
-            span_dims, image, joint, sum_image_dims = _curvature_ranks(H, np.swapaxes(S, 0, 1), pctx)
+            span_dims, image, joint, sum_image_dims = _curvature_ranks(H, np.swapaxes(S, 0, 1), p)
             for i in range(npoints):
                 for a in range(1, n + 1):
                     rk = int(image[a - 1, i])
@@ -298,19 +294,19 @@ def verify_curvature_battery(
     )
 
 
-def _curvature_ranks(H: np.ndarray, span: np.ndarray, pctx: FieldCtx):
+def _curvature_ranks(H: np.ndarray, span: np.ndarray, p: int):
     """Ranks at every point of the rows ``span`` (npts, d, n, 2), of each
     image hat-C_a(V) for the reduced curvatures H (n, npts, n, n, 2), of the
     span plus each image, and of the sum of the images: (npts,), (n, npts),
     (n, npts), (npts,).  The image of hat-C_a(V) is spanned by the images of
     the basis e_i = v^(i) - v^(i+1), the differences of adjacent columns."""
-    images = np.swapaxes(mod(H[..., :-1, :] - H[..., 1:, :], pctx.p), -3, -2)  # rows
+    images = np.swapaxes(mod(H[..., :-1, :] - H[..., 1:, :], p), -3, -2)  # rows
     joint = np.concatenate([np.broadcast_to(span, (len(H),) + span.shape), images], axis=2)
     return (
-        ext_rank_batch(span, pctx),
-        ext_rank_batch(images, pctx),
-        ext_rank_batch(joint, pctx),
-        ext_rank_batch(np.concatenate(images, axis=1), pctx),
+        ext_rank_batch(span, p),
+        ext_rank_batch(images, p),
+        ext_rank_batch(joint, p),
+        ext_rank_batch(np.concatenate(images, axis=1), p),
     )
 
 
@@ -319,10 +315,9 @@ def kernel_image_ranks(params: QkzParams, z: np.ndarray) -> dict:
     F_{p^2} point z (n, 2), plus the dimension of the sum of all images."""
     if params.d is None or not 0 < params.d < params.n - 1:
         raise ValueError("kernel/image structure requires 0 < d(kappa) < n-1")
-    n = params.n
-    pctx = make_field(params.p, 2)
-    H = _reduce_batch(curvature_batch(params, *every_axis(n, z[None]), pctx), pctx.p)[:, None]
-    _, image, _, total = _curvature_ranks(H, np.zeros((1, 0, n, 2), dtype=np.int64), pctx)
+    n, p = params.n, params.p
+    H = _reduce_batch(curvature_batch(params, *every_axis(n, z[None])), p)[:, None]
+    _, image, _, total = _curvature_ranks(H, np.zeros((1, 0, n, 2), dtype=np.int64), p)
     out = {}
     for a in range(1, n + 1):
         rk = int(image[a - 1, 0])
@@ -342,26 +337,24 @@ def verify_duality(params: QkzParams, npoints: int = 20, seed: int = 0, flip_con
     if params.k is None:
         raise ValueError("duality test requires kappa in F_p^x")
     n, p = params.n, params.p
-    pctx = make_field(p, 2)
-    delta = pctx.nonresidue
-    Z = _points_batch(params, npoints, seed, pctx)
+    Z = _points_batch(params, npoints, seed)
     Zneg = mod(-Z, p)
     pm = params.minus()
     sgn = -1 if flip_control else 1
     failures = []
     for a in range(1, n + 1):
-        Hm = _reduce_batch(_axis_curvatures(pm, a, Z, pctx, "points"), p)  # hat-C_a(z; -kappa)
-        Hp = _reduce_batch(_axis_curvatures(params, a, Z, pctx, "negated"), p)  # hat-C_a(-z; kappa)
+        Hm = _reduce_batch(_axis_curvatures(pm, a, Z, "points"), p)  # hat-C_a(z; -kappa)
+        Hp = _reduce_batch(_axis_curvatures(params, a, Z, "negated"), p)  # hat-C_a(-z; kappa)
         # bilinear residue on the zero-sum space: E^T (Hm^T + Hp) E = 0
         M = mod(np.swapaxes(Hm, 1, 2) + sgn * Hp, p)
         res = _restrict_bilinear(M, p)
         if np.any(res):
             failures.append(("hatC duality", a, int(np.nonzero(np.any(res.reshape(npoints, -1) != 0, axis=1))[0][0])))
         # normalized variant: D_a-scaled with sign (-1)^n
-        da_m = _d_a_batch(pm, a, Z, pctx)  # D_a(z; -kappa)
-        da_p = _d_a_batch(params, a, Zneg, pctx)  # D_a(-z; kappa)
-        Tm = ext_mul(da_m[:, None, None], Hm, p, delta)
-        Tp = ext_mul(da_p[:, None, None], Hp, p, delta)
+        da_m = _d_a_batch(pm, a, Z)  # D_a(z; -kappa)
+        da_p = _d_a_batch(params, a, Zneg)  # D_a(-z; kappa)
+        Tm = ext_mul(da_m[:, None, None], Hm, p)
+        Tp = ext_mul(da_p[:, None, None], Hp, p)
         sign_n = 1 if n % 2 == 0 else p - 1
         M2 = mod(np.swapaxes(Tm, 1, 2) - sgn * sign_n * Tp, p)
         res2 = _restrict_bilinear(M2, p)
@@ -382,7 +375,7 @@ def _restrict_bilinear(M: np.ndarray, p: int) -> np.ndarray:
     return mod(D[:, :, :-1, :] - D[:, :, 1:, :], p)
 
 
-def _d_a_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
+def _d_a_batch(params: QkzParams, a: int, Z: np.ndarray) -> np.ndarray:
     """D_a on a batch of F_{p^2} points (npts, n, 2) -> (npts, 2), by its
     closed form prod_{j != a} (w_j^p - w_j), w_j = z_a - z_j (see
     ``d_a_closed_form``).  Frobenius sends g to -g, so w^p - w = -2 w1 g for
@@ -390,9 +383,9 @@ def _d_a_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.n
     delta.  Prime-field kappa only."""
     if params.k is None:
         raise ValueError("the closed form of D_a requires kappa in F_p^x")
-    p, m = pctx.p, params.n - 1
+    p, m = params.p, params.n - 1
     w1 = np.delete(Z[:, a - 1 : a, 1] - Z[:, :, 1], a - 1, axis=1)  # (npts, n-1)
-    c = np.full(len(Z), pow(-2, m, p) * pow(pctx.nonresidue, m // 2, p) % p, dtype=np.int64)
+    c = np.full(len(Z), pow(-2, m, p) * pow(make_field(p, 2).nonresidue, m // 2, p) % p, dtype=np.int64)
     for col in w1.T:
         c = c * col % p
     out = np.zeros((len(Z), 2), dtype=np.int64)
@@ -417,7 +410,7 @@ def _singular_mask(params: QkzParams, Z: np.ndarray) -> np.ndarray:
     return np.any(codes.reshape(params.n, len(Z)) >= 0, axis=0)
 
 
-def _nonsingular_points(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) -> np.ndarray:
+def _nonsingular_points(params: QkzParams, npoints: int, seed: int) -> np.ndarray:
     """The first ``npoints`` nonsingular points (at most npoints, n, 2) among
     the points of the seeds seed * 65537 + t, t < 40 * npoints, in attempt
     order.  A round draws as many attempts as points are missing, or, when
@@ -432,7 +425,8 @@ def _nonsingular_points(params: QkzParams, npoints: int, seed: int, pctx: FieldC
         missing = npoints - len(Z)
         want = -(-missing * attempt // (2 * len(Z))) if len(Z) else attempt
         chunk = min(max(want, missing), budget - attempt)
-        draws = sample_points(pctx, params.n, range(seed * 65537 + attempt, seed * 65537 + attempt + chunk))
+        seeds = range(seed * 65537 + attempt, seed * 65537 + attempt + chunk)
+        draws = sample_points(make_field(params.p, 2), params.n, seeds)
         attempt += chunk
         Z = np.concatenate([Z, draws[~_singular_mask(params, draws)]])
     return Z[:npoints]
@@ -451,23 +445,21 @@ def verify_ext_kappa(
     """
     if params.kappa.in_prime_field:
         raise ValueError("this check requires kappa outside F_p")
-    n = params.n
-    pctx = params.ctx
-    if pctx.ext_degree != 2:
+    n, p, ctx = params.n, params.p, params.ctx
+    if ctx.ext_degree != 2:
         raise ValueError("extension-field context required")
-    p = pctx.p
-    Z = _nonsingular_points(params, npoints, seed, pctx)
+    Z = _nonsingular_points(params, npoints, seed)
     good = len(Z)
     failures = []
     sample_dets = {}
     if good:
-        H = _reduce_batch(curvature_batch(params, *every_axis(n, Z), pctx), p)
-        dets = ext_det_batch(H if full_space_control else _restrict_to_v(H, p), pctx).reshape((n, good, 2))
+        H = _reduce_batch(curvature_batch(params, *every_axis(n, Z)), p)
+        dets = ext_det_batch(H if full_space_control else _restrict_to_v(H, p), p).reshape((n, good, 2))
         for a in range(1, n + 1):
-            sample_dets[a] = str(elements(dets[a - 1, 0], pctx))
+            sample_dets[a] = str(elements(dets[a - 1, 0], ctx))
         zero = np.all(dets == 0, axis=-1).T  # zero[i, a-1]: det of hat-C_a vanishes at point i
         for i, a in zip(*np.nonzero(zero)):
-            failures.append(("degenerate hatC", int(a) + 1, [str(x) for x in elements(Z[i], pctx)]))
+            failures.append(("degenerate hatC", int(a) + 1, [str(x) for x in elements(Z[i], ctx)]))
     if good < npoints:
         failures.append(("insufficient nonsingular points", good))
     return CheckReport(

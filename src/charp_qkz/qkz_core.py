@@ -38,6 +38,7 @@ __all__ = [
     "k_matrix_batch",
     "k_product_batch",
     "every_axis",
+    "kappa_shifts",
     "stack_groups",
     "singular_factors",
     "verify_rmatrix_identities",
@@ -137,14 +138,14 @@ def k_operator_at(params: QkzParams, a: int, z: Sequence[FieldElement]):
     if len(z) != params.n:
         raise ValueError("point length mismatch")
     Z = np.array([[[x.a0, x.a1] for x in z]], dtype=np.int64)
-    return elements(k_matrix_batch(params, a, Z, make_field(params.p, 2))[0], z[0].ctx)
+    return elements(k_matrix_batch(params, a, Z)[0], z[0].ctx)
 
 
-def k_matrix_batch(params: QkzParams, a, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
+def k_matrix_batch(params: QkzParams, a, Z: np.ndarray) -> np.ndarray:
     """K_a evaluated on a batch of extension-field points (npts, n, 2) ->
     (npts, n, n, 2), one axis a for all points or one per point: the
     one-shift case of :func:`k_product_batch`."""
-    return k_product_batch(params, a, Z, pctx, 1)
+    return k_product_batch(params, a, Z, 1)
 
 
 def every_axis(n: int, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,6 +153,15 @@ def every_axis(n: int, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     axes (n npts,) and the batch repeated n times, axis-major, for one
     kernel call."""
     return np.repeat(np.arange(1, n + 1), len(Z)), np.tile(Z, (n, 1, 1))
+
+
+def kappa_shifts(params: QkzParams, Z: np.ndarray) -> np.ndarray:
+    """The batch Z (npts, n, 2) shifted by -kappa e_b for each b = 1..n, as
+    (n, npts, n, 2): entry b - 1 is Z - kappa e_b."""
+    n = params.n
+    shifted = np.repeat(Z[None], n, axis=0)
+    shifted[range(n), :, range(n)] = mod(shifted[range(n), :, range(n)] - params.kappa_pair, params.p)
+    return shifted
 
 
 # The int64 entries (4 MB) that one kernel call or product stacked over
@@ -242,7 +252,7 @@ def _singular_error(params: QkzParams, a, codes: np.ndarray) -> Optional[Singula
     return SingularPointError(f"{what} (a={first}, j={j}) in the batch")
 
 
-def k_product_batch(params: QkzParams, a, Z: np.ndarray, pctx: FieldCtx, shifts: int) -> np.ndarray:
+def k_product_batch(params: QkzParams, a, Z: np.ndarray, shifts: int) -> np.ndarray:
     """K_a(z - (s-1) kappa e_a) ... K_a(z - kappa e_a) K_a(z) for s =
     ``shifts`` on a batch of extension-field points (npts, n, 2) -> (npts,
     n, n, 2), with one axis a for all points or an array of one axis per
@@ -266,7 +276,7 @@ def k_product_batch(params: QkzParams, a, Z: np.ndarray, pctx: FieldCtx, shifts:
     its first such factor in application order of K_a, the pole first: the
     error of the one-axis call on that axis's points.
     """
-    p, n, npts = pctx.p, params.n, len(Z)
+    p, n, npts = params.p, params.n, len(Z)
     assert _int32_bound(p, n, shifts) < 1 << 31
     ax = np.broadcast_to(np.asarray(a, dtype=np.intp) - 1, (npts,))
     w = _factor_forms(params, ax, Z)
@@ -431,12 +441,9 @@ def verify_flatness(params: QkzParams, Z: np.ndarray, unshifted_control: bool = 
     """
     if not len(Z):
         raise ValueError("flatness needs at least one point")
-    pctx = make_field(params.p, 2)
-    p, delta = pctx.p, pctx.nonresidue
-    n, npts = params.n, len(Z)
-    K = k_matrix_batch(params, *every_axis(n, Z), pctx).reshape((n, npts, n, n, 2))
-    shifted = np.repeat(Z[None], n, axis=0)  # shifted[b - 1] = z - kappa e_b
-    shifted[range(n), :, range(n)] = mod(shifted[range(n), :, range(n)] - params.kappa_pair, p)
+    p, n, npts = params.p, params.n, len(Z)
+    K = k_matrix_batch(params, *every_axis(n, Z)).reshape((n, npts, n, n, 2))
+    shifted = kappa_shifts(params, Z)
     ia, ib = np.triu_indices(n, 1)  # the pairs a < b, 0-based
     k = 1 if unshifted_control else 2
     failures = []
@@ -445,10 +452,10 @@ def verify_flatness(params: QkzParams, Z: np.ndarray, unshifted_control: bool = 
         ga, gb = ia[g], ib[g]
         axes, points = (gb, ga)[:k], (shifted[ga], shifted[gb])[:k]
         Ks = k_matrix_batch(
-            params, np.repeat(np.concatenate(axes) + 1, npts), np.concatenate(points).reshape(-1, n, 2), pctx
+            params, np.repeat(np.concatenate(axes) + 1, npts), np.concatenate(points).reshape(-1, n, 2)
         ).reshape((k, len(ga), npts, n, n, 2))
-        lhs = ext_matmul(K[ga] if unshifted_control else Ks[1], K[gb], p, delta)
-        rhs = ext_matmul(Ks[0], K[ga], p, delta)
+        lhs = ext_matmul(K[ga] if unshifted_control else Ks[1], K[gb], p)
+        rhs = ext_matmul(Ks[0], K[ga], p)
         bad = np.argwhere(np.any(lhs != rhs, axis=(2, 3, 4)))
         failures += [(int(ga[i]) + 1, int(gb[i]) + 1, int(pt)) for i, pt in bad]
     return CheckReport(

@@ -15,34 +15,35 @@ from __future__ import annotations
 import numpy as np
 
 from charp_qkz import pcurvature
-from charp_qkz.ffield import FieldCtx, sample_point
+from charp_qkz.ffield import make_field, sample_point
 from charp_qkz.linalg import ext_matmul, mod
 from charp_qkz.qkz_core import QkzParams
 from oracles.kmatrix import k_matrix_batch
 
 
-def curvature_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
+def curvature_batch(params: QkzParams, a: int, Z: np.ndarray) -> np.ndarray:
     """C_a over a batch of points (npts, n, 2) -> (npts, n, n, 2); raises
     ``SingularPointError`` if any shifted point is singular."""
-    p = pctx.p
+    p = params.p
     shifts = np.arange(params.p)[:, None] * params.kappa_pair  # (p, 2)
     Zs = np.broadcast_to(Z, (params.p,) + Z.shape).copy()
     Zs[:, :, a - 1] = (Zs[:, :, a - 1] - shifts[:, None]) % p
-    K = k_matrix_batch(params, a, Zs.reshape((-1,) + Z.shape[1:]), pctx)
+    K = k_matrix_batch(params, a, Zs.reshape((-1,) + Z.shape[1:]))
     K = K.reshape((params.p,) + Z.shape[:1] + K.shape[1:])  # K[m] = K_a(z - m kappa e_a)
     while K.shape[0] > 1:
         top = K[-1:] if K.shape[0] % 2 else K[:0]
-        K = np.concatenate([ext_matmul(K[1::2], K[0:-1:2], p, pctx.nonresidue), top])
+        K = np.concatenate([ext_matmul(K[1::2], K[0:-1:2], p), top])
     return K[0]
 
 
-def nonsingular_points(params: QkzParams, npoints: int, seed: int, pctx: FieldCtx) -> np.ndarray:
+def nonsingular_points(params: QkzParams, npoints: int, seed: int) -> np.ndarray:
     """The sampling loop of the ``ext_kappa`` points before it drew larger
     chunks: the first ``npoints`` nonsingular points among the attempts
-    ``sample_point(pctx, n, seed * 65537 + t)``, t < 40 * npoints, drawn in
-    chunks no larger than the number still missing.  It reads
+    ``sample_point(make_field(p, 2), n, seed * 65537 + t)``, t < 40 *
+    npoints, drawn in chunks no larger than the number still missing.  It reads
     ``pcurvature._singular_mask`` through the module, as the production
     loop does."""
+    pctx = make_field(params.p, 2)
     Z = np.zeros((0, params.n, 2), dtype=np.int64)
     attempt, budget = 0, npoints * 40
     while len(Z) < npoints and attempt < budget:

@@ -11,15 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from charp_qkz import qkz_core
-from charp_qkz.ffield import FieldCtx, make_field
 from charp_qkz.linalg import ext_inv, ext_matmul, ext_mul
 from charp_qkz.qkz_core import CheckReport, QkzParams, SingularPointError, _factor_order
 
 
-def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
+def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray) -> np.ndarray:
     """K_a evaluated on a batch of extension-field points (npts, n, 2)."""
-    p = pctx.p
-    delta = pctx.nonresidue
+    p = params.p
     n = params.n
     npts = Z.shape[0]
     kap = np.array([params.kappa.val % p, params.kappa.val // p], dtype=np.int64)
@@ -39,15 +37,15 @@ def k_matrix_batch(params: QkzParams, a: int, Z: np.ndarray, pctx: FieldCtx) -> 
         up1[:, 0] = (up1[:, 0] + 1) % p
         if np.any(np.all(up1 == 0, axis=1)):
             raise SingularPointError(f"degenerate R-factor (a={a}, j={j}) in the batch")
-        new = ext_mul(um1[:, None, None], M, p, delta)
-        scaled = ext_mul(u[:, None, None], M[:, [a - 1, j - 1]], p, delta)
+        new = ext_mul(um1[:, None, None], M, p)
+        scaled = ext_mul(u[:, None, None], M[:, [a - 1, j - 1]], p)
         ai, ji = a - 1, j - 1
         new[:, ai] = (scaled[:, 0] - M[:, ji]) % p
         new[:, ji] = (scaled[:, 1] - M[:, ai]) % p
         M = new
-        den = ext_mul(den, um1, p, delta)
-    dinv = ext_inv(den, pctx)
-    return ext_mul(dinv[:, None, None], M, p, delta)
+        den = ext_mul(den, um1, p)
+    dinv = ext_inv(den, p)
+    return ext_mul(dinv[:, None, None], M, p)
 
 
 def verify_flatness(params: QkzParams, Z: np.ndarray, unshifted_control: bool = False) -> CheckReport:
@@ -56,13 +54,11 @@ def verify_flatness(params: QkzParams, Z: np.ndarray, unshifted_control: bool = 
     pair whose shifted factor raises is skipped with the error's text."""
     if not len(Z):
         raise ValueError("flatness needs at least one point")
-    pctx = make_field(params.p, 2)
-    p, delta = pctx.p, pctx.nonresidue
-    n = params.n
+    p, n = params.p, params.n
     kap = params.kappa_pair
     failures = []
     skipped = []
-    K = {a: qkz_core.k_matrix_batch(params, a, Z, pctx) for a in range(1, n + 1)}
+    K = {a: qkz_core.k_matrix_batch(params, a, Z) for a in range(1, n + 1)}
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             Za = Z.copy()
@@ -70,13 +66,13 @@ def verify_flatness(params: QkzParams, Z: np.ndarray, unshifted_control: bool = 
             Zb = Z.copy()
             Zb[:, b - 1] = (Zb[:, b - 1] - kap) % p
             try:
-                Kab = K[a] if unshifted_control else qkz_core.k_matrix_batch(params, a, Zb, pctx)
-                Kba = qkz_core.k_matrix_batch(params, b, Za, pctx)
+                Kab = K[a] if unshifted_control else qkz_core.k_matrix_batch(params, a, Zb)
+                Kba = qkz_core.k_matrix_batch(params, b, Za)
             except SingularPointError as exc:
                 skipped.append((a, b, str(exc)))
                 continue
-            lhs = ext_matmul(Kab, K[b], p, delta)
-            rhs = ext_matmul(Kba, K[a], p, delta)
+            lhs = ext_matmul(Kab, K[b], p)
+            rhs = ext_matmul(Kba, K[a], p)
             for i in np.nonzero(np.any(lhs != rhs, axis=(1, 2, 3)))[0]:
                 failures.append((a, b, int(i)))
     return CheckReport(

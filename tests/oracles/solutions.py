@@ -34,16 +34,15 @@ def sparse_solutions(ss: SolutionSet) -> list[VectorPoly]:
     return [VectorPoly([dense_to_mpoly(coord, ctx, n) for coord in sol]) for sol in ss.arrays]
 
 
-def evaluate_solutions(arrays: np.ndarray, Z: np.ndarray, pctx: FieldCtx) -> np.ndarray:
+def evaluate_solutions(arrays: np.ndarray, Z: np.ndarray, p: int) -> np.ndarray:
     """Values of every solution in a (d, n, ...) stack at a batch of
     F_{p^2} points Z (npts, n, 2), as (d, npts, n, 2) (a0, a1) pairs; one
     ``dense_eval_points`` call per (solution, coordinate)."""
-    p, delta = pctx.p, pctx.nonresidue
     d, n = arrays.shape[:2]
     out = np.zeros((d, Z.shape[0], n, 2), dtype=np.int64)
     for s_idx, sol in enumerate(arrays):
         for c_idx, coord in enumerate(sol):
-            out[s_idx, :, c_idx] = dense_eval_points(coord, Z, p, delta)
+            out[s_idx, :, c_idx] = dense_eval_points(coord, Z, p)
     return out
 
 

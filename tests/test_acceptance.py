@@ -252,8 +252,8 @@ def test_criterion_12_symbolic_curvature():
                 entries = Ctil.reshape((9,) + Ctil.shape[2:])
                 assert dense_total_degrees(entries[None])[0] <= 5
                 top = dense_top_degree_part(entries)
-                M = np.stack([dense_eval_points(e, Z, 5, pctx.nonresidue) for e in top], axis=1)
-                assert np.all(ext_rank_batch(M.reshape(5, 3, 3, 2), pctx) <= 1)
+                M = np.stack([dense_eval_points(e, Z, 5) for e in top], axis=1)
+                assert np.all(ext_rank_batch(M.reshape(5, 3, 3, 2), 5) <= 1)
 
 
 def test_criterion_13_ext_kappa_nondegeneracy():

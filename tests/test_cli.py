@@ -276,6 +276,17 @@ def test_solve_above_prime_cap_exits_2(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_unsampleable_points_exit_2(capsys):
+    """With n near p the sampler finds no point off the singular hyperplanes;
+    the sweep ends with one error line, not a traceback."""
+    code = main(["verify", "--p", "23", "--n", "20", "--suites", "rmatrix"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: could not find a nonsingular point for p=23, n=20\n"
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -641,13 +652,13 @@ def test_duality_reuses_the_battery_curvatures(monkeypatch):
     calls, keys = [], []
     real = pcurvature.curvature_batch
 
-    def spy(params, a, Z, pctx):
+    def spy(params, a, Z):
         calls.append(params.kappa.val)
         axes = np.broadcast_to(a, len(Z)).reshape(-1, npts)
         assert np.all(axes == axes[:, :1])  # each point set lies on one axis
         sets = Z.reshape((-1, npts) + Z.shape[1:])
         keys.extend((params.kappa.val, int(ax[0]), S.tobytes()) for ax, S in zip(axes, sets))
-        return real(params, a, Z, pctx)
+        return real(params, a, Z)
 
     monkeypatch.setattr(pcurvature, "curvature_batch", spy)
     assert run_cli(argv) == expected

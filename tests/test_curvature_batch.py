@@ -38,18 +38,18 @@ def _ext_kappas(p, count, seed):
     return out
 
 
-def _outcome(kernel, params, a, Z, pctx):
+def _outcome(kernel, params, a, Z):
     try:
-        return kernel(params, a, Z, pctx)
+        return kernel(params, a, Z)
     except SingularPointError as exc:
         return f"SingularPointError: {exc}"
 
 
-def _assert_same(params, a, Z, pctx):
+def _assert_same(params, a, Z):
     """Equal arrays, or the same SingularPointError message on both sides;
     returns the message, or None."""
-    got = _outcome(curvature_batch, params, a, Z, pctx)
-    want = _outcome(tree_curvature_batch, params, a, Z, pctx)
+    got = _outcome(curvature_batch, params, a, Z)
+    want = _outcome(tree_curvature_batch, params, a, Z)
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
         return want
@@ -58,7 +58,7 @@ def _assert_same(params, a, Z, pctx):
     return None
 
 
-def _singular_point(params, z, pctx):
+def _singular_point(params, z):
     """A point with some shifted R-factor of some C_a undefined: for
     prime-field kappa, z_2 given the g-component of z_1 (then u runs over
     all of F_p as the shift does); otherwise the first attempt the
@@ -69,7 +69,7 @@ def _singular_point(params, z, pctx):
         return s
     t = 0
     while True:
-        cand = sample_point(pctx, params.n, 7919 + t)[None]
+        cand = sample_point(make_field(params.p, 2), params.n, 7919 + t)[None]
         if pcurvature._singular_mask(params, cand)[0]:
             return cand[0]
         t += 1
@@ -82,13 +82,13 @@ def _sweep(p, n, kappas, npts, seed):
     pctx = make_field(p, 2)
     for kap in kappas:
         params = make_params(make_field(p) if isinstance(kap, int) else pctx, n, kap)
-        Z = chunked_by_missing(params, npts, seed, pctx)
+        Z = chunked_by_missing(params, npts, seed)
         assert len(Z) == npts
-        bad = np.insert(Z, npts // 2, _singular_point(params, Z[0], pctx), axis=0)
+        bad = np.insert(Z, npts // 2, _singular_point(params, Z[0]), axis=0)
         messages = []
         for a in range(1, n + 1):
-            assert _assert_same(params, a, Z, pctx) is None
-            messages.append(_assert_same(params, a, bad, pctx))
+            assert _assert_same(params, a, Z) is None
+            messages.append(_assert_same(params, a, bad))
         assert any(m is not None for m in messages), (p, n, kap)
 
 
@@ -148,9 +148,9 @@ def test_nonsingular_points_match_the_old_loop(p, monkeypatch):
             params = make_params(pctx, n, kap)
             for seed in range(5):
                 npoints = 3 + 11 * seed
-                got = _nonsingular_points(params, npoints, seed, pctx)
+                got = _nonsingular_points(params, npoints, seed)
                 new, rounds[:] = new + len(rounds), []
-                want = chunked_by_missing(params, npoints, seed, pctx)
+                want = chunked_by_missing(params, npoints, seed)
                 old, rounds[:] = old + len(rounds), []
                 assert got.shape == want.shape == (npoints, n, 2) and got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
@@ -171,8 +171,8 @@ def test_nonsingular_points_exhaust_the_budget(accept, monkeypatch):
     monkeypatch.setattr(pcurvature, "_singular_mask", mask)
     pctx = make_field(5, 2)
     params = make_params(pctx, 3, pctx.element(2, 3))
-    got = _nonsingular_points(params, 10, 4, pctx)
-    want = chunked_by_missing(params, 10, 4, pctx)
+    got = _nonsingular_points(params, 10, 4)
+    want = chunked_by_missing(params, 10, 4)
     assert len(got) < 10 and (len(got) > 0) == (accept == "rare")
     assert got.shape == want.shape and got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)

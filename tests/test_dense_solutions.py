@@ -161,7 +161,7 @@ def _full_product_rows(ctx, kappa: int, factors, rows) -> np.ndarray:
     """The construction path the row fold replaced: the whole t-expansion
     of the product, the full basis change ((t; 0)_i = t^i needs none), then
     the requested rows."""
-    arr, _ = dense.build_product_tpoly(ctx, kappa, factors)
+    arr = dense.build_product_tpoly(ctx, kappa, factors)
     pc = dense_pochhammer_coeffs(arr, ctx.p, kappa) if kappa else arr
     return pc[list(rows)]
 

@@ -246,7 +246,7 @@ def test_evaluate_solutions_matches_scalar_eval():
     pctx = make_field(7, 2)
     ss = extract_solutions(params)
     Z = np.stack([sample_point(pctx, 4, 100 + i) for i in range(5)])
-    vals = evaluate_solutions(ss.arrays, Z, pctx)
+    vals = evaluate_solutions(ss.arrays, Z, 7)
     assert vals.shape == (ss.d, 5, 4, 2)
     for s_idx, sol in enumerate(sparse_solutions(ss)):
         for i, z in enumerate(elements(Z, pctx)):

@@ -7,6 +7,7 @@ sparse polynomials."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -143,3 +144,42 @@ def test_only_dense_imports_the_sparse_polynomials():
     assert len(files) >= 9
     importers = {f.name for f in files if "mpoly" in _imported_modules(f)}
     assert importers == {"dense.py"}
+
+
+# The kernels and helpers that compute on (a0, a1) pair arrays: they take p
+# (or the QkzParams that hold it) and read the nonresidue from
+# make_field(p, 2); only functions that make or read FieldElements take a
+# field context.
+PAIR_ARRAY_FUNCTIONS = {
+    "linalg": (
+        "_pairs",
+        "ext_mul",
+        "ext_matmul",
+        "ext_inv",
+        "_eliminate_batch",
+        "ext_det_batch",
+        "ext_rank_batch",
+        "ext_solve_batch",
+    ),
+    "qkz_core": ("k_product_batch", "k_matrix_batch", "kappa_shifts"),
+    "pcurvature": (
+        "curvature_batch",
+        "_pair_products",
+        "_points_batch",
+        "_axis_curvatures",
+        "_curvature_parts",
+        "_curvature_ranks",
+        "_d_a_batch",
+        "_nonsingular_points",
+    ),
+    "hypergeo": ("_section_systems", "_invert_sections"),
+    "dense": ("dense_eval_points",),
+}
+
+
+def test_pair_array_functions_take_no_field_context():
+    for module, names in PAIR_ARRAY_FUNCTIONS.items():
+        mod = importlib.import_module(f"charp_qkz.{module}")
+        for name in names:
+            params = set(inspect.signature(getattr(mod, name)).parameters)
+            assert not params & {"ctx", "pctx", "ectx", "delta"}, f"{module}.{name}{sorted(params)}"

@@ -161,7 +161,7 @@ def test_sampling_error_propagates_uncached():
     before = ffield._seed_draw.cache_info()
     for _ in range(2):
         with pytest.raises(SamplingError):
-            sample_point(ctx, 4, 5, 20)
+            sample_point(ctx, 4, 5)
     after = ffield._seed_draw.cache_info()
     assert after.misses - before.misses == 2
     assert after.hits == before.hits

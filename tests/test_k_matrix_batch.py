@@ -23,16 +23,16 @@ def _all_params(p, n):
     return out
 
 
-def _outcome(kernel, params, a, Z, pctx):
+def _outcome(kernel, params, a, Z):
     try:
-        return kernel(params, a, Z, pctx)
+        return kernel(params, a, Z)
     except SingularPointError as exc:
         return f"SingularPointError: {exc}"
 
 
-def _assert_same(params, a, Z, pctx):
-    got = _outcome(k_matrix_batch, params, a, Z, pctx)
-    want = _outcome(rescaling_k_matrix_batch, params, a, Z, pctx)
+def _assert_same(params, a, Z):
+    got = _outcome(k_matrix_batch, params, a, Z)
+    want = _outcome(rescaling_k_matrix_batch, params, a, Z)
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
         return want
@@ -53,12 +53,12 @@ def _sweep(p, n, batches, singles, seed):
             for _ in range(batches):
                 npts = rng.randrange(1, 17)
                 Z = np.stack([sample_point(pctx, n, rng.randrange(1 << 30)) for _ in range(npts)])
-                messages.add(_assert_same(params, a, Z, pctx))
+                messages.add(_assert_same(params, a, Z))
             for _ in range(singles):
                 Z = np.zeros((1, n, 2), dtype=np.int64)
                 Z[0, :, 0] = [rng.randrange(p) for _ in range(n)]
                 Z[0, :, 1] = rng.randrange(p)
-                messages.add(_assert_same(params, a, Z, pctx))
+                messages.add(_assert_same(params, a, Z))
     return messages - {None}
 
 
@@ -81,7 +81,6 @@ def test_k_matrix_batch_degenerate_message():
     degenerate message of the replaced kernel."""
     p, n = 7, 3
     params = make_params(make_field(p), n, 2)
-    pctx = make_field(p, 2)
     # a = 1, factors j = 2, 3 with u = z_1 - z_j: z_1 - z_2 = -1, z_1 - z_3 = 3
     Z = np.array([[[0, 0], [1, 0], [4, 0]]], dtype=np.int64)
-    assert _assert_same(params, 1, Z, pctx) == "SingularPointError: degenerate R-factor (a=1, j=2) in the batch"
+    assert _assert_same(params, 1, Z) == "SingularPointError: degenerate R-factor (a=1, j=2) in the batch"

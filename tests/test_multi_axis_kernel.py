@@ -56,49 +56,47 @@ def _outcome(fn, *args):
         return f"SingularPointError: {exc}"
 
 
-def _mixed_batch(params, npts, seed, pctx):
+def _mixed_batch(params, npts, seed):
     """``npts`` points nonsingular for every C_a (so for every K_a too), each
     with its own random axis."""
-    Z = nonsingular_points(params, npts, seed, pctx)
+    Z = nonsingular_points(params, npts, seed)
     assert len(Z) == npts
     axes = np.random.default_rng(seed).integers(1, params.n + 1, size=npts)
     return axes, Z
 
 
-def _assert_matches_per_axis(params, axes, Z, pctx):
+def _assert_matches_per_axis(params, axes, Z):
     p = params.p
     for shifts, oracle in ((1, rescaling_k_matrix_batch), (p, tree_curvature_batch)):
-        got = k_product_batch(params, axes, Z, pctx, shifts)
+        got = k_product_batch(params, axes, Z, shifts)
         assert got.shape == Z.shape[:1] + (params.n, params.n, 2)
         assert got.dtype == np.int64 and got.flags.c_contiguous
         for a in range(1, params.n + 1):
             at = axes == a
             if at.any():
-                np.testing.assert_array_equal(got[at], oracle(params, a, Z[at], pctx))
+                np.testing.assert_array_equal(got[at], oracle(params, a, Z[at]))
 
 
 @pytest.mark.parametrize("p,n", PN)
 def test_mixed_axes_match_the_per_axis_oracles(p, n):
-    pctx = make_field(p, 2)
     for i, params in enumerate(_cases(p, n, ext=1)):
-        axes, Z = _mixed_batch(params, 9, p * n + i, pctx)
-        _assert_matches_per_axis(params, axes, Z, pctx)
+        axes, Z = _mixed_batch(params, 9, p * n + i)
+        _assert_matches_per_axis(params, axes, Z)
         # the named views, and every axis over one batch
-        np.testing.assert_array_equal(k_matrix_batch(params, axes, Z, pctx), k_product_batch(params, axes, Z, pctx, 1))
-        np.testing.assert_array_equal(curvature_batch(params, axes, Z, pctx), k_product_batch(params, axes, Z, pctx, p))
-        C = curvature_batch(params, *every_axis(n, Z), pctx).reshape((n,) + (len(Z), n, n, 2))
+        np.testing.assert_array_equal(k_matrix_batch(params, axes, Z), k_product_batch(params, axes, Z, 1))
+        np.testing.assert_array_equal(curvature_batch(params, axes, Z), k_product_batch(params, axes, Z, p))
+        C = curvature_batch(params, *every_axis(n, Z)).reshape((n,) + (len(Z), n, n, 2))
         for a in range(1, n + 1):
-            np.testing.assert_array_equal(C[a - 1], curvature_batch(params, a, Z, pctx))
+            np.testing.assert_array_equal(C[a - 1], curvature_batch(params, a, Z))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("p,n", PN)
 def test_mixed_axes_match_the_per_axis_oracles_every_kappa(p, n):
-    pctx = make_field(p, 2)
     cases = [make_params(make_field(p), n, kv) for kv in range(1, p)] + _cases(p, n, ext=3)[2:]
     for i, params in enumerate(cases):
-        axes, Z = _mixed_batch(params, 23, p * n * 7 + i, pctx)
-        _assert_matches_per_axis(params, axes, Z, pctx)
+        axes, Z = _mixed_batch(params, 23, p * n * 7 + i)
+        _assert_matches_per_axis(params, axes, Z)
 
 
 def _with_singular_first_factor(params, a, z, e):
@@ -115,20 +113,19 @@ def test_a_point_singular_for_its_axis_raises_the_one_axis_error(p, n):
     """Inserted into a batch that mixes the axes, a point singular for its
     own axis a raises what the one-axis call on the points of a raises,
     and what the per-axis oracle raises."""
-    pctx = make_field(p, 2)
     rng = random.Random(p * 100 + n)
     for i, params in enumerate(_cases(p, n, ext=1)):
-        axes, Z = _mixed_batch(params, 8, p + n + i, pctx)
+        axes, Z = _mixed_batch(params, 8, p + n + i)
         for a in range(1, n + 1):
             for e in (1, -1):
                 bad = _with_singular_first_factor(params, a, Z[rng.randrange(len(Z))], e)
                 at = rng.randrange(len(Z) + 1)
                 Zs, axs = np.insert(Z, at, bad, axis=0), np.insert(axes, at, a)
                 for shifts, oracle in ((1, rescaling_k_matrix_batch), (p, tree_curvature_batch)):
-                    got = _outcome(k_product_batch, params, axs, Zs, pctx, shifts)
-                    one_axis = _outcome(k_product_batch, params, a, Zs[axs == a], pctx, shifts)
+                    got = _outcome(k_product_batch, params, axs, Zs, shifts)
+                    one_axis = _outcome(k_product_batch, params, a, Zs[axs == a], shifts)
                     assert got.startswith("SingularPointError") and f"(a={a}, " in got
-                    assert got == one_axis == _outcome(oracle, params, a, Zs[axs == a], pctx)
+                    assert got == one_axis == _outcome(oracle, params, a, Zs[axs == a])
 
 
 def _brute_first_singular(params, a, z, shifts):
@@ -211,11 +208,10 @@ def test_int32_bound_holds_at_the_largest_prime():
     p = MAX_PRIME
     assert _int32_bound(p, p - 1, p) < 1 << 31
     assert all(_int32_bound(q, q - 1, q) < _int32_bound(p, p - 1, p) for q in (3, 5, 13, 97))
-    pctx = make_field(p, 2)
     for n in (3, 6):
         for i, params in enumerate(_cases(p, n, ext=1)):
-            axes, Z = _mixed_batch(params, 4, n + i, pctx)
-            _assert_matches_per_axis(params, axes, Z, pctx)
+            axes, Z = _mixed_batch(params, 4, n + i)
+            _assert_matches_per_axis(params, axes, Z)
 
 
 def test_stack_groups_cover_the_items_within_the_budget():

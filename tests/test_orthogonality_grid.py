@@ -85,7 +85,7 @@ def test_grid_values_evaluate_and_read_the_top_coefficient(p, shape):
     # F_p points, as F_{p^2} pairs with zero second component
     pts = np.array(list(itertools.product(range(p), repeat=len(shape))))
     Z = np.stack([pts, np.zeros_like(pts)], axis=-1)
-    values = dense.dense_eval_points(arr, Z, p, make_field(p, 2).nonresidue)
+    values = dense.dense_eval_points(arr, Z, p)
     assert not values[:, 1].any()
     assert np.array_equal(grid[(slice(p),) * len(shape)].ravel(), values[:, 0])
     # infinity on an axis reads that axis's top coefficient

@@ -35,7 +35,7 @@ def test_batch_matches_scalar():
     params = make_params(ctx, 3, 2)
     Z = np.stack([sample_point(pctx, 3, 50 + i) for i in range(4)])
     for a in range(1, 4):
-        batch = curvature_batch(params, a, Z, pctx)
+        batch = curvature_batch(params, a, Z)
         for idx, z in enumerate(Z):
             C = curvature_at(params, a, z)
             for r in range(3):
@@ -125,12 +125,12 @@ def test_d_a_closed_form():
                 assert dense_to_mpoly(in_z, ctx, n) == d_a_poly(params, a), (p, kv, a)
 
 
-def _entry_values(C: np.ndarray, Z: np.ndarray, pctx) -> np.ndarray:
+def _entry_values(C: np.ndarray, Z: np.ndarray, p: int) -> np.ndarray:
     """Every entry of an (n, n, box) polynomial matrix at the points Z:
     (npts, n, n, 2)."""
     n = C.shape[0]
     entries = C.reshape((n * n,) + C.shape[2:])
-    vals = np.stack([dense_eval_points(e, Z, pctx.p, pctx.nonresidue) for e in entries], axis=1)
+    vals = np.stack([dense_eval_points(e, Z, p) for e in entries], axis=1)
     return vals.reshape(len(Z), n, n, 2)
 
 
@@ -159,7 +159,7 @@ def test_symbolic_curvature_polynomial_structure(kv):
         entries = Ctil.reshape((9,) + Ctil.shape[2:])
         assert dense_total_degrees(entries[None])[0] <= 5
         top = dense_top_degree_part(entries).reshape(Ctil.shape)
-        assert np.all(ext_rank_batch(_entry_values(top, Z, pctx), pctx) <= 1)
+        assert np.all(ext_rank_batch(_entry_values(top, Z, 5), 5) <= 1)
 
 
 @pytest.mark.parametrize("p,n", [(5, 3), pytest.param(7, 4, marks=pytest.mark.slow)])
@@ -224,15 +224,14 @@ def test_symbolic_curvature_matches_pointwise(p, n):
     D_a(z) hat-C_a(z), built from the batched K_a products, for every kappa
     and a."""
     ctx = make_field(p)
-    pctx = make_field(p, 2)
     for kv in range(1, p):
         params = make_params(ctx, n, kv)
-        Z = _points_batch(params, 6, 1, pctx)
+        Z = _points_batch(params, 6, 1)
         for a in range(1, n + 1):
             Ctil, _ = curvature_symbolic(params, a)
-            H = _reduce_batch(curvature_batch(params, a, Z, pctx), p)
-            expect = ext_mul(_d_a_batch(params, a, Z, pctx)[:, None, None], H, p, pctx.nonresidue)
-            assert np.array_equal(_entry_values(Ctil, _w_points(Z, a, p), pctx), expect), (kv, a)
+            H = _reduce_batch(curvature_batch(params, a, Z), p)
+            expect = ext_mul(_d_a_batch(params, a, Z)[:, None, None], H, p)
+            assert np.array_equal(_entry_values(Ctil, _w_points(Z, a, p), p), expect), (kv, a)
 
 
 def _slow_above_7(pairs):
@@ -246,23 +245,22 @@ def test_d_a_batch_matches_closed_form_array(p, n):
     points and at random points of F_{p^2}^n (F_p points and points on
     singular hyperplanes included)."""
     ctx = make_field(p)
-    pctx = make_field(p, 2)
     rng = np.random.default_rng(p * 10 + n)
     rand = rng.integers(0, p, size=(16, n, 2))
     rand[:4, :, 1] = 0
     for kv in range(1, p):
         params = make_params(ctx, n, kv)
-        Z = np.concatenate([_points_batch(params, 8, kv, pctx), rand])
+        Z = np.concatenate([_points_batch(params, 8, kv), rand])
         for a in range(1, n + 1):
-            expect = dense_eval_points(d_a_closed_form(params, a), _w_points(Z, a, p), p, pctx.nonresidue)
-            assert np.array_equal(_d_a_batch(params, a, Z, pctx), expect), (kv, a)
+            expect = dense_eval_points(d_a_closed_form(params, a), _w_points(Z, a, p), p)
+            assert np.array_equal(_d_a_batch(params, a, Z), expect), (kv, a)
 
 
 def test_d_a_batch_rejects_extension_kappa():
     pctx = make_field(5, 2)
     params = make_params(pctx, 3, pctx.element(1, 2))
     with pytest.raises(ValueError, match="F_p"):
-        _d_a_batch(params, 1, _points_batch(params, 2, 0, pctx), pctx)
+        _d_a_batch(params, 1, _points_batch(params, 2, 0))
 
 
 @pytest.mark.parametrize("p,n", [(5, 3), (7, 4)])

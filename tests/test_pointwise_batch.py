@@ -116,9 +116,9 @@ def scalar_battery_span_checks(params, npoints, seed, perturb=False):
     n, p, d = params.n, params.p, params.d
     pctx = make_field(p, 2)
     delta = pctx.nonresidue
-    Z = _points_batch(params, npoints, seed, pctx)
-    H = {a: _reduce_batch(curvature_batch(params, a, Z, pctx), p) for a in range(1, n + 1)}
-    S = evaluate_solutions(extract_solutions(params).arrays, Z, pctx)
+    Z = _points_batch(params, npoints, seed)
+    H = {a: _reduce_batch(curvature_batch(params, a, Z), p) for a in range(1, n + 1)}
+    S = evaluate_solutions(extract_solutions(params).arrays, Z, p)
     if perturb:
         S[0, :, 0, 0] = (S[0, :, 0, 0] + 1) % p
     failures, ranks = [], {a: [] for a in range(1, n + 1)}
@@ -250,7 +250,7 @@ def test_singular_mask_matches_scalar_loop():
     mask = _singular_mask(params, Z)
     assert 0 < sum(expected) < len(Z)
     assert mask.tolist() == expected
-    kept = _nonsingular_points(params, 10, 1, pctx)
+    kept = _nonsingular_points(params, 10, 1)
     assert kept.tolist() == [z for z, bad in zip(Z.tolist(), expected) if not bad][:10]
 
 
@@ -268,15 +268,15 @@ def test_det_batch_matches_scalar_det(p, k):
     # sparse: most entries zero, so pivots move between rows
     deficient = _random_stack(rng, p, 12, k)
     coef = rng.integers(0, p, size=(12, k - 1, 1, 2), dtype=np.int64)
-    deficient[:, -1] = linalg.ext_mul(coef, deficient[:, :-1], p, pctx.nonresidue).sum(axis=1) % p
+    deficient[:, -1] = linalg.ext_mul(coef, deficient[:, :-1], p).sum(axis=1) % p
     sparse = _random_stack(rng, p, 12, k) * (rng.random((12, k, k, 1)) < 0.3)
     zero = np.zeros((3, k, k, 2), dtype=np.int64)
     for M in (rand, deficient, sparse, zero):
-        got = ext_det_batch(M, pctx)
+        got = ext_det_batch(M, p)
         for i in range(M.shape[0]):
             assert elements(got[i], pctx) == scalar_linalg.det(elements(M[i], pctx), pctx)
-    assert not ext_det_batch(deficient, pctx).any()
-    assert not ext_det_batch(zero, pctx).any()
+    assert not ext_det_batch(deficient, p).any()
+    assert not ext_det_batch(zero, p).any()
 
 
 @pytest.mark.parametrize("p,n", [(5, 3), (7, 4), (11, 3), (13, 5)])
@@ -285,9 +285,9 @@ def test_stacked_curvature_batch_matches_curvature_at(p, n):
     cases = [make_params(make_field(p), n, kv) for kv in (1, p - 2)]
     cases += [make_params(pctx, n, kap) for kap in _ext_kappas(p, 1, p + n)]
     for params in cases:
-        Z = _nonsingular_points(params, 3, 5, pctx)
+        Z = _nonsingular_points(params, 3, 5)
         for a in range(1, n + 1):
-            batch = curvature_batch(params, a, Z, pctx)
+            batch = curvature_batch(params, a, Z)
             for idx, z in enumerate(Z):
                 zs = elements(z, pctx)
                 C = scalar_curvature_at(params, a, zs)
@@ -304,4 +304,4 @@ def test_curvature_batch_raises_on_singular_shift():
     mask = _singular_mask(params, Z)
     with pytest.raises(SingularPointError):
         for a in range(1, n + 1):
-            curvature_batch(params, a, Z[mask], pctx)
+            curvature_batch(params, a, Z[mask])

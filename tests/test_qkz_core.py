@@ -91,7 +91,7 @@ def test_k_operator_three_way_consistency(p, n):
         Z = np.stack([sample_point(pctx, n, 100 + i) for i in range(3)])
         for a in range(1, n + 1):
             op = k_operator(params, a)
-            batch = k_matrix_batch(params, a, Z, pctx)
+            batch = k_matrix_batch(params, a, Z)
             for idx, z in enumerate(elements(Z, pctx)):
                 direct = k_operator_at(params, a, z)
                 sym = op.eval_at(z)

@@ -25,7 +25,7 @@ def _compare(p, n, kappas):
         if params.d == 0:
             continue
         for side, W in ((params, Z), (params.minus(), -Z % p)):
-            want = evaluate_solutions(extract_solutions(side).arrays, W, pctx)
+            want = evaluate_solutions(extract_solutions(side).arrays, W, p)
             got = solution_values(side, W)
             assert got.dtype == np.int64 and got.shape == want.shape
             assert np.array_equal(got, want), (p, n, kv, str(side.kappa))
