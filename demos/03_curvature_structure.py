@@ -12,6 +12,8 @@ from charp_qkz import make_field, make_params
 from charp_qkz.dense import dense_total_degrees
 from charp_qkz.ffield import sample_point
 from charp_qkz.pcurvature import (
+    battery_points,
+    curvature_stack,
     curvature_symbolic,
     kernel_image_ranks,
     reduced_curvature_at,
@@ -24,7 +26,8 @@ pctx = make_field(p, 2)
 
 for kv in range(1, p):
     params = make_params(ctx, n, kv)
-    rep = verify_curvature_battery(params, npoints=20, seed=0)
+    Z = battery_points(params, 20, 0)  # the battery's points for (20 points, seed 0)
+    rep = verify_curvature_battery(params, Z, curvature_stack(params, Z))
     shape = "0 < d < n-1" if 0 < params.d < n - 1 else "degenerate (hat-C = 0)"
     verdict = "PASS" if rep.passed else "FAIL"
     print(f"kappa={kv}: d={params.d} [{shape}]  [{verdict}] at {rep.details['points']} points")

@@ -26,6 +26,7 @@ from . import hypergeo, pcurvature
 from .dense import dense_eval_points, dense_top_degree_part
 from .ffield import FieldCtx, FieldElement, SamplingError, make_field, sample_point, sample_points
 from .hypergeo import (
+    ArraySizeError,
     barq_solutions,
     extract_solutions,
     gram_det,
@@ -341,18 +342,32 @@ class SuiteRunner:
                 yield key, verify_restrictions(params, perturb_control=self.cfg.sabotage)
 
     def suite_curvature(self, triples):
-        cfg = self.cfg
-        for params, key in _params(triples):
-            rep = verify_curvature_battery(
-                params, npoints=cfg.point_count, seed=cfg.seed, perturb_control=cfg.sabotage
-            )
+        swept, held = set(triples), {}  # held: the reports of a swept -kappa, until its turn
+        for triple, (params, key) in zip(triples, _params(triples)):
+            if triple not in held:
+                held.update(self._curvature_pair(params, swept))
+            rep, dual = held.pop(triple)
             entry = {"passed": rep.passed, "per_axis": _jsonable(rep.details["per_axis"])}
             if rep.failures:
                 entry["witnesses"] = _jsonable(rep.failures[:10])
             yield key, entry
-            yield f"duality,{key}", verify_duality(
-                params, npoints=cfg.point_count, seed=cfg.seed, flip_control=cfg.sabotage
+            yield f"duality,{key}", dual
+
+    def _curvature_pair(self, params: QkzParams, swept: set) -> dict:
+        """(battery, duality) reports by triple, of kappa and of -kappa if
+        swept: the duality check for kappa reads the curvature stacks of
+        kappa and -kappa, so both are made once, on the points of (p, n)."""
+        cfg, pm = self.cfg, params.minus()
+        Z = pcurvature.battery_points(params, cfg.point_count, cfg.seed)
+        C, C_minus = pcurvature.curvature_stack(params, Z), pcurvature.curvature_stack(pm, Z)
+        return {
+            (q.p, q.n, q.kappa.val): (
+                verify_curvature_battery(q, Z, Cq, perturb_control=cfg.sabotage),
+                verify_duality(q, Z, Cq, Cr, flip_control=cfg.sabotage),
             )
+            for q, Cq, Cr in ((params, C, C_minus), (pm, C_minus, C))
+            if (q.p, q.n, q.kappa.val) in swept
+        }
 
     def suite_ext_kappa(self, triples):
         # this suite has its own kappa values, so it reads the (p, n) pairs:
@@ -685,21 +700,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  The solution cache and the curvatures kept for the
-    duality check live for this call only, so a long-lived process that
-    calls main repeatedly does not grow with every (p, n, kappa) it has
-    seen.  A sweep that asks for sample points the sampler cannot find (n
-    near p) is a user error: exit 2 with the message."""
+    """Run one command.  The solution cache lives for this call only, so a
+    long-lived process that calls main repeatedly does not grow with every
+    (p, n, kappa) it has seen.  A sweep that asks for sample points the
+    sampler cannot find (n near p), or for solution arrays above the size
+    limit of ``hypergeo``, is a user error: exit 2 with the message."""
     try:
         args = _parser().parse_args(argv)
         _check_out(args.out)
         return args.func(args)
-    except SamplingError as exc:
+    except (SamplingError, ArraySizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         hypergeo._solution_cache.clear()
-        pcurvature._point_curvatures.clear()
 
 
 if __name__ == "__main__":

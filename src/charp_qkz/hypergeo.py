@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,7 @@ from .qkz_core import (
 )
 
 __all__ = [
+    "ArraySizeError",
     "SolutionSet",
     "LeadingTermData",
     "extract_solutions",
@@ -109,11 +111,27 @@ def _q_factors(params: QkzParams, a: int) -> list[tuple]:
 
 
 # The solution cache evicts least-recently-used sets once their arrays hold
-# more than this many bytes (512 MiB), keeping the newest set whatever its
-# size.  The default verify sweep's sets total 203 MiB, the largest 57 MiB
-# (p=13, n=5, kappa=1), so no default run evicts.
+# more than this many bytes (512 MiB), keeping the newest set; a larger
+# array is refused (``ArraySizeError``).  The default verify sweep's sets
+# total 203 MiB, the largest 57 MiB (p=13, n=5, kappa=1), so no default run
+# evicts.
 _SOLUTION_CACHE_BYTES = 512 << 20
 _solution_cache: dict = {}
+
+
+class ArraySizeError(ValueError):
+    """An int64 array of the construction would exceed ``_SOLUTION_CACHE_BYTES``."""
+
+
+def _checked_shape(params: QkzParams, what: str, shape: tuple) -> tuple:
+    """``shape``, or an ArraySizeError before an int64 array of it is made."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes > _SOLUTION_CACHE_BYTES:
+        raise ArraySizeError(
+            f"{what} for p={params.p}, n={params.n}, kappa={params.kappa} would take "
+            f"{nbytes / 2**30:.3g} GiB, above the {_SOLUTION_CACHE_BYTES >> 20} MiB limit"
+        )
+    return shape
 
 
 def _cache_put(key, ss: "SolutionSet") -> None:
@@ -129,7 +147,8 @@ def _solution_rows(params: QkzParams, kappa: int, factors_of) -> np.ndarray:
     (factor j carries z_j).  Only the product over z_2..z_n is expanded in
     t; the z_1 factor is folded into the row functional."""
     p = params.p
-    sols = np.zeros((params.d, params.n) + (params.k + 1,) * params.n, dtype=np.int64)
+    shape = _checked_shape(params, "the solution arrays", (params.d, params.n) + (params.k + 1,) * params.n)
+    sols = np.zeros(shape, dtype=np.int64)
     if not params.d:
         return sols
     rows = tuple(ell * p - 1 for ell in range(1, params.d + 1))
@@ -343,7 +362,7 @@ def verify_restrictions(params: QkzParams, perturb_control: bool = False) -> Che
     """
     _require_prime_kappa(params)
     n, p = params.n, params.p
-    index_sets = [I for m in range(1, n + 1) for I in itertools.combinations(range(1, n + 1), m)]
+    index_sets = (I for m in range(1, n + 1) for I in itertools.combinations(range(1, n + 1), m))
     failures = []
     checked = 0
     for I in index_sets:
@@ -372,6 +391,8 @@ def _restriction_rows(params: QkzParams, I, a: int) -> np.ndarray:
         (None, (vals[var].val + shift) % p, m) if var in vals else (var, shift, m)
         for var, shift, m in _q_factors(params, a)
     ]
+    free = [m + 1 for var, _, m in factors[1:] if var is not None]  # axes after the t-degree
+    _checked_shape(params, f"the product restricted to S_{set(I)}", (1 + sum(m for *_, m in factors[1:]), *free))
     arr = dense.build_product_tpoly(params.ctx, kappa, factors[1:])
     rows = range(min(len(I) * params.k - 1, params.n * params.k))  # deg_t Q_a = nk - 1
     return dense.dense_pochhammer_coeffs(arr, p, kappa, rows=rows, factor=factors[0])

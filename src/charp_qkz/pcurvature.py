@@ -10,8 +10,9 @@ outside the prime field) run batched over F_{p^2} points.  C_a at a batch
 is one run of the R-factor kernel ``qkz_core.k_product_batch``: its p(n-1)
 factors each rewrite two rows of one running matrix, and each point carries
 its own axis a.  The cost of a call barely depends on the batch size, so
-per kappa one call covers every axis and every point set that the battery
-and the duality checks for kappa and -kappa read.
+per kappa one call (``curvature_stack``) covers every axis and every point
+set that the battery and the duality checks read; the caller passes the
+stacks of kappa and -kappa to the four checks of the pair.
 The symbolic form, for the denominator-cancellation and degree-bound
 claims, is built in the n - 1 variables w_j = z_a - z_j, where D_a =
 prod_{j != a} (w_j^p - w_j), on dense coefficient arrays by the R-factor
@@ -44,8 +45,10 @@ from .qkz_core import (
 )
 
 __all__ = [
+    "battery_points",
     "curvature_at",
     "curvature_batch",
+    "curvature_stack",
     "reduced_curvature_at",
     "curvature_symbolic",
     "d_a_closed_form",
@@ -76,9 +79,9 @@ def curvature_batch(params: QkzParams, a, Z: np.ndarray) -> np.ndarray:
 
 
 def _reduce_batch(C: np.ndarray, p: int) -> np.ndarray:
-    """C - Id for stacked matrices (..., n, n, 2)."""
+    """C - Id for stacked matrices (..., n, n, 2), as int64."""
     n = C.shape[-2]
-    H = C.copy()
+    H = C.astype(np.int64)
     H[..., range(n), range(n), 0] = mod(H[..., range(n), range(n), 0] - 1, p)
     return H
 
@@ -150,74 +153,34 @@ def d_a_closed_form(params: QkzParams, a: int) -> np.ndarray:
     return D
 
 
-def _points_batch(params: QkzParams, npoints: int, seed: int) -> np.ndarray:
-    """The points (npts, n, 2) of the battery and the duality check."""
+def battery_points(params: QkzParams, npoints: int, seed: int) -> np.ndarray:
+    """The points (npts, n, 2) of the battery and the duality check, shared by kappa and -kappa."""
     return sample_points(make_field(params.p, 2), params.n, range(seed * 10007, seed * 10007 + npoints))
 
 
-# Per (kappa, points): C_a(.; kappa) for every axis a at the point sets
-# Z, Z - kappa e_b for each b != a, and -Z, made by one curvature_batch
-# call with one axis per point.  The battery for kappa reads the first two
-# parts, the duality check for kappa reads -Z and the one for -kappa reads
-# Z; each part of each axis goes after its last reader.  Parts are held in
-# the narrowest unsigned dtype that holds F_p (uint8 up to p = 251), and
-# each read gets its own int64 copy.  cli.main clears what is left after
-# each command (the parts of a kappa whose partner is not swept); past 64
-# MiB the oldest stacks go.
-_POINT_CURVATURES_BYTES = 64 << 20
-_point_curvatures: dict = {}
-
-
-def _axis_curvatures(params: QkzParams, a: int, Z: np.ndarray, part: str) -> np.ndarray:
-    """One part of the curvatures of ``_point_curvatures``: "points"
-    C_a(Z), "shifted" C_a(Z - kappa e_b) stacked over b != a in increasing
-    order (n-1, npts, n, n, 2), or "negated" C_a(-Z)."""
-    key = (params.p, params.kappa.val, Z.shape, Z.tobytes())
-    parts = _point_curvatures.get(key)
-    if parts is None or a not in parts.get(part, ()):  # first reader, or a repeated one
-        parts = _point_curvatures[key] = _curvature_parts(params, Z)
-        while _stored_bytes() > _POINT_CURVATURES_BYTES:
-            _point_curvatures.pop(next(iter(_point_curvatures)))
-    axes = parts[part]
-    C, readers = axes.pop(a)
-    if readers > 1:
-        axes[a] = (C, readers - 1)
-    elif not axes:
-        del parts[part]
-        if not parts:
-            _point_curvatures.pop(key, None)
-    return C.astype(np.int64)
-
-
-def _stored_bytes() -> int:
-    return sum(C.nbytes for parts in _point_curvatures.values() for axes in parts.values() for C, _ in axes.values())
-
-
-def _curvature_parts(params: QkzParams, Z: np.ndarray) -> dict:
-    """The parts of ``_axis_curvatures`` as part -> axis -> (stack, number
-    of readers), from one ``curvature_batch`` call over every axis and
-    point set (per group of axes of ``stack_groups``)."""
+def curvature_stack(params: QkzParams, Z: np.ndarray) -> np.ndarray:
+    """C_a(.; kappa) for every axis a at the point sets of the battery and
+    the duality checks, as one (n, n+1, npts, n, n, 2) array from one
+    ``curvature_batch`` call (per group of axes of ``stack_groups``): [a-1,
+    0] is C_a(Z), [a-1, 1:n] C_a(Z - kappa e_b) for b != a in increasing
+    order, [a-1, n] C_a(-Z).  In the narrowest unsigned dtype that holds F_p."""
     p, n, npts = params.p, params.n, len(Z)
     shifted = kappa_shifts(params, Z)
     negated = mod(-Z, p)
-    dtype = np.min_scalar_type(p - 1)
-    C = []
+    C = np.empty((n, n + 1, npts, n, n, 2), dtype=np.min_scalar_type(p - 1))
     for g in stack_groups(n, (n + 1) * npts * n * n * 2):
         axes = np.arange(n)[g]
         sets = [S for a in axes for S in [Z, *np.delete(shifted, a, axis=0), negated]]
-        C.append(curvature_batch(params, np.repeat(axes + 1, (n + 1) * npts), np.concatenate(sets)).astype(dtype))
-    C = np.concatenate(C).reshape((n, n + 1, npts, n, n, 2))
-    return {
-        "points": {a: (C[a - 1, 0].copy(), 2) for a in range(1, n + 1)},
-        "shifted": {a: (C[a - 1, 1:n].copy(), 1) for a in range(1, n + 1)},
-        "negated": {a: (C[a - 1, n].copy(), 1) for a in range(1, n + 1)},
-    }
+        stack = curvature_batch(params, np.repeat(axes + 1, (n + 1) * npts), np.concatenate(sets))
+        C[g] = stack.reshape((len(axes),) + C.shape[1:])
+    return C
 
 
 def verify_curvature_battery(
-    params: QkzParams, npoints: int = 50, seed: int = 0, perturb_control: bool = False
+    params: QkzParams, Z: np.ndarray, C: np.ndarray, perturb_control: bool = False
 ) -> CheckReport:
-    """Pointwise curvature properties at sampled nonsingular F_{p^2} points.
+    """Pointwise curvature properties at the nonsingular F_{p^2} points Z
+    (npts, n, 2), given their ``curvature_stack`` C for this kappa.
 
     For 0 < d < n-1: hat-C_a nonzero, nilpotency hat-C_a hat-C_b = 0,
     solutions fixed by C_a, image(hat-C_a) inside the solution span,
@@ -233,9 +196,8 @@ def verify_curvature_battery(
     """
     if params.k is None:
         raise ValueError("battery requires kappa in F_p^x")
-    n, p, d = params.n, params.p, params.d
-    Z = _points_batch(params, npoints, seed)
-    C = np.stack([_axis_curvatures(params, a, Z, "points") for a in range(1, n + 1)])
+    n, p, d, npoints = params.n, params.p, params.d, len(Z)
+    C, shifted = C[:, 0].astype(np.int64), C[:, 1:n]
     H = _reduce_batch(C, p)  # C and H: (n, npts, n, n, 2), axis a at a - 1
     K = k_matrix_batch(params, *every_axis(n, Z)).reshape(C.shape)
     failures = []
@@ -257,7 +219,7 @@ def verify_curvature_battery(
         others = [b for b in range(1, n + 1) if b != a]
         Kb = K[np.array(others) - 1]
         lhs = ext_matmul(Kb, C[a - 1], p)
-        rhs = ext_matmul(_axis_curvatures(params, a, Z, "shifted"), Kb, p)
+        rhs = ext_matmul(shifted[a - 1].astype(np.int64), Kb, p)
         moved = np.any((lhs != rhs).reshape(len(others), -1), axis=1)
         failures += [("endomorphism", a, b) for b, bad in zip(others, moved) if bad]
         failures += [("commutativity", a, b) for b in range(a + 1, n + 1) if not commute[a - 1, b - 1]]
@@ -326,32 +288,34 @@ def kernel_image_ranks(params: QkzParams, z: np.ndarray) -> dict:
     return out
 
 
-def verify_duality(params: QkzParams, npoints: int = 20, seed: int = 0, flip_control: bool = False) -> CheckReport:
+def verify_duality(
+    params: QkzParams, Z: np.ndarray, C: np.ndarray, C_minus: np.ndarray, flip_control: bool = False
+) -> CheckReport:
     """Shapovalov duality of the reduced curvature, tested bilinearly on the
     zero-sum basis: S(hat-C_a(z;-kappa) x, y) = -S(x, hat-C_a(-z;kappa) y),
     and the normalized variant with the (-1)^n factor:
-    S(tilde-C_a(z;-kappa) x, y) = (-1)^n S(x, tilde-C_a(-z;kappa) y).
+    S(tilde-C_a(z;-kappa) x, y) = (-1)^n S(x, tilde-C_a(-z;kappa) y), at
+    the points Z, from C[:, n] and C_minus[:, 0] of their ``curvature_stack``
+    for kappa and for -kappa.
 
     ``flip_control`` negates the expected sign (negative control).
     """
     if params.k is None:
         raise ValueError("duality test requires kappa in F_p^x")
-    n, p = params.n, params.p
-    Z = _points_batch(params, npoints, seed)
+    n, p, npoints = params.n, params.p, len(Z)
     Zneg = mod(-Z, p)
-    pm = params.minus()
     sgn = -1 if flip_control else 1
     failures = []
     for a in range(1, n + 1):
-        Hm = _reduce_batch(_axis_curvatures(pm, a, Z, "points"), p)  # hat-C_a(z; -kappa)
-        Hp = _reduce_batch(_axis_curvatures(params, a, Z, "negated"), p)  # hat-C_a(-z; kappa)
+        Hm = _reduce_batch(C_minus[a - 1, 0], p)  # hat-C_a(z; -kappa)
+        Hp = _reduce_batch(C[a - 1, n], p)  # hat-C_a(-z; kappa)
         # bilinear residue on the zero-sum space: E^T (Hm^T + Hp) E = 0
         M = mod(np.swapaxes(Hm, 1, 2) + sgn * Hp, p)
         res = _restrict_bilinear(M, p)
         if np.any(res):
             failures.append(("hatC duality", a, int(np.nonzero(np.any(res.reshape(npoints, -1) != 0, axis=1))[0][0])))
         # normalized variant: D_a-scaled with sign (-1)^n
-        da_m = _d_a_batch(pm, a, Z)  # D_a(z; -kappa)
+        da_m = _d_a_batch(params, a, Z)  # D_a(z; -kappa), the same for every kappa
         da_p = _d_a_batch(params, a, Zneg)  # D_a(-z; kappa)
         Tm = ext_mul(da_m[:, None, None], Hm, p)
         Tp = ext_mul(da_p[:, None, None], Hp, p)

@@ -30,6 +30,8 @@ from charp_qkz.hypergeo import (
 from charp_qkz.linalg import ext_rank_batch
 from charp_qkz.mpoly import MPoly
 from charp_qkz.pcurvature import (
+    battery_points,
+    curvature_stack,
     curvature_symbolic,
     verify_curvature_battery,
     verify_duality,
@@ -232,9 +234,11 @@ def test_criterion_11_curvature_battery():
     with criterion(11, "curvature battery at >= 50 points per triple, plus duality", budget=300):
         for p, n, kv in sweep_triples():
             params = make_params(make_field(p), n, kv)
-            rep = verify_curvature_battery(params, npoints=50, seed=7)
+            Z = battery_points(params, 50, 7)
+            C, C_minus = curvature_stack(params, Z), curvature_stack(params.minus(), Z)
+            rep = verify_curvature_battery(params, Z, C)
             assert rep.passed, (p, n, kv, rep.failures[:3])
-            dual = verify_duality(params, npoints=50, seed=7)
+            dual = verify_duality(params, Z, C, C_minus)
             assert dual.passed, (p, n, kv, dual.failures[:3])
 
 
@@ -305,4 +309,6 @@ def test_criterion_15_harness_falsifiability():
         assert not verify_independence(params, seed=3, duplicate_control=True).passed
         # sign-flipped duality residue is nonzero
         params = make_params(make_field(7), 4, 2)
-        assert not verify_duality(params, npoints=10, seed=3, flip_control=True).passed
+        Z = battery_points(params, 10, 3)
+        C, C_minus = curvature_stack(params, Z), curvature_stack(params.minus(), Z)
+        assert not verify_duality(params, Z, C, C_minus, flip_control=True).passed

@@ -4,6 +4,7 @@ sabotage falsifiability switch."""
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -290,6 +291,29 @@ def test_unsampleable_points_exit_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["report", "--p", "23", "--n", "20"],
+        ["verify", "--p", "23", "--n", "20", "--suites", "solutions"],
+        ["solve", "--p", "23", "--n", "20", "--kappa", "1"],
+    ],
+)
+def test_oversized_solution_arrays_exit_2(argv, capsys):
+    """Solution arrays above the 512 MiB limit are refused before they are
+    allocated: one error line, no traceback, within a second."""
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the solution arrays for p=23, n=20, kappa=1 would take 4.86e+21 GiB, above the 512 MiB limit\n"
+    )
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["verify", "--p", "103"],
         ["verify", "--p", "4"],
         ["verify", "--p", "5", "--n", "1"],
@@ -424,11 +448,12 @@ def _verify_references():
     "entry", _verify_references(), ids=lambda e: e["argv"].replace(" ", "")
 )
 def test_verify_reproduces_reference_digest(entry):
-    """The CLI's exit code and its JSON report are byte-identical to frozen
+    """The CLI's exit code and its report are byte-identical to frozen
     ones (digests in tests/data, read only): the benchmark's verify
     configurations, and configurations whose output carries sample points
     or curvature ranks (the sabotaged sweeps' ext_kappa and independence
-    witnesses, report, a pointwise sweep with quasi and solutions)."""
+    witnesses, report, a pointwise sweep with quasi and solutions), and a
+    text report whose line order is the sweep order of a kappa pair."""
     import hashlib
 
     code, out = run_cli(entry["argv"].split())
@@ -643,7 +668,7 @@ def test_duality_reuses_the_battery_curvatures(monkeypatch):
     call, by one call per kappa over every axis a and the stacked sets: the
     points, the points shifted by -kappa e_b for each b != a, and the
     negated points.  The duality checks for kappa and -kappa read the same
-    stacks, and the store is empty when main returns."""
+    stacks."""
     from charp_qkz import pcurvature
 
     npts, n = 5, 3
@@ -665,7 +690,6 @@ def test_duality_reuses_the_battery_curvatures(monkeypatch):
     assert len(calls) == len(set(calls)) == 4
     # per kappa: n products at the points, n(n-1) at shifted and n at negated points
     assert len(keys) == len(set(keys)) == 4 * (3 + 6 + 3)
-    assert pcurvature._point_curvatures == {}
 
 
 CLI_CHECKS = (

@@ -4,8 +4,9 @@ the ``ext_kappa`` check against the paths they replaced
 one running matrix, against K_a at the p shifted points multiplied as a
 pairwise tree; ``_nonsingular_points``, larger chunks, against the loop
 that drew at most the missing number of points per round.  Also the
-freeing of the per-axis curvature store and ``linalg.mod`` against ``%``."""
+sweep of a kappa pair and ``linalg.mod`` against ``%``."""
 
+import json
 import random
 
 import numpy as np
@@ -17,8 +18,6 @@ from charp_qkz.linalg import mod
 from charp_qkz.pcurvature import (
     _nonsingular_points,
     curvature_batch,
-    verify_curvature_battery,
-    verify_duality,
 )
 from charp_qkz.qkz_core import SingularPointError, make_params
 from oracles.curvature import curvature_batch as tree_curvature_batch
@@ -103,26 +102,38 @@ def test_curvature_batch_matches_the_pairwise_tree_every_kappa(p, n):
     _sweep(p, n, list(range(1, p)) + _ext_kappas(p, 3, p * 100 + n), npts=17, seed=p * n)
 
 
-def test_each_curvature_part_goes_after_its_last_reader():
-    """The battery for kappa leaves C_a at the points (for the duality check
-    for -kappa) and at the negated points (for the one for kappa); once
-    all four checks of kappa and -kappa ran, the store is empty."""
-    params = make_params(make_field(5), 3, 2)
-    pm = params.minus()
-    store = pcurvature._point_curvatures
-    store.clear()
-    assert verify_curvature_battery(params, npoints=4, seed=3).passed
-    assert {part for parts in store.values() for part in parts} == {"points", "negated"}
-    assert verify_duality(params, npoints=4, seed=3).passed
-    assert verify_duality(pm, npoints=4, seed=3).passed
-    assert {part for parts in store.values() for part in parts} == {"points", "shifted"}
-    assert all(params.kappa.val != key[1] for key in store)
-    assert verify_curvature_battery(pm, npoints=4, seed=3).passed
-    assert store == {}
-    # a repeated reader finds its part gone and makes the stack again
-    assert verify_curvature_battery(params, npoints=4, seed=3).passed
-    assert verify_curvature_battery(params, npoints=4, seed=3).passed
-    store.clear()
+@pytest.mark.parametrize("kappas", [["2"], ["2", "3"]])
+def test_a_kappa_pair_is_checked_from_one_stack_each(kappas, monkeypatch, capsys):
+    """At p = 5, kappa = 2 and -kappa = 3 form a pair.  Swept alone (its
+    partner not swept) or with its partner, each curvature entry equals the
+    one of the full sweep; the battery runs once per swept kappa, and the
+    stacks of both members are made once, for the duality check."""
+    from charp_qkz import cli
+
+    base = ["verify", "--p", "5", "--n", "3", "--n", "4", "--suites", "curvature", "--points", "4", "--seed", "3"]
+    base += ["--format", "json"]
+    assert cli.main(base) == 0
+    full = json.loads(capsys.readouterr().out)["curvature"]
+    batteries, stacks = [], []
+    real_battery, real_batch = cli.verify_curvature_battery, pcurvature.curvature_batch
+
+    def battery(params, *args, **kwargs):
+        batteries.append((params.n, params.kappa.val))
+        return real_battery(params, *args, **kwargs)
+
+    def batch(params, a, Z):
+        stacks.append((params.n, params.kappa.val))
+        return real_batch(params, a, Z)
+
+    monkeypatch.setattr(cli, "verify_curvature_battery", battery)
+    monkeypatch.setattr(pcurvature, "curvature_batch", batch)
+    assert cli.main(base + [arg for k in kappas for arg in ("--kappa", k)]) == 0
+    got = json.loads(capsys.readouterr().out)["curvature"]
+    keys = [f"{check}p=5,n={n},kappa={k}" for n in (3, 4) for k in kappas for check in ("", "duality,")]
+    assert sorted(got) == sorted(keys)
+    assert got == {key: full[key] for key in keys}
+    assert batteries == [(n, int(k)) for n in (3, 4) for k in kappas]
+    assert sorted(stacks) == [(n, k) for n in (3, 4) for k in (2, 3)]
 
 
 def _count_rounds(monkeypatch):

@@ -1,8 +1,8 @@
 """The package surface: every exported name resolves, the sparse
 t-polynomial, vector, solution and operator layers, the z-box symbolic
 curvature and the solution values contracted from the arrays live only in
-tests/oracles, the field-element point helpers and
-duplicate entry points are gone, and only the dense kernels import the
+tests/oracles, the field-element point helpers, the process-wide
+curvature store and duplicate entry points are gone, and only the dense kernels import the
 sparse polynomials."""
 
 import ast
@@ -116,6 +116,16 @@ def test_sparse_layers_left_the_package():
     assert not hasattr(charp_qkz.ffield.FieldCtx, "elements")
 
 
+def test_pcurvature_keeps_no_curvature_store():
+    """The curvature stacks go from the sweep to the checks as arguments:
+    pcurvature holds no module-level container, and neither the store of
+    curvatures, its readers, its byte count nor its size cap is left."""
+    mod = charp_qkz.pcurvature
+    containers = [k for k, v in vars(mod).items() if not k.startswith("__") and isinstance(v, (dict, list, set))]
+    assert containers == []
+    assert [k for k in vars(mod) if "curvatures" in k.lower() or "stored" in k.lower()] == []
+
+
 def _imported_modules(path: pathlib.Path) -> set[str]:
     """The package modules a source file imports, by relative or absolute
     import: "mpoly" for both ``from .mpoly import MPoly`` and
@@ -165,9 +175,8 @@ PAIR_ARRAY_FUNCTIONS = {
     "pcurvature": (
         "curvature_batch",
         "_pair_products",
-        "_points_batch",
-        "_axis_curvatures",
-        "_curvature_parts",
+        "curvature_stack",
+        "battery_points",
         "_curvature_ranks",
         "_d_a_batch",
         "_nonsingular_points",

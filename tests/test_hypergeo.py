@@ -4,8 +4,11 @@ independence, restrictions, orthogonality, and quasi-sections."""
 import numpy as np
 import pytest
 
+from charp_qkz import dense, hypergeo
+from charp_qkz.cli import main
 from charp_qkz.ffield import elements, make_field, sample_point
 from charp_qkz.hypergeo import (
+    ArraySizeError,
     barq_solutions,
     extract_solutions,
     gram_det,
@@ -223,6 +226,52 @@ def test_restriction_vanishing(p, n, kv):
     assert rep.passed, rep.failures[:3]
 
 
+def test_restricted_products_are_sized_before_they_are_built(monkeypatch):
+    """The guard is asked about the shape each restricted product comes out
+    with; a limit one byte below the largest refuses that product before it
+    is built, and the CLI turns the refusal into exit 2."""
+    params = make_params(make_field(7), 4, 2)
+    checked, built = [], []
+    real_check, real_build = hypergeo._checked_shape, dense.build_product_tpoly
+
+    def check(params, what, shape):
+        checked.append(shape)
+        return real_check(params, what, shape)
+
+    def build(*args):
+        arr = real_build(*args)
+        built.append(arr.shape)
+        return arr
+
+    monkeypatch.setattr(hypergeo, "_checked_shape", check)
+    monkeypatch.setattr(dense, "build_product_tpoly", build)
+    assert verify_restrictions(params).passed
+    assert checked == built and len(built) == 4 * 15
+    largest = max(8 * np.prod(shape) for shape in built)
+    monkeypatch.setattr(hypergeo, "_SOLUTION_CACHE_BYTES", int(largest) - 1)
+    checked.clear()
+    built.clear()
+    with pytest.raises(ArraySizeError, match=r"^the product restricted to S_\{.*\} for p=7, n=4, kappa=2"):
+        verify_restrictions(params)
+    assert len(checked) == len(built) + 1
+    assert main(["verify", "--p", "7", "--n", "4", "--kappa", "2", "--suites", "restrict"]) == 2
+
+
+def test_solution_arrays_are_sized_before_they_are_allocated(monkeypatch):
+    """The largest default solution stack, (13, 5, 1) at 56.7 MiB, is built
+    at a limit of exactly its size and refused one byte below it."""
+    params = make_params(make_field(13), 5, 1)
+    nbytes = 8 * params.d * params.n * (params.k + 1) ** params.n
+    assert nbytes == 59_406_880
+    monkeypatch.setattr(hypergeo, "_SOLUTION_CACHE_BYTES", nbytes - 1)
+    with pytest.raises(ArraySizeError, match="^the solution arrays for p=13, n=5, kappa=1 would take 0.0553 GiB"):
+        extract_solutions(params)
+    with pytest.raises(ArraySizeError):
+        barq_solutions(params)
+    monkeypatch.setattr(hypergeo, "_SOLUTION_CACHE_BYTES", nbytes)
+    assert extract_solutions(params).arrays.nbytes == nbytes
+
+
 def test_restriction_values_formula():
     ctx = make_field(7)
     params = make_params(ctx, 4, 2)  # k = 3
@@ -339,8 +388,9 @@ def test_solution_set_json_shape():
 
 
 def test_solution_cache_evicts_least_recently_used(monkeypatch):
-    """Past the byte limit the least recently used set goes first; a hit
-    counts as a use, and the newest set stays even when it alone is over."""
+    """Past the byte limit the least recently used set goes first, and a hit
+    counts as a use.  A set over the limit is refused before it is built,
+    and the cache keeps what it holds."""
     from charp_qkz import hypergeo
 
     ctx = make_field(7)
@@ -357,6 +407,7 @@ def test_solution_cache_evicts_least_recently_used(monkeypatch):
     assert list(hypergeo._solution_cache) == [(7, 4, 2), (7, 4, 4)]
     assert extract_solutions(params[2]) is first
     monkeypatch.setattr(hypergeo, "_SOLUTION_CACHE_BYTES", 1)
-    extract_solutions(params[3])
-    assert list(hypergeo._solution_cache) == [(7, 4, 3)]
+    with pytest.raises(hypergeo.ArraySizeError):
+        extract_solutions(params[3])
+    assert list(hypergeo._solution_cache) == [(7, 4, 4), (7, 4, 2)]
     hypergeo._solution_cache.clear()

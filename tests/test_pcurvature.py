@@ -9,11 +9,12 @@ from charp_qkz.ffield import make_field, sample_point
 from charp_qkz.linalg import ext_mul, ext_rank_batch
 from charp_qkz.pcurvature import (
     _d_a_batch,
-    _points_batch,
     _reduce_batch,
     _w_product,
+    battery_points,
     curvature_at,
     curvature_batch,
+    curvature_stack,
     curvature_symbolic,
     d_a_closed_form,
     kernel_image_ranks,
@@ -27,6 +28,20 @@ from oracles import zbox
 from oracles.operators import curvature_symbolic as sparse_curvature_symbolic
 from oracles.operators import d_a_poly
 from oracles.zbox import w_to_z
+
+
+def _battery(params, npoints, seed):
+    """The battery at its points for (npoints, seed), as the curvature suite runs it."""
+    Z = battery_points(params, npoints, seed)
+    return verify_curvature_battery(params, Z, curvature_stack(params, Z))
+
+
+def _duality(params, npoints, seed, flip_control=False):
+    """The duality check for kappa at the battery's points, reading the
+    curvature stacks of kappa and -kappa."""
+    Z = battery_points(params, npoints, seed)
+    C, C_minus = curvature_stack(params, Z), curvature_stack(params.minus(), Z)
+    return verify_duality(params, Z, C, C_minus, flip_control=flip_control)
 
 
 def test_batch_matches_scalar():
@@ -63,7 +78,7 @@ def test_battery_all_kappa(p, n):
     ctx = make_field(p)
     for kv in range(1, p):
         params = make_params(ctx, n, kv)
-        rep = verify_curvature_battery(params, npoints=20, seed=1)
+        rep = _battery(params, 20, 1)
         assert rep.passed, (p, n, kv, rep.failures[:3])
 
 
@@ -71,21 +86,21 @@ def test_battery_degenerate_d_gives_zero_curvature():
     ctx = make_field(7)
     params = make_params(ctx, 3, 4)  # k=5, d=2 = n-1
     assert params.d == params.n - 1
-    rep = verify_curvature_battery(params, npoints=10, seed=0)
+    rep = _battery(params, 10, 0)
     assert rep.passed
     params = make_params(ctx, 3, 6)  # k=1, d=0
     assert params.d == 0
-    rep = verify_curvature_battery(params, npoints=10, seed=0)
+    rep = _battery(params, 10, 0)
     assert rep.passed
     params = make_params(ctx, 2, 3)  # n=2: d in {0, n-1}, always degenerate
-    rep = verify_curvature_battery(params, npoints=10, seed=0)
+    rep = _battery(params, 10, 0)
     assert rep.passed
 
 
 def test_battery_reports_ranks():
     ctx = make_field(7)
     params = make_params(ctx, 4, 2)  # k=3, d=1, 0 < d < n-1
-    rep = verify_curvature_battery(params, npoints=10, seed=3)
+    rep = _battery(params, 10, 3)
     assert rep.passed
     assert rep.details["points"] == 10
     assert set(rep.details["per_axis"]) == {1, 2, 3, 4}
@@ -226,7 +241,7 @@ def test_symbolic_curvature_matches_pointwise(p, n):
     ctx = make_field(p)
     for kv in range(1, p):
         params = make_params(ctx, n, kv)
-        Z = _points_batch(params, 6, 1)
+        Z = battery_points(params, 6, 1)
         for a in range(1, n + 1):
             Ctil, _ = curvature_symbolic(params, a)
             H = _reduce_batch(curvature_batch(params, a, Z), p)
@@ -250,7 +265,7 @@ def test_d_a_batch_matches_closed_form_array(p, n):
     rand[:4, :, 1] = 0
     for kv in range(1, p):
         params = make_params(ctx, n, kv)
-        Z = np.concatenate([_points_batch(params, 8, kv), rand])
+        Z = np.concatenate([battery_points(params, 8, kv), rand])
         for a in range(1, n + 1):
             expect = dense_eval_points(d_a_closed_form(params, a), _w_points(Z, a, p), p)
             assert np.array_equal(_d_a_batch(params, a, Z), expect), (kv, a)
@@ -260,7 +275,7 @@ def test_d_a_batch_rejects_extension_kappa():
     pctx = make_field(5, 2)
     params = make_params(pctx, 3, pctx.element(1, 2))
     with pytest.raises(ValueError, match="F_p"):
-        _d_a_batch(params, 1, _points_batch(params, 2, 0))
+        _d_a_batch(params, 1, battery_points(params, 2, 0))
 
 
 @pytest.mark.parametrize("p,n", [(5, 3), (7, 4)])
@@ -284,14 +299,14 @@ def test_duality(p, n):
     ctx = make_field(p)
     for kv in range(1, p):
         params = make_params(ctx, n, kv)
-        rep = verify_duality(params, npoints=10, seed=2)
+        rep = _duality(params, 10, 2)
         assert rep.passed, (p, n, kv, rep.failures[:3])
 
 
 def test_duality_negative_control():
     ctx = make_field(7)
     params = make_params(ctx, 4, 2)
-    rep = verify_duality(params, npoints=10, seed=2, flip_control=True)
+    rep = _duality(params, 10, 2, flip_control=True)
     assert not rep.passed
 
 

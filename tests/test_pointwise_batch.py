@@ -18,11 +18,12 @@ from charp_qkz.hypergeo import extract_solutions
 from charp_qkz.linalg import ext_det_batch
 from charp_qkz.pcurvature import (
     _nonsingular_points,
-    _points_batch,
     _reduce_batch,
     _singular_mask,
+    battery_points,
     curvature_at,
     curvature_batch,
+    curvature_stack,
     kernel_image_ranks,
     reduced_curvature_at,
     verify_curvature_battery,
@@ -116,7 +117,7 @@ def scalar_battery_span_checks(params, npoints, seed, perturb=False):
     n, p, d = params.n, params.p, params.d
     pctx = make_field(p, 2)
     delta = pctx.nonresidue
-    Z = _points_batch(params, npoints, seed)
+    Z = battery_points(params, npoints, seed)
     H = {a: _reduce_batch(curvature_batch(params, a, Z), p) for a in range(1, n + 1)}
     S = evaluate_solutions(extract_solutions(params).arrays, Z, p)
     if perturb:
@@ -173,8 +174,10 @@ def test_battery_matches_per_point_loop(p, n, kv):
     kernel_image_ranks of the per-point loop, on every triple with
     0 < d < n-1, and under the perturbed-solution control."""
     params = make_params(make_field(p), n, kv)
+    Z = battery_points(params, 10, kv)
+    C = curvature_stack(params, Z)
     for perturb in (False, True):
-        rep = verify_curvature_battery(params, npoints=10, seed=kv, perturb_control=perturb)
+        rep = verify_curvature_battery(params, Z, C, perturb_control=perturb)
         failures, ranks, details = scalar_battery_span_checks(params, 10, kv, perturb)
         assert [f for f in rep.failures if f[0] in SPAN_CHECKS] == failures
         per_axis = rep.details["per_axis"]
