@@ -277,8 +277,7 @@ def build_product_tpoly(ctx: FieldCtx, kappa: int, factors: list[tuple[int | Non
             src = arr[..., None]
             for dt in range(m + 1):
                 row = F[dt]
-                nz = np.nonzero(row)[0]
-                if nz.size:
+                if np.count_nonzero(row):
                     out[dt : dt + tlen] += src * row
         else:
             for dt in range(m + 1):

@@ -8,12 +8,13 @@ Stirling expansion t^j = sum_i S2(j, i) kappa^{j-i} (t; kappa)_i, from the
 triangle ``stirling`` reads; divided-difference or factorial-based routes
 are invalid here, since i! vanishes mod p as soon as i >= p.  The battery
 checks the matrix against the Pochhammer table, which does not read the
-triangle, by the round trip B M = I.
+triangle, by the round trip B M = I.  Each law is one identity over whole
+tables, one row per length m.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .qkz_core import CheckReport
 __all__ = [
     "stirling",
     "binomial_mod",
-    "factorial_mod",
     "pochhammer_identity_suite",
 ]
 
@@ -36,13 +36,6 @@ def binomial_mod(m: int, i: int, p: int) -> int:
     if i < 0 or i > m:
         return 0
     return comb(m, i) % p
-
-
-def factorial_mod(m: int, p: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out = out * i % p
-    return out
 
 
 def stirling(kind: int, m: int, l: int, ctx: FieldCtx) -> FieldElement:
@@ -67,18 +60,27 @@ def _plus_var_table(p: int, kappa: int, m: int) -> np.ndarray:
     return np.where(np.arange(m + 1) % 2, -F, F) % p
 
 
+def _lower(rows) -> np.ndarray:
+    """Rows of lengths 1, 2, ... as a square lower-triangular table."""
+    T = np.zeros((len(rows), len(rows)), dtype=np.int64)
+    for m, row in enumerate(rows):
+        T[m, : len(row)] = row
+    return T
+
+
 def pochhammer_identity_suite(
     ctx: FieldCtx, kappa: FieldElement, mutate: bool = False
 ) -> CheckReport:
     """The full symbolic identity battery for one (p, kappa), on exact
-    coefficient vectors over F_p:
+    coefficient vectors over F_p, each law one identity over the table P of
+    the (t; kappa)_m:
 
     shift-down and shift-up laws (denominator-cleared), binomial convolution
-    in a second formal variable, the product rule, Stirling expansions in
-    both directions verified by expansion, the basis matrix the solutions
-    are built with by the round trip B M = I, additivity at p, the
-    (t; kappa)_p closed form, and the quasi-constant law.  All lengths m,
-    i, j up to 2p are covered.
+    in a second formal variable, the product rule, the first-kind Stirling
+    expansion, the basis matrix the solutions are built with by the round
+    trip B M = I (column m is the second-kind expansion of t^m), additivity
+    at p, the (t; kappa)_p closed form, and the quasi-constant law.  All
+    lengths m, i, j up to 2p are covered.
 
     ``mutate`` perturbs the l = 1 product-rule coefficient (negative control).
     """
@@ -86,103 +88,71 @@ def pochhammer_identity_suite(
     kv = kappa.val
     if kappa.ctx is not ctx or not 0 < kv < p:
         raise ValueError("kappa must be a nonzero prime-field element")
-    max_len = 2 * p
-    failures = []
+    L = 2 * p
+    ms = np.arange(L + 1)
 
-    def pmul(a, b):
-        return np.convolve(a, b) % p
+    def times_linear(T, c):  # each row m of T times (t + c_m)
+        T = np.pad(T, ((0, 0), (0, 1)))
+        return (np.roll(T, 1, axis=1) + np.reshape(c, (-1, 1)) * T) % p
 
-    # pochs[m] = ascending coefficients of (t; kappa)_m, up to degree 2*max_len
-    tables = dense.pochhammer_scalar_coeffs(p, kv, 2 * max_len)
-    pochs = [np.array(tab, dtype=np.int64) for tab in tables]
-    # the monomial -> Pochhammer basis matrix, and B with columns (t; kappa)_i
-    M = dense._pochhammer_basis_matrix(p, kv, max_len + 1).astype(np.int64)
-    B = np.zeros_like(M)
-    for i in range(max_len + 1):
-        B[: i + 1, i] = pochs[i]
-    round_trip = np.all(B @ M % p == np.eye(max_len + 1, dtype=np.int64), axis=0)
+    def shifted(shift):
+        tables = [dense._factor_table(p, kv, m, shift, with_var=False) for m in range(L + 1)]
+        return _lower([F[:, 0] for F in tables])
 
-    tvec = np.array([0, 1], dtype=np.int64)
+    def convolution(m):  # sum_i C(m,i) (t;)_i (z;)_{m-i}, [t-deg, z-deg]
+        return (C[m, : m + 1, None] * PL[: m + 1, : m + 1]).T @ PL[m::-1, : m + 1] % p
 
-    for m in range(max_len + 1):
-        pm = pochs[m]
+    # P[m] = ascending coefficients of (t; kappa)_m, m <= 2L; C[m, i] = C(m, i) mod p
+    P = _lower(dense.pochhammer_scalar_coeffs(p, kv, 2 * L))
+    PL = P[: L + 1, : L + 1]
+    C = _lower([[comb(m, i) % p for i in range(m + 1)] for m in range(L + 1)])
+    kpow = np.array([pow(kv, e, p) for e in range(L + 1)], dtype=np.int64)
+    S1 = _lower(dense._stirling_table(1, p, L)) * kpow[np.maximum(ms[:, None] - ms, 0)] % p
+    M = dense._pochhammer_basis_matrix(p, kv, L + 1).astype(np.int64)
+    bad = {
         # (t - kappa; kappa)_m * t = (t; kappa)_m * (t - kappa m)
-        shifted_dn = dense._factor_table(p, kv, m, kv, with_var=False)[:, 0]
-        lhs = pmul(shifted_dn, tvec)
-        rhs = pmul(pm, np.array([(-kv * m) % p, 1], dtype=np.int64))
-        if not np.array_equal(lhs, rhs):
-            failures.append(("shift-down", m))
+        "shift-down": times_linear(shifted(kv), 0) != times_linear(PL, -kv * ms % p),
         # (t + kappa; kappa)_m * (t - (m-1) kappa) = (t; kappa)_m * (t + kappa)
-        shifted_up = dense._factor_table(p, kv, m, -kv % p, with_var=False)[:, 0]
-        lhs = pmul(shifted_up, np.array([(-kv * (m - 1)) % p, 1], dtype=np.int64))
-        rhs = pmul(pm, np.array([kv, 1], dtype=np.int64))
-        if not np.array_equal(lhs, rhs):
-            failures.append(("shift-up", m))
-        # binomial convolution: (t + z; kappa)_m = sum_i C(m,i) (t;)_i (z;)_{m-i}
-        lhs2 = _plus_var_table(p, kv, m)  # [t-deg, z-deg]
-        rhs2 = np.zeros_like(lhs2)
-        for i in range(m + 1):
-            b = binomial_mod(m, i, p)
-            if b:
-                rhs2[: i + 1, : m - i + 1] += b * np.outer(pochs[i], pochs[m - i])
-        if not np.array_equal(lhs2, rhs2 % p):
-            failures.append(("binomial-convolution", m))
-        # Stirling expansions: (t;kappa)_m in monomials and t^m in Pochhammers
-        kpow = 1
-        s1vec = np.zeros(m + 1, dtype=np.int64)
-        for l in range(m, -1, -1):
-            s1vec[l] = stirling(1, m, l, ctx).val * kpow % p
-            kpow = kpow * kv % p
-        if not np.array_equal(pm, s1vec):
-            failures.append(("stirling-1", m))
-        rhs3 = np.zeros(m + 1, dtype=np.int64)
-        kpow = 1
-        for l in range(m, -1, -1):
-            c = stirling(2, m, l, ctx).val * kpow % p
-            kpow = kpow * kv % p
-            if c:
-                rhs3[: l + 1] += c * pochs[l]
-        tm = np.zeros(m + 1, dtype=np.int64)
-        tm[m] = 1
-        if not np.array_equal(tm, rhs3 % p):
-            failures.append(("stirling-2", m))
-        # column m of the basis matrix: B M = I, with B from the product recurrence
-        if not round_trip[m]:
-            failures.append(("basis-round-trip", m))
+        "shift-up": times_linear(shifted(-kv % p), -kv * (ms - 1) % p)
+        != times_linear(PL, kv),
+        # (t + z; kappa)_m = convolution(m)
+        "binomial-convolution": [
+            [np.any(_plus_var_table(p, kv, m) != convolution(m))] for m in range(L + 1)
+        ],
+        # (t; kappa)_m = sum_l s1(m, l) kappa^{m-l} t^l
+        "stirling-1": PL != S1,
+        # column m of B M = I, with B holding the (t; kappa)_i from the product recurrence
+        "basis-round-trip": (PL.T @ M % p != np.eye(L + 1, dtype=np.int64)).T,
+    }
+    bad = {key: np.any(rows, axis=1) for key, rows in bad.items()}
+    failures = [(key, m) for m in range(L + 1) for key, rows in bad.items() if rows[m]]
 
-    # product rule over all pairs i, j <= max_len
-    for i in range(max_len + 1):
-        for j in range(i, max_len + 1):
-            lhs = pmul(pochs[i], pochs[j])
-            rhs = np.zeros(i + j + 1, dtype=np.int64)
-            kpow = 1
-            for l in range(min(i, j) + 1):
-                c = binomial_mod(i, l, p) * binomial_mod(j, l, p) % p
-                c = c * factorial_mod(l, p) % p * kpow % p
-                kpow = kpow * kv % p
-                if mutate and l == 1:
-                    c = (c + 1) % p
-                if c:
-                    rhs[: i + j - l + 1] += c * pochs[i + j - l]
-            if not np.array_equal(lhs, rhs % p):
-                failures.append(("product-rule", i, j))
+    # product rule (t;)_i (t;)_j = sum_l C(i,l) C(j,l) l! kappa^l (t;)_{i+j-l}, all j >= i
+    fk = kpow * [factorial(l) % p for l in range(L + 1)] % p
+    W = P.shape[1]
+    for i in range(L + 1):
+        c = C[i, : i + 1] * C[i:, : i + 1] % p * fk[: i + 1] % p
+        if mutate and i:
+            c[:, 1] += 1
+        diff = np.zeros((L + 1 - i, W), dtype=np.int64)
+        for l in range(i + 1):
+            diff[:, l:] += P[i, l] * P[i : L + 1, : W - l]
+            diff -= c[:, l, None] * P[2 * i - l : L + i + 1 - l]
+        bad_j = np.flatnonzero(np.any(diff % p, axis=1))
+        failures += [("product-rule", i, i + j) for j in bad_j.tolist()]
 
     # closed form at p, additivity at p, quasi-constant law
     hp = np.zeros(p + 1, dtype=np.int64)
-    hp[p] = 1
-    hp[1] = (-pow(kv, p - 1, p)) % p
-    if not np.array_equal(pochs[p], hp):
+    hp[[1, p]] = -pow(kv, p - 1, p) % p, 1  # (t; kappa)_p = t^p - kappa^{p-1} t
+    if not np.array_equal(P[p, : p + 1], hp):
         failures.append(("closed-form-p",))
     rhsp = np.zeros((p + 1, p + 1), dtype=np.int64)
-    rhsp[: p + 1, 0] = pochs[p]
-    rhsp[0, : p + 1] += hp
+    rhsp[:, 0] = P[p, : p + 1]
+    rhsp[0] += hp
     if not np.array_equal(_plus_var_table(p, kv, p), rhsp % p):
         failures.append(("additivity-p",))
-    for mult in (1, 2):
-        qa = pochs[p * mult]
-        hpow = hp
-        for _ in range(mult - 1):
-            hpow = pmul(hpow, hp)
+    for mult, hpow in ((1, hp), (2, np.convolve(hp, hp) % p)):
+        qa = P[p * mult, : p * mult + 1]
         if not np.array_equal(qa, hpow):
             failures.append(("quasi-constant-power", mult))
         # invariance under t -> t - kappa

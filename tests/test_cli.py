@@ -452,8 +452,9 @@ def test_verify_reproduces_reference_digest(entry):
     ones (digests in tests/data, read only): the benchmark's verify
     configurations, and configurations whose output carries sample points
     or curvature ranks (the sabotaged sweeps' ext_kappa and independence
-    witnesses, report, a pointwise sweep with quasi and solutions), and a
-    text report whose line order is the sweep order of a kappa pair."""
+    witnesses, report, a pointwise sweep with quasi and solutions), a
+    text report whose line order is the sweep order of a kappa pair, and
+    the identity battery at p = 7, 11 and 13, plain and sabotaged."""
     import hashlib
 
     code, out = run_cli(entry["argv"].split())

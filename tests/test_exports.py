@@ -1,7 +1,7 @@
 """The package surface: every exported name resolves, the sparse
 t-polynomial, vector, solution and operator layers, the z-box symbolic
-curvature and the solution values contracted from the arrays live only in
-tests/oracles, the field-element point helpers, the process-wide
+curvature, the solution values contracted from the arrays and the
+factorial of the loop identity battery live only in tests/oracles, the field-element point helpers, the process-wide
 curvature store and duplicate entry points are gone, and only the dense kernels import the
 sparse polynomials."""
 
@@ -51,6 +51,7 @@ MOVED_TO_ORACLES = {
     "_symbolic_box",
     "_symbolic_product",
     "evaluate_solutions",
+    "factorial_mod",
 }
 
 # Deleted: the helpers of the field-element point form (points are (n, 2)

@@ -1,18 +1,18 @@
 """Pochhammer polynomials, Stirling numbers mod p, basis conversion (the
-sparse oracle in ``oracles.tpoly``), and the symbolic identity battery."""
+sparse oracle in ``oracles.tpoly``), and the symbolic identity battery
+(the loop it replaced in ``oracles.identities``)."""
 
 import random
 
+import numpy as np
 import pytest
 
+from charp_qkz import dense
 from charp_qkz.ffield import make_field
 from charp_qkz.mpoly import MPoly
-from charp_qkz.pochhammer import (
-    binomial_mod,
-    factorial_mod,
-    pochhammer_identity_suite,
-    stirling,
-)
+from charp_qkz.pochhammer import binomial_mod, pochhammer_identity_suite, stirling
+from oracles import identities
+from oracles.identities import factorial_mod
 from oracles.tpoly import (
     TPoly,
     from_pochhammer_basis,
@@ -97,6 +97,7 @@ def test_stirling_rejects_bad_args():
 
 
 def test_binomial_factorial_mod():
+    """binomial_mod, and factorial_mod that only the loop oracle reads."""
     assert binomial_mod(10, 3, 7) == 120 % 7
     assert binomial_mod(5, 9, 7) == 0
     assert factorial_mod(6, 7) == 720 % 7
@@ -161,6 +162,114 @@ def test_identity_suite_negative_control():
     rep = pochhammer_identity_suite(ctx, ctx.element(3), mutate=True)
     assert not rep.passed
     assert all(f[0] == "product-rule" for f in rep.failures)
+
+
+def _m_set(report, key):
+    return {f[1] for f in report.failures if f[0] == key}
+
+
+def _assert_matches_loop_oracle(p, kappas):
+    """The table form gives the loop's report, less its ``stirling-2``
+    entries, whose m-set is that of ``basis-round-trip``."""
+    ctx = make_field(p)
+    for kv in kappas:
+        for mutate in (False, True):
+            rep = pochhammer_identity_suite(ctx, ctx.element(kv), mutate=mutate)
+            ref = identities.pochhammer_identity_suite(ctx, ctx.element(kv), mutate=mutate)
+            assert _m_set(ref, "stirling-2") == _m_set(ref, "basis-round-trip")
+            kept = [f for f in ref.failures if f[0] != "stirling-2"]
+            assert (rep.passed, rep.failures, rep.name) == (not kept, kept, ref.name), (kv, mutate)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_identity_suite_matches_loop_oracle(p):
+    _assert_matches_loop_oracle(p, range(1, p))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [17, 19, 23, 29, 31, 53, 101])
+def test_identity_suite_matches_loop_oracle_sweep(p):
+    """Every kappa up to p = 31; kappa = 1, 2 at p = 53 and 101."""
+    _assert_matches_loop_oracle(p, range(1, p) if p <= 31 else (1, 2))
+
+
+def _perturb(table, p):
+    """A copy of a coefficient table with its first entry raised by 1 mod p."""
+    out = np.array(table, dtype=np.int64)
+    out.flat[0] = (out.flat[0] + 1) % p
+    return out
+
+
+@pytest.mark.parametrize(
+    "shift,with_var,m,expected",
+    [
+        (3, False, 2, [("shift-down", 2)]),
+        (4, False, 5, [("shift-up", 5)]),
+        (0, True, 3, [("binomial-convolution", 3)]),
+        (0, True, 7, [("binomial-convolution", 7), ("additivity-p",)]),
+    ],
+)
+def test_identity_suite_reads_each_factor_table(monkeypatch, shift, with_var, m, expected):
+    """One perturbed factor table (p = 7, kappa = 3: shift kappa, shift
+    -kappa, or the (t - w; kappa)_m table) fails exactly the laws that read
+    it, at that m."""
+    real = dense._factor_table
+
+    def spy(p, kappa, mm, sh, **kw):
+        table = real(p, kappa, mm, sh, **kw)
+        return _perturb(table, p) if (mm, sh, kw["with_var"]) == (m, shift, with_var) else table
+
+    monkeypatch.setattr(dense, "_factor_table", spy)
+    ctx = make_field(7)
+    assert pochhammer_identity_suite(ctx, ctx.element(3)).failures == expected
+
+
+def test_identity_suite_reads_the_first_kind_triangle(monkeypatch):
+    real = dense._stirling_table
+
+    def spy(kind, p, rows):
+        table = real(kind, p, rows)
+        if kind == 1:
+            table = table[:4] + (tuple(_perturb(table[4], p)),) + table[5:]
+        return table
+
+    monkeypatch.setattr(dense, "_stirling_table", spy)
+    ctx = make_field(7)
+    assert pochhammer_identity_suite(ctx, ctx.element(3)).failures == [("stirling-1", 4)]
+
+
+def test_identity_suite_reads_the_basis_matrix_entries(monkeypatch):
+    real = dense._pochhammer_basis_matrix
+
+    def spy(p, kappa, tlen):
+        M = real(p, kappa, tlen).copy()
+        M[1, 6] = (M[1, 6] + 1) % p
+        return M
+
+    monkeypatch.setattr(dense, "_pochhammer_basis_matrix", spy)
+    ctx = make_field(7)
+    assert pochhammer_identity_suite(ctx, ctx.element(3)).failures == [("basis-round-trip", 6)]
+
+
+def test_identity_suite_closed_forms_read_the_pochhammer_table(monkeypatch):
+    """The closed form and the quasi-constant law read only the rows p and
+    2p of P: raising their t-coefficient fails each of them (among the other
+    laws that read those rows)."""
+    real = dense.pochhammer_scalar_coeffs
+
+    def spy(p, kappa, max_deg):
+        rows = [list(row) for row in real(p, kappa, max_deg)]
+        for m in (p, 2 * p):
+            rows[m][1] = (rows[m][1] + 1) % p
+        return rows
+
+    monkeypatch.setattr(dense, "pochhammer_scalar_coeffs", spy)
+    ctx = make_field(7)
+    failures = pochhammer_identity_suite(ctx, ctx.element(3)).failures
+    assert ("closed-form-p",) in failures
+    for mult in (1, 2):
+        assert ("quasi-constant-power", mult) in failures
+        assert ("quasi-constant-shift", mult) in failures
 
 
 def test_identity_suite_rejects_ext_kappa():
