@@ -3,7 +3,9 @@
 Solution sets are built and held as dense coefficient arrays (axes = z_1..
 z_n); these kernels build them (large products in t and z, Pochhammer-basis
 reduction), evaluate them, render them as text and convert them to and from
-sparse polynomials.  Everything here is exact arithmetic mod p: with
+sparse polynomials.  Every triangular table they read (Pascal's triangle,
+the (t - shift; kappa)_m, both Stirling triangles) is built by one cached
+recurrence, ``_triangle``.  Everything here is exact arithmetic mod p: with
 p <= 101 and the accumulation patterns used below no int64 intermediate
 approaches 2^63, and the one float64 path is exact by the bound stated
 where it occurs.
@@ -29,7 +31,6 @@ __all__ = [
     "dense_total_degrees",
     "dense_top_degree_part",
     "build_product_tpoly",
-    "pochhammer_scalar_coeffs",
     "dense_pochhammer_coeffs",
     "render_polynomials",
 ]
@@ -79,19 +80,12 @@ def dense_mul(f: MPoly, g: MPoly) -> MPoly:
 
 def dense_shift_var(arr: np.ndarray, axis: int, shift: int, p: int) -> np.ndarray:
     """Substitute z -> z + shift along one axis of a dense array, exactly:
-    coefficient transport by the binomial matrix S[e, m] = C(e, m) shift^{e-m}."""
+    coefficient transport by the binomial matrix S[e, m] = C(e, m) shift^{e-m},
+    read from the Pascal triangle with c = shift."""
     d = arr.shape[axis]
     if shift % p == 0 or d == 1:
         return arr % p
-    S = np.zeros((d, d), dtype=np.int64)
-    dpow = [1]
-    for _ in range(d):
-        dpow.append(dpow[-1] * shift % p)
-    row = [1]
-    for e in range(d):
-        for m, b in enumerate(row):
-            S[e, m] = b * dpow[e - m] % p
-        row = [1] + [(row[i] + row[i + 1]) % p for i in range(len(row) - 1)] + [1]
+    S = _pascal(p, d - 1, shift)[:d, :d]
     out = np.tensordot(arr % p, S, axes=([axis], [0]))
     return np.moveaxis(out, -1, axis) % p
 
@@ -234,25 +228,73 @@ def dense_eval_points(arr: np.ndarray, Z: np.ndarray, p: int) -> np.ndarray:
     return np.stack([Y0, Y1], axis=-1)
 
 
+# Every triangular table mod p comes from one recurrence: row m + 1 is row m
+# times t plus c(m, l) = c0 + cm*m + cl*l times row m, that is
+# T[m+1, l] = T[m, l-1] + c(m, l) T[m, l] from T[0] = (1, 0, 0, ...).
+# Rows are built in blocks of p, so the readers of one (p, c) share a table:
+# the solutions (m < p) one of p rows, the identity battery one of 2p or 4p.
+# The cache holds at most 16 tables of (rows + 1)^2 int64: the battery asks
+# for at most 4p rows (1.3 MB a table at p = 101, 21 MB for the cache), a
+# basis matrix for its t-length.
+def _triangle(p: int, rows: int, c0: int, cm: int, cl: int) -> np.ndarray:
+    """Rows 0..rows (or more) of the triangle of c = c0 + cm*m + cl*l,
+    square and read-only, with T[m, l] = 0 for l > m."""
+    return _recurrence(p, p * max(1, -(-rows // p)), c0 % p, cm % p, cl % p)
+
+
+@functools.lru_cache(maxsize=16)
+def _recurrence(p: int, rows: int, c0: int, cm: int, cl: int) -> np.ndarray:
+    ms = np.arange(rows + 1)
+    c = (c0 + cm * ms[:, None] + cl * ms) % p
+    T = np.zeros((rows + 1, rows + 1), dtype=np.int64)
+    T[0, 0] = 1
+    for m in range(rows):
+        row = T[m + 1]
+        row[1:] = T[m, :-1]
+        row += c[m] * T[m]
+        row %= p
+    T.flags.writeable = False
+    return T
+
+
+def _pascal(p: int, rows: int, x: int = 1) -> np.ndarray:
+    """C(m, l) x^{m-l} mod p."""
+    return _triangle(p, rows, x, 0, 0)
+
+
+def _pochhammer_rows(p: int, kappa: int, shift: int, rows: int) -> np.ndarray:
+    """Row m: the ascending t-coefficients of (t - shift; kappa)_m mod p."""
+    return _triangle(p, rows, -shift, -kappa, 0)
+
+
+def _stirling_rows(kind: int, p: int, rows: int) -> np.ndarray:
+    """s1(m, l) (kind 1, signed) or S2(m, l) (kind 2) mod p."""
+    return _triangle(p, rows, 0, -1, 0) if kind == 1 else _triangle(p, rows, 0, 0, 1)
+
+
+def _with_var(row: np.ndarray, p: int, x: int) -> np.ndarray:
+    """The table F[dt, dw] of r(t + x w) from the t-coefficients of r(t):
+    F[dt, dw] = r[dt + dw] C(dt + dw, dt) x^{dw}, one gather from the
+    Pascal triangle scaled by x."""
+    m = len(row) - 1
+    dt = np.arange(m + 1)
+    s = dt[:, None] + dt  # dt + dw
+    inside = s <= m
+    s = np.where(inside, s, 0)
+    return np.where(inside, row[s] * _pascal(p, m, x)[s, dt[:, None]] % p, 0)
+
+
+# The solutions ask for m < p, so at p = 101 the 1024 tables with the
+# variable take at most 1024 x 101^2 int64 = 84 MB.
 @functools.lru_cache(maxsize=1024)
 def _factor_table(p: int, kappa: int, m: int, shift: int, with_var: bool) -> np.ndarray:
     """Coefficient table of (t - w - shift; kappa)_m with w a single variable
-    (or w = 0 when ``with_var`` is false): F[dt, dw] mod p.  Cached and
-    read-only; callers pass ``shift`` reduced mod p and ``with_var`` by
-    keyword, so each table has one key."""
-    F = np.zeros((m + 1, m + 1 if with_var else 1), dtype=np.int64)
-    F[0, 0] = 1
-    deg = 0
-    for s in range(m):
-        c = (-shift - s * kappa) % p
-        new = np.zeros_like(F)
-        new[1 : deg + 2, :] += F[: deg + 1, :]  # * t
-        if with_var:
-            new[: deg + 1, 1:] -= F[: deg + 1, :-1]  # * (-w)
-        if c:
-            new[: deg + 1, :] += c * F[: deg + 1, :]
-        F = new % p
-        deg += 1
+    (or w = 0 when ``with_var`` is false): F[dt, dw] mod p, row m of the
+    triangle of (t - shift; kappa)_m, with the variable gathered by
+    ``_with_var`` at x = -1.  Cached and read-only; callers pass ``shift``
+    reduced mod p and ``with_var`` by keyword, so each table has one key."""
+    row = _pochhammer_rows(p, kappa, shift, m)[m, : m + 1]
+    F = _with_var(row, p, -1) if with_var else row[:, None].copy()
     F.flags.writeable = False
     return F
 
@@ -287,39 +329,6 @@ def build_product_tpoly(ctx: FieldCtx, kappa: int, factors: list[tuple[int | Non
     return arr
 
 
-def pochhammer_scalar_coeffs(p: int, kappa: int, max_deg: int) -> list[list[int]]:
-    """Monomial coefficient lists of (t; kappa)_i mod p for i = 0..max_deg."""
-    tables = [[1]]
-    for i in range(1, max_deg + 1):
-        prev = tables[-1]
-        c = (-(i - 1) * kappa) % p
-        cur = [0] * (i + 1)
-        for d, a in enumerate(prev):
-            cur[d + 1] = (cur[d + 1] + a) % p
-            cur[d] = (cur[d] + c * a) % p
-        tables.append(cur)
-    return tables
-
-
-@functools.lru_cache(maxsize=64)
-def _stirling_table(kind: int, p: int, rows: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..rows of the signed Stirling triangle of the given kind, mod p:
-    s1(m+1, l) = s1(m, l-1) - m*s1(m, l), s2(m+1, l) = s2(m, l-1) + l*s2(m, l)."""
-    table = [(1,)]  # row for m=0
-    for mm in range(rows):
-        row = table[-1]
-        new = [0] * (mm + 2)
-        for ll in range(mm + 1):
-            if kind == 1:
-                new[ll + 1] = (new[ll + 1] + row[ll]) % p
-                new[ll] = (new[ll] - mm * row[ll]) % p
-            else:
-                new[ll + 1] = (new[ll + 1] + row[ll]) % p
-                new[ll] = (new[ll] + ll * row[ll]) % p
-        table.append(tuple(new))
-    return tuple(table)
-
-
 @functools.lru_cache(maxsize=256)
 def _pochhammer_basis_matrix(p: int, kappa: int, tlen: int) -> np.ndarray:
     """The tlen x tlen matrix taking monomial coefficients of a t-polynomial
@@ -327,16 +336,13 @@ def _pochhammer_basis_matrix(p: int, kappa: int, tlen: int) -> np.ndarray:
     float64 with entries in [0, p).
 
     Column j is the expansion t^j = sum_i S2(j, i) kappa^{j-i} (t; kappa)_i,
-    read from the second-kind Stirling triangle; the triangle has at least
-    2p rows, so it is the one ``pochhammer.stirling`` reads.
+    read as a slice of the second-kind Stirling triangle, the one
+    ``pochhammer.stirling`` reads.
     """
-    S2 = _stirling_table(2, p, max(tlen - 1, 2 * p))
-    M = np.zeros((tlen, tlen), dtype=np.int64)
-    for j in range(tlen):
-        M[: j + 1, j] = S2[j]
+    S2 = _stirling_rows(2, p, tlen - 1)[:tlen, :tlen]
     kpow = np.array([pow(kappa, e, p) for e in range(tlen)], dtype=np.int64)
     lag = np.arange(tlen)[None, :] - np.arange(tlen)[:, None]  # j - i
-    M = (M * kpow[np.maximum(lag, 0)] % p).astype(np.float64)
+    M = (S2.T * kpow[np.maximum(lag, 0)] % p).astype(np.float64)
     M.flags.writeable = False
     return M
 

@@ -1,25 +1,27 @@
 """Stirling numbers mod p and the symbolic identity battery of the
 Pochhammer polynomials (t; kappa)_m, on exact coefficient vectors over F_p.
 
-The battery reads the kernels the solutions are built with: the factor
-tables of ``dense.build_product_tpoly`` and the cached basis matrix of
-``dense.dense_pochhammer_coeffs``.  That basis change is the second-kind
-Stirling expansion t^j = sum_i S2(j, i) kappa^{j-i} (t; kappa)_i, from the
-triangle ``stirling`` reads; divided-difference or factorial-based routes
-are invalid here, since i! vanishes mod p as soon as i >= p.  The battery
-checks the matrix against the Pochhammer table, which does not read the
-triangle, by the round trip B M = I.  Each law is one identity over whole
-tables, one row per length m.
+Every table here is a triangle of the one recurrence in ``dense``: Pascal's
+triangle, the rows of (t - shift; kappa)_m and both Stirling triangles.
+The battery reads the kernels the solutions are built with: those
+triangles, the gather that turns a row into the table of r(t + x w), and
+the cached basis matrix of ``dense.dense_pochhammer_coeffs``.  That basis
+change is the second-kind Stirling expansion
+t^j = sum_i S2(j, i) kappa^{j-i} (t; kappa)_i, from the triangle
+``stirling`` reads; divided-difference or factorial-based routes are
+invalid here, since i! vanishes mod p as soon as i >= p.  The battery
+checks the matrix against the Pochhammer table, a different triangle, by
+the round trip B M = I.
+Each law is one identity over whole tables, one row per length m.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
 from . import dense
-from .dense import _stirling_table
 from .ffield import FieldCtx, FieldElement
 from .qkz_core import CheckReport
 
@@ -31,11 +33,11 @@ __all__ = [
 
 
 def binomial_mod(m: int, i: int, p: int) -> int:
-    """C(m, i) as an exact integer reduced mod p (desk scale: m <= 2p fits
-    64-bit easily, no Lucas decomposition needed)."""
+    """C(m, i) mod p, read from Pascal's triangle mod p (its rows up to m
+    are built, so m stays at desk scale)."""
     if i < 0 or i > m:
         return 0
-    return comb(m, i) % p
+    return int(dense._pascal(p, m)[m, i])
 
 
 def stirling(kind: int, m: int, l: int, ctx: FieldCtx) -> FieldElement:
@@ -43,29 +45,14 @@ def stirling(kind: int, m: int, l: int, ctx: FieldCtx) -> FieldElement:
 
     Recurrences: s1(m+1, l) = s1(m, l-1) - m*s1(m, l),
                  s2(m+1, l) = s2(m, l-1) + l*s2(m, l).
-    Read from one triangle per (p, kind), built up to row 2p (further when
-    a larger m is asked for).
+    Read from one triangle per (p, kind), built in blocks of p rows up to
+    row m.
     """
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
     if l < 0 or l > m:
         raise ValueError(f"need 0 <= l <= m, got l={l}, m={m}")
-    return ctx.element(_stirling_table(kind, ctx.p, max(m, 2 * ctx.p))[m][l])
-
-
-def _plus_var_table(p: int, kappa: int, m: int) -> np.ndarray:
-    """Coefficients [t-degree, z-degree] of (t + z; kappa)_m: the factor
-    table of (t - w; kappa)_m with w = -z."""
-    F = dense._factor_table(p, kappa, m, 0, with_var=True)
-    return np.where(np.arange(m + 1) % 2, -F, F) % p
-
-
-def _lower(rows) -> np.ndarray:
-    """Rows of lengths 1, 2, ... as a square lower-triangular table."""
-    T = np.zeros((len(rows), len(rows)), dtype=np.int64)
-    for m, row in enumerate(rows):
-        T[m, : len(row)] = row
-    return T
+    return ctx.element(int(dense._stirling_rows(kind, ctx.p, m)[m, l]))
 
 
 def pochhammer_identity_suite(
@@ -95,19 +82,21 @@ def pochhammer_identity_suite(
         T = np.pad(T, ((0, 0), (0, 1)))
         return (np.roll(T, 1, axis=1) + np.reshape(c, (-1, 1)) * T) % p
 
-    def shifted(shift):
-        tables = [dense._factor_table(p, kv, m, shift, with_var=False) for m in range(L + 1)]
-        return _lower([F[:, 0] for F in tables])
+    def shifted(shift):  # rows m <= L of (t - shift; kappa)_m
+        return dense._pochhammer_rows(p, kv, shift, L)[: L + 1, : L + 1]
+
+    def plus_var(m):  # (t + z; kappa)_m, [t-deg, z-deg]
+        return dense._with_var(P[m, : m + 1], p, 1)
 
     def convolution(m):  # sum_i C(m,i) (t;)_i (z;)_{m-i}, [t-deg, z-deg]
         return (C[m, : m + 1, None] * PL[: m + 1, : m + 1]).T @ PL[m::-1, : m + 1] % p
 
     # P[m] = ascending coefficients of (t; kappa)_m, m <= 2L; C[m, i] = C(m, i) mod p
-    P = _lower(dense.pochhammer_scalar_coeffs(p, kv, 2 * L))
+    P = dense._pochhammer_rows(p, kv, 0, 2 * L)[: 2 * L + 1, : 2 * L + 1]
     PL = P[: L + 1, : L + 1]
-    C = _lower([[comb(m, i) % p for i in range(m + 1)] for m in range(L + 1)])
+    C = dense._pascal(p, L)[: L + 1, : L + 1]
     kpow = np.array([pow(kv, e, p) for e in range(L + 1)], dtype=np.int64)
-    S1 = _lower(dense._stirling_table(1, p, L)) * kpow[np.maximum(ms[:, None] - ms, 0)] % p
+    S1 = dense._stirling_rows(1, p, L)[: L + 1, : L + 1] * kpow[np.maximum(ms[:, None] - ms, 0)] % p
     M = dense._pochhammer_basis_matrix(p, kv, L + 1).astype(np.int64)
     bad = {
         # (t - kappa; kappa)_m * t = (t; kappa)_m * (t - kappa m)
@@ -116,12 +105,10 @@ def pochhammer_identity_suite(
         "shift-up": times_linear(shifted(-kv % p), -kv * (ms - 1) % p)
         != times_linear(PL, kv),
         # (t + z; kappa)_m = convolution(m)
-        "binomial-convolution": [
-            [np.any(_plus_var_table(p, kv, m) != convolution(m))] for m in range(L + 1)
-        ],
+        "binomial-convolution": [[np.any(plus_var(m) != convolution(m))] for m in range(L + 1)],
         # (t; kappa)_m = sum_l s1(m, l) kappa^{m-l} t^l
         "stirling-1": PL != S1,
-        # column m of B M = I, with B holding the (t; kappa)_i from the product recurrence
+        # column m of B M = I, with B holding the (t; kappa)_i of P
         "basis-round-trip": (PL.T @ M % p != np.eye(L + 1, dtype=np.int64)).T,
     }
     bad = {key: np.any(rows, axis=1) for key, rows in bad.items()}
@@ -149,7 +136,7 @@ def pochhammer_identity_suite(
     rhsp = np.zeros((p + 1, p + 1), dtype=np.int64)
     rhsp[:, 0] = P[p, : p + 1]
     rhsp[0] += hp
-    if not np.array_equal(_plus_var_table(p, kv, p), rhsp % p):
+    if not np.array_equal(plus_var(p), rhsp % p):
         failures.append(("additivity-p",))
     for mult, hpow in ((1, hp), (2, np.convolve(hp, hp) % p)):
         qa = P[p * mult, : p * mult + 1]

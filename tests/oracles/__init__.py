@@ -8,6 +8,7 @@ dense symbolic curvature on the z-box, the scalar row elimination
 behind rank, det and solve, the back
 substitution behind the Pochhammer basis matrix, the solution values
 contracted from the coefficient arrays, the sampling loop of
-the ``ext_kappa`` points, the per-call lexsort renderer, and the
-Pochhammer identity battery as a loop over m and over pairs (i, j).  Tests
-compare the production paths with them."""
+the ``ext_kappa`` points, the per-call lexsort renderer, the
+Pochhammer identity battery as a loop over m and over pairs (i, j), and the
+table loops (factor tables, Pochhammer rows, Stirling and Pascal) that one
+recurrence replaced.  Tests compare the production paths with them."""

@@ -3,7 +3,9 @@ coefficients, (t - base; kappa)_m as such a polynomial, and conversion
 between the monomial and Pochhammer bases by triangular elimination, also
 as a dense back substitution.  The package computes all of this on dense
 arrays (``dense.build_product_tpoly``, ``dense._pochhammer_basis_matrix``
-from Stirling numbers); these are the references it is compared with."""
+from Stirling numbers); these are the references it is compared with.  The
+basis conversions read the (t; kappa)_i from ``_poch_scalar_coeffs_ext``,
+one product recurrence in field arithmetic for F_p and F_{p^2} alike."""
 
 from __future__ import annotations
 
@@ -12,9 +14,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from charp_qkz.dense import pochhammer_scalar_coeffs
 from charp_qkz.ffield import FieldCtx, FieldElement
 from charp_qkz.mpoly import MPoly, _binomial_table
+
+from .tables import pochhammer_scalar_coeffs
 
 
 class TPoly:
@@ -203,10 +206,7 @@ def to_pochhammer_basis(f: TPoly, kappa: FieldElement) -> PochhammerForm:
     if f.is_zero():
         return PochhammerForm(kappa, nvars, [])
     deg = f.deg_t
-    if ctx.ext_degree == 1:
-        pochs = pochhammer_scalar_coeffs(ctx.p, kappa.val, deg)
-    else:
-        pochs = _poch_scalar_coeffs_ext(ctx, kappa, deg)
+    pochs = _poch_scalar_coeffs_ext(ctx, kappa, deg)
     work = list(f.coeffs)
     out = [MPoly.zero(ctx, nvars) for _ in range(deg + 1)]
     for i in range(deg, -1, -1):
@@ -221,6 +221,8 @@ def to_pochhammer_basis(f: TPoly, kappa: FieldElement) -> PochhammerForm:
 
 
 def _poch_scalar_coeffs_ext(ctx: FieldCtx, kappa: FieldElement, max_deg: int) -> list[list[int]]:
+    """Coefficient lists (encoded field values) of (t; kappa)_i for
+    i = 0..max_deg, in F_p or F_{p^2}."""
     tables = [[1]]
     for i in range(1, max_deg + 1):
         prev = tables[-1]
@@ -240,10 +242,7 @@ def from_pochhammer_basis(pf: PochhammerForm) -> TPoly:
     if not pf.coeffs:
         return TPoly.zero(ctx, nvars)
     deg = len(pf.coeffs) - 1
-    if ctx.ext_degree == 1:
-        pochs = pochhammer_scalar_coeffs(ctx.p, pf.kappa.val, deg)
-    else:
-        pochs = _poch_scalar_coeffs_ext(ctx, pf.kappa, deg)
+    pochs = _poch_scalar_coeffs_ext(ctx, pf.kappa, deg)
     out = [MPoly.zero(ctx, nvars) for _ in range(deg + 1)]
     for i, c in enumerate(pf.coeffs):
         if c.is_zero():

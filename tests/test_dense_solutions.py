@@ -18,12 +18,7 @@ import pytest
 
 from charp_qkz import dense
 from charp_qkz.cli import main
-from charp_qkz.dense import (
-    dense_pochhammer_coeffs,
-    mpoly_to_dense,
-    pochhammer_scalar_coeffs,
-    render_polynomials,
-)
+from charp_qkz.dense import dense_pochhammer_coeffs, mpoly_to_dense, render_polynomials
 from charp_qkz.ffield import make_field
 from charp_qkz.hypergeo import (
     _q_factors,
@@ -37,6 +32,7 @@ from charp_qkz.mpoly import MPoly
 from charp_qkz.qkz_core import make_params
 from oracles.render import render_polynomials_lexsort
 from oracles.solutions import q_vector, sparse_solutions
+from oracles.tables import pochhammer_scalar_coeffs
 from oracles.tpoly import TPoly, basis_matrix_by_back_substitution, poch_factor, to_pochhammer_basis
 
 REFERENCE = os.path.join(

@@ -1,7 +1,8 @@
 """The package surface: every exported name resolves, the sparse
 t-polynomial, vector, solution and operator layers, the z-box symbolic
-curvature, the solution values contracted from the arrays and the
-factorial of the loop identity battery live only in tests/oracles, the field-element point helpers, the process-wide
+curvature, the solution values contracted from the arrays, the
+factorial of the loop identity battery and the table loops that one
+recurrence replaced live only in tests/oracles, the field-element point helpers, the process-wide
 curvature store and duplicate entry points are gone, and only the dense kernels import the
 sparse polynomials."""
 
@@ -52,6 +53,8 @@ MOVED_TO_ORACLES = {
     "_symbolic_product",
     "evaluate_solutions",
     "factorial_mod",
+    "pochhammer_scalar_coeffs",
+    "_stirling_table",
 }
 
 # Deleted: the helpers of the field-element point form (points are (n, 2)
@@ -66,7 +69,9 @@ MOVED_TO_ORACLES = {
 # (orthogonality is decided on the grid (F_p u {inf})^n; the sparse
 # pairing_polynomial oracle is the reference), and the curvature battery's
 # own report type and the one-suite command (the battery returns a
-# CheckReport; curvature and ortho run the verify command).
+# CheckReport; curvature and ortho run the verify command), and the
+# battery's row stacker and its (t + z; kappa)_m helper (every table is read
+# from dense._triangle).
 REMOVED = {
     "points_to_array",
     "_elements",
@@ -88,6 +93,8 @@ REMOVED = {
     "orthogonality_pairing",
     "CurvatureReport",
     "cmd_suite",
+    "_lower",
+    "_plus_var_table",
 }
 
 

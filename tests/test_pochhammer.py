@@ -200,6 +200,14 @@ def _perturb(table, p):
     return out
 
 
+def _perturb_rows(table, p, rows, col):
+    """A copy of a triangle with entry ``col`` of each of ``rows`` raised by 1 mod p."""
+    out = np.array(table, dtype=np.int64)
+    for m in rows:
+        out[m, col] = (out[m, col] + 1) % p
+    return out
+
+
 @pytest.mark.parametrize(
     "shift,with_var,m,expected",
     [
@@ -210,30 +218,38 @@ def _perturb(table, p):
     ],
 )
 def test_identity_suite_reads_each_factor_table(monkeypatch, shift, with_var, m, expected):
-    """One perturbed factor table (p = 7, kappa = 3: shift kappa, shift
-    -kappa, or the (t - w; kappa)_m table) fails exactly the laws that read
-    it, at that m."""
-    real = dense._factor_table
+    """One perturbed factor table (p = 7, kappa = 3: row m of the triangle
+    of (t - kappa; kappa)_m or of (t + kappa; kappa)_m, or the two-variable
+    table of (t + z; kappa)_m gathered from row m of P) fails exactly the
+    laws that read it, at that m."""
+    if with_var:
+        real = dense._with_var
 
-    def spy(p, kappa, mm, sh, **kw):
-        table = real(p, kappa, mm, sh, **kw)
-        return _perturb(table, p) if (mm, sh, kw["with_var"]) == (m, shift, with_var) else table
+        def spy(row, p, x):
+            table = real(row, p, x)
+            return _perturb(table, p) if len(row) == m + 1 else table
 
-    monkeypatch.setattr(dense, "_factor_table", spy)
+        monkeypatch.setattr(dense, "_with_var", spy)
+    else:
+        real = dense._pochhammer_rows
+
+        def spy(p, kappa, sh, rows):
+            table = real(p, kappa, sh, rows)
+            return _perturb_rows(table, p, [m], 0) if sh % p == shift else table
+
+        monkeypatch.setattr(dense, "_pochhammer_rows", spy)
     ctx = make_field(7)
     assert pochhammer_identity_suite(ctx, ctx.element(3)).failures == expected
 
 
 def test_identity_suite_reads_the_first_kind_triangle(monkeypatch):
-    real = dense._stirling_table
+    real = dense._stirling_rows
 
     def spy(kind, p, rows):
         table = real(kind, p, rows)
-        if kind == 1:
-            table = table[:4] + (tuple(_perturb(table[4], p)),) + table[5:]
-        return table
+        return _perturb_rows(table, p, [4], 0) if kind == 1 else table
 
-    monkeypatch.setattr(dense, "_stirling_table", spy)
+    monkeypatch.setattr(dense, "_stirling_rows", spy)
     ctx = make_field(7)
     assert pochhammer_identity_suite(ctx, ctx.element(3)).failures == [("stirling-1", 4)]
 
@@ -255,21 +271,65 @@ def test_identity_suite_closed_forms_read_the_pochhammer_table(monkeypatch):
     """The closed form and the quasi-constant law read only the rows p and
     2p of P: raising their t-coefficient fails each of them (among the other
     laws that read those rows)."""
-    real = dense.pochhammer_scalar_coeffs
+    real = dense._pochhammer_rows
 
-    def spy(p, kappa, max_deg):
-        rows = [list(row) for row in real(p, kappa, max_deg)]
-        for m in (p, 2 * p):
-            rows[m][1] = (rows[m][1] + 1) % p
-        return rows
+    def spy(p, kappa, shift, rows):
+        table = real(p, kappa, shift, rows)
+        return _perturb_rows(table, p, (p, 2 * p), 1) if shift == 0 else table
 
-    monkeypatch.setattr(dense, "pochhammer_scalar_coeffs", spy)
+    monkeypatch.setattr(dense, "_pochhammer_rows", spy)
     ctx = make_field(7)
     failures = pochhammer_identity_suite(ctx, ctx.element(3)).failures
     assert ("closed-form-p",) in failures
     for mult in (1, 2):
         assert ("quasi-constant-power", mult) in failures
         assert ("quasi-constant-shift", mult) in failures
+
+
+def test_identity_suite_reads_the_pascal_triangle(monkeypatch):
+    """A perturbed entry C(4, 2) of Pascal's triangle (p = 7, kappa = 3)
+    fails exactly the laws that read it: the binomial convolution at m = 4
+    (its right side) and at the m >= 4 whose (t + z; kappa)_m, gathered
+    with C, has a nonzero t^4 coefficient, and the product rule at the pairs
+    with i or j = 4.  The binomial matrix of the quasi-constant shift is the
+    triangle scaled by -kappa, which the perturbation leaves alone."""
+    real = dense._pascal
+
+    def spy(p, rows, x=1):
+        table = real(p, rows, x)
+        return _perturb_rows(table, p, [4], 2) if x == 1 else table
+
+    monkeypatch.setattr(dense, "_pascal", spy)
+    ctx = make_field(7)
+    failures = pochhammer_identity_suite(ctx, ctx.element(3)).failures
+    assert {f[0] for f in failures} == {"binomial-convolution", "product-rule"}
+    assert ("binomial-convolution", 4) in failures and ("product-rule", 4, 4) in failures
+    assert all(f[1] >= 4 for f in failures if f[0] == "binomial-convolution")
+    assert all(4 in f[1:] for f in failures if f[0] == "product-rule")
+
+
+def test_identity_suite_builds_each_triangle_once(monkeypatch):
+    """One battery call (p = 13) asks for the triangle of (t - shift; kappa)_m
+    once for each of its shifts 0, kappa and -kappa, whatever m it reads, and
+    leaves the cached factor tables of the solutions alone."""
+    p = 13
+    ctx = make_field(p)
+    calls = []
+    real = dense._pochhammer_rows
+
+    def spy(p, kappa, shift, rows):
+        calls.append((kappa, shift % p, rows))
+        return real(p, kappa, shift, rows)
+
+    def no_factor_table(*args, **kw):
+        raise AssertionError("the battery fills the factor-table cache")
+
+    monkeypatch.setattr(dense, "_pochhammer_rows", spy)
+    monkeypatch.setattr(dense, "_factor_table", no_factor_table)
+    for kv in range(1, p):
+        calls.clear()
+        assert pochhammer_identity_suite(ctx, ctx.element(kv)).passed
+        assert sorted(calls) == sorted([(kv, 0, 4 * p), (kv, kv, 2 * p), (kv, p - kv, 2 * p)])
 
 
 def test_identity_suite_rejects_ext_kappa():
