@@ -103,7 +103,7 @@ def dense_negate_vars(arr: np.ndarray, p: int) -> np.ndarray:
 def pad_to_shape(arr: np.ndarray, shape: tuple) -> np.ndarray:
     if arr.shape == tuple(shape):
         return arr
-    out = np.zeros(shape, dtype=np.int64)
+    out = np.zeros(shape, dtype=arr.dtype)
     out[tuple(slice(0, s) for s in arr.shape)] = arr
     return out
 
@@ -313,18 +313,13 @@ def build_product_tpoly(ctx: FieldCtx, kappa: int, factors: list[tuple[int | Non
     for var, c, m in factors:
         F = _factor_table(p, kappa, m, c % p, with_var=var is not None)
         tlen = arr.shape[0]
-        new_shape = (tlen + m,) + arr.shape[1:] + ((m + 1,) if var is not None else ())
-        out = np.zeros(new_shape, dtype=np.int64)
-        if var is not None:
-            src = arr[..., None]
-            for dt in range(m + 1):
-                row = F[dt]
-                if np.count_nonzero(row):
-                    out[dt : dt + tlen] += src * row
-        else:
-            for dt in range(m + 1):
-                if F[dt, 0]:
-                    out[dt : dt + tlen] += F[dt, 0] * arr
+        out = np.zeros((tlen + m,) + arr.shape[1:] + F.shape[1:], dtype=np.int64)
+        src = arr[..., None]
+        for dt in range(m + 1):
+            if np.count_nonzero(F[dt]):
+                out[dt : dt + tlen] += src * F[dt]
+        if var is None:
+            out = out[..., 0]
         arr = out % p
     return arr
 

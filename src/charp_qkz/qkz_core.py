@@ -11,10 +11,10 @@ inverses: K_a itself (``k_matrix_batch``, s = 1, with ``k_operator_at``
 its one-point view) and the p-curvature (s = p).  ``singular_factors`` is
 the one test for a pole or degeneracy of an R-factor.
 Symbolically, K_a is an ordered product of R-factors (u - P^(a,j))/(u - 1),
-and ``apply_r_factors`` multiplies one dense coefficient array by their
+and ``apply_r_factors`` multiplies one int16 coefficient array by their
 denominators and another by their numerators, u given by the axes of its
-variables, so every identity is checked with denominators cleared and no
-rational function is ever formed.
+variables, reducing after every factor; so every identity is checked with
+denominators cleared and no rational function is ever formed.
 """
 
 from __future__ import annotations
@@ -480,31 +480,38 @@ def _axis_slices(ndim: int, axis: int):
     return lead + (slice(1, None),), lead + (slice(0, -1),)
 
 
-def _lin_mul(X: np.ndarray, axes: tuple, cc: int) -> np.ndarray:
-    """(x - y - cc) * X inside X's (padded) shape, not reduced mod p; the
-    linear form is given by the negative array axes ``axes`` = (x, y) of its
-    variables, or (x,) for the form x - cc."""
+def _lin_mul(X: np.ndarray, axes: tuple, cc: int, p: int, sub: Optional[np.ndarray] = None) -> np.ndarray:
+    """(x - y - cc) * X - sub inside X's (padded) shape, reduced into [0, p)
+    by ``linalg.mod``: the one reduction of the symbolic stacks, held in
+    int16.  The linear form is given by the negative array axes ``axes`` =
+    (x, y) of its variables, or (x,) for x - cc.  The R-factor stacks enter
+    with X and ``sub`` in [0, p) and 0 <= cc <= p (cc < p with ``sub``); the
+    KZ stacks with cc = 0, X in (-p, (p - 1)^2] and ``sub`` in (-p, p).
+    Either way the value before the reduction is within p^2 - 1 of 0, and
+    p^2 + p < 2^15 for every p <= MAX_PRIME."""
     out = X * -cc
     hi, lo = _axis_slices(X.ndim, axes[0])
     out[hi] += X[lo]
     if len(axes) > 1:
         hi, lo = _axis_slices(X.ndim, axes[1])
         out[hi] -= X[lo]
-    return out
+    if sub is not None:
+        out -= sub
+    return mod(out, p)
 
 
 def _solution_array(params: QkzParams, F: np.ndarray) -> np.ndarray:
     """F mod p (axis 0 = coordinate, then z_1..z_n) cut down to the bounding
-    box of its support, at least one entry per axis."""
+    box of its support, at least one entry per axis, as int16."""
     if params.ctx.ext_degree != 1 or F.ndim != params.n + 1 or F.shape[0] != params.n:
         raise ValueError(f"expected a prime-field coordinate array of shape (n, ...), n={params.n}")
     F = np.asarray(F, dtype=np.int64) % params.p
     hits = np.nonzero(np.any(F, axis=0))
-    return F[(slice(None),) + tuple(slice(int(h.max()) + 1 if h.size else 1) for h in hits)]
+    return F[(slice(None),) + tuple(slice(int(h.max()) + 1 if h.size else 1) for h in hits)].astype(np.int16)
 
 
 def _mismatches(a: int, lhs: np.ndarray, rhs: np.ndarray) -> list[tuple]:
-    """(a, i) for every coordinate i where two reduced stacks differ."""
+    """(a, i) for every coordinate i where lhs and rhs (a stack or 0) differ."""
     bad = np.any((lhs != rhs).reshape(lhs.shape[0], -1), axis=1)
     return [(a, int(i) + 1) for i in np.nonzero(bad)[0]]
 
@@ -518,29 +525,22 @@ def r_factors(params: QkzParams, a: int, shift: int = 0) -> list[tuple[int, int]
 
 def apply_r_factors(D: np.ndarray, N: np.ndarray, a: int, factors, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Multiply D by the denominators u - 1 and N by the numerators
-    u - P^(a,j) of R-factors (j, axes, c) of K_a; returns both reduced mod p.
+    u - P^(a,j) of R-factors (j, axes, c) of K_a; returns both as int16
+    stacks in [0, p).
 
     u is x - y - c, or x - c when ``axes`` holds one axis, for the negative
     array axes (x, y) of its variables: z_a and z_j, or w_j = z_a - z_j.
-    Axis 0 of N indexes the coordinates, and u - P^(a,j) is u - 1 on every
-    row but a and j, which swap in P.  The trailing axes must hold the
-    products and the entries lie in [0, p); both are reduced only when the
-    tracked bound on their entries would pass 2^62.
+    Axis 0 of N indexes the coordinates, and (u - P^(a,j)) N is u N minus N
+    with rows a and j swapped.  The trailing axes must hold the products and
+    the entries lie in [0, p); each factor is one ``_lin_mul`` per side.
     """
-    ra = a - 1
-    bound = p
+    D, N = D.astype(np.int16, copy=False), N.astype(np.int16, copy=False)
     for j, axes, c in factors:
-        # a factor multiplies |entries| by at most p + 2 (0 <= c < p)
-        if bound * (p + 2) >= 1 << 62:
-            D, N, bound = D % p, N % p, p
-        D = _lin_mul(D, axes, c + 1)
-        U = _lin_mul(N, axes, c)
-        rj = j - 1
-        ua, uj = U[ra] - N[rj], U[rj] - N[ra]
-        U -= N
-        U[ra], U[rj] = ua, uj
-        N, bound = U, bound * (p + 2)
-    return D % p, N % p
+        swap = np.arange(len(N))
+        swap[[a - 1, j - 1]] = j - 1, a - 1
+        D = _lin_mul(D, axes, c + 1, p)
+        N = _lin_mul(N, axes, c, p, N[swap])
+    return D, N
 
 
 def verify_qkz_solution(params: QkzParams, F: np.ndarray) -> CheckReport:
@@ -575,7 +575,11 @@ def verify_qkz_solution(params: QkzParams, F: np.ndarray) -> CheckReport:
 def verify_kz_solution(params: QkzParams, F: np.ndarray) -> CheckReport:
     """Denominator-cleared differential KZ check:
     kappa * prod_{j != a}(z_a - z_j) * df/dz_a = num(H_a) * f, with f given
-    as in :func:`verify_qkz_solution`."""
+    as in :func:`verify_qkz_solution`.  The left side minus the right is
+    built by Horner's rule over the j != a in increasing order: E =
+    kappa df/dz_a, then E <- (z_a - z_j) E - g_j with g_j the Gaudin term
+    (P^(a,j) - 1) f times the z_a - z_i of the earlier i; failures are the
+    coordinates where E is not 0."""
     p, n = params.p, params.n
     kv = params.kappa.val
     F0 = _solution_array(params, F)
@@ -585,24 +589,17 @@ def verify_kz_solution(params: QkzParams, F: np.ndarray) -> CheckReport:
         X = _pad_for_axis(F0, a - 1, n)
         s = X.shape[ax]
         hi, lo = _axis_slices(X.ndim, ax)
-        lhs = np.zeros_like(X)
-        lhs[lo] = X[hi] * (kv * np.arange(1, s) % p).reshape((s - 1,) + (1,) * (-ax - 1))
-        rhs = np.zeros_like(X)
-        # unreduced: each factor z_a - z_j at most doubles |entries|, so they
-        # stay below n p^2 2^(n-1) < 2^62, since the padded stack has over
-        # 2^(n-1) entries and n < 40 for any stack that fits in memory
-        for j in range(1, n + 1):
-            if j == a:
-                continue
-            lhs = _lin_mul(lhs, (ax, j - 1 - n), 0)
-            # Gaudin term (P^(a,j) - 1) f times prod_{j2 != a, j} (z_a - z_j2)
-            G = X[j - 1] - X[a - 1]
-            for j2 in range(1, n + 1):
-                if j2 not in (a, j):
-                    G = _lin_mul(G, (ax, j2 - 1 - n), 0)
-            rhs[a - 1] += G
-            rhs[j - 1] -= G
-        failures += _mismatches(a, lhs % p, rhs % p)
+        E = np.zeros_like(X)
+        E[lo] = X[hi] * (kv * np.arange(1, s) % p).reshape((s - 1,) + (1,) * (-ax - 1))
+        others = [j for j in range(1, n + 1) if j != a]
+        for m, j in enumerate(others):
+            g = X[j - 1] - X[a - 1]
+            for i in others[:m]:
+                g = _lin_mul(g, (ax, i - 1 - n), 0, p)
+            G = np.zeros_like(E)
+            G[a - 1], G[j - 1] = g, -g
+            E = _lin_mul(E, (ax, j - 1 - n), 0, p, G)
+        failures += _mismatches(a, E, 0)
     return CheckReport(
         name=f"KZ solution p={params.p} n={n} kappa={params.kappa}",
         passed=not failures,

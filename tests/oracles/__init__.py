@@ -4,7 +4,8 @@ the sparse symbolic curvature and the K_a that the scalar pointwise checks
 evaluate), the whole-matrix rescaling K_a kernel and the pair-by-pair
 flatness loop over it, the p-curvature as a pairwise tree of K_a
 products and the singular-point mask as a loop over R-factors, the
-dense symbolic curvature on the z-box, the scalar row elimination
+dense symbolic curvature on the z-box, the symbolic qKZ and KZ checks on
+int64 stacks with a tracked reduction bound, the scalar row elimination
 behind rank, det and solve, the back
 substitution behind the Pochhammer basis matrix, the solution values
 contracted from the coefficient arrays, the sampling loop of

@@ -3,7 +3,7 @@ axis has size (n-1)p + 1, with D_a Id held in the left half of a
 (2n, n, box) stack; and the exact expansion of an array in the variables
 w_j = z_a - z_j into that box.  The package builds tilde-C_a and D_a in
 w (``pcurvature.curvature_symbolic``); this is the reference it is
-compared with."""
+compared with, built on the int64 R-factor kernel of ``oracles.symbolic``."""
 
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ from math import comb
 
 import numpy as np
 
-from charp_qkz.qkz_core import QkzParams, apply_r_factors, r_factors
+from charp_qkz.qkz_core import QkzParams, r_factors
+from oracles.symbolic import apply_r_factors
 
 
 def _symbolic_box(params: QkzParams, a: int) -> tuple[int, ...]:

@@ -107,12 +107,14 @@ def test_every_exported_name_resolves():
 
 def test_z_box_curvature_lives_in_the_oracles():
     """The symbolic curvature on the z-box (its box, its (2n, n, box)
-    builder, and the z closed form of D_a) is a test reference only."""
-    from oracles import zbox
+    builder, and the z closed form of D_a) is a test reference only, built
+    on the int64 R-factor kernel of the oracles."""
+    from oracles import symbolic, zbox
 
     for name in ("_symbolic_box", "_symbolic_product", "curvature_symbolic", "d_a_closed_form"):
         assert callable(getattr(zbox, name)), name
     assert zbox.curvature_symbolic is not charp_qkz.pcurvature.curvature_symbolic
+    assert zbox.apply_r_factors is symbolic.apply_r_factors
 
 
 def test_sparse_layers_left_the_package():

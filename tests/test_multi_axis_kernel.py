@@ -7,7 +7,8 @@ per-axis paths it must agree with: the whole-matrix rescaling kernel
 its axis; the kernel's per-(factor, point) singular test against a
 brute-force search over the shifts and against the n(n-1) loop of the mask
 it replaced; ``verify_flatness`` against the pair-by-pair loop; and the
-int32 bound at the largest prime."""
+int32 bound of the kernel and the int16 bound of the symbolic stacks at the
+largest prime."""
 
 import random
 
@@ -29,6 +30,7 @@ from charp_qkz.qkz_core import (
     stack_groups,
     verify_flatness,
 )
+from oracles import symbolic
 from oracles.curvature import curvature_batch as tree_curvature_batch
 from oracles.curvature import nonsingular_points, singular_mask
 from oracles.kmatrix import k_matrix_batch as rescaling_k_matrix_batch
@@ -212,6 +214,31 @@ def test_int32_bound_holds_at_the_largest_prime():
         for i, params in enumerate(_cases(p, n, ext=1)):
             axes, Z = _mixed_batch(params, 4, n + i)
             _assert_matches_per_axis(params, axes, Z)
+
+
+def test_int16_bound_holds_at_the_largest_prime():
+    """The symbolic stacks stay in int16 at p = MAX_PRIME: p^2 + p < 2^15,
+    and at the extremes of the bound in ``_lin_mul``'s docstring (stacks of
+    all p - 1; cc = p, cc = p - 1 with ``sub``, cc = 0 on two axes; the KZ
+    stacks, with entries -(p - 1) and (p - 1)^2) it equals the int64
+    product mod p."""
+    p = MAX_PRIME
+    assert p * p + p < 1 << 15
+    X = np.full((2, 4, 3, 5), p - 1, dtype=np.int16)
+    kz = np.random.default_rng(p).choice([1 - p, (p - 1) ** 2], size=X.shape).astype(np.int16)
+    cases = [
+        (X, (-2,), p, None),
+        (X, (-3, -1), p, None),
+        (X, (-3, -1), p - 1, X),
+        (X, (-3, -1), 0, None),
+        (kz, (-3, -1), 0, None),
+        (kz, (-3, -1), 0, X),
+        (kz, (-1, -2), 0, -X),
+    ]
+    for Y, axes, cc, sub in cases:
+        expect = symbolic._lin_mul(Y.astype(np.int64), axes, cc) - (0 if sub is None else sub)
+        got = qkz_core._lin_mul(Y, axes, cc, p, sub)
+        assert got.dtype == np.int16 and np.array_equal(got, expect % p), (axes, cc)
 
 
 def test_stack_groups_cover_the_items_within_the_budget():
