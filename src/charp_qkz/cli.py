@@ -315,8 +315,8 @@ class SuiteRunner:
                 failures.append(("independence", ind.failures[:3]))
             # the printed arrays take the values the pointwise checks read
             z = sample_point(make_field(params.p, 2), params.n, self.cfg.seed)
-            printed = [[dense_eval_points(c, z[None], params.p)[0] for c in F] for F in ss.arrays]
-            moved = np.any(np.array(printed) != solution_values(params, z[None])[:, 0], axis=-1)
+            printed = dense_eval_points(ss.arrays, z[None], params.p)[:, :, 0]
+            moved = np.any(printed != solution_values(params, z[None])[:, 0], axis=-1)
             failures += [("values", int(ell) + 1, int(a) + 1) for ell, a in np.argwhere(moved)]
             yield key, _entry(failures + dsum, {"d": ss.d, "degrees": ss.degrees()})
 

@@ -4,11 +4,13 @@ Solution sets are built and held as dense coefficient arrays (axes = z_1..
 z_n); these kernels build them (large products in t and z, Pochhammer-basis
 reduction), evaluate them, render them as text and convert them to and from
 sparse polynomials.  Every triangular table they read (Pascal's triangle,
-the (t - shift; kappa)_m, both Stirling triangles) is built by one cached
-recurrence, ``_triangle``.  Everything here is exact arithmetic mod p: with
-p <= 101 and the accumulation patterns used below no int64 intermediate
-approaches 2^63, and the one float64 path is exact by the bound stated
-where it occurs.
+the (t - shift; kappa)_m, both Stirling triangles) is a base triangle of
+its prime, built by one cached recurrence, rescaled by a power of kappa or
+of a shift (``_triangle``), and each factor of a product is multiplied in
+with one int64 product of window views.  Everything here is exact
+arithmetic mod p: with p <= 101 and the accumulation patterns used below no
+int64 intermediate approaches 2^63, and the one float64 path is exact by
+the bound stated where it occurs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .ffield import FieldCtx, make_field
 from .mpoly import MPoly
@@ -197,14 +200,16 @@ def render_polynomials(arrays: np.ndarray, p: int) -> list[list[str]]:
 
 
 def dense_eval_points(arr: np.ndarray, Z: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate a dense prime-field coefficient array (axes = z_1..z_n) at a
-    batch of F_{p^2} points Z (npts, n, 2); returns (npts, 2).
+    """Evaluate a dense prime-field coefficient array, or a stack of them,
+    at a batch of F_{p^2} points Z (npts, n, 2): the last n axes of ``arr``
+    are z_1..z_n and any axes before them are stack axes; returns
+    (*stack, npts, 2).
 
-    Contracts one variable axis at a time against per-point power tables;
-    all arithmetic stays in int64 with per-axis reduction.
+    Contracts one variable axis at a time against per-point power tables,
+    built once for the whole stack; all arithmetic stays in int64 with
+    per-axis reduction.
     """
-    npts = Z.shape[0]
-    n = arr.ndim
+    npts, n = Z.shape[:2]
     delta = make_field(p, 2).nonresidue
 
     def powers(var: int, s: int):
@@ -221,28 +226,49 @@ def dense_eval_points(arr: np.ndarray, Z: np.ndarray, p: int) -> np.ndarray:
     Y0 = np.tensordot(arr % p, pw0, axes=([-1], [0])) % p
     Y1 = np.tensordot(arr % p, pw1, axes=([-1], [0])) % p
     for ax in range(n - 2, -1, -1):
-        pw0, pw1 = powers(ax, arr.shape[ax])
+        pw0, pw1 = powers(ax, arr.shape[ax - n])
         n0 = (np.einsum("...sn,sn->...n", Y0, pw0) + delta * np.einsum("...sn,sn->...n", Y1, pw1)) % p
         n1 = (np.einsum("...sn,sn->...n", Y0, pw1) + np.einsum("...sn,sn->...n", Y1, pw0)) % p
         Y0, Y1 = n0, n1
     return np.stack([Y0, Y1], axis=-1)
 
 
-# Every triangular table mod p comes from one recurrence: row m + 1 is row m
-# times t plus c(m, l) = c0 + cm*m + cl*l times row m, that is
-# T[m+1, l] = T[m, l-1] + c(m, l) T[m, l] from T[0] = (1, 0, 0, ...).
-# Rows are built in blocks of p, so the readers of one (p, c) share a table:
-# the solutions (m < p) one of p rows, the identity battery one of 2p or 4p.
-# The cache holds at most 16 tables of (rows + 1)^2 int64: the battery asks
-# for at most 4p rows (1.3 MB a table at p = 101, 21 MB for the cache), a
-# basis matrix for its t-length.
-def _triangle(p: int, rows: int, c0: int, cm: int, cl: int) -> np.ndarray:
-    """Rows 0..rows (or more) of the triangle of c = c0 + cm*m + cl*l,
-    square and read-only, with T[m, l] = 0 for l > m."""
-    return _recurrence(p, p * max(1, -(-rows // p)), c0 % p, cm % p, cl % p)
+# Every triangular table mod p is a base triangle of its prime rescaled by a
+# power of lam: T[m, l] = B[m, l] lam^{m-l}, read from one cached power table
+# of lam.  A base triangle comes from one recurrence: row m + 1 is row m times
+# t plus c(m, l) = c0 + cm*m + cl*l times row m, that is
+# T[m+1, l] = T[m, l-1] + c(m, l) T[m, l] from T[0] = (1, 0, 0, ...).  The
+# bases are Pascal's triangle (c = 1), the rows of (u - s; 1)_m (c = -s - m;
+# s = 0 gives the signed first-kind Stirling numbers) and the second-kind
+# Stirling triangle (c = l).  None depends on kappa:
+# (t - s; kappa)_m = kappa^m (t/kappa - s/kappa; 1)_m, so the rows of
+# (t - s; kappa)_m are those of (u - s/kappa; 1)_m rescaled by kappa, and
+# (t - s; 0)_m = (t - s)^m is Pascal's triangle rescaled by -s.
+# Rows are built in blocks of p, so the readers of one table share it: the
+# solutions (m < p) one of p rows, the identity battery one of 2p or 4p, a
+# basis matrix one of at most np.  A table of R rows takes 8 (R + 1)^2
+# bytes, 1.3 MB for 4p rows at p = 101.  So at p = 101 and n <= 4 the 64
+# cached base triangles take at most 84 MB, the 16 cached rescaled tables
+# 21 MB and the 64 cached power vectors 0.4 MB.  A solve key reads only the
+# bases of shift 0 and 1, Pascal's and the second-kind triangle of its
+# prime, so 64 hold the bases of several primes at once.
+def _triangle(p: int, rows: int, c0: int, cm: int, cl: int, lam: int = 1) -> np.ndarray:
+    """Rows 0..rows (or more) of the base triangle of c = c0 + cm*m + cl*l
+    times lam^{m-l}, square and read-only, with T[m, l] = 0 for l > m."""
+    return _rescaled(p, p * max(1, -(-rows // p)), c0 % p, cm % p, cl % p, lam % p)
 
 
 @functools.lru_cache(maxsize=16)
+def _rescaled(p: int, rows: int, c0: int, cm: int, cl: int, lam: int) -> np.ndarray:
+    T = _recurrence(p, rows, c0, cm, cl)
+    if lam == 1:
+        return T
+    T = T * _lag_powers(p, lam, rows) % p
+    T.flags.writeable = False
+    return T
+
+
+@functools.lru_cache(maxsize=64)
 def _recurrence(p: int, rows: int, c0: int, cm: int, cl: int) -> np.ndarray:
     ms = np.arange(rows + 1)
     c = (c0 + cm * ms[:, None] + cl * ms) % p
@@ -257,14 +283,30 @@ def _recurrence(p: int, rows: int, c0: int, cm: int, cl: int) -> np.ndarray:
     return T
 
 
+@functools.lru_cache(maxsize=64)
+def _lag_powers(p: int, lam: int, rows: int) -> np.ndarray:
+    """The read-only (rows + 1)^2 table L[m, l] = lam^{m-l} mod p for
+    m >= l and 0 above the diagonal: a Toeplitz view of one vector holding
+    rows zeros and then lam^0, ..., lam^rows."""
+    v = np.zeros(2 * rows + 1, dtype=np.int64)
+    v[rows:] = [pow(lam, e, p) for e in range(rows + 1)]
+    step = v.strides[0]
+    return as_strided(v[rows:], shape=(rows + 1, rows + 1), strides=(step, -step), writeable=False)
+
+
 def _pascal(p: int, rows: int, x: int = 1) -> np.ndarray:
-    """C(m, l) x^{m-l} mod p."""
-    return _triangle(p, rows, x, 0, 0)
+    """C(m, l) x^{m-l} mod p: Pascal's triangle rescaled by x."""
+    return _triangle(p, rows, 1, 0, 0, x)
 
 
 def _pochhammer_rows(p: int, kappa: int, shift: int, rows: int) -> np.ndarray:
-    """Row m: the ascending t-coefficients of (t - shift; kappa)_m mod p."""
-    return _triangle(p, rows, -shift, -kappa, 0)
+    """Row m: the ascending t-coefficients of (t - shift; kappa)_m mod p,
+    the rows of (u - shift/kappa; 1)_m rescaled by kappa, or of Pascal's
+    triangle rescaled by -shift when kappa = 0."""
+    kappa %= p
+    if not kappa:
+        return _triangle(p, rows, 1, 0, 0, -shift)
+    return _triangle(p, rows, -shift * pow(kappa, -1, p), -1, 0, kappa)
 
 
 def _stirling_rows(kind: int, p: int, rows: int) -> np.ndarray:
@@ -299,12 +341,28 @@ def _factor_table(p: int, kappa: int, m: int, shift: int, with_var: bool) -> np.
     return F
 
 
+def _windows(a: np.ndarray, width: int) -> np.ndarray:
+    """The read-only view W[i, ..., j] = a[i + j] of the windows of ``width``
+    consecutive entries along axis 0 of ``a``, the window index last."""
+    return as_strided(
+        a,
+        shape=(a.shape[0] - width + 1,) + a.shape[1:] + (width,),
+        strides=a.strides + a.strides[:1],
+        writeable=False,
+    )
+
+
 def build_product_tpoly(ctx: FieldCtx, kappa: int, factors: list[tuple[int | None, int, int]]) -> np.ndarray:
     """Dense coefficients of prod_j (t - w_j - c_j; kappa)_{m_j}.
 
     Each factor is (var, c, m) with ``var`` a 1-based z-index or None for a
     pure constant shift.  Axis 0 of the array is the t-degree; then comes
     one axis per factor with a variable, in the order of the factors.
+
+    Each factor is one int64 product of the windows of the array, padded by
+    m zeros on both sides in t, with the reversed factor table:
+    out[tau, e] = sum_dt arr[tau - dt] F[dt, e].  Both have entries in
+    [0, p), so every partial sum is below (m + 1)(p - 1)^2, far from 2^63.
     """
     if ctx.ext_degree != 1:
         raise ValueError("dense kernels are prime-field only")
@@ -312,15 +370,11 @@ def build_product_tpoly(ctx: FieldCtx, kappa: int, factors: list[tuple[int | Non
     arr = np.ones((1,), dtype=np.int64)
     for var, c, m in factors:
         F = _factor_table(p, kappa, m, c % p, with_var=var is not None)
-        tlen = arr.shape[0]
-        out = np.zeros((tlen + m,) + arr.shape[1:] + F.shape[1:], dtype=np.int64)
-        src = arr[..., None]
-        for dt in range(m + 1):
-            if np.count_nonzero(F[dt]):
-                out[dt : dt + tlen] += src * F[dt]
-        if var is None:
-            out = out[..., 0]
-        arr = out % p
+        tlen, rest = arr.shape[0], arr.shape[1:]
+        padded = np.zeros((tlen + 2 * m, arr[0].size), dtype=np.int64)
+        padded[m : m + tlen] = arr.reshape(tlen, -1)
+        out = _windows(padded, m + 1) @ F[::-1]
+        arr = out.reshape((tlen + m,) + rest + ((m + 1,) if var is not None else ())) % p
     return arr
 
 
@@ -332,12 +386,9 @@ def _pochhammer_basis_matrix(p: int, kappa: int, tlen: int) -> np.ndarray:
 
     Column j is the expansion t^j = sum_i S2(j, i) kappa^{j-i} (t; kappa)_i,
     read as a slice of the second-kind Stirling triangle, the one
-    ``pochhammer.stirling`` reads.
+    ``pochhammer.stirling`` reads, rescaled by kappa.
     """
-    S2 = _stirling_rows(2, p, tlen - 1)[:tlen, :tlen]
-    kpow = np.array([pow(kappa, e, p) for e in range(tlen)], dtype=np.int64)
-    lag = np.arange(tlen)[None, :] - np.arange(tlen)[:, None]  # j - i
-    M = (S2.T * kpow[np.maximum(lag, 0)] % p).astype(np.float64)
+    M = _triangle(p, tlen - 1, 0, 0, 1, kappa)[:tlen, :tlen].T.astype(np.float64)
     M.flags.writeable = False
     return M
 
@@ -358,14 +409,13 @@ def _row_functional(
     the t-coefficients of a polynomial of degree < tlen to the requested
     Pochhammer coefficients of its product with the factor table F of
     ``factor`` = (var, shift, m); M is the basis matrix of size tlen + m.
-    Float64 with entries in [0, p), read-only."""
+    One int64 product of the windows of the rows of M with F, exact as in
+    ``build_product_tpoly``.  Float64 with entries in [0, p), read-only."""
     var, shift, m = factor
     F = _factor_table(p, kappa, m, shift % p, with_var=var is not None)
     Mr = _pochhammer_basis_matrix(p, kappa, tlen + m)[list(rows)].astype(np.int64)
-    G = np.zeros((len(rows), F.shape[1], tlen), dtype=np.int64)
-    for dt in range(m + 1):
-        G += Mr[:, None, dt : dt + tlen] * F[dt][None, :, None]
-    G = (G % p).reshape(-1, tlen).astype(np.float64)
+    G = _windows(Mr.T, m + 1) @ F  # G[tau, r, e]
+    G = (G.transpose(1, 2, 0) % p).reshape(-1, tlen).astype(np.float64)
     G.flags.writeable = False
     return G
 

@@ -1,7 +1,8 @@
 """Stirling numbers mod p and the symbolic identity battery of the
 Pochhammer polynomials (t; kappa)_m, on exact coefficient vectors over F_p.
 
-Every table here is a triangle of the one recurrence in ``dense``: Pascal's
+Every table here is a base triangle of the one recurrence in ``dense``,
+rescaled by a power of kappa where the table depends on it: Pascal's
 triangle, the rows of (t - shift; kappa)_m and both Stirling triangles.
 The battery reads the kernels the solutions are built with: those
 triangles, the gather that turns a row into the table of r(t + x w), and

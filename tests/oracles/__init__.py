@@ -12,4 +12,6 @@ contracted from the coefficient arrays, the sampling loop of
 the ``ext_kappa`` points, the per-call lexsort renderer, the
 Pochhammer identity battery as a loop over m and over pairs (i, j), and the
 table loops (factor tables, Pochhammer rows, Stirling and Pascal) that one
-recurrence replaced.  Tests compare the production paths with them."""
+recurrence replaced, and the per-degree loops of the factor products that
+one windowed product replaced.  Tests compare the production paths with
+them."""

@@ -1,8 +1,8 @@
 """The package surface: every exported name resolves, the sparse
 t-polynomial, vector, solution and operator layers, the z-box symbolic
 curvature, the solution values contracted from the arrays, the
-factorial of the loop identity battery and the table loops that one
-recurrence replaced live only in tests/oracles, the field-element point helpers, the process-wide
+factorial of the loop identity battery, the table loops that one
+recurrence replaced and the per-degree factor products live only in tests/oracles, the field-element point helpers, the process-wide
 curvature store and duplicate entry points are gone, and only the dense kernels import the
 sparse polynomials."""
 
@@ -55,6 +55,8 @@ MOVED_TO_ORACLES = {
     "factorial_mod",
     "pochhammer_scalar_coeffs",
     "_stirling_table",
+    "product_tpoly_by_degree",
+    "row_functional_by_degree",
 }
 
 # Deleted: the helpers of the field-element point form (points are (n, 2)

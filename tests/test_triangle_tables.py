@@ -1,13 +1,15 @@
-"""The triangular tables mod p, all rows of the one recurrence
+"""The triangular tables mod p, all rescaled rows of the one recurrence
 ``dense._triangle``, against the loops they replaced (``oracles.tables``):
 the factor tables of (t - w - shift; kappa)_m with and without the
 variable, the (t; kappa)_m rows, both Stirling triangles, and the binomial
-matrix of ``dense_shift_var``."""
+matrix of ``dense_shift_var``; and the recurrence runs only for the base
+triangles of each prime."""
 
 import numpy as np
 import pytest
 
-from charp_qkz import dense
+from charp_qkz import dense, hypergeo
+from charp_qkz.cli import main
 from oracles.tables import (
     _stirling_table,
     factor_table_by_products,
@@ -40,10 +42,10 @@ def test_factor_tables_match_products(p):
 @pytest.mark.slow
 @pytest.mark.parametrize("p", [17, 19, 23, 29, 31, 53, 101])
 def test_factor_tables_match_products_sweep(p):
-    """Every kappa up to p = 31, kappa = 1, 2 at p = 53 and 101; the shifts
-    0, kappa and -kappa that the solutions and the battery read."""
+    """Every kappa up to p = 31, kappa = 1, 2 at p = 53 and 101; every
+    shift, as the restricted products read them."""
     kappas = range(1, p) if p <= 31 else (1, 2)
-    _assert_factor_tables(p, kappas, lambda kv: (0, kv, -kv % p))
+    _assert_factor_tables(p, kappas, lambda kv: range(p))
 
 
 @pytest.mark.parametrize("p", PRIMES + [pytest.param(q, marks=pytest.mark.slow) for q in (31, 53, 101)])
@@ -84,16 +86,45 @@ def test_shift_matrix_matches_pascal_loop(p):
 
 
 def test_triangles_are_shared_read_only_and_bounded():
-    """One table per (p, c) and block of p rows, whatever rows a caller
-    asks for within it (s1 is the triangle of (t; 1)_m); the cache holds at
-    most 16; the factor tables it feeds are copies, so they do not keep an
-    evicted triangle alive."""
-    assert dense._recurrence.cache_info().maxsize == 16
+    """One table per (p, c, lam) and block of p rows, whatever rows a
+    caller asks for within it (s1 is the triangle of (t; 1)_m, and
+    (t - s; 0)_m = (t - s)^m is Pascal's triangle rescaled by -s); the
+    caches hold at most 64 base and 16 rescaled tables; the factor tables
+    they feed are copies, so they do not keep an evicted triangle alive."""
+    assert dense._recurrence.cache_info().maxsize == 64
+    assert dense._rescaled.cache_info().maxsize == 16
     p = 7
     T = dense._pochhammer_rows(p, 3, 0, 2)
     assert T.shape == (p + 1, p + 1) and not T.flags.writeable
     assert dense._pochhammer_rows(p, 3 + p, -p, p) is T
     assert dense._pochhammer_rows(p, 3, 0, p + 1).shape == (2 * p + 1, 2 * p + 1)
     assert dense._stirling_rows(1, p, 5) is dense._pochhammer_rows(p, 1, 0, 0)
+    assert dense._pochhammer_rows(p, 0, 2, 3) is dense._pascal(p, 5, -2)
     for with_var in (False, True):
         assert not np.shares_memory(dense._factor_table(p, 3, 4, 0, with_var=with_var), T)
+
+
+def test_solve_builds_only_base_triangles(monkeypatch, capsys):
+    """Solving every kappa of (11, 3) and (7, 4) runs the recurrence only
+    for base triangles of the prime: Pascal's (c = 1), the second-kind
+    (c = l) and the (u - s; 1)_m (c = -s - m) for the shifts s = 0 and 1
+    the solutions read, never with cm = -kappa for kappa not in {0, 1};
+    every kappa is a rescale of them."""
+    calls = set()
+    real = dense._recurrence
+
+    def spy(p, rows, c0, cm, cl):
+        calls.add((p, c0, cm, cl))
+        return real(p, rows, c0, cm, cl)
+
+    monkeypatch.setattr(dense, "_recurrence", spy)
+    for cached in (dense._rescaled, dense._factor_table, dense._row_functional, dense._pochhammer_basis_matrix):
+        cached.cache_clear()
+    for p, n in ((11, 3), (7, 4)):
+        for kv in range(1, p):
+            hypergeo._solution_cache.clear()
+            assert main(["solve", "--p", str(p), "--n", str(n), "--kappa", str(kv), "--format", "json"]) == 0
+            capsys.readouterr()
+        bases = {(1, 0, 0), (0, 0, 1), (0, p - 1, 0), (p - 1, p - 1, 0)}
+        assert {c[1:] for c in calls if c[0] == p} == bases, p
+    hypergeo._solution_cache.clear()
