@@ -538,6 +538,15 @@ def _config_from_args(args) -> RunConfig:
                     raise ValueError(f"kappa {s!r} lies in F_{p}; give it as 'c'")
         except ValueError as exc:
             _usage_error(str(exc))
+    # suites that draw --points points at once: the curvature stack of the largest swept n must fit
+    if {"rmatrix", "curvature", "ext_kappa"} & set(cfg.suites):
+        n = max((n for n in cfg.n_range if n < max(cfg.primes)), default=0)
+        nbytes = 16 * n**3 * (n + 1) * cfg.point_count  # int64 (n, n+1, points, n, n, 2)
+        if nbytes > hypergeo._SOLUTION_CACHE_BYTES:
+            _usage_error(
+                f"--points {cfg.point_count} is too many: the curvature stack for n={n} would take "
+                f"{nbytes / 2**20:.6g} MiB, above the {hypergeo._SOLUTION_CACHE_BYTES >> 20} MiB limit"
+            )
     return cfg
 
 

@@ -378,19 +378,16 @@ def build_product_tpoly(ctx: FieldCtx, kappa: int, factors: list[tuple[int | Non
     return arr
 
 
-@functools.lru_cache(maxsize=256)
 def _pochhammer_basis_matrix(p: int, kappa: int, tlen: int) -> np.ndarray:
     """The tlen x tlen matrix taking monomial coefficients of a t-polynomial
-    of degree < tlen to its coefficients in the basis (t; kappa)_i, as
-    float64 with entries in [0, p).
+    of degree < tlen to its coefficients in the basis (t; kappa)_i, as a
+    read-only int64 view with entries in [0, p).
 
     Column j is the expansion t^j = sum_i S2(j, i) kappa^{j-i} (t; kappa)_i,
-    read as a slice of the second-kind Stirling triangle, the one
-    ``pochhammer.stirling`` reads, rescaled by kappa.
+    the transposed slice of the cached second-kind Stirling triangle, the
+    one ``pochhammer.stirling`` reads, rescaled by kappa.
     """
-    M = _triangle(p, tlen - 1, 0, 0, 1, kappa)[:tlen, :tlen].T.astype(np.float64)
-    M.flags.writeable = False
-    return M
+    return _triangle(p, tlen - 1, 0, 0, 1, kappa)[:tlen, :tlen].T
 
 
 # multiply-adds per float64 product in dense_pochhammer_coeffs.  Blocks this
@@ -413,7 +410,7 @@ def _row_functional(
     ``build_product_tpoly``.  Float64 with entries in [0, p), read-only."""
     var, shift, m = factor
     F = _factor_table(p, kappa, m, shift % p, with_var=var is not None)
-    Mr = _pochhammer_basis_matrix(p, kappa, tlen + m)[list(rows)].astype(np.int64)
+    Mr = _pochhammer_basis_matrix(p, kappa, tlen + m)[list(rows)]
     G = _windows(Mr.T, m + 1) @ F  # G[tau, r, e]
     G = (G.transpose(1, 2, 0) % p).reshape(-1, tlen).astype(np.float64)
     G.flags.writeable = False

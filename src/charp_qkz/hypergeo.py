@@ -231,7 +231,7 @@ def solution_values(params: QkzParams, Z: np.ndarray) -> np.ndarray:
         P0[f + 1], P1[f + 1] = A0[f], A1[f]
         P0[: f + 1], P1[: f + 1], bound = T0, T1, bound * growth
     rows = [ell * p - 1 for ell in range(1, params.d + 1)]
-    M = dense._pochhammer_basis_matrix(p, kv, len(P0))[rows].astype(np.int64)
+    M = dense._pochhammer_basis_matrix(p, kv, len(P0))[rows]
     values = [M @ mod(P, p).reshape(len(P), -1) for P in (P0, P1)]
     return mod(np.stack(values, axis=-1), p).reshape(len(rows), len(Z), n, 2)
 
@@ -401,22 +401,26 @@ def _restriction_rows(params: QkzParams, I, a: int) -> np.ndarray:
 # -- orthogonality ---------------------------------------------------------------
 
 
-def _grid_values(arr: np.ndarray, p: int) -> np.ndarray:
-    """The values of a dense coefficient array (axes z_1..z_n, axis size s
-    bounding that degree by s - 1) on the grid (F_p u {inf})^n, as an
-    array of shape (p+1,)^n with index p for infinity.  Each axis is
-    contracted in int64 with V[e, x] = x^e mod p (x in F_p) and
+def _grid_values(arr: np.ndarray, p: int, n: int) -> np.ndarray:
+    """The values of a dense coefficient array (the last n axes z_1..z_n,
+    axis size s bounding that degree by s - 1), or of a stack of them along
+    the axes before, on the grid (F_p u {inf})^n, as an array of shape
+    (*stack, p+1, ..., p+1) with index p for infinity.  Each variable axis
+    is contracted in int64 with V[e, x] = x^e mod p (x in F_p) and
     V[s-1, p] = 1, which reads the z^{s-1} coefficient at infinity; every
     partial sum is below (p+1)(p-1)^2."""
-    out = arr % p
-    for s in arr.shape:
-        V = np.zeros((s, p + 1), dtype=np.int64)
-        V[:, :p] = [[pow(x, e, p) for x in range(p)] for e in range(s)]
-        V[s - 1, p] = 1
-        # each step contracts the leading axis and appends its grid axis
-        # last, so after n steps the axes are back in order
-        out = out.reshape(s, -1).T @ V % p
-    return out.reshape((p + 1,) * arr.ndim)
+    sizes = arr.shape[arr.ndim - n :]
+    powers = np.ones((max(sizes), p), dtype=np.int64)  # powers[e, x] = x^e mod p
+    for e in range(1, len(powers)):
+        powers[e] = powers[e - 1] * np.arange(p) % p
+    # the stack axes go last: each step contracts the leading axis and
+    # appends its grid axis last, so after n steps the stack leads again
+    out = np.moveaxis((arr % p).reshape((-1,) + sizes), 0, -1)
+    for s in sizes:
+        V = np.hstack([powers[:s], np.eye(s, dtype=np.int64)[:, -1:]])
+        out = out.reshape(s, -1).T @ V
+        out %= p
+    return out.reshape(arr.shape[: arr.ndim - n] + (p + 1,) * n)
 
 
 def verify_orthogonality(params: QkzParams, unnegated_control: bool = False) -> CheckReport:
@@ -445,12 +449,13 @@ def verify_orthogonality(params: QkzParams, unnegated_control: bool = False) -> 
     minus = extract_solutions(params.minus()).arrays
     if any(sp + sm - 2 > p for sp, sm in zip(plus.shape[2:], minus.shape[2:])):
         raise AssertionError("pairing degree exceeds p on an axis")
+    # z -> -z scales each coefficient by the sign of its monomial
+    sign = 1 if unnegated_control else dense.dense_negate_vars(np.ones(minus.shape[2:], dtype=np.int64), p)
     G = np.zeros((len(plus), len(minus)) + (p + 1,) * params.n, dtype=np.int64)
     for a in range(params.n):
-        minus_a = minus[:, a] if unnegated_control else [dense.dense_negate_vars(sm[a], p) for sm in minus]
-        right = np.stack([_grid_values(g, p) for g in minus_a])
-        for ell, sp in enumerate(plus):
-            G[ell] += _grid_values(sp[a], p) * right
+        right = _grid_values(minus[:, a] * sign, p, params.n)
+        for ell, left in enumerate(_grid_values(plus[:, a], p, params.n)):
+            G[ell] += left * right
     nonzero = np.any(G.reshape(G.shape[:2] + (-1,)) % p, axis=2)
     failures = [(int(ell) + 1, int(m) + 1) for ell, m in np.argwhere(nonzero)]
     return CheckReport(

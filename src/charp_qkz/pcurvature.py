@@ -10,9 +10,10 @@ outside the prime field) run batched over F_{p^2} points.  C_a at a batch
 is one run of the R-factor kernel ``qkz_core.k_product_batch``: its p(n-1)
 factors each rewrite two rows of one running matrix, and each point carries
 its own axis a.  The cost of a call barely depends on the batch size, so
-per kappa one call (``curvature_stack``) covers every axis and every point
-set that the battery and the duality checks read; the caller passes the
-stacks of kappa and -kappa to the four checks of the pair.
+per kappa one call (``curvature_stack``) makes hat-C_a at every axis and
+every point set that the battery and the duality checks read; the caller
+passes the stacks of kappa and -kappa to the four checks of the pair.  The
+zero-sum space is read in the basis e_i = v^(i) - v^(i+1) (``_zero_sum_basis``).
 The symbolic form, for the denominator-cancellation and degree-bound
 claims, is built in the n - 1 variables w_j = z_a - z_j, where D_a =
 prod_{j != a} (w_j^p - w_j), on dense coefficient arrays by the R-factor
@@ -159,28 +160,30 @@ def battery_points(params: QkzParams, npoints: int, seed: int) -> np.ndarray:
 
 
 def curvature_stack(params: QkzParams, Z: np.ndarray) -> np.ndarray:
-    """C_a(.; kappa) for every axis a at the point sets of the battery and
-    the duality checks, as one (n, n+1, npts, n, n, 2) array from one
-    ``curvature_batch`` call (per group of axes of ``stack_groups``): [a-1,
-    0] is C_a(Z), [a-1, 1:n] C_a(Z - kappa e_b) for b != a in increasing
-    order, [a-1, n] C_a(-Z).  In the narrowest unsigned dtype that holds F_p."""
+    """hat-C_a(.; kappa) = C_a - Id for every axis a at the point sets of
+    the battery and the duality checks, as one (n, n+1, npts, n, n, 2) array
+    from one ``curvature_batch`` call (per group of axes of
+    ``stack_groups``), reduced as it is written: [a-1, 0] is hat-C_a(Z),
+    [a-1, 1:n] hat-C_a(Z - kappa e_b) for b != a in increasing order,
+    [a-1, n] hat-C_a(-Z).  In the narrowest unsigned dtype that holds F_p."""
     p, n, npts = params.p, params.n, len(Z)
     shifted = kappa_shifts(params, Z)
     negated = mod(-Z, p)
-    C = np.empty((n, n + 1, npts, n, n, 2), dtype=np.min_scalar_type(p - 1))
+    H = np.empty((n, n + 1, npts, n, n, 2), dtype=np.min_scalar_type(p - 1))
     for g in stack_groups(n, (n + 1) * npts * n * n * 2):
         axes = np.arange(n)[g]
         sets = [S for a in axes for S in [Z, *np.delete(shifted, a, axis=0), negated]]
         stack = curvature_batch(params, np.repeat(axes + 1, (n + 1) * npts), np.concatenate(sets))
-        C[g] = stack.reshape((len(axes),) + C.shape[1:])
-    return C
+        H[g] = _reduce_batch(stack, p).reshape((len(axes),) + H.shape[1:])
+    return H
 
 
 def verify_curvature_battery(
-    params: QkzParams, Z: np.ndarray, C: np.ndarray, perturb_control: bool = False
+    params: QkzParams, Z: np.ndarray, H: np.ndarray, perturb_control: bool = False
 ) -> CheckReport:
     """Pointwise curvature properties at the nonsingular F_{p^2} points Z
-    (npts, n, 2), given their ``curvature_stack`` C for this kappa.
+    (npts, n, 2), given their ``curvature_stack`` H of hat-C_a for this
+    kappa.
 
     For 0 < d < n-1: hat-C_a nonzero, nilpotency hat-C_a hat-C_b = 0,
     solutions fixed by C_a, image(hat-C_a) inside the solution span,
@@ -197,28 +200,24 @@ def verify_curvature_battery(
     if params.k is None:
         raise ValueError("battery requires kappa in F_p^x")
     n, p, d, npoints = params.n, params.p, params.d, len(Z)
-    C, shifted = C[:, 0].astype(np.int64), C[:, 1:n]
-    H = _reduce_batch(C, p)  # C and H: (n, npts, n, n, 2), axis a at a - 1
-    K = k_matrix_batch(params, *every_axis(n, Z)).reshape(C.shape)
-    failures = []
-    per_axis = {}
+    H, shifted = H[:, 0].astype(np.int64), H[:, 1:n]  # H: (n, npts, n, n, 2), axis a at a - 1
+    K = k_matrix_batch(params, *every_axis(n, Z)).reshape(H.shape)
     degenerate = d in (0, n - 1)
-    for a in range(1, n + 1):
-        nz = np.any(H[a - 1].reshape(npoints, -1) != 0, axis=1)
-        per_axis[a] = {"nonzero_points": int(nz.sum())}
-        if degenerate and np.any(nz):
-            failures.append(("hatC nonzero in degenerate case", a, int(np.nonzero(nz)[0][0])))
-        elif not degenerate and not np.all(nz):
-            failures.append(("hatC vanished", a, int(np.nonzero(~nz)[0][0])))
+    live = np.any(H.reshape(n, npoints, -1), axis=2)  # (n, npts): hat-C_a(z) != 0
+    per_axis = {a: {"nonzero_points": int(c)} for a, c in enumerate(live.sum(axis=1), start=1)}
+    flagged = live if degenerate else ~live
+    what = "hatC nonzero in degenerate case" if degenerate else "hatC vanished"
+    failures = [(what, int(a) + 1, int(np.argmax(flagged[a]))) for a in np.flatnonzero(flagged.any(axis=1))]
     # nilpotency: hat-C_a hat-C_b = 0 for all pairs (includes a = b); the
     # same products give the commutativity of the C_a
     nonzero, commute = _pair_products(H, p)
     failures += [("nilpotency", a + 1, b + 1) for a, b in zip(*np.triu_indices(n)) if nonzero[a, b]]
     for a in range(1, n + 1):
-        # endomorphism: K_b(z) C_a(z) = C_a(z - kappa e_b) K_b(z) for every b != a at once
+        # endomorphism: K_b(z) hat-C_a(z) = hat-C_a(z - kappa e_b) K_b(z) for
+        # every b != a at once, which is K_b C_a(z) = C_a(z - kappa e_b) K_b
         others = [b for b in range(1, n + 1) if b != a]
         Kb = K[np.array(others) - 1]
-        lhs = ext_matmul(Kb, C[a - 1], p)
+        lhs = ext_matmul(Kb, H[a - 1], p)
         rhs = ext_matmul(shifted[a - 1].astype(np.int64), Kb, p)
         moved = np.any((lhs != rhs).reshape(len(others), -1), axis=1)
         failures += [("endomorphism", a, b) for b, bad in zip(others, moved) if bad]
@@ -235,15 +234,14 @@ def verify_curvature_battery(
         failures += [("solution not fixed", int(a) + 1, int(s) + 1) for a, s in np.argwhere(moved)]
         if not degenerate:
             span_dims, image, joint, sum_image_dims = _curvature_ranks(H, np.swapaxes(S, 0, 1), p)
-            for i in range(npoints):
-                for a in range(1, n + 1):
-                    rk = int(image[a - 1, i])
-                    if rk > d:
-                        failures.append(("rank bound", a, i, rk))
-                    if joint[a - 1, i] != span_dims[i]:
-                        failures.append(("image not in span", a, i))
-            for a in range(1, n + 1):
-                per_axis[a]["ranks"] = image[a - 1].tolist()
+            over, outside = image > d, joint != span_dims  # (n, npts)
+            for i, a in np.argwhere((over | outside).T):  # by point, then by axis
+                if over[a, i]:
+                    failures.append(("rank bound", int(a) + 1, int(i), int(image[a, i])))
+                if outside[a, i]:
+                    failures.append(("image not in span", int(a) + 1, int(i)))
+            for a, r in enumerate(image.tolist(), start=1):
+                per_axis[a]["ranks"] = r
             ranks = {
                 "span_dim": sorted(set(span_dims.tolist())),
                 "sum_image_dim": sorted(set(sum_image_dims.tolist())),
@@ -256,13 +254,21 @@ def verify_curvature_battery(
     )
 
 
+def _zero_sum_basis(M: np.ndarray, axis: int, p: int) -> np.ndarray:
+    """M read against the basis e_i = v^(i) - v^(i+1) of the zero-sum space
+    along ``axis``: the differences of adjacent entries there, mod p.  On a
+    column axis these are the images of the e_i, on a row axis the
+    pairings e_i^T M."""
+    return mod(-np.diff(M, axis=axis), p)
+
+
 def _curvature_ranks(H: np.ndarray, span: np.ndarray, p: int):
     """Ranks at every point of the rows ``span`` (npts, d, n, 2), of each
     image hat-C_a(V) for the reduced curvatures H (n, npts, n, n, 2), of the
     span plus each image, and of the sum of the images: (npts,), (n, npts),
     (n, npts), (npts,).  The image of hat-C_a(V) is spanned by the images of
-    the basis e_i = v^(i) - v^(i+1), the differences of adjacent columns."""
-    images = np.swapaxes(mod(H[..., :-1, :] - H[..., 1:, :], p), -3, -2)  # rows
+    the zero-sum basis, taken as rows."""
+    images = np.swapaxes(_zero_sum_basis(H, -2, p), -3, -2)
     joint = np.concatenate([np.broadcast_to(span, (len(H),) + span.shape), images], axis=2)
     return (
         ext_rank_batch(span, p),
@@ -280,50 +286,45 @@ def kernel_image_ranks(params: QkzParams, z: np.ndarray) -> dict:
     n, p = params.n, params.p
     H = _reduce_batch(curvature_batch(params, *every_axis(n, z[None])), p)[:, None]
     _, image, _, total = _curvature_ranks(H, np.zeros((1, 0, n, 2), dtype=np.int64), p)
-    out = {}
-    for a in range(1, n + 1):
-        rk = int(image[a - 1, 0])
-        out[a] = {"rank": rk, "kernel_dim": (n - 1) - rk}
-    out["sum_image_dim"] = int(total[0])
-    return out
+    out = {a: {"rank": rk, "kernel_dim": (n - 1) - rk} for a, rk in enumerate(image[:, 0].tolist(), start=1)}
+    return {**out, "sum_image_dim": int(total[0])}
 
 
 def verify_duality(
-    params: QkzParams, Z: np.ndarray, C: np.ndarray, C_minus: np.ndarray, flip_control: bool = False
+    params: QkzParams, Z: np.ndarray, H: np.ndarray, H_minus: np.ndarray, flip_control: bool = False
 ) -> CheckReport:
     """Shapovalov duality of the reduced curvature, tested bilinearly on the
     zero-sum basis: S(hat-C_a(z;-kappa) x, y) = -S(x, hat-C_a(-z;kappa) y),
     and the normalized variant with the (-1)^n factor:
     S(tilde-C_a(z;-kappa) x, y) = (-1)^n S(x, tilde-C_a(-z;kappa) y), at
-    the points Z, from C[:, n] and C_minus[:, 0] of their ``curvature_stack``
-    for kappa and for -kappa.
+    the points Z, from H[:, n] and H_minus[:, 0] of their
+    ``curvature_stack`` of hat-C_a for kappa and for -kappa, every axis at
+    once.
 
     ``flip_control`` negates the expected sign (negative control).
     """
     if params.k is None:
         raise ValueError("duality test requires kappa in F_p^x")
     n, p, npoints = params.n, params.p, len(Z)
-    Zneg = mod(-Z, p)
     sgn = -1 if flip_control else 1
+    sign_n = 1 if n % 2 == 0 else p - 1
+    Hm = H_minus[:, 0].astype(np.int64)  # hat-C_a(z; -kappa), (n, npts, n, n, 2)
+    Hp = H[:, n].astype(np.int64)  # hat-C_a(-z; kappa)
+    # normalized variant: D_a-scaled, D_a(z; -kappa) the same for every kappa
+    Tm = ext_mul(_d_a_batch(params, Z)[:, :, None, None], Hm, p)
+    Tp = ext_mul(_d_a_batch(params, mod(-Z, p))[:, :, None, None], Hp, p)  # D_a(-z; kappa)
+
+    def residue(Am, Ap, s):  # E^T (Am^T + s Ap) E on the zero-sum space
+        return _zero_sum_basis(_zero_sum_basis(mod(np.swapaxes(Am, -3, -2) + s * Ap, p), -3, p), -2, p)
+
+    hat_bad = np.any(residue(Hm, Hp, sgn).reshape(n, npoints, -1), axis=2)  # (n, npts)
+    tilde_bad = np.any(residue(Tm, Tp, -sgn * sign_n).reshape(n, -1), axis=1)  # sign (-1)^n
     failures = []
-    for a in range(1, n + 1):
-        Hm = _reduce_batch(C_minus[a - 1, 0], p)  # hat-C_a(z; -kappa)
-        Hp = _reduce_batch(C[a - 1, n], p)  # hat-C_a(-z; kappa)
-        # bilinear residue on the zero-sum space: E^T (Hm^T + Hp) E = 0
-        M = mod(np.swapaxes(Hm, 1, 2) + sgn * Hp, p)
-        res = _restrict_bilinear(M, p)
-        if np.any(res):
-            failures.append(("hatC duality", a, int(np.nonzero(np.any(res.reshape(npoints, -1) != 0, axis=1))[0][0])))
-        # normalized variant: D_a-scaled with sign (-1)^n
-        da_m = _d_a_batch(params, a, Z)  # D_a(z; -kappa), the same for every kappa
-        da_p = _d_a_batch(params, a, Zneg)  # D_a(-z; kappa)
-        Tm = ext_mul(da_m[:, None, None], Hm, p)
-        Tp = ext_mul(da_p[:, None, None], Hp, p)
-        sign_n = 1 if n % 2 == 0 else p - 1
-        M2 = mod(np.swapaxes(Tm, 1, 2) - sgn * sign_n * Tp, p)
-        res2 = _restrict_bilinear(M2, p)
-        if np.any(res2):
-            failures.append(("tildeC duality", a))
+    for a in range(n):
+        if hat_bad[a].any():
+            failures.append(("hatC duality", a + 1, int(np.argmax(hat_bad[a]))))
+        if tilde_bad[a]:
+            failures.append(("tildeC duality", a + 1))
     return CheckReport(
         name=f"curvature duality p={p} n={n} kappa={params.kappa}",
         passed=not failures,
@@ -332,38 +333,25 @@ def verify_duality(
     )
 
 
-def _restrict_bilinear(M: np.ndarray, p: int) -> np.ndarray:
-    """E^T M E where E is the e_i = v^(i) - v^(i+1) basis of the zero-sum
-    space; batched over leading axes and the component axis."""
-    D = mod(M[:, :-1, :, :] - M[:, 1:, :, :], p)
-    return mod(D[:, :, :-1, :] - D[:, :, 1:, :], p)
-
-
-def _d_a_batch(params: QkzParams, a: int, Z: np.ndarray) -> np.ndarray:
-    """D_a on a batch of F_{p^2} points (npts, n, 2) -> (npts, 2), by its
-    closed form prod_{j != a} (w_j^p - w_j), w_j = z_a - z_j (see
-    ``d_a_closed_form``).  Frobenius sends g to -g, so w^p - w = -2 w1 g for
-    w = w0 + w1 g, and D_a = (-2)^(n-1) g^(n-1) prod_j w1_j with g^2 =
-    delta.  Prime-field kappa only."""
+def _d_a_batch(params: QkzParams, Z: np.ndarray) -> np.ndarray:
+    """D_a for every axis a on a batch of F_{p^2} points (npts, n, 2) ->
+    (n, npts, 2), axis a at a - 1, by its closed form prod_{j != a}
+    (w_j^p - w_j), w_j = z_a - z_j (see ``d_a_closed_form``).  Frobenius
+    sends g to -g, so w^p - w = -2 w1 g for w = w0 + w1 g, and D_a =
+    (-2)^(n-1) g^(n-1) prod_j w1_j with g^2 = delta.  Prime-field kappa
+    only."""
     if params.k is None:
         raise ValueError("the closed form of D_a requires kappa in F_p^x")
-    p, m = params.p, params.n - 1
-    w1 = np.delete(Z[:, a - 1 : a, 1] - Z[:, :, 1], a - 1, axis=1)  # (npts, n-1)
-    c = np.full(len(Z), pow(-2, m, p) * pow(make_field(p, 2).nonresidue, m // 2, p) % p, dtype=np.int64)
-    for col in w1.T:
+    p, n, m = params.p, params.n, params.n - 1
+    z1 = Z[:, :, 1].T  # (n, npts)
+    w1 = z1[:, None] - z1  # [a-1, j-1]: the g-part of w_j for D_a
+    w1[range(n), range(n)] = 1  # no factor j = a
+    c = np.full((n, len(Z)), pow(-2, m, p) * pow(make_field(p, 2).nonresidue, m // 2, p) % p, dtype=np.int64)
+    for col in w1.swapaxes(0, 1):
         c = c * col % p
-    out = np.zeros((len(Z), 2), dtype=np.int64)
-    out[:, m % 2] = c
+    out = np.zeros((n, len(Z), 2), dtype=np.int64)
+    out[..., m % 2] = c
     return out
-
-
-def _restrict_to_v(M: np.ndarray, p: int) -> np.ndarray:
-    """Matrices (npts, n, n, 2) of operators that map into the zero-sum
-    space V, restricted to V in the basis e_i = v^(i) - v^(i+1):
-    (npts, n-1, n-1, 2). Column i is the image of e_i, in coordinates read
-    off as partial sums of its first n-1 entries."""
-    W = M[:, :, :-1] - M[:, :, 1:]  # images of the e_i
-    return np.cumsum(W[:, :-1], axis=1) % p
 
 
 def _singular_mask(params: QkzParams, Z: np.ndarray) -> np.ndarray:
@@ -414,15 +402,14 @@ def verify_ext_kappa(
         raise ValueError("extension-field context required")
     Z = _nonsingular_points(params, npoints, seed)
     good = len(Z)
-    failures = []
-    sample_dets = {}
+    failures, sample_dets = [], {}
     if good:
         H = _reduce_batch(curvature_batch(params, *every_axis(n, Z)), p)
-        dets = ext_det_batch(H if full_space_control else _restrict_to_v(H, p), p).reshape((n, good, 2))
-        for a in range(1, n + 1):
-            sample_dets[a] = str(elements(dets[a - 1, 0], ctx))
+        V = np.cumsum(_zero_sum_basis(H, -2, p)[:, :-1], axis=1) % p  # e_i coordinates: partial sums
+        dets = ext_det_batch(H if full_space_control else V, p).reshape((n, good, 2))
+        sample_dets = {a: str(elements(det, ctx)) for a, det in enumerate(dets[:, 0], start=1)}
         zero = np.all(dets == 0, axis=-1).T  # zero[i, a-1]: det of hat-C_a vanishes at point i
-        for i, a in zip(*np.nonzero(zero)):
+        for i, a in np.argwhere(zero):
             failures.append(("degenerate hatC", int(a) + 1, [str(x) for x in elements(Z[i], ctx)]))
     if good < npoints:
         failures.append(("insufficient nonsingular points", good))

@@ -6,7 +6,7 @@ rescaled by a power of kappa where the table depends on it: Pascal's
 triangle, the rows of (t - shift; kappa)_m and both Stirling triangles.
 The battery reads the kernels the solutions are built with: those
 triangles, the gather that turns a row into the table of r(t + x w), and
-the cached basis matrix of ``dense.dense_pochhammer_coeffs``.  That basis
+the basis matrix of ``dense.dense_pochhammer_coeffs``.  That basis
 change is the second-kind Stirling expansion
 t^j = sum_i S2(j, i) kappa^{j-i} (t; kappa)_i, from the triangle
 ``stirling`` reads; divided-difference or factorial-based routes are
@@ -98,7 +98,7 @@ def pochhammer_identity_suite(
     C = dense._pascal(p, L)[: L + 1, : L + 1]
     kpow = np.array([pow(kv, e, p) for e in range(L + 1)], dtype=np.int64)
     S1 = dense._stirling_rows(1, p, L)[: L + 1, : L + 1] * kpow[np.maximum(ms[:, None] - ms, 0)] % p
-    M = dense._pochhammer_basis_matrix(p, kv, L + 1).astype(np.int64)
+    M = dense._pochhammer_basis_matrix(p, kv, L + 1)
     bad = {
         # (t - kappa; kappa)_m * t = (t; kappa)_m * (t - kappa m)
         "shift-down": times_linear(shifted(kv), 0) != times_linear(PL, -kv * ms % p),

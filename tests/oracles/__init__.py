@@ -12,6 +12,7 @@ contracted from the coefficient arrays, the sampling loop of
 the ``ext_kappa`` points, the per-call lexsort renderer, the
 Pochhammer identity battery as a loop over m and over pairs (i, j), and the
 table loops (factor tables, Pochhammer rows, Stirling and Pascal) that one
-recurrence replaced, and the per-degree loops of the factor products that
-one windowed product replaced.  Tests compare the production paths with
-them."""
+recurrence replaced, the per-degree loops of the factor products that
+one windowed product replaced, and the per-axis curvature battery and
+duality check on a stack of C_a that the whole-stack readers of hat-C_a
+replaced.  Tests compare the production paths with them."""

@@ -311,6 +311,44 @@ def test_oversized_solution_arrays_exit_2(argv, capsys):
     assert elapsed < 1
 
 
+def test_too_many_points_exit_2(capsys):
+    """A --points count whose int64 curvature stack (n, n+1, points, n, n, 2)
+    at the largest swept n < p passes the 512 MiB limit is refused before
+    any point is drawn: one error line, within a second.  At p = 5, n = 3 a
+    point takes 16 * 27 * 4 = 1728 bytes, so 310689 points fit."""
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", "5", "--n", "3", "--n", "7", "--points", "310690", "--suites", "ext_kappa"])
+    elapsed = time.perf_counter() - start
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --points 310690 is too many: the curvature stack for n=3 would take 512.001 MiB, "
+        "above the 512 MiB limit\n"
+    )
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "5", "--n", "3", "--points", "310689"],
+        ["verify"],
+        ["verify", "--points", "100"],
+        ["verify", "--p", "7", "--p", "11", "--n", "3", "--suites", "rmatrix", "curvature", "ext_kappa", "--points", "100"],
+        ["verify", "--p", "5", "--n", "3", "--points", "310690", "--suites", "solutions", "restrict", "quasi"],
+    ],
+)
+def test_points_within_the_limit_or_not_drawn_are_kept(argv):
+    """Counts that fit pass, and so does any count when no selected suite
+    draws --points points at once (quasi draws at most 10)."""
+    from charp_qkz.cli import _config_from_args, _parser
+
+    cfg = _config_from_args(_parser().parse_args(argv))
+    assert cfg.point_count == (int(argv[argv.index("--points") + 1]) if "--points" in argv else 50)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

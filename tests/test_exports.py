@@ -73,7 +73,10 @@ MOVED_TO_ORACLES = {
 # own report type and the one-suite command (the battery returns a
 # CheckReport; curvature and ortho run the verify command), and the
 # battery's row stacker and its (t + z; kappa)_m helper (every table is read
-# from dense._triangle).
+# from dense._triangle), and the two restrictions to the zero-sum space
+# (pcurvature._zero_sum_basis serves the images, the bilinear duality and
+# the ext_kappa determinant; tests/oracles/curvature.py keeps the bilinear
+# one for the per-axis duality check).
 REMOVED = {
     "points_to_array",
     "_elements",
@@ -97,6 +100,8 @@ REMOVED = {
     "cmd_suite",
     "_lower",
     "_plus_var_table",
+    "_restrict_to_v",
+    "_restrict_bilinear",
 }
 
 
@@ -190,6 +195,7 @@ PAIR_ARRAY_FUNCTIONS = {
         "curvature_stack",
         "battery_points",
         "_curvature_ranks",
+        "_zero_sum_basis",
         "_d_a_batch",
         "_nonsingular_points",
     ),

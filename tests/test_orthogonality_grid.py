@@ -80,7 +80,7 @@ def test_grid_check_matches_dense_conv_pairing(p, n, kv):
 def test_grid_values_evaluate_and_read_the_top_coefficient(p, shape):
     rng = np.random.default_rng(p)
     arr = rng.integers(-2 * p, 2 * p, size=shape)
-    grid = _grid_values(arr, p)
+    grid = _grid_values(arr, p, len(shape))
     assert grid.shape == (p + 1,) * len(shape) and grid.dtype == np.int64
     # F_p points, as F_{p^2} pairs with zero second component
     pts = np.array(list(itertools.product(range(p), repeat=len(shape))))
@@ -91,8 +91,20 @@ def test_grid_values_evaluate_and_read_the_top_coefficient(p, shape):
     # infinity on an axis reads that axis's top coefficient
     for ax, s in enumerate(shape):
         top = np.take(arr, s - 1, axis=ax)
-        assert np.array_equal(np.take(grid, p, axis=ax), _grid_values(top, p))
+        assert np.array_equal(np.take(grid, p, axis=ax), _grid_values(top, p, len(shape) - 1))
     assert grid[(p,) * len(shape)] == arr[tuple(s - 1 for s in shape)] % p
+
+
+@pytest.mark.parametrize("p,shape", [(5, (2, 3, 4, 2)), (7, (3, 2, 8, 1, 5)), (11, (4, 6, 7))])
+def test_grid_values_of_a_stack_are_the_grids_of_its_arrays(p, shape):
+    """Axes before the last n are stack axes: each array of the stack gets
+    the grid it gets alone."""
+    arr = np.random.default_rng(p).integers(-2 * p, 2 * p, size=shape)
+    n = 2 if len(shape) == 3 else 3
+    grid = _grid_values(arr, p, n)
+    assert grid.shape == shape[: len(shape) - n] + (p + 1,) * n
+    for idx in np.ndindex(shape[: len(shape) - n]):
+        assert np.array_equal(grid[idx], _grid_values(arr[idx], p, n)), idx
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -101,6 +113,6 @@ def test_grid_values_catch_z_to_the_p_minus_z_at_infinity(p):
     by the value at infinity on its axis."""
     arr = np.zeros((p + 1, 2), dtype=np.int64)
     arr[p, 0], arr[1, 0] = 1, -1
-    grid = _grid_values(arr, p)
+    grid = _grid_values(arr, p, 2)
     assert not grid[:p].any()
     assert np.array_equal(grid[p], np.r_[np.ones(p, dtype=np.int64), 0])

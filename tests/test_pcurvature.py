@@ -245,7 +245,7 @@ def test_symbolic_curvature_matches_pointwise(p, n):
         for a in range(1, n + 1):
             Ctil, _ = curvature_symbolic(params, a)
             H = _reduce_batch(curvature_batch(params, a, Z), p)
-            expect = ext_mul(_d_a_batch(params, a, Z)[:, None, None], H, p)
+            expect = ext_mul(_d_a_batch(params, Z)[a - 1, :, None, None], H, p)
             assert np.array_equal(_entry_values(Ctil, _w_points(Z, a, p), p), expect), (kv, a)
 
 
@@ -268,14 +268,14 @@ def test_d_a_batch_matches_closed_form_array(p, n):
         Z = np.concatenate([battery_points(params, 8, kv), rand])
         for a in range(1, n + 1):
             expect = dense_eval_points(d_a_closed_form(params, a), _w_points(Z, a, p), p)
-            assert np.array_equal(_d_a_batch(params, a, Z), expect), (kv, a)
+            assert np.array_equal(_d_a_batch(params, Z)[a - 1], expect), (kv, a)
 
 
 def test_d_a_batch_rejects_extension_kappa():
     pctx = make_field(5, 2)
     params = make_params(pctx, 3, pctx.element(1, 2))
     with pytest.raises(ValueError, match="F_p"):
-        _d_a_batch(params, 1, battery_points(params, 2, 0))
+        _d_a_batch(params, battery_points(params, 2, 0))
 
 
 @pytest.mark.parametrize("p,n", [(5, 3), (7, 4)])

@@ -118,7 +118,7 @@ def test_solve_builds_only_base_triangles(monkeypatch, capsys):
         return real(p, rows, c0, cm, cl)
 
     monkeypatch.setattr(dense, "_recurrence", spy)
-    for cached in (dense._rescaled, dense._factor_table, dense._row_functional, dense._pochhammer_basis_matrix):
+    for cached in (dense._rescaled, dense._factor_table, dense._row_functional):
         cached.cache_clear()
     for p, n in ((11, 3), (7, 4)):
         for kv in range(1, p):
