@@ -519,11 +519,13 @@ def _config_from_args(args) -> RunConfig:
             _usage_error(f"unknown suite(s): {', '.join(bad)}")
         cfg.suites = list(dict.fromkeys(args.suites))
     cfg.seed = args.seed
-    cfg.point_count = args.points
+    pointwise = hasattr(args, "points")  # report draws one point per row and has no --points
+    if pointwise:
+        cfg.point_count = args.points
     cfg.format = args.format
     cfg.out_path = args.out
     cfg.sabotage = bool(getattr(args, "sabotage", False))
-    if cfg.point_count < 1:
+    if pointwise and cfg.point_count < 1:
         _usage_error(f"--points must be positive, got {cfg.point_count}")
     if min(cfg.n_range) < 2:
         _usage_error(f"need n >= 2, got n={min(cfg.n_range)}")
@@ -539,7 +541,7 @@ def _config_from_args(args) -> RunConfig:
         except ValueError as exc:
             _usage_error(str(exc))
     # suites that draw --points points at once: the curvature stack of the largest swept n must fit
-    if {"rmatrix", "curvature", "ext_kappa"} & set(cfg.suites):
+    if pointwise and {"rmatrix", "curvature", "ext_kappa"} & set(cfg.suites):
         n = max((n for n in cfg.n_range if n < max(cfg.primes)), default=0)
         nbytes = 16 * n**3 * (n + 1) * cfg.point_count  # int64 (n, n+1, points, n, n, 2)
         if nbytes > hypergeo._SOLUTION_CACHE_BYTES:
@@ -652,12 +654,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, points=True):
         sp.add_argument("--p", type=int, action="append", help="prime(s) to sweep")
         sp.add_argument("--n", type=int, action="append", help="tensor length(s)")
         sp.add_argument("--kappa", action="append", help="step value(s): 'c' or 'a+b*g'")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--points", type=int, default=50, help="points per pointwise suite")
+        if points:
+            sp.add_argument("--points", type=int, default=50, help="points per pointwise suite")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", default=None, help="write output to this path")
 
@@ -695,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=cmd_verify, suites=[suite])
 
     sp = sub.add_parser("report", help="summary table of invariants per (p, n, kappa)")
-    common(sp)
+    common(sp, points=False)
     sp.set_defaults(func=cmd_report)
 
     return parser

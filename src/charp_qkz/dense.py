@@ -6,9 +6,9 @@ reduction), evaluate them, render them as text and convert them to and from
 sparse polynomials.  Every triangular table they read (Pascal's triangle,
 the (t - shift; kappa)_m, both Stirling triangles) is a base triangle of
 its prime, built by one cached recurrence, rescaled by a power of kappa or
-of a shift (``_triangle``), and each factor of a product is multiplied in
-with one int64 product of window views.  Everything here is exact
-arithmetic mod p: with p <= 101 and the accumulation patterns used below no
+of a shift (``_triangle``).  One window product, ``_times``, serves the
+factors of a solution and the identity battery's product rule.  All work
+is exact mod p: with p <= 101 and the accumulation patterns used below no
 int64 intermediate approaches 2^63, and the one float64 path is exact by
 the bound stated where it occurs.
 """
@@ -21,6 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .ffield import FieldCtx, make_field
+from .linalg import stack_groups
 from .mpoly import MPoly
 
 __all__ = [
@@ -352,17 +353,25 @@ def _windows(a: np.ndarray, width: int) -> np.ndarray:
     )
 
 
+def _times(a: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """A (tlen, k) stack of t-polynomials (t on axis 0) times the table F
+    (m + 1, ...) of one polynomial, unreduced: out[tau, c, ...] =
+    sum_dt a[tau - dt, c] F[dt, ...], one int64 product of the windows of
+    ``a``, padded by m zeros on both sides, with the reversed table.  For
+    entries in [0, p) every partial sum is below (m + 1)(p - 1)^2 < 2^63."""
+    tlen, m = a.shape[0], F.shape[0] - 1
+    padded = np.zeros((tlen + 2 * m, a.shape[1]), dtype=np.int64)
+    padded[m : m + tlen] = a
+    return _windows(padded, m + 1) @ F[::-1]
+
+
 def build_product_tpoly(ctx: FieldCtx, kappa: int, factors: list[tuple[int | None, int, int]]) -> np.ndarray:
     """Dense coefficients of prod_j (t - w_j - c_j; kappa)_{m_j}.
 
     Each factor is (var, c, m) with ``var`` a 1-based z-index or None for a
     pure constant shift.  Axis 0 of the array is the t-degree; then comes
-    one axis per factor with a variable, in the order of the factors.
-
-    Each factor is one int64 product of the windows of the array, padded by
-    m zeros on both sides in t, with the reversed factor table:
-    out[tau, e] = sum_dt arr[tau - dt] F[dt, e].  Both have entries in
-    [0, p), so every partial sum is below (m + 1)(p - 1)^2, far from 2^63.
+    one axis per factor with a variable, in the order of the factors.  Each
+    factor is multiplied in by ``_times``.
     """
     if ctx.ext_degree != 1:
         raise ValueError("dense kernels are prime-field only")
@@ -370,11 +379,8 @@ def build_product_tpoly(ctx: FieldCtx, kappa: int, factors: list[tuple[int | Non
     arr = np.ones((1,), dtype=np.int64)
     for var, c, m in factors:
         F = _factor_table(p, kappa, m, c % p, with_var=var is not None)
-        tlen, rest = arr.shape[0], arr.shape[1:]
-        padded = np.zeros((tlen + 2 * m, arr[0].size), dtype=np.int64)
-        padded[m : m + tlen] = arr.reshape(tlen, -1)
-        out = _windows(padded, m + 1) @ F[::-1]
-        arr = out.reshape((tlen + m,) + rest + ((m + 1,) if var is not None else ())) % p
+        out = _times(arr.reshape(len(arr), -1), F)
+        arr = out.reshape((len(out),) + arr.shape[1:] + ((m + 1,) if var is not None else ())) % p
     return arr
 
 
@@ -388,14 +394,6 @@ def _pochhammer_basis_matrix(p: int, kappa: int, tlen: int) -> np.ndarray:
     one ``pochhammer.stirling`` reads, rescaled by kappa.
     """
     return _triangle(p, tlen - 1, 0, 0, 1, kappa)[:tlen, :tlen].T
-
-
-# multiply-adds per float64 product in dense_pochhammer_coeffs.  Blocks this
-# small run single-threaded: on a shared 2-vCPU guest, unblocked products of
-# these thin shapes (30 x 30 by 30 x 14406) sometimes took 16 ms against
-# 0.7-0.9 ms blocked, and with one BLAS thread the blocked form was no
-# slower.  Blocking also bounds the float64 scratch memory.
-_GEMM_MADDS = 1 << 19
 
 
 @functools.lru_cache(maxsize=256)
@@ -447,10 +445,8 @@ def dense_pochhammer_coeffs(
     G = _row_functional(p, kappa % p, tlen, rows, factor)
     flat = arr.reshape(tlen, -1)
     out = np.empty((G.shape[0], flat.shape[1]), dtype=np.int64)
-    step = max(1, _GEMM_MADDS // max(1, G.size))
-    for c in range(0, flat.shape[1], step):
-        block = (flat[:, c : c + step] % p).astype(np.float64)
-        out[:, c : c + step] = G @ block
+    for g in stack_groups(flat.shape[1], G.size):
+        out[:, g] = G @ (flat[:, g] % p).astype(np.float64)
     out %= p
     lead = (len(rows),) + ((m + 1,) if var is not None else ())
     return out.reshape(lead + arr.shape[1:])

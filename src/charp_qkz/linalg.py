@@ -14,6 +14,7 @@ from .ffield import FieldCtx, FieldElement, inverse_table, make_field
 
 __all__ = [
     "mod",
+    "stack_groups",
     "rank",
     "det",
     "solve",
@@ -33,6 +34,23 @@ def mod(x: np.ndarray, p: int) -> np.ndarray:
     ends of the dtype; the difference is then still exact, since the true
     result is in [0, p) and the arithmetic is modulo 2^bits."""
     return x - x // p * p
+
+
+# The entries (4 MB as int64) that one stacked kernel call or product may
+# make, or the multiply-adds of one float64 block: memory grows with one
+# group of items, not with all (the default sweep and the benchmark fit in
+# one).  Float64 blocks this small run single-threaded: on a 2-vCPU guest
+# unblocked thin Pochhammer products (30 x 30 by 30 x 14406) sometimes took
+# 16 ms against 0.7-0.9 ms blocked, which cost nothing with one BLAS thread.
+_STACK_ENTRIES = 1 << 19
+
+
+def stack_groups(count: int, entries_each: int) -> list[slice]:
+    """Consecutive slices of ``count`` stacked items of ``entries_each``
+    entries each, as few as keep every slice within ``_STACK_ENTRIES``
+    (one item at least)."""
+    step = max(1, _STACK_ENTRIES // max(1, entries_each))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def _pairs(mat, p: int) -> np.ndarray:

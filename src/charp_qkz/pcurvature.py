@@ -29,7 +29,7 @@ from .hypergeo import (
     extract_solutions,  # noqa: F401  (a binding perfbench/tracer.py rebinds)
     solution_values,
 )
-from .linalg import ext_det_batch, ext_matmul, ext_mul, ext_rank_batch, mod
+from .linalg import ext_det_batch, ext_matmul, ext_mul, ext_rank_batch, mod, stack_groups
 from .qkz_core import (
     CheckReport,
     QkzParams,
@@ -42,7 +42,6 @@ from .qkz_core import (
     kappa_shifts,
     r_factors,
     singular_factors,
-    stack_groups,
 )
 
 __all__ = [

@@ -5,9 +5,10 @@ Every table here is a base triangle of the one recurrence in ``dense``,
 rescaled by a power of kappa where the table depends on it: Pascal's
 triangle, the rows of (t - shift; kappa)_m and both Stirling triangles.
 The battery reads the kernels the solutions are built with: those
-triangles, the gather that turns a row into the table of r(t + x w), and
-the basis matrix of ``dense.dense_pochhammer_coeffs``.  That basis
-change is the second-kind Stirling expansion
+triangles, the gather that turns a row into the table of r(t + x w), the
+window product ``dense._times`` that multiplies in every factor of a
+solution, and the basis matrix of ``dense.dense_pochhammer_coeffs``.
+That basis change is the second-kind Stirling expansion
 t^j = sum_i S2(j, i) kappa^{j-i} (t; kappa)_i, from the triangle
 ``stirling`` reads; divided-difference or factorial-based routes are
 invalid here, since i! vanishes mod p as soon as i >= p.  The battery
@@ -115,18 +116,17 @@ def pochhammer_identity_suite(
     bad = {key: np.any(rows, axis=1) for key, rows in bad.items()}
     failures = [(key, m) for m in range(L + 1) for key, rows in bad.items() if rows[m]]
 
-    # product rule (t;)_i (t;)_j = sum_l C(i,l) C(j,l) l! kappa^l (t;)_{i+j-l}, all j >= i
+    # product rule (t;)_i (t;)_j = sum_l C(i,l) C(j,l) l! kappa^l (t;)_{i+j-l}, all j >= i:
+    # left sides by the solutions' product kernel, right sides by the
+    # windows of rows j .. i + j of P times the reversed coefficient rows
     fk = kpow * [factorial(l) % p for l in range(L + 1)] % p
-    W = P.shape[1]
     for i in range(L + 1):
         c = C[i, : i + 1] * C[i:, : i + 1] % p * fk[: i + 1] % p
         if mutate and i:
             c[:, 1] += 1
-        diff = np.zeros((L + 1 - i, W), dtype=np.int64)
-        for l in range(i + 1):
-            diff[:, l:] += P[i, l] * P[i : L + 1, : W - l]
-            diff -= c[:, l, None] * P[2 * i - l : L + i + 1 - l]
-        bad_j = np.flatnonzero(np.any(diff % p, axis=1))
+        lhs = dense._times(PL[i:].T, P[i, : i + 1]).T
+        rhs = (dense._windows(P[i : L + i + 1, : L + i + 1], i + 1) @ c[:, ::-1, None])[..., 0]
+        bad_j = np.flatnonzero(np.any((lhs - rhs) % p, axis=1))
         failures += [("product-rule", i, i + j) for j in bad_j.tolist()]
 
     # closed form at p, additivity at p, quasi-constant law

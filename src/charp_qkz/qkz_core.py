@@ -27,7 +27,7 @@ import numpy as np
 
 from .dense import dense_shift_var, pad_to_shape, render_polynomials
 from .ffield import FieldCtx, FieldElement, elements, inverse_table, make_field
-from .linalg import ext_matmul, mod
+from .linalg import ext_matmul, mod, stack_groups
 
 __all__ = [
     "QkzParams",
@@ -39,7 +39,6 @@ __all__ = [
     "k_product_batch",
     "every_axis",
     "kappa_shifts",
-    "stack_groups",
     "singular_factors",
     "verify_rmatrix_identities",
     "verify_flatness",
@@ -162,21 +161,6 @@ def kappa_shifts(params: QkzParams, Z: np.ndarray) -> np.ndarray:
     shifted = np.repeat(Z[None], n, axis=0)
     shifted[range(n), :, range(n)] = mod(shifted[range(n), :, range(n)] - params.kappa_pair, params.p)
     return shifted
-
-
-# The int64 entries (4 MB) that one kernel call or product stacked over
-# axes or pairs may make.  Such work goes in consecutive groups within it,
-# so that memory grows with one group, not with the n or n^2 items; the
-# batches of the default sweep and of the benchmark fit in one group.
-_STACK_ENTRIES = 1 << 19
-
-
-def stack_groups(count: int, entries_each: int) -> list[slice]:
-    """Consecutive slices of ``count`` stacked items of ``entries_each``
-    entries each, as few as keep every slice within ``_STACK_ENTRIES``
-    (one item at least)."""
-    step = max(1, _STACK_ENTRIES // max(1, entries_each))
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 @functools.lru_cache(maxsize=None)

@@ -330,6 +330,20 @@ def test_too_many_points_exit_2(capsys):
     assert elapsed < 1
 
 
+@pytest.mark.parametrize("count", ["100000000", "5"])
+def test_report_takes_no_points(count, capsys):
+    """report draws one point per row, so it takes no --points: a count
+    that would pass the curvature-stack bound, and one that would not,
+    both end in argparse's usage message."""
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--p", "5", "--n", "3", "--points", count])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: charp-qkz ")
+    assert captured.err.endswith(f"error: unrecognized arguments: --points {count}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from charp_qkz import dense
+from charp_qkz import dense, linalg
 from charp_qkz.cli import main
 from charp_qkz.dense import dense_pochhammer_coeffs, mpoly_to_dense, render_polynomials
 from charp_qkz.ffield import make_field
@@ -111,7 +111,7 @@ def test_pochhammer_blocks_agree(monkeypatch):
     p, kappa = 11, 4
     arr = np.random.default_rng(0).integers(0, p, size=(3 * p, 5, 7))
     whole = dense_pochhammer_coeffs(arr, p, kappa)
-    monkeypatch.setattr(dense, "_GEMM_MADDS", 3 * (3 * p) ** 2)
+    monkeypatch.setattr(linalg, "_STACK_ENTRIES", 3 * (3 * p) ** 2)
     assert np.array_equal(dense_pochhammer_coeffs(arr, p, kappa), whole)
     assert np.array_equal(whole, _elimination_oracle(arr, p, kappa))
 

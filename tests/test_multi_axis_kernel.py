@@ -15,8 +15,9 @@ import random
 import numpy as np
 import pytest
 
-from charp_qkz import pcurvature, qkz_core
+from charp_qkz import linalg, pcurvature, qkz_core
 from charp_qkz.ffield import MAX_PRIME, make_field, sample_points
+from charp_qkz.linalg import stack_groups
 from charp_qkz.pcurvature import curvature_batch
 from charp_qkz.qkz_core import (
     SingularPointError,
@@ -27,7 +28,6 @@ from charp_qkz.qkz_core import (
     k_product_batch,
     make_params,
     singular_factors,
-    stack_groups,
     verify_flatness,
 )
 from oracles import symbolic
@@ -243,8 +243,8 @@ def test_int16_bound_holds_at_the_largest_prime():
 
 def test_stack_groups_cover_the_items_within_the_budget():
     assert stack_groups(5, 0) == [slice(0, 5)]
-    assert stack_groups(5, qkz_core._STACK_ENTRIES) == [slice(i, i + 1) for i in range(5)]
-    assert stack_groups(7, qkz_core._STACK_ENTRIES // 3) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    assert stack_groups(5, linalg._STACK_ENTRIES) == [slice(i, i + 1) for i in range(5)]
+    assert stack_groups(7, linalg._STACK_ENTRIES // 3) == [slice(0, 3), slice(3, 6), slice(6, 7)]
     assert stack_groups(0, 10) == []
 
 
@@ -270,7 +270,7 @@ def test_stacked_work_in_groups_gives_the_same_reports(budget, monkeypatch):
         for extra in ([], ["--sabotage"])
     ]
     expected = [run(argv) for argv in argvs]
-    monkeypatch.setattr(qkz_core, "_STACK_ENTRIES", budget)
+    monkeypatch.setattr(linalg, "_STACK_ENTRIES", budget)
     calls = []
     real = pcurvature.curvature_batch
     monkeypatch.setattr(pcurvature, "curvature_batch", lambda *args: calls.append(1) or real(*args))

@@ -3,6 +3,7 @@ sparse oracle in ``oracles.tpoly``), and the symbolic identity battery
 (the loop it replaced in ``oracles.identities``)."""
 
 import random
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -306,6 +307,37 @@ def test_identity_suite_reads_the_pascal_triangle(monkeypatch):
     assert ("binomial-convolution", 4) in failures and ("product-rule", 4, 4) in failures
     assert all(f[1] >= 4 for f in failures if f[0] == "binomial-convolution")
     assert all(4 in f[1:] for f in failures if f[0] == "product-rule")
+
+
+def test_product_rule_reads_the_pochhammer_table_through_both_products(monkeypatch):
+    """With the t-coefficient of rows 2, 7 and 13 of P raised (p = 7,
+    kappa = 3), the product rule fails at exactly the pairs i <= j <= 2p at
+    which the perturbed table breaks it: its left sides (the product kernel
+    of the solutions) and its right sides (the windows of P) both read the
+    perturbed rows."""
+    p, kv, rows = 7, 3, (2, 7, 13)
+    real = dense._pochhammer_rows
+
+    def spy(p, kappa, shift, nrows):
+        table = real(p, kappa, shift, nrows)
+        return _perturb_rows(table, p, rows, 1) if shift % p == 0 else table
+
+    P = spy(p, kv, 0, 4 * p)
+    expected = []
+    for i in range(2 * p + 1):
+        for j in range(i, 2 * p + 1):
+            lhs = np.convolve(P[i, : i + 1], P[j, : j + 1]) % p
+            rhs = sum(
+                comb(i, l) * comb(j, l) * factorial(l) * kv**l % p * P[i + j - l, : i + j + 1]
+                for l in range(i + 1)
+            ) % p
+            if not np.array_equal(lhs, rhs):
+                expected.append(("product-rule", i, j))
+    assert expected
+    monkeypatch.setattr(dense, "_pochhammer_rows", spy)
+    ctx = make_field(p)
+    failures = pochhammer_identity_suite(ctx, ctx.element(kv)).failures
+    assert [f for f in failures if f[0] == "product-rule"] == expected
 
 
 def test_identity_suite_builds_each_triangle_once(monkeypatch):
