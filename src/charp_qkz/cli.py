@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -450,7 +449,7 @@ def _check_out(out_path: Optional[str]) -> None:
 def render_text(payload: dict) -> str:
     lines = []
     for suite, block in payload.items():
-        if suite in ("schema", "config", "elapsed_seconds", "passed"):
+        if suite in ("schema", "config", "passed"):
             continue
         if suite == "skipped_pairs":
             for item in block:
@@ -566,7 +565,6 @@ def cmd_verify(args) -> int:
     """Run the selected suites (the curvature and ortho subcommands select
     one).  Exit 0 when every check passed, 1 when one failed, 2 when none ran."""
     cfg = _config_from_args(args)
-    start = time.time()
     runner = SuiteRunner(cfg)
     results = runner.run()
     if not runner.checks_run:
@@ -585,9 +583,6 @@ def cmd_verify(args) -> int:
         "passed": runner.all_passed,
         **results,
     }
-    # determinism: wall-clock info only in the text report
-    if cfg.format == "text":
-        payload["elapsed_seconds"] = round(time.time() - start, 2)
     emit(payload, cfg.format, cfg.out_path)
     return 0 if runner.all_passed else 1
 

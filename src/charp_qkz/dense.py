@@ -235,9 +235,9 @@ def dense_eval_points(arr: np.ndarray, Z: np.ndarray, p: int) -> np.ndarray:
 
 
 # Every triangular table mod p is a base triangle of its prime rescaled by a
-# power of lam: T[m, l] = B[m, l] lam^{m-l}, read from one cached power table
-# of lam.  A base triangle comes from one recurrence: row m + 1 is row m times
-# t plus c(m, l) = c0 + cm*m + cl*l times row m, that is
+# power of lam: T[m, l] = B[m, l] lam^{m-l}, rescaled on every read.  A base
+# triangle comes from one recurrence: row m + 1 is row m times t plus
+# c(m, l) = c0 + cm*m + cl*l times row m, that is
 # T[m+1, l] = T[m, l-1] + c(m, l) T[m, l] from T[0] = (1, 0, 0, ...).  The
 # bases are Pascal's triangle (c = 1), the rows of (u - s; 1)_m (c = -s - m;
 # s = 0 gives the signed first-kind Stirling numbers) and the second-kind
@@ -245,26 +245,24 @@ def dense_eval_points(arr: np.ndarray, Z: np.ndarray, p: int) -> np.ndarray:
 # (t - s; kappa)_m = kappa^m (t/kappa - s/kappa; 1)_m, so the rows of
 # (t - s; kappa)_m are those of (u - s/kappa; 1)_m rescaled by kappa, and
 # (t - s; 0)_m = (t - s)^m is Pascal's triangle rescaled by -s.
-# Rows are built in blocks of p, so the readers of one table share it: the
-# solutions (m < p) one of p rows, the identity battery one of 2p or 4p, a
-# basis matrix one of at most np.  A table of R rows takes 8 (R + 1)^2
+# Rows are built in blocks of p, so the readers of one prime share a base:
+# the solutions (m < p) one of p rows, the identity battery one of 2p or 4p,
+# a basis matrix one of at most np.  A table of R rows takes 8 (R + 1)^2
 # bytes, 1.3 MB for 4p rows at p = 101.  So at p = 101 and n <= 4 the 64
-# cached base triangles take at most 84 MB, the 16 cached rescaled tables
-# 21 MB and the 64 cached power vectors 0.4 MB.  A solve key reads only the
+# cached base triangles take at most 84 MB.  A solve key reads only the
 # bases of shift 0 and 1, Pascal's and the second-kind triangle of its
 # prime, so 64 hold the bases of several primes at once.
 def _triangle(p: int, rows: int, c0: int, cm: int, cl: int, lam: int = 1) -> np.ndarray:
     """Rows 0..rows (or more) of the base triangle of c = c0 + cm*m + cl*l
     times lam^{m-l}, square and read-only, with T[m, l] = 0 for l > m."""
-    return _rescaled(p, p * max(1, -(-rows // p)), c0 % p, cm % p, cl % p, lam % p)
-
-
-@functools.lru_cache(maxsize=16)
-def _rescaled(p: int, rows: int, c0: int, cm: int, cl: int, lam: int) -> np.ndarray:
-    T = _recurrence(p, rows, c0, cm, cl)
+    rows = p * max(1, -(-rows // p))
+    T = _recurrence(p, rows, c0 % p, cm % p, cl % p)
+    lam %= p
     if lam == 1:
         return T
-    T = T * _lag_powers(p, lam, rows) % p
+    ms = np.arange(rows + 1)
+    powers = np.array([pow(lam, e, p) for e in range(rows + 1)], dtype=np.int64)
+    T = T * powers[abs(ms[:, None] - ms)] % p
     T.flags.writeable = False
     return T
 
@@ -282,17 +280,6 @@ def _recurrence(p: int, rows: int, c0: int, cm: int, cl: int) -> np.ndarray:
         row %= p
     T.flags.writeable = False
     return T
-
-
-@functools.lru_cache(maxsize=64)
-def _lag_powers(p: int, lam: int, rows: int) -> np.ndarray:
-    """The read-only (rows + 1)^2 table L[m, l] = lam^{m-l} mod p for
-    m >= l and 0 above the diagonal: a Toeplitz view of one vector holding
-    rows zeros and then lam^0, ..., lam^rows."""
-    v = np.zeros(2 * rows + 1, dtype=np.int64)
-    v[rows:] = [pow(lam, e, p) for e in range(rows + 1)]
-    step = v.strides[0]
-    return as_strided(v[rows:], shape=(rows + 1, rows + 1), strides=(step, -step), writeable=False)
 
 
 def _pascal(p: int, rows: int, x: int = 1) -> np.ndarray:

@@ -4,6 +4,9 @@ Pochhammer polynomials (t; kappa)_m, on exact coefficient vectors over F_p.
 Every table here is a base triangle of the one recurrence in ``dense``,
 rescaled by a power of kappa where the table depends on it: Pascal's
 triangle, the rows of (t - shift; kappa)_m and both Stirling triangles.
+The ``stirling-1`` law compares the rescaled first-kind triangle with the
+battery's own gather of kappa powers, so it is the law that checks the
+rescale of ``dense._triangle``.
 The battery reads the kernels the solutions are built with: those
 triangles, the gather that turns a row into the table of r(t + x w), the
 window product ``dense._times`` that multiplies in every factor of a

@@ -3,8 +3,8 @@ t-polynomial, vector, solution and operator layers, the z-box symbolic
 curvature, the solution values contracted from the arrays, the
 factorial of the loop identity battery, the table loops that one
 recurrence replaced and the per-degree factor products live only in tests/oracles, the field-element point helpers, the process-wide
-curvature store and duplicate entry points are gone, and only the dense kernels import the
-sparse polynomials."""
+curvature store and duplicate entry points are gone, only the dense kernels import the
+sparse polynomials, and every cache is bounded."""
 
 import ast
 import importlib
@@ -76,7 +76,8 @@ MOVED_TO_ORACLES = {
 # from dense._triangle), and the two restrictions to the zero-sum space
 # (pcurvature._zero_sum_basis serves the images, the bilinear duality and
 # the ext_kappa determinant; tests/oracles/curvature.py keeps the bilinear
-# one for the per-axis duality check).
+# one for the per-axis duality check), and the rescaled-table and
+# power-view caches (dense._triangle rescales a cached base on every read).
 REMOVED = {
     "points_to_array",
     "_elements",
@@ -102,6 +103,8 @@ REMOVED = {
     "_plus_var_table",
     "_restrict_to_v",
     "_restrict_bilinear",
+    "_rescaled",
+    "_lag_powers",
 }
 
 
@@ -131,6 +134,26 @@ def test_sparse_layers_left_the_package():
     assert not hasattr(charp_qkz.hypergeo.SolutionSet, "solutions")
     assert not hasattr(charp_qkz.ffield, "inv") and not hasattr(charp_qkz.ffield, "fpow")
     assert not hasattr(charp_qkz.ffield.FieldCtx, "elements")
+
+
+# The caches without a maxsize, each keyed by a bounded domain: the fields
+# and F_{p^2} inverse tables of the primes p <= 101, the running rows of the
+# n < p axes, and the parser, which takes no arguments.
+BOUNDED_BY_KEY = {
+    charp_qkz.ffield.make_field,
+    charp_qkz.ffield.inverse_table,
+    charp_qkz.qkz_core._running_rows,
+    charp_qkz.cli._parser,
+}
+
+
+def test_every_cache_is_bounded():
+    """Memory stays bounded in a long-lived process: every cache of the
+    package has a finite maxsize or is keyed by a bounded domain."""
+    caches = {obj for mod in MODULES for obj in vars(mod).values() if hasattr(obj, "cache_info")}
+    assert BOUNDED_BY_KEY <= caches
+    for cache in caches - BOUNDED_BY_KEY:
+        assert cache.cache_info().maxsize is not None, f"{cache.__module__}.{cache.__qualname__}"
 
 
 def test_pcurvature_keeps_no_curvature_store():

@@ -86,20 +86,22 @@ def test_shift_matrix_matches_pascal_loop(p):
 
 
 def test_triangles_are_shared_read_only_and_bounded():
-    """One table per (p, c, lam) and block of p rows, whatever rows a
+    """One base table per (p, c) and block of p rows, whatever rows a
     caller asks for within it (s1 is the triangle of (t; 1)_m, and
     (t - s; 0)_m = (t - s)^m is Pascal's triangle rescaled by -s); the
-    caches hold at most 64 base and 16 rescaled tables; the factor tables
+    cache holds at most 64 base tables, and a rescaled table is a fresh
+    read-only array with the same entries on every read; the factor tables
     they feed are copies, so they do not keep an evicted triangle alive."""
     assert dense._recurrence.cache_info().maxsize == 64
-    assert dense._rescaled.cache_info().maxsize == 16
     p = 7
     T = dense._pochhammer_rows(p, 3, 0, 2)
     assert T.shape == (p + 1, p + 1) and not T.flags.writeable
-    assert dense._pochhammer_rows(p, 3 + p, -p, p) is T
+    again = dense._pochhammer_rows(p, 3 + p, -p, p)
+    assert np.array_equal(again, T) and not again.flags.writeable
     assert dense._pochhammer_rows(p, 3, 0, p + 1).shape == (2 * p + 1, 2 * p + 1)
     assert dense._stirling_rows(1, p, 5) is dense._pochhammer_rows(p, 1, 0, 0)
-    assert dense._pochhammer_rows(p, 0, 2, 3) is dense._pascal(p, 5, -2)
+    shifted = dense._pochhammer_rows(p, 0, 2, 3)
+    assert np.array_equal(shifted, dense._pascal(p, 5, -2)) and not shifted.flags.writeable
     for with_var in (False, True):
         assert not np.shares_memory(dense._factor_table(p, 3, 4, 0, with_var=with_var), T)
 
@@ -118,7 +120,7 @@ def test_solve_builds_only_base_triangles(monkeypatch, capsys):
         return real(p, rows, c0, cm, cl)
 
     monkeypatch.setattr(dense, "_recurrence", spy)
-    for cached in (dense._rescaled, dense._factor_table, dense._row_functional):
+    for cached in (dense._factor_table, dense._row_functional):
         cached.cache_clear()
     for p, n in ((11, 3), (7, 4)):
         for kv in range(1, p):
